@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -28,7 +29,13 @@ from .ambiguity import (
     cond_expectation,
     validate_family,
 )
-from .bubble import analyze_bubble, bubble_process, find_dominating_strategy, stopped_price_process
+from .bubble import (
+    BubbleReport,
+    analyze_bubble,
+    bubble_process,
+    find_dominating_strategy,
+    stopped_price_process,
+)
 from .claims import (
     AssumptionViolationError,
     Claim,
@@ -94,37 +101,70 @@ def _need(doc: Mapping, key: str, where: str):
     return doc[key]
 
 
+def _typed(value, kind: type, where: str, what: str):
+    if not isinstance(value, kind):
+        raise MarketFileError(f"{where} must be {what}")
+    return value
+
+
+def _number(value, where: str, key) -> float:
+    """``value``, found at ``where[key]``, as a float if it is a finite number.
+    The location is formatted only on failure: this runs once per value."""
+    if type(value) not in (int, float):  # JSON numbers only; bool is not one
+        raise MarketFileError(f"{where}[{key!r}] is not a number")
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise MarketFileError(f"{where}[{key!r}] is not finite")
+
+
+def _numbers(value, where: str) -> list[float]:
+    items = _typed(value, list, where, "a list of numbers")
+    return [_number(v, where, i) for i, v in enumerate(items)]
+
+
 def _num_map(doc: Mapping, key: str, where: str) -> dict[str, float]:
     raw = _need(doc, key, where)
-    if not isinstance(raw, Mapping):
+    if not isinstance(raw, dict):
         raise MarketFileError(f"{where}: field {key!r} must map node ids to numbers")
-    out = {}
-    for nid, v in raw.items():
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise MarketFileError(f"{where}: {key}[{nid!r}] is not a number")
-        out[str(nid)] = float(v)
-    return out
+    at = f"{where}: {key}"
+    return {str(nid): _number(v, at, nid) for nid, v in raw.items()}
 
 
-def _parse_family(doc: Mapping, tree: EventTree, where: str, role: str) -> MeasureFamily:
+def _parse_family(doc, tree: EventTree, where: str, role: str) -> MeasureFamily:
+    _typed(doc, dict, where, "an object")
     kind = _need(doc, "type", where)
     if kind == "rectangular":
-        raw = _need(doc, "transitions", where)
+        raw = _typed(
+            _need(doc, "transitions", where), dict, f"{where}.transitions",
+            "an object mapping node ids to transition blocks",
+        )
         transitions: dict[str, TransitionSet] = {}
         for nid, block in raw.items():
             if nid not in tree:
                 raise MarketFileError(f"{where}: transition at unknown node {nid!r}")
+            at = f"{where}.transitions[{nid!r}]"
+            _typed(block, dict, at, "an object")
             if "vertices" in block:
-                transitions[nid] = TransitionSet.vertex_set(block["vertices"])
+                vertices = _typed(block["vertices"], list, f"{at}.vertices", "a list")
+                transitions[nid] = TransitionSet.vertex_set(
+                    [_numbers(v, f"{at}.vertices[{i}]") for i, v in enumerate(vertices)]
+                )
             else:
-                lo = _need(block, "lower", f"{where}.{nid}")
-                hi = _need(block, "upper", f"{where}.{nid}")
+                lo = _numbers(_need(block, "lower", at), f"{at}.lower")
+                hi = _numbers(_need(block, "upper", at), f"{at}.upper")
                 transitions[nid] = TransitionSet.box(lo, hi)
         family: MeasureFamily = RectangularFamily(tree, transitions, role)
     elif kind == "explicit":
-        raw = _need(doc, "measures", where)
-        measures = tuple({str(k): float(v) for k, v in q.items()} for q in raw)
-        family = ExplicitFamily(tree, measures, role)
+        raw = _typed(_need(doc, "measures", where), list, f"{where}.measures", "a list")
+        measures = []
+        for i, q in enumerate(raw):
+            at = f"{where}.measures[{i}]"
+            _typed(q, dict, at, "an object mapping leaves to probabilities")
+            measures.append({str(k): _number(v, at, k) for k, v in q.items()})
+        family = ExplicitFamily(tree, tuple(measures), role)
     else:
         raise MarketFileError(f"{where}: unknown family type {kind!r}")
     problems = validate_family(family)
@@ -139,7 +179,9 @@ def parse_market_file(path: str) -> ParsedMarket:
     Required fields: horizon, nodes (list of {id, parent, time}; listing
     order fixes child order), rates, prices, dividends, tau
     ({nodes, kind}), payoffs, actual (a measure family). Optional: pricing,
-    market_prices ({claim-kind: {node: price}}).
+    market_prices ({claim-kind: {node: price}}). A field of the wrong JSON
+    type, a non-finite number or an unknown tau node raises
+    ``MarketFileError`` naming the field.
     """
     try:
         with open(path) as fh:
@@ -149,17 +191,23 @@ def parse_market_file(path: str) -> ParsedMarket:
     except json.JSONDecodeError as exc:
         raise MarketFileError(f"{path}: not valid JSON: {exc}") from exc
 
-    nodes = _need(doc, "nodes", path)
+    _typed(doc, dict, path, "a JSON object")
+    nodes = _typed(_need(doc, "nodes", path), list, f"{path}: field 'nodes'", "a list")
     parents: dict[str, str | None] = {}
     stated_times: dict[str, int] = {}
-    for entry in nodes:
-        nid = str(_need(entry, "id", f"{path}: node entry"))
+    for i, entry in enumerate(nodes):
+        at = f"{path}: nodes[{i}]"
+        _typed(entry, dict, at, "an object with id, parent and time")
+        nid = str(_need(entry, "id", at))
         if nid in parents:
             raise MarketFileError(f"{path}: duplicate node id {nid!r}")
         par = entry.get("parent")
         parents[nid] = None if par is None else str(par)
         if "time" in entry:
-            stated_times[nid] = int(entry["time"])
+            t = _number(entry["time"], at, "time")
+            if t != int(t):
+                raise MarketFileError(f"{at}['time'] is not an integer")
+            stated_times[nid] = int(t)
     try:
         tree = EventTree(parents)
     except ValueError as exc:
@@ -175,8 +223,12 @@ def parse_market_file(path: str) -> ParsedMarket:
             f"{path}: stated horizon {horizon} != tree depth {tree.horizon}"
         )
 
-    tau_doc = _need(doc, "tau", path)
-    tau = StoppingTime(frozenset(str(n) for n in _need(tau_doc, "nodes", f"{path}.tau")))
+    tau_doc = _typed(_need(doc, "tau", path), dict, f"{path}.tau", "an object")
+    tau_nodes = _typed(_need(tau_doc, "nodes", f"{path}.tau"), list, f"{path}.tau.nodes", "a list")
+    tau = StoppingTime(frozenset(str(n) for n in tau_nodes))
+    unknown = sorted(n for n in tau.tau_nodes if n not in tree)
+    if unknown:
+        raise MarketFileError(f"{path}.tau.nodes: unknown nodes {unknown}")
     kind = _need(tau_doc, "kind", f"{path}.tau")
 
     spec = MarketSpec(
@@ -200,9 +252,8 @@ def parse_market_file(path: str) -> ParsedMarket:
     pricing = None
     if "pricing" in doc:
         pricing = _parse_family(doc["pricing"], tree, f"{path}.pricing", "pricing")
-    market_prices = {}
-    for key, block in doc.get("market_prices", {}).items():
-        market_prices[str(key)] = {str(n): float(v) for n, v in block.items()}
+    raw = _typed(doc.get("market_prices", {}), dict, f"{path}.market_prices", "an object")
+    market_prices = {str(key): _num_map(raw, key, f"{path}.market_prices") for key in raw}
     return ParsedMarket(spec, actual, pricing, market_prices, path)
 
 
@@ -239,29 +290,25 @@ def report_from_dict(doc: Mapping) -> Report:
     )
 
 
-def _resolve_pricing(parsed: ParsedMarket, ftap=None):
+def _resolve_pricing(parsed: ParsedMarket):
     """Pricing family: the one in the file, else the supermartingale family
-    discovered by the equivalence check (None when arbitrage blocks it)."""
+    discovered by the equivalence check (None when arbitrage blocks it),
+    with that check's report (None when the file gives the family)."""
     if parsed.pricing is not None:
-        return parsed.pricing, ftap
-    if ftap is None:
-        ftap = verify_ftap(parsed.spec, parsed.actual)
+        return parsed.pricing, None
+    ftap = verify_ftap(parsed.spec, parsed.actual)
     return ftap.pricing_family, ftap
 
 
-def _process_table(parsed: ParsedMarket, pricing) -> dict[str, dict[str, float]]:
-    spec = parsed.spec
-    out: dict[str, dict[str, float]] = {
+def _process_table(spec: MarketSpec, bubble: BubbleReport) -> dict[str, dict[str, float]]:
+    return {
         "S": dict(spec.price),
         "W": dict(wealth_process(spec).values),
         "B": dict(discount_factors(spec).values),
+        "Sstar": dict(bubble.S_star.values),
+        "Wstar": dict(bubble.W_star.values),
+        "beta": dict(bubble.beta.values),
     }
-    if pricing is not None:
-        rep = analyze_bubble(spec, pricing, parsed.actual)
-        out["Sstar"] = dict(rep.S_star.values)
-        out["Wstar"] = dict(rep.W_star.values)
-        out["beta"] = dict(rep.beta.values)
-    return out
 
 
 def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any]) -> Report:
@@ -276,7 +323,7 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
 
     if command == "analyze":
         ftap = verify_ftap(spec, parsed.actual)
-        pricing, ftap = _resolve_pricing(parsed, ftap)
+        pricing = parsed.pricing if parsed.pricing is not None else ftap.pricing_family
         report.verdicts["validation"] = "pass"
         report.verdicts["arbitrage"] = "FOUND" if ftap.arbitrage else "none"
         report.verdicts["ftap_consistent"] = ftap.consistent
@@ -319,7 +366,7 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
                 c[0] for c in clause.get("counterexamples", ())
             )
             report.diagnostics[f"{name}_nodes"] = sorted(nodes)
-        report.processes = _process_table(parsed, pricing)
+        report.processes = _process_table(spec, rep)
         report.diagnostics["beta_0"] = rep.beta[tree.root]
         report.diagnostics["tau_kind"] = spec.tau_kind
         return report
@@ -328,7 +375,7 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
         kind = CLAIM_ALIASES[options["claim"]]
         maturity = int(options.get("maturity") or tree.horizon)
         claim = Claim(kind, maturity, float(options["strike"]))
-        pricing, _ = _resolve_pricing(parsed)
+        pricing, ftap = _resolve_pricing(parsed)
         if pricing is None:
             report.verdicts["error"] = "no pricing family available (arbitrage)"
             report.exit_status = 2
@@ -347,11 +394,12 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
             report.processes["claim_value"] = dict(proc.values)
             value = proc[tree.root]
         report.verdicts["value"] = value
-        report.processes.update(_process_table(parsed, pricing))
+        bubble = analyze_bubble(spec, pricing, parsed.actual, ftap=ftap)
+        report.processes.update(_process_table(spec, bubble))
         return report
 
     if command == "hedge":
-        pricing, _ = _resolve_pricing(parsed)
+        pricing, ftap = _resolve_pricing(parsed)
         if options.get("payoff_file"):
             with open(options["payoff_file"]) as fh:
                 payoff = {str(k): float(v) for k, v in json.load(fh).items()}
@@ -378,12 +426,13 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
         report.verdicts["duality_gap"] = result.duality_gap
         report.processes["hedge_pi"] = dict(result.hedge.strategy.pi)
         report.processes["hedge_slack"] = dict(result.hedge.slack)
-        report.processes.update(_process_table(parsed, pricing))
+        bubble = analyze_bubble(spec, pricing, parsed.actual, ftap=ftap)
+        report.processes.update(_process_table(spec, bubble))
         return report
 
     if command == "classify":
         which = options["process"]
-        pricing, _ = _resolve_pricing(parsed)
+        pricing, ftap = _resolve_pricing(parsed)
         if pricing is None:
             report.verdicts["error"] = "no pricing family available (arbitrage)"
             report.exit_status = 2
@@ -406,7 +455,8 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
         report.verdicts["supermartingale_slack"] = cls.supermartingale_slack
         report.verdicts["infi_slack"] = cls.infi_slack
         report.processes[which] = dict(proc)
-        report.processes.update(_process_table(parsed, pricing))
+        bubble = analyze_bubble(spec, pricing, parsed.actual, ftap=ftap)
+        report.processes.update(_process_table(spec, bubble))
         return report
 
     if command == "dominance":
@@ -425,7 +475,8 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
             report.verdicts["min_gain_gap"] = pair.min_gap
             report.processes["hedge_pi"] = dict(pair.hedge.strategy.pi)
             report.processes["gain_gap"] = dict(pair.gain_gap)
-        report.processes.update(_process_table(parsed, pricing))
+        bubble = analyze_bubble(spec, pricing, parsed.actual, ftap=ftap)
+        report.processes.update(_process_table(spec, bubble))
         return report
 
     raise MarketFileError(f"unknown command {command!r}")

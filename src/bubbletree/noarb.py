@@ -18,7 +18,6 @@ from scipy.optimize import linprog
 
 from .ambiguity import (
     CHARGE_TOL,
-    Classification,
     ExplicitFamily,
     MeasureFamily,
     RectangularFamily,
@@ -85,19 +84,20 @@ class FtapReport:
     """Outcome of the no-arbitrage / risk-neutral-family equivalence check.
 
     Exactly one of ``arbitrage`` and ``family_found`` should obtain; the
-    ``consistent`` flag records that the dichotomy held. ``witness_family``
-    is the per-leaf feasibility family from the leaf LPs; ``pricing_family``
-    is the full supermartingale set in per-node vertex form (its convex hull
-    is maximal, so superhedging duality is exact against it).
+    ``consistent`` flag records that the dichotomy held, and
+    ``search_agreement`` that the maximal-support LP charged every charged
+    leaf exactly when the structural family exists. ``witness_family`` holds
+    the one measure of the maximal-support LP, plus a structural product
+    measure for each leaf that LP left uncharged; ``pricing_family`` is the
+    full supermartingale set in per-node vertex form (its convex hull is
+    maximal, so superhedging duality is exact against it).
     """
 
     arbitrage: ArbitrageCertificate | None
     family_found: bool
     witness_family: ExplicitFamily | None
     pricing_family: RectangularFamily | None
-    wealth_classification: Classification | None
     consistent: bool
-    leaf_optima: dict[str, float]
     search_agreement: bool
 
     @property
@@ -224,28 +224,6 @@ def supermartingale_family(
     return RectangularFamily(tree, transitions, role="pricing")
 
 
-def _leaf_lp(
-    spec: MarketSpec, leaves: Sequence[str], W: Mapping[str, float]
-):
-    """Constraint matrix of the supermartingale-measure polytope over leaves."""
-    tree = spec.tree
-    leaf_index = {leaf: j for j, leaf in enumerate(leaves)}
-    rows = []
-    for n in tree.non_leaves():
-        row = np.zeros(len(leaves))
-        seen = False
-        for leaf in tree.subtree_leaves(n):
-            if leaf not in leaf_index:
-                continue
-            path = tree.path(leaf)
-            child = path[path.index(n) + 1]
-            row[leaf_index[leaf]] = W[child] - W[n]
-            seen = True
-        if seen:
-            rows.append(row)
-    return np.array(rows) if rows else np.zeros((0, len(leaves)))
-
-
 def _structural_leaf_measure(
     family: RectangularFamily, leaf: str
 ) -> dict[str, float]:
@@ -271,70 +249,67 @@ def _structural_leaf_measure(
     return q
 
 
+def _maximal_support(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One LP for a supermartingale measure of maximal support.
+
+    ``rows`` holds one leaf-gain row per charged leaf, so A = rows.T gives
+    the cone {q >= 0 : A q <= 0} of unnormalized supermartingale measures
+    over those leaves. Maximizing sum(y) subject to y <= q and 0 <= y <= 1
+    puts y = 1 on every leaf some measure of the cone charges (the cone is
+    closed under addition, so one q charges all of them at once) and y = 0
+    elsewhere. Returns q and the mask of charged leaves."""
+    n = rows.shape[0]
+    eye = np.eye(n)
+    A_ub = np.block([[rows.T, np.zeros_like(rows.T)], [-eye, eye]])
+    res = linprog(
+        np.concatenate([np.zeros(n), -np.ones(n)]),
+        A_ub=A_ub,
+        b_ub=np.zeros(A_ub.shape[0]),
+        bounds=[(0.0, None)] * n + [(0.0, 1.0)] * n,
+        method="highs",
+        options=_LP_OPTIONS,
+    )
+    if res.status != 0:
+        raise RuntimeError(f"maximal-support LP failed: {res.message}")
+    return np.maximum(res.x[:n], 0.0), res.x[n:] > 0.5
+
+
 def verify_ftap(spec: MarketSpec, actual: MeasureFamily | None = None) -> FtapReport:
-    """Run both sides of the equivalence: the arbitrage search and, per leaf,
-    a feasibility LP for a supermartingale measure charging that leaf. The
-    collected measures form the witness family; the full supermartingale set
-    is assembled structurally as a rectangular family and is authoritative
-    for existence (LP optima can sit below threshold when the reachable mass
-    of a leaf is legitimately tiny)."""
+    """Run both sides of the equivalence: the arbitrage search and the
+    maximal-support LP over the same leaf-gain matrix. The witness family is
+    that LP's measure, normalized, plus the structural product witness for
+    each leaf the LP leaves uncharged while the structural family reaches
+    it. The full supermartingale set is assembled structurally as a
+    rectangular family and is authoritative for existence (the reachable
+    mass of a leaf can be legitimately tiny)."""
     require_valid(spec)
     tree = spec.tree
     cert = find_arbitrage(spec, actual)
     leaves = charged_leaves(actual, tree)
-    W = wealth_process(spec).values
-    A_ub = _leaf_lp(spec, leaves, W)
-    A_eq = np.ones((1, len(leaves)))
+    _, rows, _ = _gain_rows(spec, leaves)
+    q, charged = _maximal_support(rows)
     structural = supermartingale_family(spec, actual)
     found_all = structural is not None
 
-    leaf_optima: dict[str, float] = {}
-    measures: list[dict[str, float]] = []
-    lp_all_positive = True
-    for j, leaf in enumerate(leaves):
-        c = np.zeros(len(leaves))
-        c[j] = -1.0
-        res = linprog(
-            c,
-            A_ub=A_ub if A_ub.size else None,
-            b_ub=np.zeros(A_ub.shape[0]) if A_ub.size else None,
-            A_eq=A_eq,
-            b_eq=np.array([1.0]),
-            bounds=[(0.0, None)] * len(leaves),
-            method="highs",
-            options=_LP_OPTIONS,
-        )
-        opt = -res.fun if res.status == 0 else 0.0
-        leaf_optima[leaf] = float(opt)
-        if res.status != 0 or opt <= 1e-9:
-            lp_all_positive = False
-            if not found_all:
-                break
-            # reachable per the structural family; take its product witness
-            measures.append(_structural_leaf_measure(structural, leaf))
-            continue
-        q = {l: float(max(x, 0.0)) for l, x in zip(leaves, res.x)}
-        total = sum(q.values())
-        q = {l: x / total for l, x in q.items()}
-        measures.append({l: q.get(l, 0.0) for l in tree.leaves})
-
-    agreement = lp_all_positive == found_all
-
     witness = None
-    w_class = None
     if found_all:
+        measures: list[dict[str, float]] = []
+        if charged.any():
+            mass = dict(zip(leaves, (q / q.sum()).tolist()))
+            measures.append({l: mass.get(l, 0.0) for l in tree.leaves})
+        measures.extend(
+            _structural_leaf_measure(structural, leaf)
+            for leaf, hit in zip(leaves, charged)
+            if not hit
+        )
         witness = ExplicitFamily(tree, tuple(measures), role="pricing")
-        w_class = classify_process(witness, W)
-    consistent = (cert is None) != (not found_all)
     return FtapReport(
         arbitrage=cert,
         family_found=found_all,
         witness_family=witness,
         pricing_family=structural,
-        wealth_classification=w_class,
-        consistent=consistent,
-        leaf_optima=leaf_optima,
-        search_agreement=agreement,
+        consistent=(cert is None) == found_all,
+        search_agreement=bool(charged.all()) == found_all,
     )
 
 

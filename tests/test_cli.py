@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -55,6 +56,40 @@ def test_stated_time_mismatch_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(MarketFileError, match="time"):
         parse_market_file(str(path))
+
+
+def _set(doc, keys, value):
+    for k in keys[:-1]:
+        doc = doc[k]
+    doc[keys[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "keys, value, context",
+    [
+        (("prices", "r0"), float("nan"), "prices['r0'] is not finite"),
+        (("rates", "r"), float("inf"), "rates['r'] is not finite"),
+        (("actual", "transitions"), [{"lower": [0.2, 0.6], "upper": [0.4, 0.8]}],
+         "actual.transitions must be an object"),
+        (("nodes", 1), "r0", "nodes[1] must be an object"),
+        (("market_prices",), {"ecall": {"r": "cheap"}}, "market_prices: ecall['r'] is not a number"),
+        (("actual",), {"type": "explicit", "measures": [{"r00": "half", "r10": 0.5}]},
+         "actual.measures[0]['r00'] is not a number"),
+        (("tau", "nodes"), ["r00", "r2"], "tau.nodes: unknown nodes ['r2']"),
+    ],
+    ids=["nan-price", "inf-rate", "transitions-list", "node-entry-not-object",
+         "market-price-not-number", "measure-probability-not-number", "unknown-tau-node"],
+)
+def test_malformed_field_exits_1_with_context(tmp_path, capsys, keys, value, context):
+    doc = json.loads(open(data_file("ex1.market")).read())
+    _set(doc, keys, value)
+    path = tmp_path / "broken.market"
+    path.write_text(json.dumps(doc))
+    rc = main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert context in captured.err
+    assert captured.out == ""
 
 
 def test_unreadable_file_is_schema_error():
@@ -314,3 +349,51 @@ def test_hedge_claim_before_horizon(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "duality_gap" in out
+
+
+COMMANDS = (
+    ("analyze",),
+    ("price", "--claim", "ecall", "--strike", "1"),
+    ("price", "--claim", "aput", "--strike", "1"),
+    ("hedge", "--claim", "ecall", "--strike", "0.9"),
+    ("classify", "--process", "beta"),
+    ("classify", "--process", "Wstar"),
+    ("dominance",),
+)
+
+
+def discovered_fiat_doc(periods: int = 3) -> dict:
+    """A fiat-money market file without a ``pricing`` block, so every
+    command discovers the supermartingale family."""
+    fx = fixtures.fiat(periods)
+    doc = _market_doc(fx.spec, fx.family)
+    del doc["pricing"]
+    return doc
+
+
+@pytest.mark.parametrize("argv", COMMANDS)
+def test_each_command_runs_ftap_and_bubble_analysis_once(tmp_path, capsys, monkeypatch, argv):
+    import bubbletree.bubble
+    import bubbletree.cli
+    import bubbletree.noarb
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    ftap = counted("verify_ftap", bubbletree.noarb.verify_ftap)
+    monkeypatch.setattr(bubbletree.cli, "verify_ftap", ftap)
+    monkeypatch.setattr(bubbletree.bubble, "verify_ftap", ftap)
+    monkeypatch.setattr(
+        bubbletree.cli, "analyze_bubble", counted("analyze_bubble", bubbletree.bubble.analyze_bubble)
+    )
+    path = tmp_path / "fiat.market"
+    path.write_text(json.dumps(discovered_fiat_doc()))
+    rc = main([*argv, str(path)])
+    capsys.readouterr()
+    assert rc == 0
+    assert calls == {"verify_ftap": 1, "analyze_bubble": 1}

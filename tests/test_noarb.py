@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from bubbletree import fixtures
-from bubbletree.ambiguity import cond_expectation, enumerate_extreme_measures
+from bubbletree.ambiguity import (
+    charged_leaves,
+    classify_process,
+    cond_expectation,
+    enumerate_extreme_measures,
+    node_charged,
+)
 from bubbletree.lattice import EventTree, MarketSpec, StoppingTime, wealth_process
 from bubbletree.noarb import (
     NotRiskNeutralError,
     UnboundedHedgeError,
+    _gain_rows,
+    _maximal_support,
     find_arbitrage,
     robust_price,
     superhedge,
@@ -76,7 +85,8 @@ def test_ftap_martingale_binomial_family_side():
     assert rep.arbitrage is None
     assert rep.family_found
     assert rep.consistent
-    assert rep.wealth_classification.satisfies("G_supermartingale")
+    cls = classify_process(rep.witness_family, wealth_process(fx.spec))
+    assert cls.satisfies("G_supermartingale")
     # the witness family charges every leaf
     for leaf in fx.spec.tree.leaves:
         assert any(q[leaf] > 1e-9 for q in rep.witness_family.measures)
@@ -98,6 +108,87 @@ def test_ftap_dichotomy_on_random_markets(seed):
     assert rep.search_agreement
     if rep.arbitrage is not None:
         assert rep.arbitrage.revalidate(fx.spec, fx.spec.tree.leaves)
+
+
+def _per_leaf_charged(spec, leaves):
+    """Oracle: per charged leaf, maximize q_l over the supermartingale
+    measures on the charged leaves (A q <= 0, sum q = 1, q >= 0), with A
+    built from the tree walk; a leaf is chargeable when the optimum is
+    positive."""
+    tree = spec.tree
+    W = wealth_process(spec).values
+    index = {leaf: j for j, leaf in enumerate(leaves)}
+    A = []
+    for n in tree.non_leaves():
+        row = np.zeros(len(leaves))
+        for leaf in tree.subtree_leaves(n):
+            if leaf in index:
+                path = tree.path(leaf)
+                row[index[leaf]] = W[path[path.index(n) + 1]] - W[n]
+        A.append(row)
+    A = np.array(A) if A else None
+    charged = set()
+    for j, leaf in enumerate(leaves):
+        c = np.zeros(len(leaves))
+        c[j] = -1.0
+        res = linprog(
+            c,
+            A_ub=A,
+            b_ub=None if A is None else np.zeros(A.shape[0]),
+            A_eq=np.ones((1, len(leaves))),
+            b_eq=[1.0],
+            bounds=[(0.0, None)] * len(leaves),
+            method="highs",
+        )
+        if res.status == 0 and -res.fun > 1e-9:
+            charged.add(leaf)
+    return charged
+
+
+def test_maximal_support_lp_matches_per_leaf_oracle():
+    n_markets = 0
+    for seed in range(210):
+        fx = fixtures.rand_market(
+            seed + 3000,
+            depth=(seed % 3) + 1,
+            branching=(seed % 2) + 2,
+            style=("neutral", "bumped", "free")[seed % 3],
+            tau_mode=("bounded", "unbounded", "none")[(seed // 3) % 3],
+        )
+        n_markets += 1
+        for actual in (None, fx.family):
+            tree = fx.spec.tree
+            leaves = charged_leaves(actual, tree)
+            _, rows, _ = _gain_rows(fx.spec, leaves)
+            _, hit = _maximal_support(rows)
+            fast = {leaf for leaf, h in zip(leaves, hit) if h}
+            assert fast == _per_leaf_charged(fx.spec, leaves), (seed, actual is None)
+
+            rep = verify_ftap(fx.spec, actual)
+            assert rep.consistent and rep.search_agreement
+            if rep.family_found:
+                assert fast == set(leaves)
+                for leaf in tree.leaves:
+                    if node_charged(rep.pricing_family, leaf):
+                        assert node_charged(rep.witness_family, leaf), (seed, leaf)
+    assert n_markets >= 200
+
+
+def test_witness_falls_back_to_structural_measures(monkeypatch):
+    # a leaf the LP leaves uncharged while the structural family reaches it
+    # gets the structural product witness
+    from bubbletree import noarb
+
+    def charges_nothing(rows):
+        return np.zeros(rows.shape[0]), np.zeros(rows.shape[0], dtype=bool)
+
+    monkeypatch.setattr(noarb, "_maximal_support", charges_nothing)
+    fx = fixtures.ex1_one_period(theta=(0.5, 0.5))
+    rep = verify_ftap(fx.spec, fx.family)
+    assert rep.family_found and rep.consistent
+    assert not rep.search_agreement
+    assert len(rep.witness_family.measures) == len(fx.spec.tree.leaves)
+    assert all(node_charged(rep.witness_family, leaf) for leaf in fx.spec.tree.leaves)
 
 
 # -- superhedging -------------------------------------------------------------
