@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from typing import Mapping, Sequence, Union
 
@@ -162,7 +163,11 @@ class TransitionSet:
 
 @dataclass(frozen=True)
 class RectangularFamily:
-    """Per-node transition sets; the induced set of path measures."""
+    """Per-node transition sets; the induced set of path measures.
+
+    ``charged`` is computed on first use and cached on the instance, so
+    treat a family, its tree and its transition map as immutable.
+    """
 
     tree: EventTree
     transitions: Mapping[str, TransitionSet]
@@ -171,10 +176,25 @@ class RectangularFamily:
     def with_role(self, role: str) -> "RectangularFamily":
         return RectangularFamily(self.tree, self.transitions, role)
 
+    @cached_property
+    def charged(self) -> frozenset[str]:
+        """Nodes on whose path every step is in its transition set's support."""
+        tree = self.tree
+        out = {tree.root}
+        for n in tree.non_leaves():  # preorder: parents before children
+            if n in out:
+                support = self.transitions[n].support()
+                out.update(c for c, s in zip(tree.children(n), support) if s)
+        return frozenset(out)
+
 
 @dataclass(frozen=True)
 class ExplicitFamily:
-    """A finite list of measures given by leaf probabilities."""
+    """A finite list of measures given by leaf probabilities.
+
+    ``masses`` and ``charged`` are computed on first use and cached on the
+    instance, so treat a family, its tree and its measures as immutable.
+    """
 
     tree: EventTree
     measures: tuple[dict[str, float], ...]
@@ -182,6 +202,28 @@ class ExplicitFamily:
 
     def with_role(self, role: str) -> "ExplicitFamily":
         return ExplicitFamily(self.tree, self.measures, role)
+
+    @cached_property
+    def masses(self) -> tuple[dict[str, float], ...]:
+        """Per measure, each node's mass: its subtree's leaf probabilities,
+        summed in preorder."""
+        tree = self.tree
+        out = []
+        for q in self.measures:
+            mass = dict.fromkeys(tree.preorder(), 0)
+            for leaf in tree.leaves:
+                p = q.get(leaf, 0.0)
+                for n in tree.path(leaf):
+                    mass[n] += p
+            out.append(mass)
+        return tuple(out)
+
+    @cached_property
+    def charged(self) -> frozenset[str]:
+        """Nodes some measure gives more than ``CHARGE_TOL`` mass."""
+        return frozenset(
+            n for n in self.tree.preorder() if any(m[n] > CHARGE_TOL for m in self.masses)
+        )
 
 
 MeasureFamily = Union[RectangularFamily, ExplicitFamily]
@@ -214,32 +256,20 @@ def validate_family(family: MeasureFamily) -> list[str]:
     return problems
 
 
-def _measure_mass(tree: EventTree, q: Mapping[str, float], node: str) -> float:
-    return sum(q.get(leaf, 0.0) for leaf in tree.subtree_leaves(node))
-
-
 def node_charged(family: MeasureFamily, node: str) -> bool:
     """Positive supremal probability of reaching the node under the family."""
-    tree = family.tree
-    if isinstance(family, ExplicitFamily):
-        return any(_measure_mass(tree, q, node) > CHARGE_TOL for q in family.measures)
-    path = tree.path(node)
-    for par, child in zip(path, path[1:]):
-        idx = tree.children(par).index(child)
-        if not family.transitions[par].support()[idx]:
-            return False
-    return True
+    return node in family.charged
 
 
 def charged_leaves(family: MeasureFamily | None, tree: EventTree) -> tuple[str, ...]:
     if family is None:
         return tree.leaves
-    return tuple(leaf for leaf in tree.leaves if node_charged(family, leaf))
+    return tuple(leaf for leaf in tree.leaves if leaf in family.charged)
 
 
 def check_full_support(family: MeasureFamily) -> bool:
     """True iff every leaf is charged by some measure of the family."""
-    return all(node_charged(family, leaf) for leaf in family.tree.leaves)
+    return family.charged.issuperset(family.tree.leaves)
 
 
 def _target_time(tree: EventTree, values: Mapping[str, float], node: str) -> int:
@@ -255,31 +285,64 @@ def _target_time(tree: EventTree, values: Mapping[str, float], node: str) -> int
     return t
 
 
+def _backward(
+    family: RectangularFamily,
+    values: Mapping[str, float],
+    target_t: int,
+    top: str,
+    weights: dict[str, tuple[float, ...]] | None = None,
+) -> dict[str, float]:
+    """Backward recursion of the upper expectation of the time-``target_t``
+    slice ``values``, at every node of ``top``'s subtree down to that time.
+    Iterative, one level at a time from the target time up, so depth is
+    unbounded. ``weights``, when given, receives each node's maximizer."""
+    tree = family.tree
+    levels = [[top]]
+    for _ in range(tree.time(top), target_t):
+        levels.append([c for n in levels[-1] for c in tree.children(n)])
+    out = {n: float(values[n]) for n in levels.pop()}
+    for level in reversed(levels):
+        for n in level:
+            v, w = family.transitions[n].maximize([out[c] for c in tree.children(n)])
+            out[n] = v
+            if weights is not None:
+                weights[n] = w
+    return out
+
+
+def _push_mass(tree: EventTree, pick: Mapping[str, Sequence[float]]) -> dict[str, float]:
+    """Leaf measure of the product of one transition vector per non-leaf."""
+    q: dict[str, float] = {}
+    stack = [(tree.root, 1.0)]
+    while stack:
+        n, mass = stack.pop()
+        kids = tree.children(n)
+        if not kids:
+            q[n] = mass
+            continue
+        for w, c in zip(pick[n], kids):
+            stack.append((c, mass * w))
+    return q
+
+
 def _cond_upper(
     family: MeasureFamily, values: Mapping[str, float], node: str, target_t: int
 ) -> float:
-    tree = family.tree
     if isinstance(family, RectangularFamily):
-        def val(n: str) -> float:
-            if tree.time(n) == target_t:
-                return float(values[n])
-            kids = tree.children(n)
-            v, _ = family.transitions[n].maximize([val(c) for c in kids])
-            return v
+        return _backward(family, values, target_t, node)[node]
 
-        return val(node)
-
+    tree = family.tree
     best = None
-    for q in family.measures:
-        mass = _measure_mass(tree, q, node)
-        if mass <= CHARGE_TOL:
+    for mass in family.masses:
+        m0 = mass[node]
+        if m0 <= CHARGE_TOL:
             continue
         total = 0.0
         for m in tree.descendants_at(node, target_t):
-            qm = _measure_mass(tree, q, m)
+            qm = mass[m]
             if qm:
                 total += qm * float(values[m])
-        e = total / mass
+        e = total / m0
         if best is None or e > best:
             best = e
     if best is None:
@@ -327,17 +390,10 @@ def expectation_sweep(
     missing = [n for n in tree.level(target_t) if n not in values]
     if missing:
         raise ValueError(f"values missing at nodes {missing}")
-    sign = 1.0 if bound == "upper" else -1.0
-    out: dict[str, float] = {}
-    for t in range(target_t, -1, -1):
-        for n in tree.level(t):
-            if t == target_t:
-                out[n] = float(values[n])
-            else:
-                kids = tree.children(n)
-                v, _ = family.transitions[n].maximize([sign * out[c] for c in kids])
-                out[n] = sign * v
-    return out
+    if bound == "upper":
+        return _backward(family, values, target_t, tree.root)
+    neg = _backward(family, {k: -float(v) for k, v in values.items()}, target_t, tree.root)
+    return {n: -v for n, v in neg.items()}
 
 
 def enumerate_extreme_measures(
@@ -356,20 +412,9 @@ def enumerate_extreme_measures(
     count = prod(len(v) for v in vlists)
     if count > cap:
         raise CapExceededError(f"{count} product measures exceed cap {cap}")
-    measures = []
-    for combo in itertools.product(*vlists):
-        pick = dict(zip(nodes, combo))
-        q: dict[str, float] = {}
-        stack = [(tree.root, 1.0)]
-        while stack:
-            n, mass = stack.pop()
-            if tree.is_leaf(n):
-                q[n] = mass
-                continue
-            for w, c in zip(pick[n], tree.children(n)):
-                stack.append((c, mass * w))
-        measures.append(q)
-    return tuple(measures)
+    return tuple(
+        _push_mass(tree, dict(zip(nodes, combo))) for combo in itertools.product(*vlists)
+    )
 
 
 def argmax_measure(
@@ -389,25 +434,8 @@ def argmax_measure(
         return dict(best_q)
 
     weights: dict[str, tuple[float, ...]] = {}
-
-    def val(n: str) -> float:
-        if tree.is_leaf(n):
-            return float(payoff[n])
-        v, w = family.transitions[n].maximize([val(c) for c in tree.children(n)])
-        weights[n] = w
-        return v
-
-    val(tree.root)
-    q = {}
-    stack = [(tree.root, 1.0)]
-    while stack:
-        n, mass = stack.pop()
-        if tree.is_leaf(n):
-            q[n] = mass
-            continue
-        for w, c in zip(weights[n], tree.children(n)):
-            stack.append((c, mass * w))
-    return q
+    _backward(family, payoff, tree.horizon, tree.root, weights)
+    return _push_mass(tree, weights)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,6 @@ def fundamental_price(spec: MarketSpec, pricing: MeasureFamily) -> AdaptedProces
     """Fundamental price on the pre-maturity domain {t < tau}: superhedging
     value of the remaining cash flows, equal to their upper conditional
     expectation. Computed by backward recursion for rectangular families."""
-    require_valid(spec)
     taumap = tau_node_map(spec)
     cum = cumulative_dividends(spec).values
     val = _conditional_value_process(spec, pricing)
@@ -63,7 +62,6 @@ def fundamental_wealth(
 ) -> tuple[AdaptedProcess, bool]:
     """Fundamental wealth and whether it classifies as a G-martingale (it
     must, for rectangular families: the recursion is the tower property)."""
-    require_valid(spec)
     w_star = AdaptedProcess(_conditional_value_process(spec, pricing))
     cls = classify_process(pricing, w_star, tol=tol)
     return w_star, cls.strongest == "G_martingale"
@@ -73,7 +71,6 @@ def stopped_price_process(spec: MarketSpec) -> AdaptedProcess:
     """Discounted market price while the asset lives, frozen at the
     discounted liquidation value from the maturity node on. This is the
     price-level process the necessary conditions classify."""
-    require_valid(spec)
     tree = spec.tree
     B = discount_factors(spec).values
     taumap = tau_node_map(spec)
@@ -89,7 +86,6 @@ def bubble_process(
 ) -> AdaptedProcess:
     """Bubble = discounted price minus fundamental price before maturity and
     zero afterwards. Verifies the wealth identity bubble = W - W*."""
-    require_valid(spec)
     tree = spec.tree
     B = discount_factors(spec).values
     taumap = tau_node_map(spec)
@@ -151,7 +147,6 @@ def classify_bubble(
     Violations are reported, not raised; these are structural claims whose
     hypotheses the caller may not have granted.
     """
-    require_valid(spec)
     if beta is None:
         beta = bubble_process(spec, pricing)
     price = stopped_price_process(spec)
@@ -303,7 +298,6 @@ def find_dominating_strategy(
     does not undercut the price (possible when the supplied family is a
     strict subset of the supermartingale measures; the gap is then a pricing
     duality gap, not a dominance opportunity)."""
-    require_valid(spec)
     tree = spec.tree
     B = discount_factors(spec).values
     s0_hat = spec.price[tree.root] / B[tree.root]
@@ -349,7 +343,6 @@ def analyze_bubble(
     ftap: FtapReport | None = None,
     tol: float = 1e-9,
 ) -> BubbleReport:
-    require_valid(spec)
     s_star = fundamental_price(spec, pricing)
     w_star, _ = fundamental_wealth(spec, pricing, tol=tol)
     beta = bubble_process(spec, pricing)

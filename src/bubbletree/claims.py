@@ -278,7 +278,6 @@ def claim_bubbles(
     """Bubbles of the asset, forward, call, and put (market minus
     fundamental), with the relations: the forward bubble equals the asset
     bubble, and it cannot exceed the call-put bubble spread."""
-    require_valid(spec)
     B = discount_factors(spec).values
     disc = _strike_discount(spec, maturity)
     star = {

@@ -51,7 +51,6 @@ from .lattice import (
     MarketSpec,
     StoppingTime,
     discount_factors,
-    validate_market,
     wealth_process,
 )
 from .noarb import NotRiskNeutralError, UnboundedHedgeError, robust_price, superhedge, verify_ftap
@@ -240,7 +239,7 @@ def parse_market_file(path: str) -> ParsedMarket:
         tau=tau,
         tau_kind=str(kind),
     )
-    report = validate_market(spec)
+    report = spec.validation
     if not report.ok:
         details = "; ".join(
             f"{f.message}" + (f" ({', '.join(f.nodes)})" if f.nodes else "")

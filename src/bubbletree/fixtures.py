@@ -6,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ambiguity import MeasureFamily, RectangularFamily, TransitionSet
-from .lattice import EventTree, MarketSpec, StoppingTime, discount_factors
+from .lattice import EventTree, MarketSpec, StoppingTime
 
 
 class Fixture(NamedTuple):
@@ -188,15 +188,9 @@ def rand_market(
         n: (0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 0.08)))
         for n in tree.non_leaves()
     }
-    taumap_nodes: dict[str, str | None] = {}
-    for n in tree.preorder():
-        par = tree.parent(n)
-        inherited = taumap_nodes[par] if par is not None else None
-        taumap_nodes[n] = inherited if inherited is not None else (n if n in tau.tau_nodes else None)
-
     dividend = {}
     for n in tree.preorder():
-        alive = taumap_nodes[n] is None or taumap_nodes[n] == n
+        alive = tau.tau_nodes.isdisjoint(tree.path(n)[:-1])  # not yet liquidated
         if dividends and alive and n != tree.root and rng.random() < 0.5:
             dividend[n] = float(rng.uniform(0.0, 0.3))
         else:
@@ -204,18 +198,11 @@ def rand_market(
     payoff = {a: float(rng.uniform(0.2, 2.0)) for a in tau.tau_nodes}
 
     spec = MarketSpec(tree, rates, {n: 0.0 for n in tree.preorder()}, dividend, payoff, tau, kind)
-    B = discount_factors(spec).values
-
-    cum: dict[str, float] = {}
-    for n in tree.preorder():
-        par = tree.parent(n)
-        prev = cum[par] if par is not None else 0.0
-        tau_at = taumap_nodes[n]
-        cum[n] = prev if (tau_at is not None and tau_at != n) else prev + dividend[n] / B[n]
+    B, cum, taumap = spec.derived.B, spec.derived.cum, spec.derived.taumap
 
     if style == "free":
         price = {
-            n: float(rng.uniform(0.1, 2.0)) if taumap_nodes[n] is None else 0.0
+            n: float(rng.uniform(0.1, 2.0)) if taumap[n] is None else 0.0
             for n in tree.preorder()
         }
         spec = MarketSpec(tree, rates, price, dividend, payoff, tau, kind)
@@ -225,7 +212,7 @@ def rand_market(
     W: dict[str, float] = {}
     for t in range(tree.horizon, -1, -1):
         for n in tree.level(t):
-            tau_at = taumap_nodes[n]
+            tau_at = taumap[n]
             if tau_at is not None:
                 W[n] = cum[n] + payoff[tau_at] / B[tau_at]
             elif tree.is_leaf(n):
@@ -239,7 +226,7 @@ def rand_market(
                 W[n] = up * (1.0 + bump)
     price = {}
     for n in tree.preorder():
-        if taumap_nodes[n] is None:
+        if taumap[n] is None:
             price[n] = max(W[n] - cum[n], 0.0) * B[n]
         else:
             price[n] = 0.0

@@ -8,6 +8,7 @@ money-market account value is B is worth c / B.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 TAU_KINDS = ("bounded", "unbounded_finite", "possibly_infinite")
@@ -72,6 +73,7 @@ class EventTree:
         self.leaves: tuple[str, ...] = tuple(
             n for n in self._preorder if not nodes[n].children
         )
+        self._non_leaves = tuple(n for n in self._preorder if nodes[n].children)
         self.horizon: int = max(nodes[n].t for n in self.leaves)
         levels: dict[int, list[str]] = {}
         for n in self._preorder:
@@ -113,7 +115,7 @@ class EventTree:
         return self._preorder
 
     def non_leaves(self) -> tuple[str, ...]:
-        return tuple(n for n in self._preorder if self._nodes[n].children)
+        return self._non_leaves
 
     def level(self, t: int) -> tuple[str, ...]:
         return self._levels.get(t, ())
@@ -179,7 +181,8 @@ class StoppingTime:
     def infinite_on(self, tree: EventTree) -> frozenset[str]:
         dead = set()
         for a in self.tau_nodes:
-            dead.update(tree.subtree_leaves(a))
+            if a in tree:  # unknown nodes are reported by ``problems``
+                dead.update(tree.subtree_leaves(a))
         return frozenset(set(tree.leaves) - dead)
 
     def problems(self, tree: EventTree) -> list[str]:
@@ -248,6 +251,16 @@ class ValidationReport:
         return [f.message for f in self.failures]
 
 
+class Derived(NamedTuple):
+    """Per-node processes of a valid market: the tau node on each path, the
+    account value B, collected discounted dividends and discounted wealth."""
+
+    taumap: dict[str, str | None]
+    B: dict[str, float]
+    cum: dict[str, float]
+    W: dict[str, float]
+
+
 @dataclass(frozen=True)
 class MarketSpec:
     """Market data on an event tree.
@@ -257,6 +270,10 @@ class MarketSpec:
     its t ancestors and B(root) = 1. ``price`` is the ex-dividend price,
     ``dividend`` the dividend paid at the node (known there), ``payoff`` the
     liquidation value, defined exactly on the tau nodes.
+
+    ``validation`` and ``derived`` are computed on first use and cached on
+    the instance, so treat a spec, its tree and its dicts as immutable:
+    editing them afterwards leaves both stale. Build a new spec instead.
     """
 
     tree: EventTree
@@ -267,21 +284,43 @@ class MarketSpec:
     tau: StoppingTime
     tau_kind: str = "bounded"
 
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The ``validate_market`` report of this spec."""
+        return validate_market(self)
+
+    @cached_property
+    def derived(self) -> Derived:
+        """Tau map, B, cumulative dividends and wealth in one preorder pass.
+        Raises ``InvalidMarketError`` when the market fails validation."""
+        require_valid(self)
+        tree = self.tree
+        tau_nodes = self.tau.tau_nodes
+        taumap: dict[str, str | None] = {}
+        B: dict[str, float] = {}
+        cum: dict[str, float] = {}
+        W: dict[str, float] = {}
+        for n in tree.preorder():
+            par = tree.parent(n)
+            inherited = taumap[par] if par is not None else None
+            tau_at = inherited if inherited is not None else (n if n in tau_nodes else None)
+            taumap[n] = tau_at
+            B[n] = 1.0 if par is None else B[par] * (1.0 + self.rates[par])
+            prev = cum[par] if par is not None else 0.0
+            if tau_at is not None and tau_at != n:
+                cum[n] = prev  # strictly after liquidation
+            else:
+                cum[n] = prev + self.dividend[n] / B[n]
+            if tau_at is None:
+                W[n] = self.price[n] / B[n] + cum[n]
+            else:
+                W[n] = cum[n] + self.payoff[tau_at] / B[tau_at]
+        return Derived(taumap, B, cum, W)
+
 
 def tau_node_map(spec: MarketSpec) -> dict[str, str | None]:
     """For each node, the tau node on its path (itself included), if any."""
-    tree = spec.tree
-    out: dict[str, str | None] = {}
-    for n in tree.preorder():
-        par = tree.parent(n)
-        inherited = out[par] if par is not None else None
-        if inherited is not None:
-            out[n] = inherited
-        elif n in spec.tau.tau_nodes:
-            out[n] = n
-        else:
-            out[n] = None
-    return out
+    return spec.derived.taumap
 
 
 def validate_market(spec: MarketSpec) -> ValidationReport:
@@ -356,7 +395,7 @@ def validate_market(spec: MarketSpec) -> ValidationReport:
 
 
 def require_valid(spec: MarketSpec) -> None:
-    report = validate_market(spec)
+    report = spec.validation
     if not report.ok:
         raise InvalidMarketError("; ".join(report.messages()))
 
@@ -364,50 +403,19 @@ def require_valid(spec: MarketSpec) -> None:
 def discount_factors(spec: MarketSpec) -> AdaptedProcess:
     """Money-market account value per node: B(root) = 1, accruing the spot
     rate of each step along the path."""
-    require_valid(spec)
-    tree = spec.tree
-    B: dict[str, float] = {}
-    for n in tree.preorder():
-        par = tree.parent(n)
-        B[n] = 1.0 if par is None else B[par] * (1.0 + spec.rates[par])
-    return AdaptedProcess(B)
+    return AdaptedProcess(spec.derived.B)
 
 
 def cumulative_dividends(spec: MarketSpec) -> AdaptedProcess:
     """Discounted dividends accumulated along the path, frozen from the tau
     node on (the asset pays nothing after liquidation)."""
-    require_valid(spec)
-    tree = spec.tree
-    B = discount_factors(spec).values
-    taumap = tau_node_map(spec)
-    acc: dict[str, float] = {}
-    for n in tree.preorder():
-        par = tree.parent(n)
-        prev = acc[par] if par is not None else 0.0
-        tau_at = taumap[n]
-        if tau_at is not None and tau_at != n:
-            acc[n] = prev  # strictly after liquidation
-        else:
-            acc[n] = prev + spec.dividend[n] / B[n]
-    return AdaptedProcess(acc)
+    return AdaptedProcess(spec.derived.cum)
 
 
 def wealth_process(spec: MarketSpec) -> AdaptedProcess:
     """Discounted wealth: price while alive plus dividends collected so far,
     or collected dividends plus the discounted liquidation payoff after tau."""
-    require_valid(spec)
-    tree = spec.tree
-    B = discount_factors(spec).values
-    cum = cumulative_dividends(spec).values
-    taumap = tau_node_map(spec)
-    W: dict[str, float] = {}
-    for n in tree.preorder():
-        tau_at = taumap[n]
-        if tau_at is None:
-            W[n] = spec.price[n] / B[n] + cum[n]
-        else:
-            W[n] = cum[n] + spec.payoff[tau_at] / B[tau_at]
-    return AdaptedProcess(W)
+    return AdaptedProcess(spec.derived.W)
 
 
 class GainsResult(NamedTuple):
@@ -454,36 +462,24 @@ def gains_process(
 
 def strategy_eta(spec: MarketSpec, strategy: Strategy) -> AdaptedProcess:
     """Money-market leg implied by a self-financing risky position: the
-    holding times collected dividends plus payoff once matured."""
-    require_valid(spec)
-    tree = spec.tree
-    B = discount_factors(spec).values
-    cum = cumulative_dividends(spec).values
-    taumap = tau_node_map(spec)
-    eta = {}
-    for n in tree.preorder():
-        x = cum[n]
-        tau_at = taumap[n]
-        if tau_at is not None:
-            x += spec.payoff[tau_at] / B[tau_at]
-        eta[n] = strategy.holding(n) * x
-    return AdaptedProcess(eta)
+    holding times collected dividends plus payoff once matured (which is
+    wealth from tau on)."""
+    d = spec.derived
+    return AdaptedProcess(
+        {
+            n: strategy.holding(n) * (d.cum[n] if tau_at is None else d.W[n])
+            for n, tau_at in d.taumap.items()
+        }
+    )
 
 
 def cash_flow_payoff(spec: MarketSpec) -> dict[str, float]:
     """Per leaf: all discounted dividends plus the discounted liquidation
-    payoff if the path matured within the horizon. Residual price on paths
-    that never mature is excluded (it is not a realizable cash flow)."""
-    require_valid(spec)
-    tree = spec.tree
-    B = discount_factors(spec).values
-    cum = cumulative_dividends(spec).values
-    taumap = tau_node_map(spec)
-    out = {}
-    for leaf in tree.leaves:
-        tau_at = taumap[leaf]
-        cf = cum[leaf]
-        if tau_at is not None:
-            cf += spec.payoff[tau_at] / B[tau_at]
-        out[leaf] = cf
-    return out
+    payoff if the path matured within the horizon (the leaf's wealth).
+    Residual price on paths that never mature is excluded (it is not a
+    realizable cash flow)."""
+    d = spec.derived
+    return {
+        leaf: d.cum[leaf] if d.taumap[leaf] is None else d.W[leaf]
+        for leaf in spec.tree.leaves
+    }

@@ -22,10 +22,10 @@ from .ambiguity import (
     MeasureFamily,
     RectangularFamily,
     TransitionSet,
+    _push_mass,
     charged_leaves,
     classify_process,
     cond_expectation,
-    node_charged,
 )
 from .lattice import (
     MarketSpec,
@@ -179,22 +179,19 @@ def supermartingale_family(
     Returns None when some charged node admits no such transition or some
     charged leaf cannot receive mass (then an arbitrage exists instead).
     """
-    require_valid(spec)
     tree = spec.tree
     W = wealth_process(spec).values
-    charged = {n: True for n in tree.preorder()}
-    if actual is not None:
-        charged = {n: node_charged(actual, n) for n in tree.preorder()}
+    charged = frozenset(tree.preorder()) if actual is None else actual.charged
 
     transitions: dict[str, TransitionSet] = {}
     for n in tree.non_leaves():
         kids = tree.children(n)
-        if not charged[n]:
+        if n not in charged:
             w = [0.0] * len(kids)
             w[0] = 1.0
             transitions[n] = TransitionSet.vertex_set([w])
             continue
-        idx = [i for i, c in enumerate(kids) if charged[c]]
+        idx = [i for i, c in enumerate(kids) if c in charged]
         wn = W[n]
         vertices: list[list[float]] = []
         for i in idx:
@@ -218,7 +215,7 @@ def supermartingale_family(
         if not vertices:
             return None
         reachable = [any(v[i] > CHARGE_TOL for v in vertices) for i in range(len(kids))]
-        if any(charged[c] and not reachable[i] for i, c in enumerate(kids)):
+        if any(c in charged and not reachable[i] for i, c in enumerate(kids)):
             return None
         transitions[n] = TransitionSet.vertex_set(vertices)
     return RectangularFamily(tree, transitions, role="pricing")
@@ -230,23 +227,15 @@ def _structural_leaf_measure(
     """Product measure pushing maximal mass toward one leaf."""
     tree = family.tree
     path = set(tree.path(leaf))
-    q: dict[str, float] = {}
-    stack = [(tree.root, 1.0)]
-    while stack:
-        n, mass = stack.pop()
-        if tree.is_leaf(n):
-            q[n] = mass
-            continue
-        kids = tree.children(n)
+    pick = {}
+    for n in tree.non_leaves():
         vertices = family.transitions[n].vertex_list()
         if n in path:
-            (target,) = [i for i, c in enumerate(kids) if c in path]
-            w = max(vertices, key=lambda v: v[target])
+            (target,) = [i for i, c in enumerate(tree.children(n)) if c in path]
+            pick[n] = max(vertices, key=lambda v: v[target])
         else:
-            w = vertices[0]
-        for p, c in zip(w, kids):
-            stack.append((c, mass * p))
-    return q
+            pick[n] = vertices[0]
+    return _push_mass(tree, pick)
 
 
 def _maximal_support(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +271,6 @@ def verify_ftap(spec: MarketSpec, actual: MeasureFamily | None = None) -> FtapRe
     it. The full supermartingale set is assembled structurally as a
     rectangular family and is authoritative for existence (the reachable
     mass of a leaf can be legitimately tiny)."""
-    require_valid(spec)
     tree = spec.tree
     cert = find_arbitrage(spec, actual)
     leaves = charged_leaves(actual, tree)
@@ -364,7 +352,6 @@ def robust_price(
     """Upper expectation of the payoff under the pricing family, plus the gap
     to the superhedge cost. The family must price the market: wealth has to
     be a G-supermartingale under it."""
-    require_valid(spec)
     W = wealth_process(spec)
     classification = classify_process(pricing, W, tol=tol)
     if not classification.satisfies("G_supermartingale"):

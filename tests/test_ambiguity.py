@@ -3,21 +3,25 @@ import pytest
 
 from bubbletree import fixtures
 from bubbletree.ambiguity import (
+    CHARGE_TOL,
     CapExceededError,
     ExplicitFamily,
     PolarNodeError,
     RectangularFamily,
     TransitionSet,
+    argmax_measure,
     check_absolute_continuity,
     check_full_support,
     classify_process,
     cond_expectation,
     enumerate_extreme_measures,
+    expectation_sweep,
     node_charged,
     validate_family,
 )
 from bubbletree.bubble import bubble_process
 from bubbletree.lattice import EventTree
+from bubbletree.noarb import supermartingale_family, verify_ftap
 
 
 BETA1 = {"r0": 0.5, "r1": -0.5}
@@ -279,3 +283,127 @@ def test_dynamic_consistency(seed):
     tower = cond_expectation(fam, inner, tree.root, "upper")
     direct = cond_expectation(fam, X, tree.root, "upper")
     assert tower == pytest.approx(direct, abs=1e-9)
+
+
+# -- the backward kernel against per-node evaluation -------------------------
+
+def _kernel_cases():
+    for seed in range(50):
+        for fx in (
+            fixtures.rand_market(seed),
+            fixtures.rand_claim_market(seed, style="bumped"),
+        ):
+            tree = fx.spec.tree
+            rng = np.random.default_rng(seed + 20_000)
+            for t in (1, tree.horizon):
+                yield fx.family, {n: float(rng.uniform(-2, 2)) for n in tree.level(t)}
+
+
+def test_sweep_equals_per_node_cond_expectation_bitwise():
+    cases = 0
+    for fam, values in _kernel_cases():
+        for bound in ("upper", "lower"):
+            sweep = expectation_sweep(fam, values, bound)
+            (t,) = {fam.tree.time(n) for n in values}
+            assert set(sweep) == {n for s in range(t + 1) for n in fam.tree.level(s)}
+            for n, v in sweep.items():
+                assert v == cond_expectation(fam, values, n, bound), (n, bound)
+        cases += 1
+    assert cases == 200
+
+
+def test_argmax_measure_attains_root_upper_expectation():
+    for fam, values in _kernel_cases():
+        tree = fam.tree
+        if tree.time(next(iter(values))) != tree.horizon:
+            continue
+        q = argmax_measure(fam, values)
+        assert set(q) == set(tree.leaves)
+        assert sum(q.values()) == pytest.approx(1.0, abs=1e-12)
+        attained = sum(q[leaf] * values[leaf] for leaf in tree.leaves)
+        assert abs(attained - cond_expectation(fam, values, tree.root, "upper")) <= 1e-12
+
+
+def test_deep_path_tree_needs_no_recursion():
+    depth = 1500
+    tree = EventTree({"n0": None, **{f"n{i}": f"n{i - 1}" for i in range(1, depth + 1)}})
+    fam = RectangularFamily(tree, {n: TransitionSet.point([1.0]) for n in tree.non_leaves()})
+    values = {tree.leaves[0]: 1.0}
+    assert cond_expectation(fam, values, tree.root, "upper") == 1.0
+    assert cond_expectation(fam, values, tree.root, "lower") == 1.0
+    assert argmax_measure(fam, values) == {tree.leaves[0]: 1.0}
+    assert expectation_sweep(fam, values)[tree.root] == 1.0
+    assert expectation_sweep(fam, values, "lower")[tree.root] == 1.0
+    assert node_charged(fam, tree.leaves[0])
+
+
+# -- cached charged-node sets against the path-walk definition -----------------
+
+def _oracle_mass(tree, q, node):
+    return sum(q.get(leaf, 0.0) for leaf in tree.subtree_leaves(node))
+
+
+def _oracle_charged(family, node):
+    """Charged-node test by definition: a positive-mass measure (explicit),
+    or a supported step on every edge of the root path (rectangular)."""
+    tree = family.tree
+    if isinstance(family, ExplicitFamily):
+        return any(_oracle_mass(tree, q, node) > CHARGE_TOL for q in family.measures)
+    path = tree.path(node)
+    for par, child in zip(path, path[1:]):
+        idx = tree.children(par).index(child)
+        if not family.transitions[par].support()[idx]:
+            return False
+    return True
+
+
+def _thinned(family, seed):
+    """The family with one child's bounds zeroed at about half the nodes."""
+    rng = np.random.default_rng(seed + 30_000)
+    tree = family.tree
+    transitions = dict(family.transitions)
+    for n in tree.non_leaves():
+        k = len(tree.children(n))
+        if k >= 2 and rng.random() < 0.5:
+            drop = int(rng.integers(k))
+            upper = [0.0 if i == drop else 1.0 for i in range(k)]
+            transitions[n] = TransitionSet.box([0.0] * k, upper)
+    return RectangularFamily(tree, transitions)
+
+
+def _assert_charged_matches_oracle(family):
+    tree = family.tree
+    uncharged = 0
+    for n in tree.preorder():
+        expected = _oracle_charged(family, n)
+        assert node_charged(family, n) == expected, n
+        uncharged += not expected
+    if isinstance(family, ExplicitFamily):
+        for q, mass in zip(family.measures, family.masses):
+            assert mass == {n: _oracle_mass(tree, q, n) for n in tree.preorder()}
+    return uncharged
+
+
+def test_charged_sets_match_path_walk_oracle():
+    tree = EventTree.uniform([2])
+    zero_upper = RectangularFamily(tree, {"r": TransitionSet.box([1.0, 0.0], [1.0, 0.0])})
+    assert _assert_charged_matches_oracle(zero_upper) == 1
+    kinds = {"rect": 0, "vertex": 0, "explicit": 0}
+    uncharged = dict.fromkeys(kinds, 0)
+    for seed in range(100):
+        fx = fixtures.rand_market(seed)
+        thin = _thinned(fx.family, seed)
+        families = [("rect", fx.family), ("rect", thin)]
+        vertex = supermartingale_family(fx.spec, thin)
+        if vertex is not None:
+            families.append(("vertex", vertex))
+        if seed < 25:
+            witness = verify_ftap(fx.spec, thin).witness_family
+            if witness is not None:
+                families.append(("explicit", witness))
+        for kind, fam in families:
+            kinds[kind] += 1
+            uncharged[kind] += _assert_charged_matches_oracle(fam)
+    assert kinds["rect"] == 200 and kinds["vertex"] >= 50 and kinds["explicit"] >= 10
+    # the thinned families make every kind leave some nodes uncharged
+    assert all(uncharged.values()), uncharged

@@ -169,13 +169,18 @@ def test_machine_output_byte_identical(capsys):
 
 
 def test_machine_output_byte_identical_across_processes():
+    import os
     import subprocess
     import sys
 
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
     cmd = [sys.executable, "-m", "bubbletree.cli", "--format", "machine",
            "analyze", data_file("ex1.market")]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
 
@@ -397,3 +402,20 @@ def test_each_command_runs_ftap_and_bubble_analysis_once(tmp_path, capsys, monke
     capsys.readouterr()
     assert rc == 0
     assert calls == {"verify_ftap": 1, "analyze_bubble": 1}
+
+
+@pytest.mark.parametrize("argv", COMMANDS)
+def test_each_command_validates_the_market_once(tmp_path, capsys, monkeypatch, argv):
+    import bubbletree.lattice
+
+    calls = []
+    original = bubbletree.lattice.validate_market
+    monkeypatch.setattr(
+        bubbletree.lattice, "validate_market", lambda spec: calls.append(spec) or original(spec)
+    )
+    path = tmp_path / "fiat.market"
+    path.write_text(json.dumps(discovered_fiat_doc()))
+    rc = main([*argv, str(path)])
+    capsys.readouterr()
+    assert rc == 0
+    assert len(calls) == 1

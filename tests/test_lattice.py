@@ -3,6 +3,7 @@ import pytest
 from bubbletree import fixtures
 from bubbletree.lattice import (
     EventTree,
+    InvalidMarketError,
     MarketSpec,
     ShortSaleViolationError,
     StoppingTime,
@@ -123,6 +124,46 @@ def test_payoff_domain_mismatch():
     )
     report = validate_market(bad)
     assert any("off tau nodes" in m for m in report.messages())
+
+
+def test_unknown_tau_node_is_reported_not_raised():
+    spec = fixtures.ex1().spec
+    bad = MarketSpec(
+        spec.tree, spec.rates, spec.price, spec.dividend, spec.payoff,
+        StoppingTime(frozenset({"r00", "zz"})), spec.tau_kind,
+    )
+    report = validate_market(bad)
+    assert not report.ok
+    assert "tau node 'zz' not in tree" in report.messages()
+
+
+def test_validation_and_derived_processes_are_computed_once(monkeypatch):
+    import bubbletree.lattice as lattice
+
+    spec = fixtures.rand_market(4, tau_mode="unbounded").spec
+    calls = []
+    original = lattice.validate_market
+    monkeypatch.setattr(
+        lattice, "validate_market", lambda spec: calls.append(spec) or original(spec)
+    )
+    derived = spec.derived
+    for _ in range(3):
+        assert discount_factors(spec).values is derived.B
+        assert cumulative_dividends(spec).values is derived.cum
+        assert wealth_process(spec).values is derived.W
+        assert tau_node_map(spec) is derived.taumap
+        cash_flow_payoff(spec)
+    assert spec.derived is derived
+    assert len(calls) == 1 and calls[0] is spec
+
+    bad = MarketSpec(
+        spec.tree, spec.rates, {**spec.price, spec.tree.root: -1.0}, spec.dividend,
+        spec.payoff, spec.tau, spec.tau_kind,
+    )
+    for _ in range(2):
+        with pytest.raises(InvalidMarketError, match="negative price"):
+            wealth_process(bad)
+    assert len(calls) == 2 and calls[1] is bad
 
 
 # -- discounting ------------------------------------------------------------
