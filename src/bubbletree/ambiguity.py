@@ -392,6 +392,8 @@ def expectation_sweep(
         raise ValueError(f"values missing at nodes {missing}")
     if bound == "upper":
         return _backward(family, values, target_t, tree.root)
+    if bound != "lower":
+        raise ValueError(f"bound must be 'upper' or 'lower', got {bound!r}")
     neg = _backward(family, {k: -float(v) for k, v in values.items()}, target_t, tree.root)
     return {n: -v for n, v in neg.items()}
 

@@ -49,9 +49,14 @@ def fundamental_price(spec: MarketSpec, pricing: MeasureFamily) -> AdaptedProces
     """Fundamental price on the pre-maturity domain {t < tau}: superhedging
     value of the remaining cash flows, equal to their upper conditional
     expectation. Computed by backward recursion for rectangular families."""
+    return _price_from_value(spec, _conditional_value_process(spec, pricing))
+
+
+def _price_from_value(spec: MarketSpec, val: Mapping[str, float]) -> AdaptedProcess:
+    """S* from the value process W*: W* minus collected dividends, before
+    maturity."""
     taumap = tau_node_map(spec)
     cum = cumulative_dividends(spec).values
-    val = _conditional_value_process(spec, pricing)
     return AdaptedProcess(
         {n: val[n] - cum[n] for n in spec.tree.preorder() if taumap[n] is None}
     )
@@ -86,11 +91,17 @@ def bubble_process(
 ) -> AdaptedProcess:
     """Bubble = discounted price minus fundamental price before maturity and
     zero afterwards. Verifies the wealth identity bubble = W - W*."""
+    return _bubble_from_value(spec, _conditional_value_process(spec, pricing), tol)
+
+
+def _bubble_from_value(
+    spec: MarketSpec, val: Mapping[str, float], tol: float = 1e-12
+) -> AdaptedProcess:
+    """The bubble from the value process W* (see ``bubble_process``)."""
     tree = spec.tree
     B = discount_factors(spec).values
     taumap = tau_node_map(spec)
     cum = cumulative_dividends(spec).values
-    val = _conditional_value_process(spec, pricing)
     W = wealth_process(spec).values
     beta = {}
     for n in tree.preorder():
@@ -343,9 +354,10 @@ def analyze_bubble(
     ftap: FtapReport | None = None,
     tol: float = 1e-9,
 ) -> BubbleReport:
-    s_star = fundamental_price(spec, pricing)
-    w_star, _ = fundamental_wealth(spec, pricing, tol=tol)
-    beta = bubble_process(spec, pricing)
+    val = _conditional_value_process(spec, pricing)  # W*, the one cash-flow sweep
+    s_star = _price_from_value(spec, val)
+    w_star = AdaptedProcess(val)
+    beta = _bubble_from_value(spec, val)
     classification = classify_bubble(spec, pricing, beta, actual, tol=tol)
     properties = check_bubble_properties(spec, pricing, actual, beta, ftap, tol=tol)
     return BubbleReport(

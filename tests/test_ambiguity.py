@@ -312,6 +312,14 @@ def test_sweep_equals_per_node_cond_expectation_bitwise():
     assert cases == 200
 
 
+def test_sweep_rejects_unknown_bound_like_cond_expectation():
+    fam = fixtures.ex1().family
+    with pytest.raises(ValueError, match="bound"):
+        expectation_sweep(fam, BETA1, "uper")
+    with pytest.raises(ValueError, match="bound"):
+        cond_expectation(fam, BETA1, "r", "uper")
+
+
 def test_argmax_measure_attains_root_upper_expectation():
     for fam, values in _kernel_cases():
         tree = fam.tree

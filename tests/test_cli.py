@@ -405,6 +405,26 @@ def test_each_command_runs_ftap_and_bubble_analysis_once(tmp_path, capsys, monke
 
 
 @pytest.mark.parametrize("argv", COMMANDS)
+def test_each_command_solves_no_linear_program(tmp_path, capsys, monkeypatch, argv):
+    import bubbletree.noarb
+
+    calls = []
+    original = bubbletree.noarb.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(argv)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bubbletree.noarb, "linprog", counted)
+    fiat = tmp_path / "fiat.market"
+    fiat.write_text(json.dumps(discovered_fiat_doc()))
+    for path in (data_file("ex1.market"), data_file("ex1geom.market"), str(fiat)):
+        main([*argv, path])
+    capsys.readouterr()
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", COMMANDS)
 def test_each_command_validates_the_market_once(tmp_path, capsys, monkeypatch, argv):
     import bubbletree.lattice
 

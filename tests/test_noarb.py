@@ -4,18 +4,22 @@ from scipy.optimize import linprog
 
 from bubbletree import fixtures
 from bubbletree.ambiguity import (
+    CHARGE_TOL,
     charged_leaves,
     classify_process,
     cond_expectation,
     enumerate_extreme_measures,
     node_charged,
 )
-from bubbletree.lattice import EventTree, MarketSpec, StoppingTime, wealth_process
+from bubbletree.lattice import EventTree, MarketSpec, StoppingTime, gains_process, wealth_process
 from bubbletree.noarb import (
     NotRiskNeutralError,
     UnboundedHedgeError,
+    _find_arbitrage_lp,
     _gain_rows,
     _maximal_support,
+    _product_witness,
+    _superhedge_lp,
     find_arbitrage,
     robust_price,
     superhedge,
@@ -64,6 +68,21 @@ def test_ex1_two_period_arbitrage_buy_cheap_branch():
     assert cert.witness_gain > 1e-6
     # the profitable trade is on the cheap branch: wealth 0.5 -> payoff 1
     assert cert.gains["r10"] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_rise_or_stay_flat_is_an_arbitrage_with_a_bounded_hedge():
+    # one branch gains, the other neither gains nor loses: a (weak) one-step
+    # arbitrage at the root, but the flat branch keeps the hedge cost finite
+    fx = fixtures.ex1_one_period(s0=1.0, s1=(1.5, 1.0))
+    cert = find_arbitrage(fx.spec)
+    assert cert is not None and _find_arbitrage_lp(fx.spec) is not None
+    assert cert.witness == "r0" and cert.gains["r1"] == 0.0
+    assert cert.revalidate(fx.spec, fx.spec.tree.leaves)
+    rep = verify_ftap(fx.spec)
+    assert rep.pricing_family is None and rep.consistent
+    payoff = {"r0": 0.0, "r1": 0.0}
+    assert superhedge(fx.spec, payoff).price == 0.0
+    assert _superhedge_lp(fx.spec, payoff).price == pytest.approx(0.0, abs=1e-9)
 
 
 # -- the pricing-equivalence report -------------------------------------------
@@ -174,15 +193,77 @@ def test_maximal_support_lp_matches_per_leaf_oracle():
     assert n_markets >= 200
 
 
+# 27, 38 and 54 (default style) have one-step wealth changes of about 1e-17,
+# which must count as zero; 6 ("free") has charged subtrees whose superhedge
+# cost is -inf under a finite root price.
+ORACLE_SEEDS = sorted(set(range(26)) | {27, 38, 54})
+
+
+def _hedge_or_none(solve, spec, payoff, actual):
+    try:
+        return solve(spec, payoff, actual)
+    except UnboundedHedgeError:
+        return None
+
+
+def test_local_passes_match_lp_oracles():
+    n_markets = 0
+    for seed in ORACLE_SEEDS:
+        for gen in (fixtures.rand_market, fixtures.rand_claim_market):
+            for style in ("neutral", "free"):
+                fx = gen(seed, style=style)
+                spec, tree = fx.spec, fx.spec.tree
+                for actual in (None, fx.family):
+                    n_markets += 1
+                    case = (gen.__name__, seed, style, actual is None)
+                    leaves = charged_leaves(actual, tree)
+
+                    cert = find_arbitrage(spec, actual)
+                    assert (cert is None) == (_find_arbitrage_lp(spec, actual) is None), case
+                    if cert is not None:
+                        assert cert.revalidate(spec, leaves), case
+
+                    _, rows, _ = _gain_rows(spec, leaves)
+                    _, hit = _maximal_support(rows)
+                    lp_support = {leaf for leaf, h in zip(leaves, hit) if h}
+                    rep = verify_ftap(spec, actual)
+                    assert rep.consistent and rep.search_agreement, case
+                    if rep.family_found:
+                        q = _product_witness(rep.pricing_family)
+                        assert {l for l in leaves if q[l] > CHARGE_TOL} == lp_support, case
+                    else:
+                        assert lp_support != set(leaves), case
+
+                    rng = np.random.default_rng(seed)
+                    W = wealth_process(spec).values
+                    for payoff in (
+                        {l: float(rng.uniform(0, 2)) for l in tree.leaves},
+                        {l: W[l] for l in tree.leaves},
+                    ):
+                        fast = _hedge_or_none(superhedge, spec, payoff, actual)
+                        lp = _hedge_or_none(_superhedge_lp, spec, payoff, actual)
+                        assert (fast is None) == (lp is None), case
+                        if fast is None:
+                            continue
+                        assert abs(fast.price - lp.price) <= 1e-9 * max(1.0, abs(lp.price)), case
+                        assert min(fast.slack.values()) >= -1e-9, case
+                        # the slack is the strategy's own terminal capital
+                        G = gains_process(spec, fast.strategy).gains.values
+                        for l in leaves:
+                            direct = fast.price + G[l] - payoff[l]
+                            assert fast.slack[l] == pytest.approx(direct, abs=1e-9), case
+    assert n_markets >= 200
+
+
 def test_witness_falls_back_to_structural_measures(monkeypatch):
-    # a leaf the LP leaves uncharged while the structural family reaches it
-    # gets the structural product witness
+    # a leaf the product witness leaves uncharged while the structural family
+    # reaches it gets the structural product witness
     from bubbletree import noarb
 
-    def charges_nothing(rows):
-        return np.zeros(rows.shape[0]), np.zeros(rows.shape[0], dtype=bool)
+    def charges_nothing(family):
+        return dict.fromkeys(family.tree.leaves, 0.0)
 
-    monkeypatch.setattr(noarb, "_maximal_support", charges_nothing)
+    monkeypatch.setattr(noarb, "_product_witness", charges_nothing)
     fx = fixtures.ex1_one_period(theta=(0.5, 0.5))
     rep = verify_ftap(fx.spec, fx.family)
     assert rep.family_found and rep.consistent
