@@ -20,11 +20,23 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
+
+import numpy as np
 
 from .lattice import AdaptedProcess, EventTree
 
 CHARGE_TOL = 1e-12
+
+# Levels at least this many nodes wide step their box nodes in numpy;
+# narrower ones call ``TransitionSet.maximize`` node by node. The two paths
+# break even near 20 nodes (numpy's fixed cost is ~70 us a level, per node
+# costs ~3.5 us; measured on a 2-vCPU machine), so 32 leaves a margin.
+_KERNEL_MIN_WIDTH = 32
+# A level's arrays pad every node to its widest one; levels where that
+# would take more than this many cells per child step node by node instead,
+# so the arrays stay linear in the level's child count.
+_MAX_PAD_RATIO = 4
 
 CLASS_ORDER = ("none", "infi_supermartingale", "G_supermartingale", "G_martingale")
 
@@ -161,12 +173,69 @@ class TransitionSet:
         return tuple(out)
 
 
+_PAD = 1 << 40  # child position of a padding column: past any level's end
+
+
+class _BoxArrays(NamedTuple):
+    """A wide level's boxes as arrays, one row per node and one column per
+    child, padded to the widest node with zero-capacity columns."""
+
+    kids: np.ndarray  # each child's position in the next level, or _PAD
+    lower: np.ndarray  # box lower bounds
+    cap: np.ndarray  # upper - lower
+    rem: np.ndarray  # 1 - sum(lower), per row
+
+
+class _Level(NamedTuple):
+    """One time slice of a compiled rectangular family. The children of the
+    level's i-th node are the next level's ``offsets[i]:offsets[i + 1]``
+    (preorder keeps every node's children, and every subtree, contiguous)."""
+
+    nodes: tuple[str, ...]  # ``tree.level(t)``
+    offsets: tuple[int, ...]
+    sets: tuple[TransitionSet | None, ...]  # None: a leaf or a missing set
+    box: _BoxArrays | None  # on wide levels of boxes only
+
+
+def _compile_level(tree: EventTree, nodes: tuple[str, ...], transitions) -> _Level:
+    offsets = [0]
+    for n in nodes:
+        offsets.append(offsets[-1] + len(tree.children(n)))
+    sets = tuple(transitions.get(n) if tree.children(n) else None for n in nodes)
+    k = max(b - a for a, b in zip(offsets, offsets[1:]))
+    if (
+        len(nodes) < _KERNEL_MIN_WIDTH
+        or None in sets
+        or not all(ts.is_box for ts in sets)
+        or len(nodes) * k > _MAX_PAD_RATIO * offsets[-1]
+    ):
+        return _Level(nodes, tuple(offsets), sets, None)
+    kids = np.full((len(nodes), k), _PAD, dtype=np.intp)
+    lower = np.zeros((len(nodes), k))
+    cap = np.zeros((len(nodes), k))
+    rem = np.zeros(len(nodes))
+    for i, ts in enumerate(sets):
+        a, b = offsets[i], offsets[i + 1]
+        kids[i, : b - a] = range(a, b)
+        lower[i, : b - a] = ts.lower
+        cap[i, : b - a] = [u - l for l, u in zip(ts.lower, ts.upper)]
+        rem[i] = 1.0 - sum(ts.lower)  # the operations of ``maximize``
+    return _Level(nodes, tuple(offsets), sets, _BoxArrays(kids, lower, cap, rem))
+
+
 @dataclass(frozen=True)
 class RectangularFamily:
     """Per-node transition sets; the induced set of path measures.
 
-    ``charged`` is computed on first use and cached on the instance, so
-    treat a family, its tree and its transition map as immutable.
+    Every backward recursion over the family (sweeps, conditional
+    expectations, argmax measures, the American DP, one-step classification)
+    runs on ``levels``, the family compiled once into per-level arrays: one
+    numpy step per level of at least ``_KERNEL_MIN_WIDTH`` nodes that are
+    all boxes, and ``TransitionSet.maximize`` per node on narrower levels
+    and on levels with a vertex-set node, with bitwise equal results.
+    ``charged`` and ``levels`` are computed on first use and cached on the
+    instance, so treat a family, its tree and its transition map as
+    immutable.
     """
 
     tree: EventTree
@@ -175,6 +244,15 @@ class RectangularFamily:
 
     def with_role(self, role: str) -> "RectangularFamily":
         return RectangularFamily(self.tree, self.transitions, role)
+
+    @cached_property
+    def levels(self) -> tuple[_Level, ...]:
+        """The family compiled for backward recursion: one ``_Level`` per
+        time 0 .. horizon - 1, in ``tree.level`` order."""
+        tree = self.tree
+        return tuple(
+            _compile_level(tree, tree.level(t), self.transitions) for t in range(tree.horizon)
+        )
 
     @cached_property
     def charged(self) -> frozenset[str]:
@@ -279,10 +357,80 @@ def _target_time(tree: EventTree, values: Mapping[str, float], node: str) -> int
     (t,) = times
     if t < tree.time(node):
         raise ValueError("conditioning node is later than the target time")
-    missing = [m for m in tree.descendants_at(node, t) if m not in values]
+    below = tree.level(t) if node == tree.root else tree.descendants_at(node, t)
+    missing = [m for m in below if m not in values]
     if missing:
         raise ValueError(f"values missing at nodes {missing}")
     return t
+
+
+def _box_step(box: _BoxArrays, lo: int, hi: int, base: int, vals) -> tuple[np.ndarray, np.ndarray]:
+    """``TransitionSet.maximize`` for rows ``lo:hi`` of a wide level at once,
+    with its float operations: a stable descending sort (ties in child
+    order), the greedy fill one column at a time while mass remains, and the
+    dot product from 0.0 in child order. Results are bitwise those of
+    ``maximize``; padding columns have zero capacity and read a 0.0 value,
+    so they change nothing. ``vals`` starts at the next level's position
+    ``base``. Returns the values and the maximizers, one row per node."""
+    m = len(vals)
+    v = np.empty(m + 1)
+    v[:m] = vals
+    v[m] = 0.0
+    x = v[np.minimum(box.kids[lo:hi] - base, m)]
+    n, k = x.shape
+    order = np.argsort(-x, axis=1, kind="stable")
+    flat = (order + np.arange(0, n * k, k)[:, None]).T  # row r: each node's r-th best
+    p = box.lower[lo:hi].ravel()[flat]
+    cap = box.cap[lo:hi].ravel()[flat]
+    rem = box.rem[lo:hi].copy()
+    for r in range(k):
+        live = rem > 0.0
+        if not live.any():
+            break
+        add = np.minimum(cap[r], rem)
+        np.add(p[r], add, out=p[r], where=live)
+        np.subtract(rem, add, out=rem, where=live)
+    w = np.empty(n * k)
+    w[flat] = p
+    w = w.reshape(n, k)
+    terms = w * x
+    total = 0.0 + terms[:, 0]
+    for j in range(1, k):
+        total += terms[:, j]
+    return total, w
+
+
+def _wide(level: _Level, lo: int, hi: int) -> bool:
+    return level.box is not None and hi - lo >= _KERNEL_MIN_WIDTH
+
+
+def _step(level: _Level, lo: int, hi: int, vals, weights: list | None = None):
+    """Upper one-step expectation at the level's nodes ``lo:hi``. ``vals``
+    holds the values of exactly their children, in level order. Wide box
+    levels run through ``_box_step`` and return an array; the rest call
+    ``maximize`` per node and return a list. ``weights``, when given, is
+    extended by each node's maximizer."""
+    off, sets = level.offsets, level.sets
+    base = off[lo]
+    if _wide(level, lo, hi):
+        out, w = _box_step(level.box, lo, hi, base, vals)
+        if weights is not None:
+            weights.extend(
+                tuple(row[: off[i + 1] - off[i]]) for i, row in zip(range(lo, hi), w.tolist())
+            )
+        return out
+    if not isinstance(vals, list):
+        vals = vals.tolist()
+    out = []
+    for i in range(lo, hi):
+        ts = sets[i]
+        if ts is None:
+            raise KeyError(f"no transition set at node {level.nodes[i]!r}")
+        v, w = ts.maximize(vals[off[i] - base : off[i + 1] - base])
+        out.append(v)
+        if weights is not None:
+            weights.append(w)
+    return out
 
 
 def _backward(
@@ -291,22 +439,46 @@ def _backward(
     target_t: int,
     top: str,
     weights: dict[str, tuple[float, ...]] | None = None,
+    floor: Sequence[np.ndarray] | None = None,
+    exercise: set[str] | None = None,
 ) -> dict[str, float]:
     """Backward recursion of the upper expectation of the time-``target_t``
     slice ``values``, at every node of ``top``'s subtree down to that time.
-    Iterative, one level at a time from the target time up, so depth is
-    unbounded. ``weights``, when given, receives each node's maximizer."""
+
+    One compiled level at a time (``RectangularFamily.levels``), from the
+    target time up, so depth is unbounded; each level is one ``_step``,
+    vectorised on wide box levels and node by node on the rest. ``weights``, when given, receives each node's
+    maximizer. ``floor`` turns the recursion into an optimal-stopping DP:
+    ``floor[t]`` holds the full level-t exercise values (so ``top`` must be
+    the root), a node takes its floor when that is at least its
+    continuation value, and such nodes are added to ``exercise``."""
     tree = family.tree
-    levels = [[top]]
-    for _ in range(tree.time(top), target_t):
-        levels.append([c for n in levels[-1] for c in tree.children(n)])
-    out = {n: float(values[n]) for n in levels.pop()}
-    for level in reversed(levels):
-        for n in level:
-            v, w = family.transitions[n].maximize([out[c] for c in tree.children(n)])
-            out[n] = v
-            if weights is not None:
-                weights[n] = w
+    levels = family.levels
+    t0 = tree.time(top)
+    lo = tree.position(top)
+    spans = [(lo, lo + 1)]  # top's subtree is a contiguous run of each level
+    for t in range(t0, target_t):
+        lo, hi = spans[-1]
+        off = levels[t].offsets
+        spans.append((off[lo], off[hi]))
+    lo, hi = spans.pop()
+    nodes = tree.level(target_t)[lo:hi]
+    vals = [float(values[n]) for n in nodes]
+    out = dict(zip(nodes, vals))
+    for t in range(target_t - 1, t0 - 1, -1):
+        lo, hi = spans[t - t0]
+        nodes = tree.level(t)[lo:hi]
+        w = None if weights is None else []
+        vals = _step(levels[t], lo, hi, vals, w)
+        if floor is not None:
+            f = floor[t][lo:hi]
+            cont = np.asarray(vals)
+            stop = f >= cont
+            vals = np.where(stop, f, cont)
+            exercise.update(itertools.compress(nodes, stop.tolist()))
+        out.update(zip(nodes, vals if isinstance(vals, list) else vals.tolist()))
+        if w is not None:
+            weights.update(zip(nodes, w))
     return out
 
 
@@ -467,6 +639,46 @@ class Classification:
         return -min(self.infi_slack, 0.0)
 
 
+def _one_step_bounds(
+    family: RectangularFamily, process: Mapping[str, float], T: int
+) -> dict[str, tuple[float, float, float]]:
+    """(value, upper, lower) one-step expectations at each charged node
+    before ``T`` whose children all carry a value, in preorder. Each run of
+    a level's nodes that have a transition set is one ``_step`` of the
+    values and one of their negation; a missing child reads 0.0 and its
+    parent is dropped."""
+    charged = family.charged
+    found: dict[str, tuple[float, float, float]] = {}
+    for t, level in enumerate(family.levels[: max(T, 0)]):
+        nodes, off = level.nodes, level.offsets
+        kids = family.tree.level(t + 1)
+        have = [c in process for c in kids]
+        keep = [
+            off[i] < off[i + 1] and n in process and n in charged
+            and all(have[off[i] : off[i + 1]])
+            for i, n in enumerate(nodes)
+        ]
+        if not any(keep):
+            continue
+        vals = [process[c] if h else 0.0 for c, h in zip(kids, have)]
+        neg = [-v for v in vals]
+        runs = itertools.groupby(range(len(nodes)), key=lambda i: level.sets[i] is not None)
+        for has_set, run in runs:
+            if not has_set:
+                continue
+            run = list(run)
+            lo, hi = run[0], run[-1] + 1
+            a, b = off[lo], off[hi]
+            up = np.asarray(_step(level, lo, hi, vals[a:b])).tolist()
+            low = np.asarray(_step(level, lo, hi, neg[a:b])).tolist()
+            found.update(
+                (nodes[i], (process[nodes[i]], up[i - lo], -low[i - lo]))
+                for i in run
+                if keep[i]
+            )
+    return {n: found[n] for n in family.tree.non_leaves() if n in found}
+
+
 def classify_process(
     family: MeasureFamily,
     process: Mapping[str, float] | AdaptedProcess,
@@ -486,39 +698,12 @@ def classify_process(
     tree = family.tree
     if T is None:
         T = tree.horizon
-    per_node: dict[str, tuple[float, float, float]] = {}
-    mart_gap = 0.0
-    sup_slack = 0.0
-    infi_slack = 0.0
-    first = True
-
-    def record(n: str, v: float, up: float, low: float):
-        nonlocal mart_gap, sup_slack, infi_slack, first
-        if n not in per_node or (v - up) < (per_node[n][0] - per_node[n][1]):
-            per_node[n] = (v, up, low)
-        if first:
-            mart_gap, sup_slack, infi_slack = abs(v - up), v - up, v - low
-            first = False
-        else:
-            mart_gap = max(mart_gap, abs(v - up))
-            sup_slack = min(sup_slack, v - up)
-            infi_slack = min(infi_slack, v - low)
-
     if isinstance(family, RectangularFamily):
-        for n in tree.non_leaves():
-            if tree.time(n) >= T or n not in process:
-                continue
-            kids = tree.children(n)
-            if any(c not in process for c in kids):
-                continue
-            if not node_charged(family, n):
-                continue
-            vals = [process[c] for c in kids]
-            ts = family.transitions[n]
-            up, _ = ts.maximize(vals)
-            low, _ = ts.minimize(vals)
-            record(n, process[n], up, low)
+        per_node = _one_step_bounds(family, process, T)
+        rows = list(per_node.values())
     else:
+        per_node = {}
+        rows = []  # every (node, horizon) check, in order
         for n in tree.preorder():
             t = tree.time(n)
             if t >= T or n not in process or not node_charged(family, n):
@@ -530,10 +715,17 @@ def classify_process(
                 slice_vals = {m: process[m] for m in level}
                 up = _cond_upper(family, slice_vals, n, t2)
                 low = -_cond_upper(family, {k: -v for k, v in slice_vals.items()}, n, t2)
-                record(n, process[n], up, low)
+                v = process[n]
+                rows.append((v, up, low))
+                if n not in per_node or (v - up) < (per_node[n][0] - per_node[n][1]):
+                    per_node[n] = (v, up, low)
 
-    if first:
+    if not rows:
         return Classification("G_martingale", 0.0, 0.0, 0.0, {})
+    # builtin max/min keep the first extreme, as a left fold would
+    mart_gap = max(abs(v - up) for v, up, _ in rows)
+    sup_slack = min(v - up for v, up, _ in rows)
+    infi_slack = min(v - low for v, _, low in rows)
     if mart_gap <= tol:
         strongest = "G_martingale"
     elif sup_slack >= -tol:

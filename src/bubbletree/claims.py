@@ -12,16 +12,19 @@ from dataclasses import dataclass
 from math import prod
 from typing import Mapping
 
+import numpy as np
+
 from .ambiguity import (
     CapExceededError,
     MeasureFamily,
     RectangularFamily,
+    _backward,
     cond_expectation,
     enumerate_extreme_measures,
     expectation_sweep,
     node_charged,
 )
-from .lattice import AdaptedProcess, MarketSpec, discount_factors, require_valid, tau_node_map
+from .lattice import AdaptedProcess, MarketSpec, discount_factors, require_valid
 
 CLAIM_KINDS = ("forward", "euro_call", "euro_put", "amer_call", "amer_put", "custom_terminal")
 
@@ -55,49 +58,52 @@ class Claim:
 def validate_claim(
     spec: MarketSpec, claim: Claim, actual: MeasureFamily | None = None
 ) -> None:
+    """Raise ``AssumptionViolationError`` at the first node in preorder, up
+    to maturity and charged by ``actual`` (every node when it is None), where
+    the asset has matured or pays a dividend. Those nodes are the spec's
+    cached ``cash_events``, so a call costs one scan of them."""
     require_valid(spec)
     tree = spec.tree
     T = claim.maturity
     if not 1 <= T <= tree.horizon:
         raise AssumptionViolationError(f"maturity {T} outside [1, {tree.horizon}]")
-    taumap = tau_node_map(spec)
-    for n in tree.preorder():
-        t = tree.time(n)
-        if t > T:
+    for n, tau_at in spec.cash_events:
+        if tree.time(n) > T:
             continue
         if actual is not None and not node_charged(actual, n):
             continue
-        if taumap[n] is not None:
+        if tau_at is not None:
             raise AssumptionViolationError(
-                f"asset matures at {taumap[n]!r} on a charged path before T={T}"
+                f"asset matures at {tau_at!r} on a charged path before T={T}"
             )
-        if 1 <= t and abs(spec.dividend[n]) > 1e-12:
-            raise AssumptionViolationError(f"dividend paid at {n!r} inside [0, T]")
+        raise AssumptionViolationError(f"dividend paid at {n!r} inside [0, T]")
 
 
-def _intrinsic(spec: MarketSpec, claim: Claim, node: str, B: Mapping[str, float]) -> float:
-    s = spec.price[node] / B[node]
-    k = claim.strike / B[node]
+def _intrinsic(spec: MarketSpec, claim: Claim, t: int) -> np.ndarray:
+    """Discounted exercise value of the claim at the time-t nodes, in
+    ``tree.level(t)`` order, with the float operations of ``max(x, 0.0)``."""
+    s, B = spec.level_prices[t]
+    k = claim.strike / B
     if claim.kind in ("forward",):
         return s - k
     if claim.kind in ("euro_call", "amer_call"):
-        return max(s - k, 0.0)
-    if claim.kind in ("euro_put", "amer_put"):
-        return max(k - s, 0.0)
-    raise ValueError(f"no intrinsic value for {claim.kind!r}")
+        x = s - k
+    elif claim.kind in ("euro_put", "amer_put"):
+        x = k - s
+    else:
+        raise ValueError(f"no intrinsic value for {claim.kind!r}")
+    return np.where(0.0 > x, 0.0, x)
 
 
 def terminal_payoff(spec: MarketSpec, claim: Claim) -> dict[str, float]:
     """Discounted payoff of the claim at its maturity nodes."""
-    tree = spec.tree
-    B = discount_factors(spec).values
-    nodes = tree.level(claim.maturity)
+    nodes = spec.tree.level(claim.maturity)
     if claim.kind == "custom_terminal":
         missing = [n for n in nodes if n not in claim.payoff]
         if missing:
             raise ValueError(f"custom payoff missing at {missing}")
         return {n: float(claim.payoff[n]) for n in nodes}
-    return {n: _intrinsic(spec, claim, n, B) for n in nodes}
+    return dict(zip(nodes, _intrinsic(spec, claim, claim.maturity).tolist()))
 
 
 def fundamental_claim_price(
@@ -339,25 +345,13 @@ def american_fundamental_price(
         )
     validate_claim(spec, claim, actual)
     tree = spec.tree
-    B = discount_factors(spec).values
     T = claim.maturity
-    values: dict[str, float] = {}
-    exercise: set[str] = set()
-    for t in range(T, -1, -1):
-        for n in tree.level(t):
-            intrinsic = _intrinsic(spec, claim, n, B)
-            if t == T:
-                values[n] = intrinsic
-                exercise.add(n)
-                continue
-            cont, _ = pricing.transitions[n].maximize(
-                [values[c] for c in tree.children(n)]
-            )
-            if intrinsic >= cont:
-                values[n] = intrinsic
-                exercise.add(n)
-            else:
-                values[n] = cont
+    intrinsic = [_intrinsic(spec, claim, t) for t in range(T + 1)]
+    exercise = set(tree.level(T))
+    values = _backward(
+        pricing, dict(zip(tree.level(T), intrinsic[T].tolist())), T, tree.root,
+        floor=intrinsic, exercise=exercise,
+    )
     return AmericanResult(AdaptedProcess(values), frozenset(exercise))
 
 
@@ -409,17 +403,14 @@ def american_oracle(
         raise ValueError("american_oracle prices amer_call / amer_put")
     validate_claim(spec, claim)
     tree = spec.tree
-    B = discount_factors(spec).values
     T = claim.maturity
     n_rules = _stopping_rule_count(tree, tree.root, T, {})
     if n_rules > rule_cap:
         raise CapExceededError(f"{n_rules} stopping rules exceed cap {rule_cap}")
     measures = enumerate_extreme_measures(pricing, cap=measure_cap)
-    intrinsic = {
-        n: _intrinsic(spec, claim, n, B)
-        for t in range(T + 1)
-        for n in tree.level(t)
-    }
+    intrinsic = {}
+    for t in range(T + 1):
+        intrinsic.update(zip(tree.level(t), _intrinsic(spec, claim, t).tolist()))
     best = None
     for rule in _stopping_rules(tree, tree.root, T):
         rule_set = set(rule)

@@ -12,6 +12,7 @@ no-arbitrage precondition was required, 3 solver or enumeration limits hit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -533,7 +534,10 @@ def _fmt_scalar(v) -> str:
     return str(v)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls, each returns a fresh namespace."""
     p = argparse.ArgumentParser(
         prog="bubbletree",
         description="Price assets and claims on finite event trees under model uncertainty.",

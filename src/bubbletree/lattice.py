@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
+import numpy as np
+
 TAU_KINDS = ("bounded", "unbounded_finite", "possibly_infinite")
 
 
@@ -79,6 +81,7 @@ class EventTree:
         for n in self._preorder:
             levels.setdefault(nodes[n].t, []).append(n)
         self._levels = {t: tuple(ns) for t, ns in levels.items()}
+        self._position = {n: i for ns in levels.values() for i, n in enumerate(ns)}
 
     @classmethod
     def uniform(cls, branching: Iterable[int], root: str = "r") -> "EventTree":
@@ -119,6 +122,10 @@ class EventTree:
 
     def level(self, t: int) -> tuple[str, ...]:
         return self._levels.get(t, ())
+
+    def position(self, nid: str) -> int:
+        """The node's index in ``level(time(nid))``."""
+        return self._position[nid]
 
     def path(self, nid: str) -> tuple[str, ...]:
         out = []
@@ -271,9 +278,10 @@ class MarketSpec:
     ``dividend`` the dividend paid at the node (known there), ``payoff`` the
     liquidation value, defined exactly on the tau nodes.
 
-    ``validation`` and ``derived`` are computed on first use and cached on
-    the instance, so treat a spec, its tree and its dicts as immutable:
-    editing them afterwards leaves both stale. Build a new spec instead.
+    ``validation``, ``derived``, ``level_prices`` and ``cash_events`` are
+    computed on first use and cached on the instance, so treat a spec, its
+    tree and its dicts as immutable: editing them afterwards leaves them
+    stale. Build a new spec instead.
     """
 
     tree: EventTree
@@ -316,6 +324,33 @@ class MarketSpec:
             else:
                 W[n] = cum[n] + self.payoff[tau_at] / B[tau_at]
         return Derived(taumap, B, cum, W)
+
+    @cached_property
+    def level_prices(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per time t, in ``tree.level(t)`` order: the discounted prices
+        price / B and the account values B."""
+        B = self.derived.B
+        out = []
+        for t in range(self.tree.horizon + 1):
+            nodes = self.tree.level(t)
+            out.append((
+                np.array([self.price[n] / B[n] for n in nodes], dtype=float),
+                np.array([B[n] for n in nodes], dtype=float),
+            ))
+        return tuple(out)
+
+    @cached_property
+    def cash_events(self) -> tuple[tuple[str, str | None], ...]:
+        """In preorder, the nodes where the asset has matured (with the tau
+        node on their path) or, after time 0, pays a dividend (with None)."""
+        d = self.derived
+        tree = self.tree
+        return tuple(
+            (n, d.taumap[n])
+            for n in tree.preorder()
+            if d.taumap[n] is not None
+            or (tree.time(n) >= 1 and abs(self.dividend[n]) > 1e-12)
+        )
 
 
 def tau_node_map(spec: MarketSpec) -> dict[str, str | None]:

@@ -1,7 +1,10 @@
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from bubbletree import fixtures
-from bubbletree.ambiguity import ExplicitFamily, RectangularFamily, TransitionSet
+from bubbletree.ambiguity import ExplicitFamily, RectangularFamily, TransitionSet, node_charged
 from bubbletree.claims import (
     AssumptionViolationError,
     Claim,
@@ -16,8 +19,15 @@ from bubbletree.claims import (
     market_parity,
     parity_bounds,
     terminal_payoff,
+    validate_claim,
 )
-from bubbletree.lattice import EventTree, MarketSpec, StoppingTime, discount_factors
+from bubbletree.lattice import (
+    EventTree,
+    MarketSpec,
+    StoppingTime,
+    discount_factors,
+    tau_node_map,
+)
 
 
 # -- claim construction and assumptions ---------------------------------------
@@ -45,6 +55,56 @@ def test_maturity_on_charged_path_rejected():
     fx = fixtures.ex1()  # tau fires at t = 2 on every path
     with pytest.raises(AssumptionViolationError, match="matures"):
         fundamental_claim_price(fx.spec, fx.family, Claim("euro_call", 2, 1.0))
+
+
+def _walk_violation(spec, claim, actual):
+    """The first assumption violation by a walk over every node up to
+    maturity, in preorder (the definition ``validate_claim`` must match)."""
+    taumap = tau_node_map(spec)
+    tree = spec.tree
+    for n in tree.preorder():
+        t = tree.time(n)
+        if t > claim.maturity or (actual is not None and not node_charged(actual, n)):
+            continue
+        if taumap[n] is not None:
+            return f"asset matures at {taumap[n]!r} on a charged path before T={claim.maturity}"
+        if 1 <= t and abs(spec.dividend[n]) > 1e-12:
+            return f"dividend paid at {n!r} inside [0, T]"
+    return None
+
+
+def _drop_branches(family, seed):
+    """The family with one child's bounds zeroed at about half the nodes,
+    so that some nodes are uncharged."""
+    rng = np.random.default_rng(seed + 70_000)
+    transitions = dict(family.transitions)
+    for n, ts in family.transitions.items():
+        k = ts.arity()
+        if k >= 2 and rng.random() < 0.5:
+            drop = int(rng.integers(k))
+            transitions[n] = TransitionSet.box([0.0] * k, [0.0 if i == drop else 1.0 for i in range(k)])
+    return RectangularFamily(family.tree, transitions)
+
+
+def test_first_violation_matches_preorder_walk():
+    kinds = Counter()
+    for seed in range(60):
+        fx = fixtures.rand_market(seed, depth=3, branching=3, dividends=seed % 3 != 0,
+                                  tau_mode=("bounded", "none", "unbounded")[seed % 3])
+        spec = fx.spec
+        for actual in (None, fx.family, _drop_branches(fx.family, seed)):
+            for T in range(1, spec.tree.horizon + 1):
+                claim = Claim("euro_call", T, 1.0)
+                expected = _walk_violation(spec, claim, actual)
+                if expected is None:
+                    validate_claim(spec, claim, actual)
+                    kinds["none"] += 1
+                    continue
+                with pytest.raises(AssumptionViolationError) as info:
+                    validate_claim(spec, claim, actual)
+                assert str(info.value) == expected
+                kinds[expected.split()[0]] += 1
+    assert min(kinds["none"], kinds["asset"], kinds["dividend"]) >= 20, kinds
 
 
 def test_ex1_claims_valid_inside_tau():

@@ -193,6 +193,29 @@ def test_price_maturity_defaults_to_horizon(capsys):
     assert "value: 0.2" in out
 
 
+def test_parser_keeps_no_values_between_calls(tmp_path, capsys):
+    from bubbletree.cli import _parser
+
+    path = tmp_path / "fiat.market"
+    path.write_text(json.dumps(discovered_fiat_doc()))
+    plain = ["price", "--claim", "ecall", "--strike", "1", str(path)]
+
+    def machine(argv):
+        assert main(["--format", "machine", *argv]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    first = machine(plain)
+    other = machine(["--tolerance", "0.001", "price", "--claim", "aput", "--strike", "2",
+                     "--maturity", "1", str(path)])
+    again = machine(plain)
+    assert "maturity" not in first["inputs"] and other["inputs"]["maturity"] == 1
+    assert set(other["processes"]["claim_value"]) < set(first["processes"]["claim_value"])
+    assert again == first
+    assert main(plain) == 0  # the default format again, after three machine runs
+    assert capsys.readouterr().out.startswith("command: price\n")
+    assert _parser() is _parser()
+
+
 # -- exit codes ----------------------------------------------------------------
 
 def test_exit_code_schema_error(capsys):

@@ -1,0 +1,192 @@
+"""The level kernel against the per-node path.
+
+Every rectangular recursion steps a level either in numpy (levels at least
+``ambiguity._KERNEL_MIN_WIDTH`` nodes wide) or node by node through
+``TransitionSet.maximize``. Forcing the width threshold to 0 and to infinity
+runs each computation both ways. The results must be equal, and so must
+their reprs, which also tells signed zeros, float types and dict order
+apart.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from bubbletree import ambiguity, fixtures
+from bubbletree.ambiguity import (
+    RectangularFamily,
+    TransitionSet,
+    argmax_measure,
+    classify_process,
+    cond_expectation,
+    expectation_sweep,
+)
+from bubbletree.claims import (
+    Claim,
+    american_fundamental_price,
+    american_oracle,
+    fundamental_claim_price,
+    terminal_payoff,
+)
+from bubbletree.lattice import EventTree
+
+DESK_SEEDS = (0, 32)  # rand_claim_market(s, depth=8, branching=4): ~4.6k nodes
+
+
+def _mixed(family, seed):
+    """The family with about a third of its box nodes given as the vertex
+    lists of the same boxes; levels with such a node step node by node."""
+    rng = np.random.default_rng(seed + 40_000)
+    transitions = dict(family.transitions)
+    for n, ts in family.transitions.items():
+        if ts.is_box and ts.arity() <= 4 and rng.random() < 0.35:
+            transitions[n] = TransitionSet.vertex_set(ts.vertex_list())
+    return RectangularFamily(family.tree, transitions)
+
+
+def _outputs(spec, family, seed, claims: bool) -> list:
+    """Every rectangular recursion on one market, on a fresh copy of the
+    family (the compiled levels depend on the threshold in force)."""
+    fam = RectangularFamily(family.tree, family.transitions)
+    tree = fam.tree
+    T = tree.horizon
+    rng = np.random.default_rng(seed + 50_000)
+    out = []
+    for t in sorted({1, max(T - 1, 1), T}):
+        values = {n: float(rng.uniform(-2, 2)) for n in tree.level(t)}
+        values[tree.level(t)[0]] = 0.0  # a zero and its negation on both paths
+        for bound in ("upper", "lower"):
+            out.append(expectation_sweep(fam, values, bound))
+            for s in range(1, t):
+                for n in tree.level(s)[:: max(1, len(tree.level(s)) // 3)]:
+                    out.append((n, t, bound, cond_expectation(fam, values, n, bound)))
+    payoff = {n: float(rng.uniform(-2, 2)) for n in tree.leaves}
+    out.append(argmax_measure(fam, payoff))
+    process = {n: float(rng.uniform(0, 2)) for n in tree.preorder()}
+    partial = {n: v for n, v in process.items() if rng.random() < 0.9}
+    W = spec.derived.W
+    for proc, horizon in ((process, None), (process, max(T - 1, 1)), (partial, None), (W, None)):
+        c = classify_process(fam, proc, T=horizon)
+        out.append((c.strongest, c.martingale_gap, c.supermartingale_slack, c.infi_slack,
+                    c.per_node))
+    if claims:
+        K = spec.price[tree.root]
+        for maturity in sorted({max(T - 1, 1), T}):
+            for kind in ("amer_call", "amer_put"):
+                res = american_fundamental_price(spec, fam, Claim(kind, maturity, K))
+                out.append((res.process.values, sorted(res.exercise)))
+            for kind in ("forward", "euro_call", "euro_put"):
+                claim = Claim(kind, maturity, 0.9 * K)
+                out.append(terminal_payoff(spec, claim))
+                out.append(fundamental_claim_price(spec, fam, claim).values)
+    return out
+
+
+def _both_ways(monkeypatch, spec, family, seed, claims):
+    monkeypatch.setattr(ambiguity, "_KERNEL_MIN_WIDTH", 0)
+    kernel = _outputs(spec, family, seed, claims)
+    monkeypatch.setattr(ambiguity, "_KERNEL_MIN_WIDTH", math.inf)
+    per_node = _outputs(spec, family, seed, claims)
+    return kernel, per_node
+
+
+def _assert_same(kernel, per_node):
+    assert len(kernel) == len(per_node)
+    for i, (a, b) in enumerate(zip(kernel, per_node)):
+        assert a == b, i
+        assert repr(a) == repr(b), i
+
+
+def test_kernel_equals_per_node_path_on_random_families(monkeypatch):
+    families = 0
+    for seed in range(100):
+        for gen in (fixtures.rand_market, fixtures.rand_claim_market):
+            fx = gen(seed, depth=2 + seed % 3, branching=2 + seed % 3,
+                     style=("neutral", "bumped")[seed % 2], singleton=seed % 5 == 0)
+            fams = [fx.family] + ([_mixed(fx.family, seed)] if seed % 4 == 0 else [])
+            for fam in fams:
+                claims = gen is fixtures.rand_claim_market
+                _assert_same(*_both_ways(monkeypatch, fx.spec, fam, seed, claims))
+                families += 1
+    assert families >= 200
+
+
+@pytest.mark.parametrize("seed", DESK_SEEDS)
+def test_kernel_equals_per_node_path_on_desk_markets(monkeypatch, seed):
+    fx = fixtures.rand_claim_market(seed, depth=8, branching=4, style="bumped")
+    assert len(fx.spec.tree) > 4000
+    for fam in (fx.family, _mixed(fx.family, seed)):
+        _assert_same(*_both_ways(monkeypatch, fx.spec, fam, seed, True))
+
+
+def test_default_threshold_steps_desk_levels_in_numpy():
+    fx = fixtures.rand_claim_market(DESK_SEEDS[0], depth=8, branching=4, style="bumped")
+    levels = fx.family.levels
+    wide = [len(lv.nodes) >= ambiguity._KERNEL_MIN_WIDTH for lv in levels]
+    assert wide[0] is False and wide[-1] is True
+    assert all((lv.box is not None) == w for lv, w in zip(levels, wide))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_kernel_dp_matches_stopping_rule_oracle(monkeypatch, seed):
+    monkeypatch.setattr(ambiguity, "_KERNEL_MIN_WIDTH", 0)
+    depth = (seed % 3) + 1
+    branching = 2 if depth == 3 else 3
+    fx = fixtures.rand_claim_market(seed + 60, depth=depth, branching=branching,
+                                    style=["neutral", "bumped"][seed % 2])
+    tree = fx.spec.tree
+    K = fx.spec.price[tree.root]
+    for kind in ("amer_call", "amer_put"):
+        claim = Claim(kind, tree.horizon, K)
+        dp = american_fundamental_price(fx.spec, fx.family, claim)
+        assert dp.process[tree.root] == pytest.approx(
+            american_oracle(fx.spec, fx.family, claim), abs=1e-9
+        )
+
+
+def test_levels_with_a_vertex_set_node_step_node_by_node():
+    fx = fixtures.rand_claim_market(DESK_SEEDS[0], depth=8, branching=4, style="bumped")
+    mixed = _mixed(fx.family, DESK_SEEDS[0])
+    for lv in mixed.levels:
+        if any(not ts.is_box for ts in lv.sets):
+            assert lv.box is None
+    assert any(lv.box is not None for lv in fx.family.levels)
+
+
+def _lopsided(width: int, fan: int) -> RectangularFamily:
+    """A root with ``width`` children: the first has ``fan`` children, the
+    rest one each, so padding level 1 to its widest node would take about
+    ``width * fan`` cells for ``width + fan`` children."""
+    parents = {"r": None}
+    for i in range(width):
+        parents[f"a{i}"] = "r"
+        for j in range(fan if i == 0 else 1):
+            parents[f"a{i}.{j}"] = f"a{i}"
+    tree = EventTree(parents)
+    transitions = {"r": TransitionSet.box([0.5 / width] * width, [2.0 / width] * width)}
+    for i in range(width):
+        k = len(tree.children(f"a{i}"))
+        transitions[f"a{i}"] = TransitionSet.box([0.5 / k] * k, [1.5 / k] * k)
+    return RectangularFamily(tree, transitions)
+
+
+def test_one_very_wide_node_keeps_its_level_off_the_padded_arrays(monkeypatch):
+    monkeypatch.setattr(ambiguity, "_KERNEL_MIN_WIDTH", 0)
+    family = _lopsided(width=500, fan=5000)
+    assert family.levels[1].box is None  # 500 x 5000 cells for 5499 children
+    assert family.levels[0].box is not None
+    even = _lopsided(width=500, fan=1)
+    assert even.levels[1].box is not None
+
+    def run(fam):
+        fam = RectangularFamily(fam.tree, fam.transitions)
+        tree = fam.tree
+        values = {n: float(i % 7) - 3.0 for i, n in enumerate(tree.level(2))}
+        return [expectation_sweep(fam, values, b) for b in ("upper", "lower")] + [
+            cond_expectation(fam, values, n, "upper") for n in tree.level(1)[:3]
+        ]
+
+    small = _lopsided(width=40, fan=300)
+    kernel = run(small)
+    monkeypatch.setattr(ambiguity, "_KERNEL_MIN_WIDTH", math.inf)
+    _assert_same(kernel, run(small))
