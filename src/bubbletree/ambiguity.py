@@ -56,7 +56,7 @@ def _dot(weights: Sequence[float], values: Sequence[float]) -> float:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionSet:
     """One node's set of transition probabilities over its children.
 

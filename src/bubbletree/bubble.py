@@ -9,6 +9,8 @@ is zero from the maturity node on.
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -76,14 +78,7 @@ def stopped_price_process(spec: MarketSpec) -> AdaptedProcess:
     """Discounted market price while the asset lives, frozen at the
     discounted liquidation value from the maturity node on. This is the
     price-level process the necessary conditions classify."""
-    tree = spec.tree
-    B = discount_factors(spec).values
-    taumap = tau_node_map(spec)
-    out = {}
-    for n in tree.preorder():
-        a = taumap[n]
-        out[n] = spec.price[n] / B[n] if a is None else spec.payoff[a] / B[a]
-    return AdaptedProcess(out)
+    return AdaptedProcess(spec.stopped_price)
 
 
 def bubble_process(
@@ -125,10 +120,12 @@ def bubble_exists(
     """A bubble exists when some node the actual family charges carries a
     positive bubble."""
     values = beta.values if isinstance(beta, AdaptedProcess) else beta
-    for n, b in values.items():
-        if b > tol and node_charged(actual, n):
-            return True
-    return False
+    positive = itertools.compress(values, map(operator.gt, values.values(), itertools.repeat(tol)))
+    return any(node_charged(actual, n) for n in positive)
+
+
+def _no_dividends(spec: MarketSpec) -> bool:
+    return all(map(operator.le, map(abs, spec.dividend.values()), itertools.repeat(1e-12)))
 
 
 @dataclass(frozen=True)
@@ -162,9 +159,7 @@ def classify_bubble(
         beta = bubble_process(spec, pricing)
     price = stopped_price_process(spec)
     # classify over the bubble's own domain: up to the last pre-maturity time
-    taumap = tau_node_map(spec)
-    alive = [spec.tree.time(n) for n in spec.tree.preorder() if taumap[n] is None]
-    horizon = max(alive) if alive else 0
+    horizon = spec.alive_horizon
     bubble_class = classify_process(pricing, beta, T=horizon, tol=tol)
     price_class = classify_process(pricing, price, T=horizon, tol=tol)
     exists = bubble_exists(beta, actual if actual is not None else pricing, tol=tol)
@@ -183,7 +178,7 @@ def classify_bubble(
         consistency["price_class_ok"] = price_class.satisfies(
             consistency["expected_price_class"]
         )
-    no_dividends = all(abs(d) <= 1e-12 for d in spec.dividend.values())
+    no_dividends = _no_dividends(spec)
     sufficiency: dict = {"applicable": no_dividends}
     if no_dividends:
         premise = price_class.satisfies("G_supermartingale") and not price_class.satisfies(
@@ -257,7 +252,7 @@ def check_bubble_properties(
         "worst": tau_dev,
     }
 
-    no_dividends = all(abs(d) <= 1e-12 for d in spec.dividend.values())
+    no_dividends = _no_dividends(spec)
     if not no_dividends:
         persistence = {"status": "skipped", "note": "market pays dividends"}
     else:

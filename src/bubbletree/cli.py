@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -120,17 +122,92 @@ def _number(value, where: str, key) -> float:
     raise MarketFileError(f"{where}[{key!r}] is not finite")
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _finite_kinds(values) -> set | None:
+    """The value types when every value is a finite JSON number, else None.
+    One C-level pass per test instead of a ``_number`` call per value; on
+    None the caller reruns ``_number`` per value to name the first bad one."""
+    kinds = set(map(type, values))
+    if not kinds <= _NUMBER_TYPES:
+        return None
+    try:  # inf and NaN propagate through the sum; an overflowing one is refused too
+        if math.isfinite(sum(values)):
+            return kinds
+    except OverflowError:  # an integer beyond float range
+        pass
+    return None
+
+
 def _numbers(value, where: str) -> list[float]:
     items = _typed(value, list, where, "a list of numbers")
-    return [_number(v, where, i) for i, v in enumerate(items)]
+    kinds = _finite_kinds(items)
+    if kinds is None:
+        return [_number(v, where, i) for i, v in enumerate(items)]
+    return items if int not in kinds else list(map(float, items))
+
+
+def _number_map(raw: dict, where: str) -> dict[str, float]:
+    """A JSON object of finite numbers, as floats (``raw`` itself when it
+    holds floats only)."""
+    kinds = _finite_kinds(raw.values())
+    if kinds is None:
+        return {str(nid): _number(v, where, nid) for nid, v in raw.items()}
+    return raw if int not in kinds else {k: float(v) for k, v in raw.items()}
 
 
 def _num_map(doc: Mapping, key: str, where: str) -> dict[str, float]:
     raw = _need(doc, key, where)
     if not isinstance(raw, dict):
         raise MarketFileError(f"{where}: field {key!r} must map node ids to numbers")
-    at = f"{where}: {key}"
-    return {str(nid): _number(v, at, nid) for nid, v in raw.items()}
+    return _number_map(raw, f"{where}: {key}")
+
+
+def _box_transitions(raw: dict, tree: EventTree) -> dict[str, TransitionSet] | None:
+    """The transition sets of a family whose blocks are all boxes, checked
+    for the whole family at once: each test is one pass over every block
+    or every bound. Returns None unless each block sits at a known node and
+    holds ``lower`` and ``upper`` lists of finite numbers that
+    ``TransitionSet.problems`` accepts, and every non-leaf node has one;
+    the per-node path then finds the first problem and its message. The
+    sums are the ones ``problems`` takes, so the check accepts exactly
+    what it accepts (leaf blocks aside, which it never checks: those go
+    the per-node way)."""
+    blocks = list(raw.values())
+    if not set(map(type, blocks)) <= {dict} or not all(map(tree.__contains__, raw)):
+        return None
+    if any(map(operator.contains, blocks, itertools.repeat("vertices"))):
+        return None
+    try:
+        los = list(map(operator.itemgetter("lower"), blocks))
+        his = list(map(operator.itemgetter("upper"), blocks))
+    except KeyError:
+        return None
+    if not set(map(type, los)) | set(map(type, his)) <= {list}:
+        return None
+    arity = list(map(len, map(tree.children, raw)))
+    if list(map(len, los)) != arity or list(map(len, his)) != arity:
+        return None
+    flat_lo = list(itertools.chain.from_iterable(los))
+    flat_hi = list(itertools.chain.from_iterable(his))
+    kinds = _finite_kinds(flat_lo + flat_hi)
+    if kinds is None:
+        return None
+    if int in kinds:
+        los = [list(map(float, b)) for b in los]
+        his = [list(map(float, b)) for b in his]
+        flat_lo = list(map(float, flat_lo))
+        flat_hi = list(map(float, flat_hi))
+    if (
+        min(flat_lo, default=0.0) < 0
+        or any(map(operator.gt, flat_lo, flat_hi))
+        or max(map(sum, los), default=0.0) > 1.0 + 1e-12
+        or min(map(sum, his), default=1.0) < 1.0 - 1e-12
+        or not all(map(raw.__contains__, tree.non_leaves()))
+    ):
+        return None
+    return dict(zip(raw, map(TransitionSet, map(tuple, los), map(tuple, his))))
 
 
 def _parse_family(doc, tree: EventTree, where: str, role: str) -> MeasureFamily:
@@ -141,6 +218,9 @@ def _parse_family(doc, tree: EventTree, where: str, role: str) -> MeasureFamily:
             _need(doc, "transitions", where), dict, f"{where}.transitions",
             "an object mapping node ids to transition blocks",
         )
+        boxes = _box_transitions(raw, tree)
+        if boxes is not None:  # checked: validate_family has nothing to add
+            return RectangularFamily(tree, boxes, role)
         transitions: dict[str, TransitionSet] = {}
         for nid, block in raw.items():
             if nid not in tree:
@@ -163,7 +243,7 @@ def _parse_family(doc, tree: EventTree, where: str, role: str) -> MeasureFamily:
         for i, q in enumerate(raw):
             at = f"{where}.measures[{i}]"
             _typed(q, dict, at, "an object mapping leaves to probabilities")
-            measures.append({str(k): _number(v, at, k) for k, v in q.items()})
+            measures.append(_number_map(q, at))
         family = ExplicitFamily(tree, tuple(measures), role)
     else:
         raise MarketFileError(f"{where}: unknown family type {kind!r}")
@@ -173,26 +253,27 @@ def _parse_family(doc, tree: EventTree, where: str, role: str) -> MeasureFamily:
     return family
 
 
-def parse_market_file(path: str) -> ParsedMarket:
-    """Load and fully validate a JSON market file.
-
-    Required fields: horizon, nodes (list of {id, parent, time}; listing
-    order fixes child order), rates, prices, dividends, tau
-    ({nodes, kind}), payoffs, actual (a measure family). Optional: pricing,
-    market_prices ({claim-kind: {node: price}}). A field of the wrong JSON
-    type, a non-finite number or an unknown tau node raises
-    ``MarketFileError`` naming the field.
-    """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise MarketFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MarketFileError(f"{path}: not valid JSON: {exc}") from exc
-
-    _typed(doc, dict, path, "a JSON object")
-    nodes = _typed(_need(doc, "nodes", path), list, f"{path}: field 'nodes'", "a list")
+def _node_entries(nodes: list, path: str) -> tuple[dict[str, str | None], dict[str, int]]:
+    """Parent and stated time per node id, in listing order. Entries that
+    all carry a unique string id, a string or null parent and an integer
+    time within float range are read in one pass; anything else is read
+    entry by entry, which names the first bad one."""
+    if set(map(type, nodes)) <= {dict}:
+        try:
+            ids, pars, times = (
+                list(map(operator.itemgetter(key), nodes)) for key in ("id", "parent", "time")
+            )
+        except KeyError:
+            ids = None
+        if ids:
+            parents = dict(zip(ids, pars))
+            if (
+                len(parents) == len(ids)
+                and set(map(type, ids)) <= {str}
+                and set(map(type, pars)) <= {str, type(None)}
+                and _finite_kinds(times) == {int}  # not bool, nor beyond float range
+            ):
+                return parents, dict(zip(ids, times))
     parents: dict[str, str | None] = {}
     stated_times: dict[str, int] = {}
     for i, entry in enumerate(nodes):
@@ -208,15 +289,74 @@ def parse_market_file(path: str) -> ParsedMarket:
             if t != int(t):
                 raise MarketFileError(f"{at}['time'] is not an integer")
             stated_times[nid] = int(t)
+    return parents, stated_times
+
+
+def _bool_free(value) -> bool:
+    """Whether no ``true`` or ``false`` sits anywhere in a parsed JSON value,
+    one C-level pass per nesting level. Equal parsed values hold equal
+    numbers at equal places, but ``==`` takes ``true`` for 1 and ``false``
+    for 0, and a market file must not."""
+    level = [value]
+    while level:
+        kinds = set(map(type, level))
+        if bool in kinds:
+            return False
+        if kinds == {dict}:
+            dicts, lists = level, []
+        elif kinds == {list}:
+            dicts, lists = [], level
+        elif kinds & {dict, list}:
+            dicts = [v for v in level if type(v) is dict]
+            lists = [v for v in level if type(v) is list]
+        else:  # scalars only
+            return True
+        level = [
+            *itertools.chain.from_iterable(map(dict.values, dicts)),
+            *itertools.chain.from_iterable(lists),
+        ]
+    return True
+
+
+def _load_json(path: str, where: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise MarketFileError(f"cannot read {where}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
+        raise MarketFileError(f"{where}: not valid JSON: {exc}") from exc
+
+
+def parse_market_file(path: str) -> ParsedMarket:
+    """Load and fully validate a JSON market file.
+
+    Required fields: horizon, nodes (list of {id, parent, time}; listing
+    order fixes child order), rates, prices, dividends, tau
+    ({nodes, kind}), payoffs, actual (a measure family). Optional: pricing,
+    market_prices ({claim-kind: {node: price}}). A field of the wrong JSON
+    type, a non-finite number or an unknown tau node raises
+    ``MarketFileError`` naming the field.
+
+    Number lists and maps and whole box families are checked in one pass
+    each; only when that pass fails are the values checked one by one, so
+    the first bad one is named exactly as a per-value check names it. A
+    ``pricing`` block equal to ``actual`` is parsed once.
+    """
+    doc = _load_json(path, path)
+    _typed(doc, dict, path, "a JSON object")
+    nodes = _typed(_need(doc, "nodes", path), list, f"{path}: field 'nodes'", "a list")
+    parents, stated_times = _node_entries(nodes, path)
     try:
         tree = EventTree(parents)
     except ValueError as exc:
         raise MarketFileError(f"{path}: bad tree: {exc}") from exc
-    for nid, t in stated_times.items():
-        if tree.time(nid) != t:
-            raise MarketFileError(
-                f"{path}: node {nid!r} states time {t} but sits at depth {tree.time(nid)}"
-            )
+    if stated_times != tree.times():  # then find the first mismatch in listing order
+        for nid, t in stated_times.items():
+            if tree.time(nid) != t:
+                raise MarketFileError(
+                    f"{path}: node {nid!r} states time {t} but sits at depth {tree.time(nid)}"
+                )
     horizon = _need(doc, "horizon", path)
     if horizon != tree.horizon:
         raise MarketFileError(
@@ -251,10 +391,30 @@ def parse_market_file(path: str) -> ParsedMarket:
     actual = _parse_family(_need(doc, "actual", path), tree, f"{path}.actual", "actual")
     pricing = None
     if "pricing" in doc:
-        pricing = _parse_family(doc["pricing"], tree, f"{path}.pricing", "pricing")
+        if doc["pricing"] == doc["actual"] and _bool_free(doc["pricing"]):
+            pricing = actual.with_role("pricing")
+        else:
+            pricing = _parse_family(doc["pricing"], tree, f"{path}.pricing", "pricing")
     raw = _typed(doc.get("market_prices", {}), dict, f"{path}.market_prices", "an object")
     market_prices = {str(key): _num_map(raw, key, f"{path}.market_prices") for key in raw}
     return ParsedMarket(spec, actual, pricing, market_prices, path)
+
+
+def parse_payoff_file(path: str, tree: EventTree) -> dict[str, float]:
+    """Load a ``hedge --payoff-file``: a JSON object mapping leaves of
+    ``tree`` to finite numbers, checked as market-file number maps are.
+    Anything else raises ``MarketFileError`` naming the file and field."""
+    where = f"payoff file {path}"
+    doc = _load_json(path, where)
+    _typed(doc, dict, where, "a JSON object mapping node ids to numbers")
+    payoff = _number_map(doc, where)
+    unknown = sorted(n for n in payoff if n not in tree)
+    if unknown:
+        raise MarketFileError(f"{where}: unknown nodes {unknown}")
+    inner = sorted(n for n in payoff if not tree.is_leaf(n))
+    if inner:
+        raise MarketFileError(f"{where}: payoffs sit at leaves, not at {inner}")
+    return payoff
 
 
 @dataclass
@@ -401,8 +561,7 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
     if command == "hedge":
         pricing, ftap = _resolve_pricing(parsed)
         if options.get("payoff_file"):
-            with open(options["payoff_file"]) as fh:
-                payoff = {str(k): float(v) for k, v in json.load(fh).items()}
+            payoff = parse_payoff_file(options["payoff_file"], tree)
         else:
             kind = CLAIM_ALIASES[options["claim"]]
             maturity = int(options.get("maturity") or tree.horizon)
@@ -482,6 +641,103 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
     raise MarketFileError(f"unknown command {command!r}")
 
 
+_json_key = json.encoder.encode_basestring_ascii
+
+
+def _spellings(values: list[float]) -> dict[float, str] | None:
+    """The text ``json.dumps(_round12(x))`` of each distinct value, each
+    formatted once: ``%.12g``, with ``.0`` where that has no point or
+    exponent. That spelling holds for finite values that are zero or have
+    1e-300 < |x| < 1e11 (beyond 1e12 ``%g`` takes an exponent where
+    ``repr`` does not, and near subnormals the two round differently);
+    with any other value, None. Zero reads "0.0": -0.0 is the same key, so
+    a caller spells it itself."""
+    if not math.isfinite(sum(values)):  # inf and NaN propagate; huge values overflow
+        return None
+    size = list(map(abs, values))
+    if max(size, default=0.0) >= 1e11 or min(filter(None, size), default=1.0) <= 1e-300:
+        return None
+    distinct = list(set(values))
+    texts = list(map("%.12g".__mod__, distinct))
+    integral = map(str.isdigit, map(str.lstrip, texts, itertools.repeat("-")))
+    for i in itertools.compress(range(len(texts)), integral):
+        texts[i] += ".0"
+    spelled = dict(zip(distinct, texts))
+    if 0.0 in spelled:
+        spelled[0.0] = "0.0"
+    return spelled
+
+
+def _float_map(
+    proc: dict[str, float], prefix: Mapping[str, str], spelled: Mapping[float, str] | None
+) -> str:
+    """``json.dumps(_rounded(proc), sort_keys=True, indent=2)`` for a
+    non-empty map of str keys to floats, indented as a ``processes`` entry.
+    ``prefix`` holds each key's line up to its value and ``spelled`` each
+    value's text (see ``_spellings``); without it each value goes through
+    ``json.dumps``."""
+    keys = sorted(proc)
+    values = list(map(proc.__getitem__, keys))
+    if spelled is None:
+        texts = [json.dumps(_round12(x)) for x in values]
+    else:
+        texts = list(map(spelled.__getitem__, values))
+        zeros = list(itertools.compress(range(len(values)), map(operator.not_, values)))
+        signs = map(math.copysign, itertools.repeat(1.0), map(values.__getitem__, zeros))
+        for i in itertools.compress(zeros, map(operator.lt, signs, itertools.repeat(0.0))):
+            texts[i] = "-0.0"
+    parts = [",\n"] * (3 * len(keys))  # key, value, separator per line
+    parts[0::3] = map(prefix.__getitem__, keys)
+    parts[1::3] = texts
+    parts[-1] = "\n    }"
+    return "{\n" + "".join(parts)
+
+
+def _float_valued(proc) -> bool:
+    return (
+        type(proc) is dict
+        and len(proc) > 0
+        and set(map(type, proc)) <= {str}
+        and set(map(type, proc.values())) <= {float}
+    )
+
+
+def _machine(report: Report) -> str:
+    """``json.dumps(report.as_dict(), sort_keys=True, indent=2)`` plus a
+    newline, byte for byte, with the per-node ``processes`` maps of floats
+    written by ``_float_map`` (each node id and each distinct value is
+    spelled once per report); the rest of the report takes ``_rounded``
+    and ``json.dumps``, section by section."""
+    processes = report.processes
+    if type(processes) is not dict or not set(map(type, processes)) <= {str}:
+        return json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
+    floats = {name: proc for name, proc in processes.items() if _float_valued(proc)}
+    keys = set().union(*floats.values())
+    prefix = dict(zip(keys, map("      %s: ".__mod__, map(_json_key, keys))))
+    spelled = _spellings(list(itertools.chain.from_iterable(map(dict.values, floats.values()))))
+    entries = []
+    for name in sorted(processes):
+        proc = processes[name]
+        if name in floats:
+            body = _float_map(proc, prefix, spelled)
+        else:
+            body = json.dumps(_rounded(proc), sort_keys=True, indent=2).replace("\n", "\n    ")
+        entries.append(f"    {_json_key(name)}: {body}")
+    sections = {
+        key: json.dumps(_rounded(value), sort_keys=True, indent=2).replace("\n", "\n  ")
+        for key, value in (
+            ("command", report.command),
+            ("inputs", report.inputs),
+            ("verdicts", report.verdicts),
+            ("diagnostics", report.diagnostics),
+            ("exit_status", report.exit_status),
+        )
+    }
+    sections["processes"] = "{\n" + ",\n".join(entries) + "\n  }" if entries else "{}"
+    body = ",\n".join(f'  "{key}": {sections[key]}' for key in sorted(sections))
+    return "{\n" + body + "\n}\n"
+
+
 CSV_COLUMNS = ("S", "Sstar", "beta", "W", "Wstar")
 
 
@@ -489,7 +745,7 @@ def emit_report(report: Report, fmt: str = "text", tree: EventTree | None = None
     """Render a report. ``machine`` is JSON that round-trips; ``csv`` needs
     the tree to order rows by node."""
     if fmt == "machine":
-        return json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
+        return _machine(report)
     if fmt == "csv":
         if tree is None:
             raise ValueError("csv emission needs the event tree")
@@ -575,6 +831,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    for flag, value in (("--tolerance", args.tolerance), ("--strike", getattr(args, "strike", None))):
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            sys.stderr.write(f"error: {flag} must be a finite number >= 0, got {value}\n")
+            return 1
     try:
         parsed = parse_market_file(args.market)
     except MarketFileError as exc:

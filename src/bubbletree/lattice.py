@@ -7,8 +7,11 @@ money-market account value is B is worth c / B.
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -45,43 +48,61 @@ class EventTree:
         parents = dict(parents)
         if not parents:
             raise ValueError("empty tree")
-        children: dict[str, list[str]] = {nid: [] for nid in parents}
+        kids: dict[str, list[str]] = {}  # non-leaves only: leaves share ()
         roots = []
         for nid, par in parents.items():
             if par is None:
                 roots.append(nid)
-            elif par not in parents:
-                raise ValueError(f"node {nid!r} has unknown parent {par!r}")
+            elif par in kids:
+                kids[par].append(nid)
+            elif par in parents:
+                kids[par] = [nid]
             else:
-                children[par].append(nid)
+                raise ValueError(f"node {nid!r} has unknown parent {par!r}")
         if len(roots) != 1:
             raise ValueError(f"expected exactly one root, found {len(roots)}")
         self.root: str = roots[0]
+        children = dict.fromkeys(parents, ())
+        for nid, cs in kids.items():
+            children[nid] = tuple(cs)
 
-        nodes: dict[str, Node] = {}
-        order: list[str] = []
-        stack = [(self.root, 0)]
-        while stack:
-            nid, t = stack.pop()
-            nodes[nid] = Node(nid, t, parents[nid], tuple(children[nid]))
-            order.append(nid)
-            for c in reversed(children[nid]):
-                stack.append((c, t + 1))
-        if len(nodes) != len(parents):
-            missing = sorted(set(parents) - set(nodes))
+        # levels breadth first: listing each node's children in turn keeps
+        # every level in preorder, so a node's subtree is contiguous in it
+        levels = [(self.root,)]
+        while True:
+            nxt = tuple(itertools.chain.from_iterable(map(children.__getitem__, levels[-1])))
+            if not nxt:
+                break
+            levels.append(nxt)
+        if sum(map(len, levels)) != len(parents):
+            reached = set(itertools.chain.from_iterable(levels))
+            missing = sorted(set(parents) - reached)
             raise ValueError(f"nodes unreachable from root: {missing}")
-        self._nodes = nodes
+        # preorder: a stack of child iterators, one per open non-leaf
+        order = [self.root]
+        stack = [iter(children[self.root])]
+        while stack:
+            for nid in stack[-1]:
+                order.append(nid)
+                if children[nid]:
+                    stack.append(iter(children[nid]))
+                    break
+            else:
+                stack.pop()
+        by_level = list(itertools.chain.from_iterable(levels))
+        self._parent = parents
+        self._time = dict(zip(by_level, itertools.chain.from_iterable(
+            map(itertools.repeat, range(len(levels)), map(len, levels))
+        )))
+        self._children = children
         self._preorder = tuple(order)
-        self.leaves: tuple[str, ...] = tuple(
-            n for n in self._preorder if not nodes[n].children
-        )
-        self._non_leaves = tuple(n for n in self._preorder if nodes[n].children)
-        self.horizon: int = max(nodes[n].t for n in self.leaves)
-        levels: dict[int, list[str]] = {}
-        for n in self._preorder:
-            levels.setdefault(nodes[n].t, []).append(n)
-        self._levels = {t: tuple(ns) for t, ns in levels.items()}
-        self._position = {n: i for ns in levels.values() for i, n in enumerate(ns)}
+        self.leaves: tuple[str, ...] = tuple(itertools.filterfalse(kids.__contains__, order))
+        self._non_leaves = tuple(filter(kids.__contains__, order))
+        self.horizon: int = len(levels) - 1  # the deepest level holds leaves only
+        self._levels = dict(enumerate(levels))
+        self._position = dict(zip(by_level, itertools.chain.from_iterable(
+            map(range, map(len, levels))
+        )))
 
     @classmethod
     def uniform(cls, branching: Iterable[int], root: str = "r") -> "EventTree":
@@ -100,19 +121,23 @@ class EventTree:
 
     # -- accessors ---------------------------------------------------------
     def node(self, nid: str) -> Node:
-        return self._nodes[nid]
+        return Node(nid, self._time[nid], self._parent[nid], self._children[nid])
 
     def time(self, nid: str) -> int:
-        return self._nodes[nid].t
+        return self._time[nid]
+
+    def times(self) -> Mapping[str, int]:
+        """Every node's time, as a read-only mapping."""
+        return MappingProxyType(self._time)
 
     def parent(self, nid: str) -> str | None:
-        return self._nodes[nid].parent
+        return self._parent[nid]
 
     def children(self, nid: str) -> tuple[str, ...]:
-        return self._nodes[nid].children
+        return self._children[nid]
 
     def is_leaf(self, nid: str) -> bool:
-        return not self._nodes[nid].children
+        return not self._children[nid]
 
     def preorder(self) -> tuple[str, ...]:
         return self._preorder
@@ -132,7 +157,7 @@ class EventTree:
         cur: str | None = nid
         while cur is not None:
             out.append(cur)
-            cur = self._nodes[cur].parent
+            cur = self._parent[cur]
         return tuple(reversed(out))
 
     def subtree(self, nid: str) -> Iterator[str]:
@@ -140,31 +165,31 @@ class EventTree:
         while stack:
             n = stack.pop()
             yield n
-            stack.extend(reversed(self._nodes[n].children))
+            stack.extend(reversed(self._children[n]))
 
     def subtree_leaves(self, nid: str) -> tuple[str, ...]:
         return tuple(n for n in self.subtree(nid) if self.is_leaf(n))
 
     def descendants_at(self, nid: str, t: int) -> tuple[str, ...]:
-        return tuple(n for n in self.subtree(nid) if self._nodes[n].t == t)
+        return tuple(n for n in self.subtree(nid) if self._time[n] == t)
 
     @property
     def parent_map(self) -> dict[str, str | None]:
-        return {n: self._nodes[n].parent for n in self._preorder}
+        return {n: self._parent[n] for n in self._preorder}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, EventTree) and self.parent_map == other.parent_map
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._time)
 
     def __contains__(self, nid: str) -> bool:
-        return nid in self._nodes
+        return nid in self._time
 
     def structure_problems(self) -> list[str]:
         """Invariant violations deferred from construction (uniform depth)."""
         problems = []
-        depths = {self._nodes[n].t for n in self.leaves}
+        depths = set(map(self._time.__getitem__, self.leaves))
         if len(depths) > 1:
             problems.append(
                 "non-uniform depth: leaves at times "
@@ -190,7 +215,7 @@ class StoppingTime:
         for a in self.tau_nodes:
             if a in tree:  # unknown nodes are reported by ``problems``
                 dead.update(tree.subtree_leaves(a))
-        return frozenset(set(tree.leaves) - dead)
+        return frozenset(tree.leaves).difference(dead)
 
     def problems(self, tree: EventTree) -> list[str]:
         out = []
@@ -278,10 +303,11 @@ class MarketSpec:
     ``dividend`` the dividend paid at the node (known there), ``payoff`` the
     liquidation value, defined exactly on the tau nodes.
 
-    ``validation``, ``derived``, ``level_prices`` and ``cash_events`` are
-    computed on first use and cached on the instance, so treat a spec, its
-    tree and its dicts as immutable: editing them afterwards leaves them
-    stale. Build a new spec instead.
+    ``validation``, ``derived``, ``stopped_price``, ``alive_horizon``,
+    ``level_prices`` and ``cash_events`` are computed on first use and
+    cached on the instance, so treat a spec, its tree and its dicts as
+    immutable: editing them afterwards leaves them stale. Build a new spec
+    instead.
     """
 
     tree: EventTree
@@ -326,6 +352,33 @@ class MarketSpec:
         return Derived(taumap, B, cum, W)
 
     @cached_property
+    def stopped_price(self) -> dict[str, float]:
+        """In preorder: the discounted price price / B while the asset
+        lives, and from the maturity node on the discounted liquidation
+        value payoff / B there."""
+        d = self.derived
+        order = self.tree.preorder()
+        out = dict(zip(order, map(
+            operator.truediv, map(self.price.__getitem__, order), map(d.B.__getitem__, order)
+        )))
+        matured = map(operator.is_not, d.taumap.values(), itertools.repeat(None))
+        for n in itertools.compress(d.taumap, matured):
+            a = d.taumap[n]
+            out[n] = self.payoff[a] / d.B[a]
+        return out
+
+    @cached_property
+    def alive_horizon(self) -> int:
+        """The last time at which some node comes before maturity (0 when
+        the root itself matures)."""
+        taumap = self.derived.taumap
+        for t in range(self.tree.horizon, -1, -1):
+            level = self.tree.level(t)
+            if any(map(operator.is_, map(taumap.__getitem__, level), itertools.repeat(None))):
+                return t
+        return 0
+
+    @cached_property
     def level_prices(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per time t, in ``tree.level(t)`` order: the discounted prices
         price / B and the account values B."""
@@ -368,7 +421,12 @@ def validate_market(spec: MarketSpec) -> ValidationReport:
     for msg in spec.tau.problems(tree):
         failures.append(ValidationFailure("tau", msg))
 
-    def check_nonneg(data: Mapping[str, float], label: str, domain: Iterable[str]):
+    def check_nonneg(data: Mapping[str, float], label: str, domain: Iterable[str], covered: bool):
+        # one C-level pass when ``covered`` (data at every domain node) and
+        # nothing is negative; a NaN minimum takes the per-node path, which
+        # lets NaN pass as before
+        if covered and min(data.values(), default=0.0) >= 0:
+            return
         missing = [n for n in domain if n not in data]
         if missing:
             failures.append(
@@ -384,9 +442,11 @@ def validate_market(spec: MarketSpec) -> ValidationReport:
                 )
             )
 
-    check_nonneg(spec.price, "price", tree.preorder())
-    check_nonneg(spec.dividend, "dividend", tree.preorder())
-    check_nonneg(spec.rates, "rate", tree.non_leaves())
+    nodes = tree.times().keys()
+    inner = tree.non_leaves()
+    check_nonneg(spec.price, "price", tree.preorder(), spec.price.keys() >= nodes)
+    check_nonneg(spec.dividend, "dividend", tree.preorder(), spec.dividend.keys() >= nodes)
+    check_nonneg(spec.rates, "rate", inner, all(map(spec.rates.__contains__, inner)))
 
     extra = sorted(set(spec.payoff) - spec.tau.tau_nodes)
     missing = sorted(spec.tau.tau_nodes - set(spec.payoff))

@@ -257,3 +257,64 @@ def test_analyze_bundle_consistency():
     for n in fx.spec.tree.preorder():
         assert rep.beta[n] == pytest.approx(W[n] - rep.W_star[n], abs=1e-12)
     assert rep.tau_kind == "bounded"
+
+
+def _classify_bubble_walks(spec, pricing, beta, actual, tol=1e-9):
+    """``classify_bubble`` as it walked every node on each call: the
+    stopped price, the last pre-maturity time and the existence scan."""
+    from bubbletree.ambiguity import classify_process, node_charged
+    from bubbletree.bubble import BubbleClassification
+    from bubbletree.lattice import discount_factors, tau_node_map
+
+    tree = spec.tree
+    B = discount_factors(spec).values
+    taumap = tau_node_map(spec)
+    price = {}
+    for n in tree.preorder():
+        a = taumap[n]
+        price[n] = spec.price[n] / B[n] if a is None else spec.payoff[a] / B[a]
+    alive = [tree.time(n) for n in tree.preorder() if taumap[n] is None]
+    horizon = max(alive) if alive else 0
+    bubble_class = classify_process(pricing, beta, T=horizon, tol=tol)
+    price_class = classify_process(pricing, price, T=horizon, tol=tol)
+    exists = False
+    for n, b in beta.values.items():
+        if b > tol and node_charged(actual if actual is not None else pricing, n):
+            exists = True
+            break
+    consistency = {"tau_kind": spec.tau_kind, "bubble_exists": exists}
+    if exists:
+        expected = "G_supermartingale" if spec.tau_kind == "bounded" else "infi_supermartingale"
+        consistency["expected_bubble_class"] = expected
+        consistency["expected_price_class"] = expected
+        consistency["bubble_class_ok"] = bubble_class.satisfies(expected)
+        consistency["price_class_ok"] = price_class.satisfies(expected)
+    no_dividends = all(abs(d) <= 1e-12 for d in spec.dividend.values())
+    sufficiency = {"applicable": no_dividends}
+    if no_dividends:
+        premise = price_class.satisfies("G_supermartingale") and not price_class.satisfies(
+            "G_martingale"
+        )
+        sufficiency["premise"] = premise
+        if premise:
+            sufficiency["ok"] = exists
+    consistency["sufficiency"] = sufficiency
+    return BubbleClassification(bubble_class, price_class, exists, consistency), price
+
+
+@pytest.mark.parametrize("gen", ["rand_market", "rand_claim_market"])
+def test_classify_bubble_matches_per_node_walks(gen):
+    from bubbletree.bubble import stopped_price_process
+
+    modes = ("bounded", "none", "random")
+    for seed in range(100):
+        kwargs = {"tau_mode": modes[seed % 3]} if gen == "rand_market" else {}
+        fx = getattr(fixtures, gen)(seed, depth=2 + seed % 3, branching=2 + seed % 2,
+                                    style=("neutral", "bumped", "free")[seed % 3], **kwargs)
+        beta = bubble_process(fx.spec, fx.family)
+        actual = None if seed % 4 == 0 else fx.family.with_role("actual")
+        for tol in (1e-9, 0.05):
+            expected, price = _classify_bubble_walks(fx.spec, fx.family, beta, actual, tol)
+            assert classify_bubble(fx.spec, fx.family, beta, actual, tol=tol) == expected
+            assert stopped_price_process(fx.spec).values == price
+            assert list(stopped_price_process(fx.spec).values) == list(price)

@@ -92,6 +92,18 @@ def test_malformed_field_exits_1_with_context(tmp_path, capsys, keys, value, con
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe not text", b"[" * 100_000 + b"]" * 100_000], ids=["binary", "deep"]
+)
+def test_undecodable_market_file_exits_1(tmp_path, capsys, content):
+    path = tmp_path / "bad.market"
+    path.write_bytes(content)
+    rc = main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"{path}: not valid JSON" in captured.err
+
+
 def test_unreadable_file_is_schema_error():
     with pytest.raises(MarketFileError, match="cannot read"):
         parse_market_file("does-not-exist.market")
@@ -318,17 +330,28 @@ def test_cli_text_output_end_to_end(capsys):
     assert "value: 0.4" in out
 
 
-def _market_doc(spec, family):
+def _market_doc(spec, family, pricing="same", vertices=False, explicit=False, quotes=False):
+    """A market file for ``spec`` with ``family`` as the actual block: as
+    boxes and vertex lists (every third node as its vertex list when
+    ``vertices``), or as an explicit family of two leaf measures when
+    ``explicit``. The pricing block is equal to it, the same with its nodes
+    listed in reverse (``"reordered"``), or absent. ``quotes`` adds market
+    prices. No block shares objects with another."""
     tree = spec.tree
-    transitions = {}
-    for n in tree.non_leaves():
-        ts = family.transitions[n]
-        if ts.is_box:
-            transitions[n] = {"lower": list(ts.lower), "upper": list(ts.upper)}
-        else:
-            transitions[n] = {"vertices": [list(v) for v in ts.vertices]}
-    fam_doc = {"type": "rectangular", "transitions": transitions}
-    return {
+    if explicit:
+        leaves = tree.leaves
+        fam_doc = {"type": "explicit",
+                   "measures": [{leaf: 1 / len(leaves) for leaf in leaves}, {leaves[0]: 1.0}]}
+    else:
+        transitions = {}
+        for i, n in enumerate(tree.non_leaves()):
+            ts = family.transitions[n]
+            if not ts.is_box or (vertices and i % 3 == 0):
+                transitions[n] = {"vertices": [list(v) for v in ts.vertex_list()]}
+            else:
+                transitions[n] = {"lower": list(ts.lower), "upper": list(ts.upper)}
+        fam_doc = {"type": "rectangular", "transitions": transitions}
+    doc = {
         "horizon": tree.horizon,
         "nodes": [
             {"id": n, "parent": tree.parent(n), "time": tree.time(n)}
@@ -340,8 +363,15 @@ def _market_doc(spec, family):
         "tau": {"nodes": sorted(spec.tau.tau_nodes), "kind": spec.tau_kind},
         "payoffs": dict(spec.payoff),
         "actual": fam_doc,
-        "pricing": fam_doc,
     }
+    if pricing == "same":
+        doc["pricing"] = fam_doc
+    elif pricing == "reordered" and not explicit:
+        doc["pricing"] = {"type": "rectangular",
+                          "transitions": dict(reversed(list(fam_doc["transitions"].items())))}
+    if quotes:
+        doc["market_prices"] = {"euro_call": {tree.root: 0.25, tree.leaves[0]: 1}}
+    return json.loads(json.dumps(doc))
 
 
 def test_tolerance_flag_propagates(tmp_path):
@@ -462,3 +492,73 @@ def test_each_command_validates_the_market_once(tmp_path, capsys, monkeypatch, a
     capsys.readouterr()
     assert rc == 0
     assert len(calls) == 1
+
+
+# -- option and payoff-file checks ----------------------------------------------
+
+@pytest.mark.parametrize(
+    "content, context",
+    [
+        ("[1.0, 2.0]", "must be a JSON object mapping node ids to numbers"),
+        ('{"r0": NaN, "r1": 1.0}', "['r0'] is not finite"),
+        ('{"r0": 1e400, "r1": 1.0}', "['r0'] is not finite"),
+        ('{"r0": true, "r1": 1.0}', "['r0'] is not a number"),
+        ('{"r0": "1", "r1": 1.0}', "['r0'] is not a number"),
+        ('{"r0": 1.0, "r9": 1.0}', "unknown nodes ['r9']"),
+        ('{"r": 1.0, "r0": 1.0, "r1": 1.0}', "payoffs sit at leaves, not at ['r']"),
+        ("{not json", "not valid JSON"),
+        ("[" * 100_000 + "]" * 100_000, "not valid JSON"),
+    ],
+    ids=["list", "nan", "overflow", "bool", "string", "unknown-node", "inner-node",
+         "not-json", "nested-too-deep"],
+)
+def test_bad_payoff_file_exits_1_with_context(tmp_path, capsys, content, context):
+    payoff = tmp_path / "payoff.json"
+    payoff.write_text(content)
+    rc = main(["hedge", "--payoff-file", str(payoff), data_file("ex1geom.market")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"payoff file {payoff}" in captured.err
+    assert context in captured.err
+    assert captured.out == ""
+
+
+def test_missing_payoff_file_exits_1(capsys):
+    rc = main(["hedge", "--payoff-file", "no-such-payoff.json", data_file("ex1geom.market")])
+    assert rc == 1
+    assert "cannot read payoff file no-such-payoff.json" in capsys.readouterr().err
+
+
+def test_integer_payoff_file_values_are_numbers(tmp_path, capsys):
+    payoff = tmp_path / "payoff.json"
+    payoff.write_text('{"r0": 3, "r1": 3.0}')
+    assert main(["--format", "machine", "hedge", "--payoff-file", str(payoff),
+                 data_file("ex1geom.market")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdicts"]["price"] == pytest.approx(3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--tolerance", "nan", "analyze"], "--tolerance"),
+        (["--tolerance", "-1", "analyze"], "--tolerance"),
+        (["--tolerance", "inf", "analyze"], "--tolerance"),
+        (["price", "--claim", "ecall", "--strike", "nan"], "--strike"),
+        (["price", "--claim", "ecall", "--strike=-1"], "--strike"),
+        (["hedge", "--claim", "ecall", "--strike", "inf"], "--strike"),
+    ],
+    ids=["tol-nan", "tol-negative", "tol-inf", "strike-nan", "strike-negative", "strike-inf"],
+)
+def test_bad_tolerance_or_strike_exits_1_naming_the_flag(capsys, argv, flag):
+    rc = main([*argv, data_file("ex1.market")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(f"error: {flag} must be a finite number >= 0")
+    assert captured.out == ""
+
+
+def test_zero_tolerance_and_strike_are_accepted(capsys):
+    assert main(["--tolerance", "0", "price", "--claim", "ecall", "--strike", "0",
+                 data_file("ex1geom.market")]) == 0
+    capsys.readouterr()

@@ -1,0 +1,387 @@
+"""Market-file parsing and machine-report writing against their references.
+
+* The ``--format machine`` writer is compared byte for byte with
+  ``json.dumps(report.as_dict(), sort_keys=True, indent=2)`` on random
+  reports.
+* ``parse_market_file`` is compared with the per-value parser in
+  ``reference_io`` on valid market documents and on random corruptions of
+  them: the same result, or a ``MarketFileError`` with the same text.
+* ``EventTree`` is compared with ``reference_io.ReferenceTree`` accessor by
+  accessor on random parent maps, broken ones included.
+
+Hypothesis runs derandomized with a fixed number of examples, so the suite
+is deterministic.
+"""
+import json
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import reference_io
+from test_cli import _market_doc as market_doc
+
+from bubbletree import fixtures
+from bubbletree.ambiguity import ExplicitFamily, RectangularFamily
+from bubbletree.cli import MarketFileError, Report, emit_report, parse_market_file
+from bubbletree.lattice import EventTree
+
+PROPERTY = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+
+
+# -- the machine writer --------------------------------------------------------
+
+def oracle(report: Report) -> str:
+    return json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
+
+
+EDGE_FLOATS = (
+    0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0000000001e-300,
+    9.99999999999e-301, 1e-5, 1e-4, 0.99999999999995, 99999999999.99, 1e11, 1e11 - 0.5,
+    999999999999.5, 999999999999.4, 1e12, 123456789012.5, 1e15, 1e16, 1.7976931348623157e308,
+    math.inf, -math.inf, math.nan,
+)
+floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(min_value=1e11, max_value=1e16),
+    st.integers(-(10**12), 10**12).map(float),
+    st.sampled_from(EDGE_FLOATS),
+)
+node_ids = st.one_of(
+    st.text(min_size=0, max_size=6),
+    st.text(alphabet="r0123", min_size=1, max_size=6),
+    st.sampled_from(("r", "r0", "r1", "é", "节点", "a\"b", "tab\t", "\\")),
+)
+scalars = st.one_of(floats, st.integers(-5, 5), st.booleans(), st.none(), node_ids)
+process_values = st.one_of(
+    floats, floats, floats, st.integers(-3, 10**20), st.booleans(), st.none(),
+    st.frozensets(st.integers(0, 9), max_size=3), st.lists(floats, max_size=3),
+)
+float_maps = st.dictionaries(node_ids, floats, max_size=12)
+mixed_maps = st.dictionaries(st.one_of(node_ids, st.integers(0, 3)), process_values, max_size=8)
+processes = st.dictionaries(
+    node_ids,
+    st.one_of(float_maps, float_maps, float_maps, mixed_maps, st.just({}), process_values),
+    max_size=6,
+)
+json_like = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(node_ids, inner, max_size=3),
+        st.frozensets(st.integers(0, 9), max_size=3),
+    ),
+    max_leaves=8,
+)
+reports = st.builds(
+    Report,
+    command=st.sampled_from(("analyze", "price", "hedge", "classify", "dominance")),
+    inputs=st.dictionaries(node_ids, json_like, max_size=4),
+    verdicts=st.dictionaries(node_ids, json_like, max_size=4),
+    processes=st.one_of(processes, processes, processes, st.just({})),
+    diagnostics=st.dictionaries(node_ids, json_like, max_size=4),
+    exit_status=st.integers(0, 3),
+)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(reports)
+def test_machine_writer_matches_json_dumps(report):
+    assert emit_report(report, "machine") == oracle(report)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.dictionaries(node_ids, st.dictionaries(node_ids, floats, min_size=1, max_size=40),
+                       min_size=1, max_size=4))
+def test_machine_writer_matches_json_dumps_on_float_processes(procs):
+    report = Report("analyze", {"file": "m.market"}, processes=procs)
+    assert emit_report(report, "machine") == oracle(report)
+
+
+def test_machine_writer_matches_json_dumps_on_cli_reports(tmp_path):
+    from bubbletree.cli import run_analysis
+
+    commands = (
+        ("analyze", {}), ("price", {"claim": "aput", "strike": 1.0}),
+        ("hedge", {"claim": "ecall", "strike": 0.9}), ("classify", {"process": "beta"}),
+        ("dominance", {}),
+    )
+    for seed in range(6):
+        fx = fixtures.rand_claim_market(seed, depth=3, branching=3, style="bumped")
+        path = tmp_path / f"m{seed}.market"
+        path.write_text(json.dumps(market_doc(fx.spec, fx.family)))
+        parsed = parse_market_file(str(path))
+        for command, options in commands:
+            report = run_analysis(command, parsed, {"tolerance": 1e-9, **options})
+            assert emit_report(report, "machine", parsed.spec.tree) == oracle(report)
+
+
+# -- the parser ------------------------------------------------------------------
+
+def _typed_values(values) -> list:
+    return [(type(v).__name__, v) for v in values]
+
+
+def _family_summary(family):
+    if family is None:
+        return None
+    if isinstance(family, RectangularFamily):
+        return ("rect", family.role, {
+            n: (ts.lower and _typed_values(ts.lower), ts.upper and _typed_values(ts.upper),
+                ts.vertices and [_typed_values(v) for v in ts.vertices])
+            for n, ts in family.transitions.items()
+        })
+    assert isinstance(family, ExplicitFamily)
+    return ("explicit", family.role, [{k: (type(v).__name__, v) for k, v in q.items()}
+                                      for q in family.measures])
+
+
+def summary(parse, path: str):
+    """What a parser returns for ``path``, with value types, or the type
+    and text of what it raises."""
+    try:
+        m = parse(path)
+    except Exception as exc:  # compared, not swallowed: both must match
+        return ("raised", type(exc).__name__, str(exc))
+    spec = m.spec
+    return (
+        "parsed", spec.tree.parent_map, spec.tree.preorder(),
+        {k: (type(v).__name__, v) for k, v in spec.rates.items()},
+        {k: (type(v).__name__, v) for k, v in spec.price.items()},
+        {k: (type(v).__name__, v) for k, v in spec.dividend.items()},
+        {k: (type(v).__name__, v) for k, v in spec.payoff.items()},
+        spec.tau, spec.tau_kind,
+        _family_summary(m.actual), _family_summary(m.pricing),
+        {k: {n: (type(v).__name__, v) for n, v in q.items()} for k, q in m.market_prices.items()},
+    )
+
+
+def _sites(value, path=()):
+    """Every (path, value) in a parsed JSON document."""
+    yield path, value
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _sites(v, path + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _sites(v, path + (i,))
+
+
+def _box_blocks(doc):
+    for key in ("actual", "pricing"):
+        fam = doc.get(key, {})
+        for nid, block in fam.get("transitions", {}).items():
+            if "lower" in block:
+                yield key, nid, block
+
+
+REPLACEMENTS = (True, False, "0.5", None, math.nan, math.inf, -math.inf, 10**400, -(10**400),
+                [], {}, 0, 1, -0.0, -1.0, 2, 0.5)
+
+
+def corrupt(doc, data) -> str:
+    """Apply one drawn corruption to ``doc`` in place and describe it."""
+    kind = data.draw(st.sampled_from(
+        ("value", "value", "value", "box", "box", "delete", "pricing", "node")), "kind")
+    if kind in ("box", "pricing"):
+        blocks = list(_box_blocks(doc))
+        if kind == "pricing":
+            blocks = [b for b in blocks if b[0] == "pricing"]
+        if blocks:
+            where, nid, block = data.draw(st.sampled_from(blocks), "block")
+            how = data.draw(st.sampled_from(
+                ("negative", "crossed", "over", "under", "bool", "int", "negzero", "short")), "how")
+            lo, hi = block["lower"], block["upper"]
+            i = data.draw(st.integers(0, len(lo) - 1), "index")
+            if how == "negative":
+                lo[i] = -data.draw(st.sampled_from((1e-13, 1e-9, 0.25)), "size")
+            elif how == "crossed":
+                lo[i], hi[i] = hi[i] + 1e-12, lo[i]
+            elif how == "over":
+                lo[i] += 1.0 - sum(lo) + data.draw(st.sampled_from((0.0, 1e-13, 1e-11, 0.1)), "by")
+            elif how == "under":
+                hi[i] -= sum(hi) - 1.0 + data.draw(st.sampled_from((0.0, 1e-13, 1e-11, 0.1)), "by")
+            elif how == "bool":
+                (lo if data.draw(st.booleans(), "side") else hi)[i] = bool(round(lo[i]))
+            elif how == "int":
+                lo[i], hi[i] = int(lo[i] >= 0.5), 1
+            elif how == "negzero":
+                lo[i] = -0.0
+            else:
+                del hi[i]
+            return f"{kind} {how} {where}[{nid}][{i}]"
+    if kind == "node":
+        entries = doc["nodes"]
+        i = data.draw(st.integers(0, len(entries) - 1), "entry")
+        how = data.draw(st.sampled_from(("dup", "time", "float-time", "no-time", "int-id", "parent")), "how")
+        if how == "dup":
+            entries[i]["id"] = entries[(i + 1) % len(entries)]["id"]
+        elif how == "time":
+            entries[i]["time"] += 1
+        elif how == "float-time":
+            entries[i]["time"] = float(entries[i]["time"]) + data.draw(st.sampled_from((0.0, 0.5)), "frac")
+        elif how == "no-time":
+            del entries[i]["time"]
+        elif how == "int-id":
+            entries[i]["id"] = 7
+        else:
+            entries[i]["parent"] = "nowhere"
+        return f"node {how} {i}"
+    sites = [(p, v) for p, v in _sites(doc) if p]
+    if kind == "delete":
+        path, _ = data.draw(st.sampled_from(sites), "site")
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        del parent[path[-1]]
+        return f"delete {path}"
+    numbers = [(p, v) for p, v in sites if type(v) in (int, float)]
+    path, _ = data.draw(st.sampled_from(numbers), "site")
+    new = data.draw(st.sampled_from(REPLACEMENTS), "replacement")
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = new
+    return f"value {path} -> {new!r}"
+
+
+def _write(path, doc) -> None:
+    # json spells inf "Infinity"; a market file may spell it 1e400
+    path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+
+
+def _fixture(seed: int):
+    gen = fixtures.rand_claim_market if seed % 2 else fixtures.rand_market
+    style = ("neutral", "bumped", "free")[seed % 3]
+    return gen(seed, depth=2 + seed % 2, branching=2 + seed % 3, style=style)
+
+
+@settings(PROPERTY, max_examples=400)
+@given(st.data())
+def test_parser_matches_per_value_reference_on_corruptions(tmp_path_factory, data):
+    seed = data.draw(st.integers(0, 40), "seed")
+    shape = data.draw(st.sampled_from(
+        ("same", "same", "reordered", "absent", "vertices", "explicit", "quotes")), "shape")
+    fx = _fixture(seed)
+    doc = market_doc(
+        fx.spec, fx.family,
+        pricing="absent" if shape == "absent" else "reordered" if shape == "reordered" else "same",
+        vertices=shape == "vertices", explicit=shape == "explicit", quotes=shape == "quotes",
+    )
+    what = corrupt(doc, data)
+    path = tmp_path_factory.mktemp("corrupt") / "m.market"
+    _write(path, doc)
+    expected = summary(reference_io.parse_market_file, str(path))
+    assert summary(parse_market_file, str(path)) == expected, what
+
+
+@pytest.mark.parametrize("gen", ["rand_market", "rand_claim_market"])
+def test_valid_docs_parse_to_equal_specs_and_families(tmp_path, gen):
+    for seed in range(40):
+        fx = getattr(fixtures, gen)(seed, depth=2 + seed % 3, branching=2 + seed % 3,
+                                    style=("neutral", "bumped", "free")[seed % 3])
+        shape = ("same", "reordered", "absent", "vertices")[seed % 4]
+        doc = market_doc(fx.spec, fx.family, pricing="absent" if shape == "absent" else
+                         "reordered" if shape == "reordered" else "same",
+                         vertices=shape == "vertices")
+        path = tmp_path / f"{gen}-{seed}.market"
+        _write(path, doc)
+        parsed = parse_market_file(str(path))
+        assert summary(parse_market_file, str(path)) == summary(reference_io.parse_market_file,
+                                                                  str(path))
+        spec = parsed.spec
+        assert spec.tree == fx.spec.tree
+        assert (spec.rates, spec.price, spec.dividend, spec.payoff) == (
+            fx.spec.rates, fx.spec.price, fx.spec.dividend, fx.spec.payoff)
+        assert (spec.tau, spec.tau_kind) == (fx.spec.tau, fx.spec.tau_kind)
+        assert spec.validation == fx.spec.validation
+        if shape != "vertices":
+            assert parsed.actual == fx.family.with_role("actual")
+        if shape in ("same", "reordered"):
+            assert parsed.pricing == fx.family.with_role("pricing")
+        else:
+            assert (parsed.pricing is None) == (shape == "absent")
+
+
+def test_equal_pricing_block_is_parsed_once(tmp_path, monkeypatch):
+    import bubbletree.cli as cli
+
+    fx = fixtures.rand_claim_market(3, depth=3, branching=3, style="bumped")
+    calls = []
+    original = cli._parse_family
+    monkeypatch.setattr(cli, "_parse_family", lambda doc, *a: calls.append(a[1]) or original(doc, *a))
+    root = fx.spec.tree.root
+    for shape in ("same", "reordered", "other"):  # node order is no part of a family
+        calls.clear()
+        doc = market_doc(fx.spec, fx.family, pricing="reordered" if shape == "reordered" else "same")
+        if shape == "other":
+            doc["pricing"]["transitions"][root]["lower"] = [0.0] * len(fx.spec.tree.children(root))
+        path = tmp_path / f"{shape}.market"
+        _write(path, doc)
+        parsed = cli.parse_market_file(str(path))
+        assert len(calls) == (2 if shape == "other" else 1), shape
+        assert (parsed.pricing == parsed.actual.with_role("pricing")) == (shape != "other")
+        assert (parsed.actual.role, parsed.pricing.role) == ("actual", "pricing")
+
+
+def test_bool_in_equal_pricing_block_is_still_rejected(tmp_path):
+    fx = fixtures.fiat(2)
+    doc = market_doc(fx.spec, fx.family)
+    doc["pricing"]["transitions"]["r"]["upper"] = [True, 1.0]  # == [1.0, 1.0]
+    assert doc["pricing"] == doc["actual"]
+    path = tmp_path / "bool.market"
+    _write(path, doc)
+    with pytest.raises(MarketFileError, match=r"pricing\.transitions\['r'\]\.upper\[0\] is not a number"):
+        parse_market_file(str(path))
+
+
+# -- the event tree ----------------------------------------------------------------
+
+@st.composite
+def parent_maps(draw):
+    n = draw(st.integers(1, 40))
+    ids = draw(st.lists(st.text(alphabet="abcxyz01", min_size=1, max_size=4),
+                        min_size=n, max_size=n, unique=True))
+    parents = {ids[0]: None}
+    for i in range(1, n):
+        parents[ids[i]] = ids[draw(st.integers(0, i - 1))]
+    order = draw(st.permutations(ids))
+    parents = {k: parents[k] for k in order}
+    flaw = draw(st.sampled_from((None, None, None, "unknown", "roots", "cycle", "empty")))
+    if flaw == "unknown":
+        parents[draw(st.sampled_from(ids))] = "nowhere"
+    elif flaw == "roots" and n > 1:
+        parents[draw(st.sampled_from(ids[1:]))] = None
+    elif flaw == "cycle" and n > 2:
+        a, b = draw(st.sampled_from(ids[1:])), draw(st.sampled_from(ids[1:]))
+        parents[a], parents[b] = b, a
+    elif flaw == "empty":
+        parents = {}
+    return parents
+
+
+def _tree_view(make, parents):
+    try:
+        tree = make(parents)
+    except ValueError as exc:
+        return ("raised", str(exc))
+    nodes = tree.preorder()
+    return (
+        tree.root, tree.leaves, tree.horizon, nodes, tree.non_leaves(), len(tree),
+        tree.parent_map, [tree.level(t) for t in range(tree.horizon + 2)],
+        [(tree.node(n), tree.time(n), tree.parent(n), tree.children(n), tree.is_leaf(n),
+          tree.position(n), tree.path(n), tuple(tree.subtree(n))) for n in nodes],
+    )
+
+
+@settings(PROPERTY, max_examples=200)
+@given(parent_maps())
+def test_event_tree_matches_node_record_reference(parents):
+    assert _tree_view(EventTree, parents) == _tree_view(reference_io.ReferenceTree, parents)
