@@ -3,7 +3,7 @@
 Two representations of a set of probability measures on the tree's leaves:
 
 * ``RectangularFamily`` — a transition set per non-leaf node (a probability
-  box over the children, or an explicit vertex list). The induced upper
+  box over the children, a vertex list or a supermartingale cut). The upper
   expectation is computed by backward recursion and is dynamically consistent
   (tower property), which is what makes one-step supermartingale checks
   equivalent to multi-step ones.
@@ -27,6 +27,8 @@ import numpy as np
 from .lattice import AdaptedProcess, EventTree
 
 CHARGE_TOL = 1e-12
+# a one-step wealth change at most this large counts as zero
+_STEP_TOL = 1e-12
 
 # Levels at least this many nodes wide step their box nodes in numpy;
 # narrower ones call ``TransitionSet.maximize`` node by node. The two paths
@@ -58,17 +60,18 @@ def _dot(weights: Sequence[float], values: Sequence[float]) -> float:
 
 @dataclass(frozen=True, slots=True)
 class TransitionSet:
-    """One node's set of transition probabilities over its children.
-
-    Either a box ``lower <= p <= upper`` intersected with the simplex, or an
-    explicit finite list of probability vectors. Box extrema have a closed
-    form: fill mass greedily toward the best children, ties resolved in child
-    order so results are deterministic.
+    """One node's set of transition probabilities over its children: a box
+    ``lower <= p <= upper`` intersected with the simplex, an explicit finite
+    list of probability vectors, or the supermartingale cut sum p_c (W_c -
+    W_n) <= 0, as ``cut = (W_n, W_c...)`` with None at a child without mass.
+    Box extrema have a closed form: fill mass greedily toward the best
+    children, ties resolved in child order so results are deterministic.
     """
 
     lower: tuple[float, ...] | None = None
     upper: tuple[float, ...] | None = None
     vertices: tuple[tuple[float, ...], ...] | None = None
+    cut: tuple[float, ...] | None = None
 
     @classmethod
     def box(cls, lower: Sequence[float], upper: Sequence[float]) -> "TransitionSet":
@@ -85,19 +88,19 @@ class TransitionSet:
 
     @property
     def is_box(self) -> bool:
-        return self.vertices is None
+        return self.vertices is None and self.cut is None
 
     def arity(self) -> int:
         if self.vertices is not None:
             return len(self.vertices[0]) if self.vertices else 0
-        return len(self.lower)
+        return len(self.lower) if self.cut is None else len(self.cut) - 1
 
     def problems(self, k: int) -> list[str]:
         out = []
-        if self.vertices is not None:
-            if not self.vertices:
+        if self.vertices is not None or self.cut is not None:
+            if not self.vertex_list():
                 out.append("empty vertex list")
-            for v in self.vertices:
+            for v in self.vertex_list():
                 if len(v) != k:
                     out.append(f"vertex arity {len(v)} != {k}")
                 elif min(v) < -CHARGE_TOL or abs(sum(v) - 1.0) > 1e-9:
@@ -115,8 +118,18 @@ class TransitionSet:
             out.append("box does not intersect the probability simplex")
         return out
 
+    def _cut(self) -> "_CutArrays":
+        """The cut as arrays of a one-step tree: child i is node i + 1."""
+        wn, wc = np.full(len(self.cut), self.cut[0]), np.array([None, *self.cut[1:]], float)
+        return _cut_arrays(np.minimum(np.arange(len(self.cut)), 1) - 1, wn, wc)
+
     def maximize(self, values: Sequence[float]) -> tuple[float, tuple[float, ...]]:
         """Max of sum(p * values) over the set, with an attaining vector."""
+        if self.cut is not None:  # the first best vertex, picked in closed form
+            cut = self._cut()
+            _, pick = _cut_step(cut, 0, 1, np.array([0.0, *values]), pick=True)
+            (w,) = _vertices(cut, pick, [1], [len(self.cut)])
+            return _dot(w, values), w
         if self.vertices is not None:
             best_val = None
             best_w = None
@@ -136,15 +149,11 @@ class TransitionSet:
             rem -= add
         return _dot(p, values), tuple(p)
 
-    def minimize(self, values: Sequence[float]) -> tuple[float, tuple[float, ...]]:
-        val, w = self.maximize([-v for v in values])
-        return -val, w
-
     def support(self) -> tuple[bool, ...]:
         """Which children can receive positive mass."""
-        if self.vertices is not None:
-            k = self.arity()
-            return tuple(any(v[i] > CHARGE_TOL for v in self.vertices) for i in range(k))
+        if self.vertices is not None or self.cut is not None:
+            k, vertices = self.arity(), self.vertex_list()
+            return tuple(any(v[i] > CHARGE_TOL for v in vertices) for i in range(k))
         return tuple(u > CHARGE_TOL for u in self.upper)
 
     def vertex_list(self, cap: int = 4096) -> tuple[tuple[float, ...], ...]:
@@ -152,6 +161,9 @@ class TransitionSet:
         orderings (every vertex maximizes some linear functional)."""
         if self.vertices is not None:
             return self.vertices
+        if self.cut is not None:
+            cut = self._cut()
+            return tuple(_vertices(cut, ..., [1] * len(cut.a), [len(self.cut)] * len(cut.a)))
         k = len(self.lower)
         if prod(range(1, k + 1)) > cap:
             raise CapExceededError(f"vertex enumeration over {k} children exceeds cap")
@@ -186,6 +198,70 @@ class _BoxArrays(NamedTuple):
     rem: np.ndarray  # 1 - sum(lower), per row
 
 
+class _CutArrays(NamedTuple):
+    """Node g's vertices, in ``vertex_list`` order, are ``start[g]:start[g + 1]``;
+    vertex i puts ``wa[i]`` on node ``a[i]``, ``wb[i]`` on node ``b[i] >= a[i]``."""
+
+    start: np.ndarray
+    a: np.ndarray
+    wa: np.ndarray
+    b: np.ndarray
+    wb: np.ndarray
+
+
+def _cut_arrays(parent: np.ndarray, wn: np.ndarray, wc: np.ndarray) -> _CutArrays:
+    """Every cut's vertices at once, bitwise as for one cut: a unit vector at each
+    child not above W_n + _STEP_TOL, then for each child above, its mixture with
+    W_n from each child below W_n - _STEP_TOL. Node g (the root: 0) has parent
+    ``parent[g]``, W_n ``wn[g]`` (NaN: no cut), wealth ``wc[g]`` (NaN: no mass)."""
+    n = len(wn)
+    w0 = wn[parent]  # each node's parent's W_n
+    w0[0] = np.nan
+    unit = np.flatnonzero(wc <= w0 + _STEP_TOL)
+    above = np.flatnonzero(wc > w0 + _STEP_TOL)
+    below = np.flatnonzero(wc < w0 - _STEP_TOL)
+    nb = np.bincount(parent[below], minlength=n)
+    first, nb = (np.cumsum(nb) - nb)[parent[above]], nb[parent[above]]  # their partners in below
+    i = np.repeat(above, nb)
+    j = below[np.repeat(first - np.cumsum(nb) + nb, nb) + np.arange(nb.sum())]  # nb from first
+    lam = (wn[parent[i]] - wc[j]) / (wc[i] - wc[j])
+    order = np.argsort(np.concatenate((parent[unit], parent[i])), kind="stable")
+    a, b = (np.concatenate((unit, f(i, j)))[order] for f in (np.minimum, np.maximum))
+    wa, wb = (np.concatenate((np.full(len(unit), u), np.where(i < j, x, y)))[order]
+              for u, x, y in ((1.0, lam, 1.0 - lam), (0.0, 1.0 - lam, lam)))
+    start = np.zeros(n + 1, np.intp)
+    np.cumsum(np.bincount(parent[a], minlength=n), out=start[1:])
+    return _CutArrays(start, a, wa, b, wb)
+
+
+def _vertices(cuts: _CutArrays, picks, first, last) -> list[tuple[float, ...]]:
+    """Vertices ``picks`` as ``vertex_list`` tuples; the i-th one's node has
+    the children ``first[i]:last[i]``."""
+    rows = zip(first, last, *(x[picks].tolist() for x in cuts[1:]))
+    return [tuple({b: wb, a: wa}.get(c, 0.0) for c in range(i, j)) for i, j, a, wa, b, wb in rows]
+
+
+class CutSets(Mapping):
+    """A family's cuts as each node's W_n (``wn``) and wealth in its parent's cut
+    (``wc``, NaN: no mass), in ``tree.level_order``; sets are made on access."""
+
+    def __init__(self, tree: EventTree, wn: np.ndarray, wc: np.ndarray):
+        self.tree, self.wn, self.wc = tree, wn, wc
+
+    def __getitem__(self, n: str) -> TransitionSet:
+        g = self.tree.position(n) + self.tree.level_starts[self.tree.time(n)]  # KeyError off it
+        if not self.tree.children(n):
+            raise KeyError(n)
+        kids = self.wc[self.tree.child_offsets[g] : self.tree.child_offsets[g + 1]].tolist()
+        return TransitionSet(cut=(self.wn[g].item(), *(None if w != w else w for w in kids)))
+
+    def __iter__(self):
+        return iter(self.tree.non_leaves())
+
+    def __len__(self) -> int:
+        return len(self.tree.non_leaves())
+
+
 class _Level(NamedTuple):
     """One time slice of a compiled rectangular family. The children of the
     level's i-th node are the next level's ``offsets[i]:offsets[i + 1]``
@@ -193,15 +269,20 @@ class _Level(NamedTuple):
 
     nodes: tuple[str, ...]  # ``tree.level(t)``
     offsets: tuple[int, ...]
-    sets: tuple[TransitionSet | None, ...]  # None: a leaf or a missing set
+    sets: tuple[TransitionSet | None, ...]  # None: a leaf or a missing set; () with ``cut``
     box: _BoxArrays | None  # on wide levels of boxes only
+    cut: _CutArrays | None  # the family's ``cuts`` at the level, if it has them
 
 
-def _compile_level(tree: EventTree, nodes: tuple[str, ...], transitions) -> _Level:
-    offsets = [0]
-    for n in nodes:
-        offsets.append(offsets[-1] + len(tree.children(n)))
-    sets = tuple(transitions.get(n) if tree.children(n) else None for n in nodes)
+def _compile_level(family: RectangularFamily, t: int) -> _Level:
+    tree, nodes = family.tree, family.tree.level(t)
+    g, h = tree.level_starts[t : t + 2]
+    offsets = tuple((tree.child_offsets[g : h + 1] - tree.child_offsets[g]).tolist())
+    if family.cuts is not None:  # the level's cuts, with nodes numbered from h
+        c, (s, e) = family.cuts, family.cuts.start[[g, h]]
+        cut = _CutArrays(c.start[g : h + 1] - s, c.a[s:e] - h, c.wa[s:e], c.b[s:e] - h, c.wb[s:e])
+        return _Level(nodes, offsets, (), None, cut)
+    sets = tuple(family.transitions.get(n) if tree.children(n) else None for n in nodes)
     k = max(b - a for a, b in zip(offsets, offsets[1:]))
     if (
         len(nodes) < _KERNEL_MIN_WIDTH
@@ -209,7 +290,7 @@ def _compile_level(tree: EventTree, nodes: tuple[str, ...], transitions) -> _Lev
         or not all(ts.is_box for ts in sets)
         or len(nodes) * k > _MAX_PAD_RATIO * offsets[-1]
     ):
-        return _Level(nodes, tuple(offsets), sets, None)
+        return _Level(nodes, offsets, sets, None, None)
     kids = np.full((len(nodes), k), _PAD, dtype=np.intp)
     lower = np.zeros((len(nodes), k))
     cap = np.zeros((len(nodes), k))
@@ -220,7 +301,7 @@ def _compile_level(tree: EventTree, nodes: tuple[str, ...], transitions) -> _Lev
         lower[i, : b - a] = ts.lower
         cap[i, : b - a] = [u - l for l, u in zip(ts.lower, ts.upper)]
         rem[i] = 1.0 - sum(ts.lower)  # the operations of ``maximize``
-    return _Level(nodes, tuple(offsets), sets, _BoxArrays(kids, lower, cap, rem))
+    return _Level(nodes, offsets, sets, _BoxArrays(kids, lower, cap, rem), None)
 
 
 @dataclass(frozen=True)
@@ -230,12 +311,11 @@ class RectangularFamily:
     Every backward recursion over the family (sweeps, conditional
     expectations, argmax measures, the American DP, one-step classification)
     runs on ``levels``, the family compiled once into per-level arrays: one
-    numpy step per level of at least ``_KERNEL_MIN_WIDTH`` nodes that are
-    all boxes, and ``TransitionSet.maximize`` per node on narrower levels
-    and on levels with a vertex-set node, with bitwise equal results.
-    ``charged`` and ``levels`` are computed on first use and cached on the
-    instance, so treat a family, its tree and its transition map as
-    immutable.
+    numpy step per level of ``cuts`` (a ``CutSets`` map as arrays) or of at
+    least ``_KERNEL_MIN_WIDTH`` boxes, and ``TransitionSet.maximize`` per
+    node on other levels, with bitwise equal results. ``charged`` and
+    ``levels`` are computed on first use and cached, so treat a family, its
+    tree and its transition map as immutable.
     """
 
     tree: EventTree
@@ -246,24 +326,37 @@ class RectangularFamily:
         return RectangularFamily(self.tree, self.transitions, role)
 
     @cached_property
+    def cuts(self) -> _CutArrays | None:
+        """The vertices of a ``CutSets`` map's cuts as arrays; None for others."""
+        t = self.transitions
+        return _cut_arrays(self.tree.parent_index, t.wn, t.wc) if isinstance(t, CutSets) else None
+
+    @cached_property
     def levels(self) -> tuple[_Level, ...]:
         """The family compiled for backward recursion: one ``_Level`` per
         time 0 .. horizon - 1, in ``tree.level`` order."""
-        tree = self.tree
-        return tuple(
-            _compile_level(tree, tree.level(t), self.transitions) for t in range(tree.horizon)
-        )
+        return tuple(_compile_level(self, t) for t in range(self.tree.horizon))
+
+    @cached_property
+    def charged_mask(self) -> np.ndarray:
+        """``charged`` in ``tree.level_order``, one level at a time."""
+        tree, c = self.tree, self.cuts
+        mask = np.zeros(len(tree), bool)
+        if c is not None:  # a vertex's weight above CHARGE_TOL
+            mask[c.a[c.wa > CHARGE_TOL]] = mask[c.b[c.wb > CHARGE_TOL]] = True
+        else:  # a box's support is upper > CHARGE_TOL; children follow their parents
+            sets = map(self.transitions.__getitem__, filter(tree.children, tree.level_order))
+            support = [x for t in sets for x in (t.upper if t.is_box else t.support())]
+            mask[1:] = np.array(support, float) > CHARGE_TOL
+        mask[0] = True
+        for a, b in zip(tree.level_starts[1:], tree.level_starts[2:]):
+            mask[a:b] &= mask[tree.parent_index[a:b]]
+        return mask
 
     @cached_property
     def charged(self) -> frozenset[str]:
         """Nodes on whose path every step is in its transition set's support."""
-        tree = self.tree
-        out = {tree.root}
-        for n in tree.non_leaves():  # preorder: parents before children
-            if n in out:
-                support = self.transitions[n].support()
-                out.update(c for c, s in zip(tree.children(n), support) if s)
-        return frozenset(out)
+        return frozenset(itertools.compress(self.tree.level_order, self.charged_mask.tolist()))
 
 
 @dataclass(frozen=True)
@@ -351,7 +444,7 @@ def check_full_support(family: MeasureFamily) -> bool:
 
 
 def _target_time(tree: EventTree, values: Mapping[str, float], node: str) -> int:
-    times = {tree.time(k) for k in values}
+    times = set(map(tree.times().__getitem__, values))
     if len(times) != 1:
         raise ValueError("values must all sit at a single time slice")
     (t,) = times
@@ -400,19 +493,36 @@ def _box_step(box: _BoxArrays, lo: int, hi: int, base: int, vals) -> tuple[np.nd
     return total, w
 
 
-def _wide(level: _Level, lo: int, hi: int) -> bool:
-    return level.box is not None and hi - lo >= _KERNEL_MIN_WIDTH
+def _cut_step(cuts: _CutArrays, lo: int, hi: int, x: np.ndarray, shift: int = 0, pick=False):
+    """``maximize`` at nodes ``lo:hi`` (each with a vertex) of values ``x[g - shift]``:
+    each vertex's terms summed from 0.0 in child order; ``pick``: the first best."""
+    start = cuts.start[lo : hi + 1]
+    s, e = start[0], start[-1]
+    a, b = (cuts.a[s:e] - shift, cuts.b[s:e] - shift) if shift else (cuts.a[s:e], cuts.b[s:e])
+    val = (0.0 + cuts.wa[s:e] * x[a]) + cuts.wb[s:e] * x[b]
+    seg = start[:-1] - s if s else start[:-1]
+    best = np.maximum.reduceat(val, seg)
+    if not pick:
+        return best
+    hit = val == np.repeat(best, start[1:] - start[:-1])
+    return best, np.minimum.reduceat(np.where(hit, np.arange(s, e), e), seg)
 
 
 def _step(level: _Level, lo: int, hi: int, vals, weights: list | None = None):
     """Upper one-step expectation at the level's nodes ``lo:hi``. ``vals``
-    holds the values of exactly their children, in level order. Wide box
-    levels run through ``_box_step`` and return an array; the rest call
+    holds the values of exactly their children, in level order. Cut and
+    wide box levels run in numpy and return an array; the rest call
     ``maximize`` per node and return a list. ``weights``, when given, is
     extended by each node's maximizer."""
     off, sets = level.offsets, level.sets
     base = off[lo]
-    if _wide(level, lo, hi):
+    if level.cut is not None:
+        if weights is None:
+            return _cut_step(level.cut, lo, hi, np.asarray(vals, float), base)
+        out, pick = _cut_step(level.cut, lo, hi, np.asarray(vals, float), base, pick=True)
+        weights.extend(_vertices(level.cut, pick, off[lo:hi], off[lo + 1 : hi + 1]))
+        return out
+    if level.box is not None and hi - lo >= _KERNEL_MIN_WIDTH:
         out, w = _box_step(level.box, lo, hi, base, vals)
         if weights is not None:
             weights.extend(
@@ -555,7 +665,7 @@ def expectation_sweep(
     if not isinstance(family, RectangularFamily):
         raise TypeError("expectation_sweep needs a rectangular family")
     tree = family.tree
-    times = {tree.time(k) for k in values}
+    times = set(map(tree.times().__getitem__, values))
     if len(times) != 1:
         raise ValueError("values must all sit at a single time slice")
     (target_t,) = times
@@ -630,53 +740,36 @@ class Classification:
     def satisfies(self, cls: str) -> bool:
         return CLASS_ORDER.index(self.strongest) >= CLASS_ORDER.index(cls)
 
-    @property
-    def worst_slack(self) -> float:
-        if self.strongest == "G_martingale":
-            return self.martingale_gap
-        if self.strongest == "G_supermartingale":
-            return -min(self.supermartingale_slack, 0.0)
-        return -min(self.infi_slack, 0.0)
-
 
 def _one_step_bounds(
     family: RectangularFamily, process: Mapping[str, float], T: int
 ) -> dict[str, tuple[float, float, float]]:
-    """(value, upper, lower) one-step expectations at each charged node
-    before ``T`` whose children all carry a value, in preorder. Each run of
-    a level's nodes that have a transition set is one ``_step`` of the
-    values and one of their negation; a missing child reads 0.0 and its
-    parent is dropped."""
-    charged = family.charged
-    found: dict[str, tuple[float, float, float]] = {}
-    for t, level in enumerate(family.levels[: max(T, 0)]):
-        nodes, off = level.nodes, level.offsets
-        kids = family.tree.level(t + 1)
-        have = [c in process for c in kids]
-        keep = [
-            off[i] < off[i + 1] and n in process and n in charged
-            and all(have[off[i] : off[i + 1]])
-            for i, n in enumerate(nodes)
-        ]
-        if not any(keep):
-            continue
-        vals = [process[c] if h else 0.0 for c, h in zip(kids, have)]
-        neg = [-v for v in vals]
-        runs = itertools.groupby(range(len(nodes)), key=lambda i: level.sets[i] is not None)
-        for has_set, run in runs:
-            if not has_set:
-                continue
-            run = list(run)
-            lo, hi = run[0], run[-1] + 1
-            a, b = off[lo], off[hi]
-            up = np.asarray(_step(level, lo, hi, vals[a:b])).tolist()
-            low = np.asarray(_step(level, lo, hi, neg[a:b])).tolist()
-            found.update(
-                (nodes[i], (process[nodes[i]], up[i - lo], -low[i - lo]))
-                for i in run
-                if keep[i]
-            )
-    return {n: found[n] for n in family.tree.non_leaves() if n in found}
+    """(value, upper, lower) one-step expectations at each charged node before ``T``
+    whose children all carry a value, in preorder: for cuts one ``_cut_step`` per
+    bound over the whole tree, else one ``_step`` per run of a level's nodes."""
+    tree = family.tree
+    order, n, off = tree.level_order, len(tree.level_order), tree.child_offsets
+    end = tree.level_starts[max(0, min(T, tree.horizon))]  # the inner nodes before T
+    have = np.fromiter(map(process.__contains__, order), bool, n)
+    x = np.fromiter(map(process.get, order, itertools.repeat(0.0)), float, n)
+    keep = (off[1:] > off[:-1]) & have & family.charged_mask
+    keep &= np.bincount(tree.parent_index[1:], ~have[1:], minlength=n) == 0
+    keep[end:] = False
+    if family.cuts is not None:
+        up, low = _cut_step(family.cuts, 0, end, x), _cut_step(family.cuts, 0, end, -x)
+    else:
+        up, low = np.full(n, np.nan), np.full(n, np.nan)
+        for level, g, h in zip(family.levels[:max(T, 0)], tree.level_starts, tree.level_starts[1:]):
+            runs = itertools.groupby(range(len(level.sets)), lambda i: level.sets[i] is not None)
+            for has_set, run in runs:
+                lo, hi = (run := list(run))[0], run[-1] + 1
+                rows, vals = slice(g + lo, g + hi), x[h + level.offsets[lo] : h + level.offsets[hi]]
+                if has_set:
+                    up[rows], low[rows] = _step(level, lo, hi, vals), _step(level, lo, hi, -vals)
+    sel = tree.preorder_index[keep[tree.preorder_index]]
+    nodes = [order[g] for g in sel.tolist()]
+    bounds = zip(map(process.__getitem__, nodes), up[sel].tolist(), (-low[sel]).tolist())
+    return dict(zip(nodes, bounds))
 
 
 def classify_process(

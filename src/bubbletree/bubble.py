@@ -34,7 +34,7 @@ from .lattice import (
     tau_node_map,
     wealth_process,
 )
-from .noarb import FtapReport, HedgeSolution, superhedge, verify_ftap
+from .noarb import FtapReport, HedgeSolution, find_arbitrage, superhedge
 
 
 def _conditional_value_process(spec: MarketSpec, pricing: MeasureFamily) -> dict[str, float]:
@@ -224,18 +224,16 @@ def check_bubble_properties(
     """
     require_valid(spec)
     tree = spec.tree
-    if beta is None:
-        beta = bubble_process(spec, pricing)
-    if ftap is None:
-        ftap = verify_ftap(spec, actual)
+    b = (bubble_process(spec, pricing) if beta is None else beta).values
+    no_arbitrage = find_arbitrage(spec, actual) is None if ftap is None else ftap.no_arbitrage
 
-    if ftap.no_arbitrage:
+    if no_arbitrage:
         charged = [
             n for n in tree.preorder()
             if actual is None or node_charged(actual, n)
         ]
-        bad = [n for n in charged if beta[n] < -tol]
-        worst = min((beta[n] for n in charged), default=0.0)
+        bad = [n for n in charged if b[n] < -tol]
+        worst = min((b[n] for n in charged), default=0.0)
         nonneg = {
             "status": "holds" if not bad else "violated",
             "worst": worst,
@@ -245,7 +243,7 @@ def check_bubble_properties(
         nonneg = {"status": "skipped", "note": "market fails no-arbitrage"}
 
     tau_dev = max(
-        (abs(beta[a]) for a in spec.tau.tau_nodes if a in beta), default=0.0
+        (abs(b[a]) for a in spec.tau.tau_nodes if a in b), default=0.0
     )
     vanishes = {
         "status": "holds" if tau_dev <= 1e-12 else "violated",
@@ -258,11 +256,11 @@ def check_bubble_properties(
     else:
         counterexamples = []
         for n in tree.preorder():
-            if abs(beta[n]) > tol:
+            if abs(b[n]) > tol:
                 continue
             for m in tree.subtree(n):
-                if beta[m] > tol:
-                    counterexamples.append((n, m, beta[m]))
+                if b[m] > tol:
+                    counterexamples.append((n, m, b[m]))
                     break
         if spec.tau_kind == "bounded":
             status = "holds" if not counterexamples else "violated"

@@ -89,7 +89,7 @@ class EventTree:
                     break
             else:
                 stack.pop()
-        by_level = list(itertools.chain.from_iterable(levels))
+        self.level_order = by_level = tuple(itertools.chain.from_iterable(levels))
         self._parent = parents
         self._time = dict(zip(by_level, itertools.chain.from_iterable(
             map(itertools.repeat, range(len(levels)), map(len, levels))
@@ -100,9 +100,14 @@ class EventTree:
         self._non_leaves = tuple(filter(kids.__contains__, order))
         self.horizon: int = len(levels) - 1  # the deepest level holds leaves only
         self._levels = dict(enumerate(levels))
-        self._position = dict(zip(by_level, itertools.chain.from_iterable(
-            map(range, map(len, levels))
-        )))
+        # node g of ``level_order``: parent ``parent_index[g]`` (root: -1), children
+        # ``child_offsets[g]:[g + 1]``; level t: ``level_starts[t]:[t + 1]``
+        self._index = dict(zip(by_level, range(len(by_level))))
+        kids = np.fromiter(map(len, map(children.__getitem__, by_level)), np.intp, len(by_level))
+        self.child_offsets = np.concatenate(([1], np.cumsum(kids) + 1))
+        self.parent_index = np.concatenate(([-1], np.repeat(np.arange(len(kids)), kids)))
+        self.level_starts = tuple(itertools.accumulate(map(len, levels), initial=0))
+        self.preorder_index = np.fromiter(map(self._index.__getitem__, order), np.intp, len(order))
 
     @classmethod
     def uniform(cls, branching: Iterable[int], root: str = "r") -> "EventTree":
@@ -150,7 +155,7 @@ class EventTree:
 
     def position(self, nid: str) -> int:
         """The node's index in ``level(time(nid))``."""
-        return self._position[nid]
+        return self._index[nid] - self.level_starts[self._time[nid]]
 
     def path(self, nid: str) -> tuple[str, ...]:
         out = []

@@ -4,14 +4,14 @@ check, and the superhedging primal/dual pair.
 With nonnegative holdings on a finite tree every question here is local. A
 market admits an arbitrage iff some charged node admits a one-step one:
 holding the asset over that step gains on some charged child and loses on
-none. Otherwise every charged node has supermartingale transitions reaching
-all its charged children. Their per-node vertex lists form the set of all
-measures under which discounted wealth is a supermartingale, returned as a
-``RectangularFamily``, and the average vertex at each node gives one product
-measure that charges every charged leaf. The superhedging price follows the
-one-step recursion ``V_n = min_{pi >= 0} max_c [V_c - pi (W_c - W_n)]``; it
-equals the upper expectation under that family, which the ordinary backward
-recursion evaluates, so the duality is exact.
+none; one array pass over the tree tests every node. Otherwise the cut of
+supermartingale transitions at each charged node reaches all its charged
+children: the cuts form the set of all measures under which discounted
+wealth is a supermartingale (a ``RectangularFamily``), and the average vertex
+at each node gives one product measure charging every charged leaf. The
+superhedging price follows the one-step recursion ``V_n = min_{pi >= 0}
+max_c [V_c - pi (W_c - W_n)]``; it equals the upper expectation under that
+family, which the backward recursion evaluates, so the duality is exact.
 
 The global linear programs over the leaf-gain matrix (``_find_arbitrage_lp``,
 ``_maximal_support``, ``_superhedge_lp``) are kept as reference
@@ -21,17 +21,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .ambiguity import (
+    _STEP_TOL,
     CHARGE_TOL,
+    CutSets,
     ExplicitFamily,
     MeasureFamily,
     RectangularFamily,
-    TransitionSet,
     _push_mass,
     charged_leaves,
     classify_process,
@@ -44,10 +45,6 @@ from .lattice import (
     require_valid,
     wealth_process,
 )
-
-
-# a one-step wealth change at most this large counts as zero
-_STEP_TOL = 1e-12
 
 
 class NotRiskNeutralError(ValueError):
@@ -121,28 +118,17 @@ class RobustPriceResult:
     hedge: HedgeSolution
 
 
-def _charged_children(
-    spec: MarketSpec, actual: MeasureFamily | None
-) -> Iterator[tuple[str, Sequence[int] | None]]:
-    """Per non-leaf, in preorder: the node and the indices of the children
-    ``actual`` charges; None when it does not charge the node or charges
-    none of its children. Without ``actual`` every node is charged."""
+def _one_step(spec: MarketSpec, actual: MeasureFamily | None):
+    """Wealth, the charged nodes and those of them where holding the asset
+    over one step gains on some charged child and loses on none, as masks."""
     tree = spec.tree
-    charged = None if actual is None else actual.charged
-    for n in tree.non_leaves():
-        kids = tree.children(n)
-        if charged is None:
-            yield n, range(len(kids))
-        elif n in charged:
-            yield n, [i for i, c in enumerate(kids) if c in charged] or None
-        else:
-            yield n, None
-
-
-def _one_step_arbitrage(wn: float, wk: Sequence[float]) -> bool:
-    """Whether holding the asset over one step from wealth ``wn`` gains on
-    some of the children's wealths ``wk`` and loses on none."""
-    return any(w > wn + _STEP_TOL for w in wk) and all(w >= wn - _STEP_TOL for w in wk)
+    order, n, par = tree.level_order, len(tree.level_order), tree.parent_index[1:]
+    W = np.fromiter(map(wealth_process(spec).values.__getitem__, order), float, n)
+    charged = (np.ones(n, bool) if actual is None
+               else np.fromiter(map(actual.charged.__contains__, order), bool, n))
+    gains = np.bincount(par, charged[1:] & (W[1:] > W[par] + _STEP_TOL), minlength=n)
+    losses = np.bincount(par, charged[1:] & (W[1:] < W[par] - _STEP_TOL), minlength=n)
+    return W, charged, charged & (gains > 0) & (losses == 0)
 
 
 def _certificate(
@@ -175,67 +161,32 @@ def find_arbitrage(
     qualifies, ``supermartingale_family`` finds a pricing family instead."""
     require_valid(spec)
     tree = spec.tree
-    W = wealth_process(spec).values
-    for n, idx in _charged_children(spec, actual):
-        if idx is None:
-            continue
-        kids = tree.children(n)
-        wk = [W[kids[i]] for i in idx]
-        if _one_step_arbitrage(W[n], wk):
-            top = max(wk) - W[n]
-            units = 1.0 if top > gain_tol else 2.0 * gain_tol / top
-            return _certificate(spec, charged_leaves(actual, tree), Strategy({n: units}))
+    W, charged, arbitrage = _one_step(spec, actual)
+    for g in tree.preorder_index[arbitrage[tree.preorder_index]][:1].tolist():
+        kids = slice(tree.child_offsets[g], tree.child_offsets[g + 1])
+        top = max(W[kids][charged[kids]].tolist()) - W[g].item()
+        units = 1.0 if top > gain_tol else 2.0 * gain_tol / top
+        leaves = charged_leaves(actual, tree)
+        return _certificate(spec, leaves, Strategy({tree.level_order[g]: units}))
     return None
 
 
 def supermartingale_family(
     spec: MarketSpec, actual: MeasureFamily | None = None
 ) -> RectangularFamily | None:
-    """The set of all measures under which discounted wealth is a
-    supermartingale, as per-node vertex lists over the charged children.
-
-    Per node the set is {p in simplex : sum p_c W(c) <= W(n)}; its vertices
-    sit on simplex edges, so they are unit vectors at children not above
-    W(n) plus the binding mixtures of one child above with one below.
-    Returns None when some charged node admits a one-step arbitrage (the
-    test ``find_arbitrage`` uses); otherwise each charged child has a vertex
-    giving it positive weight.
-    """
-    tree = spec.tree
-    W = wealth_process(spec).values
-
-    transitions: dict[str, TransitionSet] = {}
-    for n, idx in _charged_children(spec, actual):
-        kids = tree.children(n)
-        if idx is None:
-            w = [0.0] * len(kids)
-            w[0] = 1.0
-            transitions[n] = TransitionSet.vertex_set([w])
-            continue
-        wn = W[n]
-        if _one_step_arbitrage(wn, [W[kids[i]] for i in idx]):
-            return None
-        vertices: list[list[float]] = []
-        for i in idx:
-            if W[kids[i]] <= wn + _STEP_TOL:
-                v = [0.0] * len(kids)
-                v[i] = 1.0
-                vertices.append(v)
-        for i in idx:
-            wi = W[kids[i]]
-            if wi <= wn + _STEP_TOL:
-                continue
-            for j in idx:
-                wj = W[kids[j]]
-                if wj >= wn - _STEP_TOL:
-                    continue
-                lam = (wn - wj) / (wi - wj)
-                v = [0.0] * len(kids)
-                v[i] = lam
-                v[j] = 1.0 - lam
-                vertices.append(v)
-        transitions[n] = TransitionSet.vertex_set(vertices)
-    return RectangularFamily(tree, transitions, role="pricing")
+    """All measures under which discounted wealth is a supermartingale, as a
+    ``CutSets`` map: per node the cut {p in simplex : sum p_c W(c) <= W(n)} over
+    the charged children (unit vectors at children not above W(n), mixtures
+    across it). None when a charged node admits a one-step arbitrage (the test
+    of ``find_arbitrage``); else each charged child has a vertex charging it."""
+    tree, off = spec.tree, spec.tree.child_offsets
+    W, charged, arbitrage = _one_step(spec, actual)
+    if arbitrage.any():
+        return None
+    wc = np.where(charged, W, np.nan)  # each node's wealth in its parent's cut
+    lost = (off[1:] > off[:-1]) & (np.bincount(tree.parent_index[1:], charged[1:], len(W)) == 0)
+    W[lost], wc[off[:-1][lost]] = 0.0, 0.0  # no charged child: one vertex, at the first child
+    return RectangularFamily(tree, CutSets(tree, W, wc), role="pricing")
 
 
 def _structural_leaf_measure(
@@ -256,16 +207,17 @@ def _structural_leaf_measure(
 
 
 def _product_witness(family: RectangularFamily) -> dict[str, float]:
-    """Product measure of each node's average vertex, per leaf in tree
-    order. It gives every child some vertex reaches positive weight, so it
-    charges every leaf the family charges (up to ``CHARGE_TOL``)."""
-    tree = family.tree
-    pick = {}
-    for n in tree.non_leaves():
-        vertices = family.transitions[n].vertex_list()
-        pick[n] = [sum(col) / len(vertices) for col in zip(*vertices)]
-    q = _push_mass(tree, pick)
-    return {leaf: q[leaf] for leaf in tree.leaves}
+    """Product measure of each node's average vertex (summed in vertex order) of a
+    ``supermartingale_family``, per leaf: it charges every leaf the family does."""
+    tree, cuts = family.tree, family.cuts
+    par, off, pre = tree.parent_index, tree.child_offsets, tree.preorder_index
+    weights = np.bincount(
+        np.stack((cuts.a, cuts.b), 1).ravel(), np.stack((cuts.wa, cuts.wb), 1).ravel(), len(par)
+    ) / np.concatenate(([1], (cuts.start[1:] - cuts.start[:-1])[par[1:]]))
+    mass = np.ones(len(par))
+    for a, b in zip(tree.level_starts[1:], tree.level_starts[2:]):
+        mass[a:b] = mass[par[a:b]] * weights[a:b]
+    return dict(zip(tree.leaves, mass[pre[(off[1:] == off[:-1])[pre]]].tolist()))
 
 
 def verify_ftap(spec: MarketSpec, actual: MeasureFamily | None = None) -> FtapReport:
@@ -342,8 +294,9 @@ def superhedge(
     if missing:
         raise ValueError(f"payoff missing at leaves {missing}")
     W = wealth_process(spec).values
-    steps = [(n, [tree.children(n)[i] for i in idx])
-             for n, idx in _charged_children(spec, actual) if idx is not None]
+    charged = tree.times() if actual is None else actual.charged
+    steps = [(n, kids) for n in tree.non_leaves() if n in charged  # and its charged children
+             for kids in [[c for c in tree.children(n) if c in charged]] if kids]
 
     # a node with no charged leaf below constrains nothing: value -inf
     V = {leaf: float(payoff[leaf]) for leaf in leaves}

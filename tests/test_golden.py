@@ -2,7 +2,10 @@
 
 ``tests/data/golden_machine.json`` holds the exit code and parsed machine
 report of each market file below under each command of
-``test_cli.COMMANDS``. Reports are compared exactly, without the fields
+``test_cli.COMMANDS``. ``branch3-discovered.market`` has no pricing block
+and a ternary tree whose nodes have two children above their wealth, two
+below, or one exactly at it, some of them uncharged by the actual family,
+so it runs every case of the discovered pricing family. Reports are compared exactly, without the fields
 whose LP optimum is not unique (hedge holdings and slacks, the dominance
 gain gap, the arbitrage witness and its gain) and without the market file
 path, which depends on the checkout.
@@ -26,7 +29,7 @@ from bubbletree.cli import main
 
 GOLDEN = os.path.join(DATA, "golden_machine.json")
 
-FILES = ("ex1.market", "ex1geom.market", "fiat3-discovered.market")
+FILES = ("ex1.market", "ex1geom.market", "fiat3-discovered.market", "branch3-discovered.market")
 NOT_UNIQUE = {
     ("inputs", "file"),
     ("processes", "hedge_pi"),
@@ -49,7 +52,8 @@ def run_cases(workdir: str) -> dict[str, dict]:
     fiat_path = os.path.join(workdir, FILES[2])
     with open(fiat_path, "w") as fh:
         json.dump(discovered_fiat_doc(), fh)
-    paths = {FILES[0]: data_file(FILES[0]), FILES[1]: data_file(FILES[1]), FILES[2]: fiat_path}
+    paths = {name: data_file(name) for name in FILES}
+    paths[FILES[2]] = fiat_path
     cases = {}
     for name in FILES:
         for cmd in COMMANDS:
