@@ -3,7 +3,7 @@
 Two representations of a set of probability measures on the tree's leaves:
 
 * ``RectangularFamily`` — a transition set per non-leaf node (a probability
-  box over the children, a vertex list or a supermartingale cut). The upper
+  box over the children, or an explicit vertex list). The induced upper
   expectation is computed by backward recursion and is dynamically consistent
   (tower property), which is what makes one-step supermartingale checks
   equivalent to multi-step ones.
@@ -60,18 +60,17 @@ def _dot(weights: Sequence[float], values: Sequence[float]) -> float:
 
 @dataclass(frozen=True, slots=True)
 class TransitionSet:
-    """One node's set of transition probabilities over its children: a box
-    ``lower <= p <= upper`` intersected with the simplex, an explicit finite
-    list of probability vectors, or the supermartingale cut sum p_c (W_c -
-    W_n) <= 0, as ``cut = (W_n, W_c...)`` with None at a child without mass.
-    Box extrema have a closed form: fill mass greedily toward the best
-    children, ties resolved in child order so results are deterministic.
+    """One node's set of transition probabilities over its children.
+
+    Either a box ``lower <= p <= upper`` intersected with the simplex, or an
+    explicit finite list of probability vectors. Box extrema have a closed
+    form: fill mass greedily toward the best children, ties resolved in child
+    order so results are deterministic.
     """
 
     lower: tuple[float, ...] | None = None
     upper: tuple[float, ...] | None = None
     vertices: tuple[tuple[float, ...], ...] | None = None
-    cut: tuple[float, ...] | None = None
 
     @classmethod
     def box(cls, lower: Sequence[float], upper: Sequence[float]) -> "TransitionSet":
@@ -88,19 +87,19 @@ class TransitionSet:
 
     @property
     def is_box(self) -> bool:
-        return self.vertices is None and self.cut is None
+        return self.vertices is None
 
     def arity(self) -> int:
         if self.vertices is not None:
             return len(self.vertices[0]) if self.vertices else 0
-        return len(self.lower) if self.cut is None else len(self.cut) - 1
+        return len(self.lower)
 
     def problems(self, k: int) -> list[str]:
         out = []
-        if self.vertices is not None or self.cut is not None:
-            if not self.vertex_list():
+        if self.vertices is not None:
+            if not self.vertices:
                 out.append("empty vertex list")
-            for v in self.vertex_list():
+            for v in self.vertices:
                 if len(v) != k:
                     out.append(f"vertex arity {len(v)} != {k}")
                 elif min(v) < -CHARGE_TOL or abs(sum(v) - 1.0) > 1e-9:
@@ -118,18 +117,8 @@ class TransitionSet:
             out.append("box does not intersect the probability simplex")
         return out
 
-    def _cut(self) -> "_CutArrays":
-        """The cut as arrays of a one-step tree: child i is node i + 1."""
-        wn, wc = np.full(len(self.cut), self.cut[0]), np.array([None, *self.cut[1:]], float)
-        return _cut_arrays(np.minimum(np.arange(len(self.cut)), 1) - 1, wn, wc)
-
     def maximize(self, values: Sequence[float]) -> tuple[float, tuple[float, ...]]:
         """Max of sum(p * values) over the set, with an attaining vector."""
-        if self.cut is not None:  # the first best vertex, picked in closed form
-            cut = self._cut()
-            _, pick = _cut_step(cut, 0, 1, np.array([0.0, *values]), pick=True)
-            (w,) = _vertices(cut, pick, [1], [len(self.cut)])
-            return _dot(w, values), w
         if self.vertices is not None:
             best_val = None
             best_w = None
@@ -151,9 +140,9 @@ class TransitionSet:
 
     def support(self) -> tuple[bool, ...]:
         """Which children can receive positive mass."""
-        if self.vertices is not None or self.cut is not None:
-            k, vertices = self.arity(), self.vertex_list()
-            return tuple(any(v[i] > CHARGE_TOL for v in vertices) for i in range(k))
+        if self.vertices is not None:
+            k = self.arity()
+            return tuple(any(v[i] > CHARGE_TOL for v in self.vertices) for i in range(k))
         return tuple(u > CHARGE_TOL for u in self.upper)
 
     def vertex_list(self, cap: int = 4096) -> tuple[tuple[float, ...], ...]:
@@ -161,9 +150,6 @@ class TransitionSet:
         orderings (every vertex maximizes some linear functional)."""
         if self.vertices is not None:
             return self.vertices
-        if self.cut is not None:
-            cut = self._cut()
-            return tuple(_vertices(cut, ..., [1] * len(cut.a), [len(self.cut)] * len(cut.a)))
         k = len(self.lower)
         if prod(range(1, k + 1)) > cap:
             raise CapExceededError(f"vertex enumeration over {k} children exceeds cap")
@@ -199,8 +185,8 @@ class _BoxArrays(NamedTuple):
 
 
 class _CutArrays(NamedTuple):
-    """Node g's vertices, in ``vertex_list`` order, are ``start[g]:start[g + 1]``;
-    vertex i puts ``wa[i]`` on node ``a[i]``, ``wb[i]`` on node ``b[i] >= a[i]``."""
+    """Every cut's vertices: node g's are ``start[g]:start[g + 1]``, and vertex i
+    puts ``wa[i]`` on node ``a[i]``, ``wb[i]`` on node ``b[i] >= a[i]``."""
 
     start: np.ndarray
     a: np.ndarray
@@ -210,10 +196,11 @@ class _CutArrays(NamedTuple):
 
 
 def _cut_arrays(parent: np.ndarray, wn: np.ndarray, wc: np.ndarray) -> _CutArrays:
-    """Every cut's vertices at once, bitwise as for one cut: a unit vector at each
-    child not above W_n + _STEP_TOL, then for each child above, its mixture with
-    W_n from each child below W_n - _STEP_TOL. Node g (the root: 0) has parent
-    ``parent[g]``, W_n ``wn[g]`` (NaN: no cut), wealth ``wc[g]`` (NaN: no mass)."""
+    """Every cut's vertices at once, in the order and with the float operations of
+    a per-node enumeration: a unit vector at each child not above W_n + _STEP_TOL,
+    then for each child above, its mixture with W_n from each child below W_n -
+    _STEP_TOL. Node g (the root: 0) has parent ``parent[g]``, W_n ``wn[g]`` (NaN:
+    no cut), wealth ``wc[g]`` (NaN: no mass)."""
     n = len(wn)
     w0 = wn[parent]  # each node's parent's W_n
     w0[0] = np.nan
@@ -235,25 +222,31 @@ def _cut_arrays(parent: np.ndarray, wn: np.ndarray, wc: np.ndarray) -> _CutArray
 
 
 def _vertices(cuts: _CutArrays, picks, first, last) -> list[tuple[float, ...]]:
-    """Vertices ``picks`` as ``vertex_list`` tuples; the i-th one's node has
+    """Vertices ``picks`` as probability tuples; the i-th one's node has
     the children ``first[i]:last[i]``."""
     rows = zip(first, last, *(x[picks].tolist() for x in cuts[1:]))
     return [tuple({b: wb, a: wa}.get(c, 0.0) for c in range(i, j)) for i, j, a, wa, b, wb in rows]
 
 
 class CutSets(Mapping):
-    """A family's cuts as each node's W_n (``wn``) and wealth in its parent's cut
-    (``wc``, NaN: no mass), in ``tree.level_order``; sets are made on access."""
+    """A family of supermartingale cuts {p in simplex : sum p_c (W_c - W_n) <= 0}
+    as each node's W_n (``wn``) and wealth in its parent's cut (``wc``, NaN: no
+    mass), in ``tree.level_order``. ``arrays`` lists every cut's vertices; a
+    node's vertex set is made from them on access."""
 
     def __init__(self, tree: EventTree, wn: np.ndarray, wc: np.ndarray):
         self.tree, self.wn, self.wc = tree, wn, wc
 
+    @cached_property
+    def arrays(self) -> _CutArrays:
+        return _cut_arrays(self.tree.parent_index, self.wn, self.wc)
+
     def __getitem__(self, n: str) -> TransitionSet:
-        g = self.tree.position(n) + self.tree.level_starts[self.tree.time(n)]  # KeyError off it
-        if not self.tree.children(n):
+        tree, c, g = self.tree, self.arrays, self.tree.index(n)  # KeyError off the tree
+        if not tree.children(n):
             raise KeyError(n)
-        kids = self.wc[self.tree.child_offsets[g] : self.tree.child_offsets[g + 1]].tolist()
-        return TransitionSet(cut=(self.wn[g].item(), *(None if w != w else w for w in kids)))
+        (s, e), (i, j) = c.start[g : g + 2].tolist(), tree.child_offsets[g : g + 2].tolist()
+        return TransitionSet.vertex_set(_vertices(c, slice(s, e), [i] * (e - s), [j] * (e - s)))
 
     def __iter__(self):
         return iter(self.tree.non_leaves())
@@ -325,11 +318,11 @@ class RectangularFamily:
     def with_role(self, role: str) -> "RectangularFamily":
         return RectangularFamily(self.tree, self.transitions, role)
 
-    @cached_property
+    @property
     def cuts(self) -> _CutArrays | None:
-        """The vertices of a ``CutSets`` map's cuts as arrays; None for others."""
+        """A ``CutSets`` map's vertex arrays; None for other transition maps."""
         t = self.transitions
-        return _cut_arrays(self.tree.parent_index, t.wn, t.wc) if isinstance(t, CutSets) else None
+        return t.arrays if isinstance(t, CutSets) else None
 
     @cached_property
     def levels(self) -> tuple[_Level, ...]:

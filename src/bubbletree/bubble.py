@@ -224,7 +224,8 @@ def check_bubble_properties(
     """
     require_valid(spec)
     tree = spec.tree
-    b = (bubble_process(spec, pricing) if beta is None else beta).values
+    if beta is None:
+        beta = bubble_process(spec, pricing)
     no_arbitrage = find_arbitrage(spec, actual) is None if ftap is None else ftap.no_arbitrage
 
     if no_arbitrage:
@@ -232,8 +233,8 @@ def check_bubble_properties(
             n for n in tree.preorder()
             if actual is None or node_charged(actual, n)
         ]
-        bad = [n for n in charged if b[n] < -tol]
-        worst = min((b[n] for n in charged), default=0.0)
+        bad = [n for n in charged if beta[n] < -tol]
+        worst = min((beta[n] for n in charged), default=0.0)
         nonneg = {
             "status": "holds" if not bad else "violated",
             "worst": worst,
@@ -243,7 +244,7 @@ def check_bubble_properties(
         nonneg = {"status": "skipped", "note": "market fails no-arbitrage"}
 
     tau_dev = max(
-        (abs(b[a]) for a in spec.tau.tau_nodes if a in b), default=0.0
+        (abs(beta[a]) for a in spec.tau.tau_nodes if a in beta), default=0.0
     )
     vanishes = {
         "status": "holds" if tau_dev <= 1e-12 else "violated",
@@ -256,11 +257,11 @@ def check_bubble_properties(
     else:
         counterexamples = []
         for n in tree.preorder():
-            if abs(b[n]) > tol:
+            if abs(beta[n]) > tol:
                 continue
             for m in tree.subtree(n):
-                if b[m] > tol:
-                    counterexamples.append((n, m, b[m]))
+                if beta[m] > tol:
+                    counterexamples.append((n, m, beta[m]))
                     break
         if spec.tau_kind == "bounded":
             status = "holds" if not counterexamples else "violated"

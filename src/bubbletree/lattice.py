@@ -153,6 +153,10 @@ class EventTree:
     def level(self, t: int) -> tuple[str, ...]:
         return self._levels.get(t, ())
 
+    def index(self, nid: str) -> int:
+        """The node's index in ``level_order``."""
+        return self._index[nid]
+
     def position(self, nid: str) -> int:
         """The node's index in ``level(time(nid))``."""
         return self._index[nid] - self.level_starts[self._time[nid]]

@@ -133,14 +133,22 @@ def cut_vertices(wn: float, wk: Sequence[float], idx: Sequence[int]) -> list[lis
 
 def product_witness(family: RectangularFamily) -> dict[str, float]:
     """Product measure of each node's average vertex, per leaf in tree
-    order."""
+    order. Each child's weights are added left to right in vertex order, as
+    ``sum`` adds floats before Python 3.12 (from 3.12 on it compensates)."""
     tree = family.tree
     pick = {}
     for n in tree.non_leaves():
         vertices = family.transitions[n].vertex_list()
-        pick[n] = [sum(col) / len(vertices) for col in zip(*vertices)]
+        pick[n] = [left_sum(col) / len(vertices) for col in zip(*vertices)]
     q = _push_mass(tree, pick)
     return {leaf: q[leaf] for leaf in tree.leaves}
+
+
+def left_sum(xs: Sequence[float]) -> float:
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
 
 
 def one_step_bounds(

@@ -444,9 +444,7 @@ def test_each_command_runs_ftap_and_bubble_analysis_once(tmp_path, capsys, monke
         return wrapper
 
     ftap = counted("verify_ftap", bubbletree.noarb.verify_ftap)
-    for mod in (bubbletree.cli, bubbletree.bubble):  # every module that binds it
-        if hasattr(mod, "verify_ftap"):
-            monkeypatch.setattr(mod, "verify_ftap", ftap)
+    monkeypatch.setattr(bubbletree.cli, "verify_ftap", ftap)
     monkeypatch.setattr(
         bubbletree.cli, "analyze_bubble", counted("analyze_bubble", bubbletree.bubble.analyze_bubble)
     )

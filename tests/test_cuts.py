@@ -1,15 +1,15 @@
 """Supermartingale cuts and the whole-tree array passes against per-node
 oracles.
 
-A cut ``TransitionSet(cut=(W_n, W_c...))`` must behave exactly as the
-explicit vertex set of its ``vertex_list``: the same maximum and maximizer
-(first best vertex), support and problems. A family of cuts steps its
-levels, its one-step bounds and its charged nodes on arrays; the same
-family given as vertex sets steps node by node through ``maximize``. On
-random markets the array passes of ``noarb`` and ``ambiguity`` equal the
-per-node passes they replaced (``per_node``). Results are compared with
-``==`` and by ``repr``, which also tells signed zeros and float types
-apart.
+A ``CutSets`` map lists each node's cut as the vertex set the per-node
+enumeration (``per_node.cut_vertices``) builds. A family of cuts steps its
+levels, its one-step bounds and its charged nodes on the cut arrays; the
+same sets in a plain dict step node by node through ``maximize``, and both
+must agree: the same maximum and maximizer (first best vertex), support and
+recursions. On random markets the array passes of ``noarb`` and
+``ambiguity`` equal the per-node passes they replaced (``per_node``).
+Results are compared with ``==`` and by ``repr``, which also tells signed
+zeros and float types apart.
 """
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -24,6 +24,7 @@ from bubbletree.ambiguity import (
     RectangularFamily,
     TransitionSet,
     _one_step_bounds,
+    _step,
     argmax_measure,
     classify_process,
     cond_expectation,
@@ -57,15 +58,36 @@ values_of = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-4
 
 
 @st.composite
-def cuts(draw, arity: int) -> TransitionSet:
-    """A cut over ``arity`` children, a fifth of them uncharged (None)."""
-    wn = draw(st.floats(0.25, 3.0))
-    wk = [None if draw(st.integers(0, 4)) == 0 else wn + draw(steps) for _ in range(arity)]
-    return TransitionSet(cut=(wn, *wk))
+def cut_sets(draw, tree: EventTree) -> CutSets:
+    """A cut at every inner node of ``tree``, a fifth of the children
+    uncharged (NaN wealth)."""
+    wn, wc = np.full(len(tree), np.nan), np.full(len(tree), np.nan)
+    off = tree.child_offsets
+    for g in range(len(tree)):
+        if off[g] < off[g + 1]:
+            wn[g] = draw(st.floats(0.25, 3.0))
+            for c in range(off[g], off[g + 1]):
+                if draw(st.integers(0, 4)):
+                    wc[c] = wn[g] + draw(steps)
+    return CutSets(tree, wn, wc)
 
 
-def reference(cut: TransitionSet) -> TransitionSet:
-    return TransitionSet.vertex_set(cut.vertex_list())
+def enumerated(cuts: CutSets, n: str) -> tuple[tuple[float, ...], ...]:
+    """Node ``n``'s cut enumerated per node."""
+    g, off = cuts.tree.index(n), cuts.tree.child_offsets
+    wk = cuts.wc[off[g] : off[g + 1]].tolist()
+    idx = [i for i, w in enumerate(wk) if w == w]
+    return tuple(map(tuple, per_node.cut_vertices(cuts.wn[g].item(), wk, idx)))
+
+
+def families(cuts: CutSets) -> tuple[RectangularFamily, RectangularFamily]:
+    """The cuts as a ``CutSets`` family (array steps) and as a dict of vertex
+    sets (``maximize`` per node)."""
+    assert all(cuts[n].vertices == enumerated(cuts, n) for n in cuts)
+    assume(all(cuts[n].vertices for n in cuts))  # a cut with every child above: no set
+    fam, ref = RectangularFamily(cuts.tree, cuts), RectangularFamily(cuts.tree, dict(cuts))
+    assert fam.cuts is not None and ref.cuts is None
+    return fam, ref
 
 
 def assert_same(a, b):
@@ -77,37 +99,19 @@ def assert_same(a, b):
 @given(st.data())
 def test_cut_matches_its_vertex_set(data):
     k = data.draw(st.integers(1, 5))
-    cut = data.draw(cuts(k))
-    wn, *wk = cut.cut
-    idx = [i for i, w in enumerate(wk) if w is not None]
-    assert cut.vertex_list() == tuple(map(tuple, per_node.cut_vertices(wn, wk, idx)))
-    assume(cut.vertex_list())  # every charged child above W_n: no transition set
-    ref = reference(cut)
-    assert cut.arity() == k and not cut.is_box and cut == TransitionSet(cut=tuple(cut.cut))
-    assert_same(cut.support(), ref.support())
-    assert cut.problems(k) == ref.problems(k) == []
+    tree = EventTree.uniform([k])
+    fam, ref = families(data.draw(cut_sets(tree)))
+    ts = ref.transitions[tree.root]
+    assert ts.problems(k) == []
+    assert_same(fam.charged, ref.charged)
+    assert fam.charged == per_node.charged(ref) == {tree.root} | {
+        c for c, s in zip(tree.children(tree.root), ts.support()) if s
+    }
     for _ in range(3):
         values = data.draw(st.lists(values_of, min_size=k, max_size=k))
-        assert_same(cut.maximize(values), ref.maximize(values))
-
-
-def cut_family(tree: EventTree, transitions: dict) -> RectangularFamily:
-    """``transitions``, all cuts, as a ``CutSets`` map: the family steps its
-    levels, bounds and charged nodes on arrays, as ``supermartingale_family``'s."""
-    wn, wc = np.full(len(tree), np.nan), np.full(len(tree), np.nan)
-    for g, n in enumerate(tree.level_order):
-        if tree.children(n):
-            wn[g] = transitions[n].cut[0]
-            wc[tree.child_offsets[g] : tree.child_offsets[g + 1]] = transitions[n].cut[1:]
-    family = RectangularFamily(tree, CutSets(tree, wn, wc))
-    for n, ts in family.transitions.items():
-        assert repr(ts) == repr(transitions[n])
-    return family
-
-
-def vertex_family(family: RectangularFamily) -> RectangularFamily:
-    transitions = {n: reference(ts) for n, ts in family.transitions.items()}
-    return RectangularFamily(family.tree, transitions)
+        weights = []
+        (best,) = _step(fam.levels[0], 0, 1, values, weights).tolist()
+        assert_same((best, *weights), ts.maximize(values))
 
 
 def recursions(fam: RectangularFamily, rng: np.random.Generator) -> list:
@@ -136,10 +140,7 @@ def recursions(fam: RectangularFamily, rng: np.random.Generator) -> list:
 def test_cut_family_matches_vertex_family(data):
     branching = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     tree = EventTree.uniform(branching)
-    transitions = {n: data.draw(cuts(len(tree.children(n)))) for n in tree.non_leaves()}
-    assume(all(ts.vertex_list() for ts in transitions.values()))
-    fam = cut_family(tree, transitions)
-    ref = vertex_family(fam)
+    fam, ref = families(data.draw(cut_sets(tree)))
     assert fam.charged == ref.charged == per_node.charged(ref)
     seed = data.draw(st.integers(0, 2**16))
     for a, b in zip(recursions(fam, np.random.default_rng(seed)),
@@ -192,7 +193,7 @@ def test_array_passes_match_per_node_oracles_on_random_markets():
         tree = spec.tree
         assert list(fam.transitions) == list(tree.non_leaves()) == list(ref.transitions)
         for n in tree.non_leaves():
-            assert fam.transitions[n].vertex_list() == ref.transitions[n].vertices, (case, n)
+            assert_same(fam.transitions[n], ref.transitions[n])
         assert fam.transitions.get(tree.leaves[0]) is None
         assert fam.charged == per_node.charged(ref) == per_node.charged(fam), case
         assert_same(_product_witness(fam), per_node.product_witness(ref))
