@@ -296,19 +296,24 @@ def find_dominating_strategy(
     pricing: MeasureFamily,
     actual: MeasureFamily | None = None,
     tol: float = 1e-9,
+    *,
+    fundamental_root: float | None = None,
 ) -> DominancePair | None:
     """When the root price exceeds the fundamental value, superhedging the
     asset's cash flows for less than the asset costs dominates holding the
     asset. Returns None when there is no root bubble, or when the hedge cost
     does not undercut the price (possible when the supplied family is a
     strict subset of the supermartingale measures; the gap is then a pricing
-    duality gap, not a dominance opportunity)."""
+    duality gap, not a dominance opportunity). ``fundamental_root`` is the
+    root of ``fundamental_price(spec, pricing)`` when the caller has it
+    already (``BubbleReport.S_star``); otherwise it is computed here."""
     tree = spec.tree
     B = discount_factors(spec).values
     s0_hat = spec.price[tree.root] / B[tree.root]
     cum0 = cumulative_dividends(spec)[tree.root]
-    star = fundamental_price(spec, pricing)
-    s_star0 = star[tree.root]
+    s_star0 = fundamental_root
+    if s_star0 is None:
+        s_star0 = fundamental_price(spec, pricing)[tree.root]
     if s0_hat - s_star0 <= tol:
         return None
     # cash flows accruing to a time-0 buyer: everything after the root dividend

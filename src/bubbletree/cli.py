@@ -35,7 +35,6 @@ from .ambiguity import (
 from .bubble import (
     BubbleReport,
     analyze_bubble,
-    bubble_process,
     find_dominating_strategy,
     stopped_price_process,
 )
@@ -566,12 +565,18 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
             kind = CLAIM_ALIASES[options["claim"]]
             maturity = int(options.get("maturity") or tree.horizon)
             claim = Claim(kind, maturity, float(options["strike"]))
+            if not 1 <= maturity <= tree.horizon:
+                raise ValueError(f"maturity {maturity} outside [1, {tree.horizon}]")
             target = terminal_payoff(spec, claim)
             # claims settling before the horizon are hedged as the path-wise
-            # constant payoff fixed at maturity
+            # constant payoff fixed at maturity: each leaf takes the value at
+            # its ancestor horizon - maturity steps up
+            up = tree.horizon - maturity
             payoff = {}
             for leaf in tree.leaves:
-                anc = tree.path(leaf)[claim.maturity]
+                anc = leaf
+                for _ in range(up):
+                    anc = tree.parent(anc)
                 payoff[leaf] = target[anc]
         if pricing is None:
             hedge = superhedge(spec, payoff, parsed.actual)
@@ -596,16 +601,15 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
             report.verdicts["error"] = "no pricing family available (arbitrage)"
             report.exit_status = 2
             return report
+        bubble = analyze_bubble(spec, pricing, parsed.actual, ftap=ftap)
         if which == "S":
             proc = stopped_price_process(spec).values
         elif which == "W":
             proc = wealth_process(spec).values
         elif which == "Wstar":
-            from .bubble import fundamental_wealth
-
-            proc = fundamental_wealth(spec, pricing)[0].values
+            proc = bubble.W_star.values
         elif which == "beta":
-            proc = bubble_process(spec, pricing).values
+            proc = bubble.beta.values
         else:
             raise MarketFileError(f"unknown process {which!r}")
         cls = classify_process(pricing, proc, tol=tol)
@@ -614,7 +618,6 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
         report.verdicts["supermartingale_slack"] = cls.supermartingale_slack
         report.verdicts["infi_slack"] = cls.infi_slack
         report.processes[which] = dict(proc)
-        bubble = analyze_bubble(spec, pricing, parsed.actual, ftap=ftap)
         report.processes.update(_process_table(spec, bubble))
         return report
 
@@ -624,7 +627,9 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
             report.verdicts["error"] = "no pricing family available (arbitrage)"
             report.exit_status = 2
             return report
-        pair = find_dominating_strategy(spec, pricing, parsed.actual, tol=tol)
+        bubble = analyze_bubble(spec, pricing, parsed.actual, ftap=ftap)
+        pair = find_dominating_strategy(spec, pricing, parsed.actual, tol=tol,
+                                        fundamental_root=bubble.S_star[tree.root])
         if pair is None:
             report.verdicts["dominance"] = "none"
         else:
@@ -634,7 +639,6 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
             report.verdicts["min_gain_gap"] = pair.min_gap
             report.processes["hedge_pi"] = dict(pair.hedge.strategy.pi)
             report.processes["gain_gap"] = dict(pair.gain_gap)
-        bubble = analyze_bubble(spec, pricing, parsed.actual, ftap=ftap)
         report.processes.update(_process_table(spec, bubble))
         return report
 

@@ -15,7 +15,10 @@ family, which the backward recursion evaluates, so the duality is exact.
 
 The global linear programs over the leaf-gain matrix (``_find_arbitrage_lp``,
 ``_maximal_support``, ``_superhedge_lp``) are kept as reference
-implementations; the tests check the local passes against them.
+implementations; the tests check the local passes against them. They solve
+with HiGHS through ``linprog``, which imports ``scipy.optimize`` on its first
+call: no other code path calls it, so importing bubbletree does not load
+scipy, and scipy is needed only where the reference LPs run (the tests).
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .ambiguity import (
     _STEP_TOL,
@@ -361,6 +363,15 @@ def robust_price(
 
 
 # -- global linear programs: reference implementations for the tests ----------
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call: only the
+    reference LPs below solve through it, and importing scipy.optimize
+    costs more than most commands' own work."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
+
 
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-8,

@@ -409,6 +409,16 @@ def test_hedge_claim_before_horizon(tmp_path, capsys):
     assert "duality_gap" in out
 
 
+@pytest.mark.parametrize("command", ["price", "hedge"])
+@pytest.mark.parametrize("maturity", ["-1", "3"])
+def test_maturity_outside_the_tree_exits_1(capsys, command, maturity):
+    rc = main([command, "--claim", "ecall", "--maturity", maturity,
+               data_file("ex1geom.market")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: maturity {maturity} outside [1, 1]\n"
+
+
 COMMANDS = (
     ("analyze",),
     ("price", "--claim", "ecall", "--strike", "1"),
@@ -448,12 +458,15 @@ def test_each_command_runs_ftap_and_bubble_analysis_once(tmp_path, capsys, monke
     monkeypatch.setattr(
         bubbletree.cli, "analyze_bubble", counted("analyze_bubble", bubbletree.bubble.analyze_bubble)
     )
+    # the backward sweep of the asset's cash flows (W*), behind S*, W* and beta
+    monkeypatch.setattr(bubbletree.bubble, "_conditional_value_process", counted(
+        "cash_flow_sweep", bubbletree.bubble._conditional_value_process))
     path = tmp_path / "fiat.market"
     path.write_text(json.dumps(discovered_fiat_doc()))
     rc = main([*argv, str(path)])
     capsys.readouterr()
     assert rc == 0
-    assert calls == {"verify_ftap": 1, "analyze_bubble": 1}
+    assert calls == {"verify_ftap": 1, "analyze_bubble": 1, "cash_flow_sweep": 1}
 
 
 @pytest.mark.parametrize("argv", COMMANDS)
@@ -474,6 +487,52 @@ def test_each_command_solves_no_linear_program(tmp_path, capsys, monkeypatch, ar
         main([*argv, path])
     capsys.readouterr()
     assert calls == []
+
+
+# Run in a fresh interpreter: the test process has loaded scipy already.
+_COLD_IMPORT_SCRIPT = """
+import contextlib, io, json, sys
+import bubbletree, bubbletree.cli, bubbletree.fixtures
+commands, paths, hedged = json.loads(sys.argv[1])
+rcs = []
+for argv in commands:
+    for path in paths:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rcs.append(bubbletree.cli.main([*argv, path]))
+out = {"rcs": rcs, "scipy_after_cli": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+from bubbletree.claims import Claim, terminal_payoff
+from bubbletree.noarb import _superhedge_lp, superhedge
+parsed = bubbletree.cli.parse_market_file(hedged)
+payoff = terminal_payoff(parsed.spec, Claim("euro_call", parsed.spec.tree.horizon, 0.9))
+out["local"] = superhedge(parsed.spec, payoff, parsed.actual).price
+out["lp"] = _superhedge_lp(parsed.spec, payoff, parsed.actual).price
+out["optimize_after_lp"] = "scipy.optimize" in sys.modules
+print(json.dumps(out))
+"""
+
+
+def test_cli_never_imports_scipy_and_the_lp_oracle_loads_it_on_first_use():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    paths = [data_file("ex1.market"), data_file("branch3-discovered.market")]
+    # ex1 admits a strong arbitrage, so both of its superhedges are
+    # unbounded; ex1geom's call has a finite price to compare
+    args = json.dumps([COMMANDS, paths, data_file("ex1geom.market")])
+    run = subprocess.run([sys.executable, "-c", _COLD_IMPORT_SCRIPT, args],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert len(out["rcs"]) == len(COMMANDS) * len(paths)
+    assert out["scipy_after_cli"] == []
+    assert out["lp"] == pytest.approx(out["local"], abs=1e-9)
+    assert out["local"] == 0.3
+    assert out["optimize_after_lp"]
 
 
 @pytest.mark.parametrize("argv", COMMANDS)
