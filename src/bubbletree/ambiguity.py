@@ -35,9 +35,9 @@ _STEP_TOL = 1e-12
 # break even near 20 nodes (numpy's fixed cost is ~70 us a level, per node
 # costs ~3.5 us; measured on a 2-vCPU machine), so 32 leaves a margin.
 _KERNEL_MIN_WIDTH = 32
-# A level's arrays pad every node to its widest one; levels where that
-# would take more than this many cells per child step node by node instead,
-# so the arrays stay linear in the level's child count.
+# Box arrays pad every node to the widest one; a level, or a whole tree,
+# where that would take more than this many cells per child steps node by
+# node instead, so the arrays stay linear in the child count.
 _MAX_PAD_RATIO = 4
 
 CLASS_ORDER = ("none", "infi_supermartingale", "G_supermartingale", "G_martingale")
@@ -175,13 +175,72 @@ _PAD = 1 << 40  # child position of a padding column: past any level's end
 
 
 class _BoxArrays(NamedTuple):
-    """A wide level's boxes as arrays, one row per node and one column per
+    """A run of nodes' boxes as arrays, one row per node and one column per
     child, padded to the widest node with zero-capacity columns."""
 
-    kids: np.ndarray  # each child's position in the next level, or _PAD
+    kids: np.ndarray  # each child's index counted from the first row's first child, or _PAD
     lower: np.ndarray  # box lower bounds
     cap: np.ndarray  # upper - lower
     rem: np.ndarray  # 1 - sum(lower), per row
+
+
+def _pad(tree: EventTree, boxes: BoxSets, g: int, h: int) -> _BoxArrays | None:
+    """Nodes ``g:h`` of ``boxes`` as padded rows (no box: padding only). None without a box
+    child, or where padding takes over ``_MAX_PAD_RATIO`` cells per box child (memory stays linear)."""
+    off, par = tree.child_offsets, tree.parent_index
+    kid = off[g] + np.flatnonzero(boxes.rows[par[off[g] : off[h]]])
+    row, col = par[kid] - g, kid - off[par[kid]]
+    if not len(kid) or (h - g) * (k := col.max() + 1) > _MAX_PAD_RATIO * len(kid):
+        return None
+    kids, lower, cap = np.full((h - g, k), _PAD, np.intp), np.zeros((h - g, k)), np.zeros((h - g, k))
+    kids[row, col] = kid - off[g]
+    lower[row, col] = boxes.lower[kid]
+    cap[row, col] = boxes.upper[kid] - boxes.lower[kid]
+    rem = 1.0 - np.array(list(map(sum, lower.tolist())))  # the builtin sum, as in ``maximize``
+    return _BoxArrays(kids, lower, cap, rem)
+
+
+class BoxSets(Mapping):
+    """Boxes as each node's ``lower`` and ``upper`` bound in its parent's box, in
+    ``tree.level_order``: NaN (always at the root) where the parent has no box and
+    no entry (``rows[g]`` False). A box is made from the arrays on first access; ``pad``,
+    the rows the steps read, is built once and shared by every family over the map."""
+
+    def __init__(self, tree: EventTree, lower: Sequence[float], upper: Sequence[float]):
+        self.tree, self.lower, self.upper = tree, np.asarray(lower, float), np.asarray(upper, float)
+        self.rows, self.made = np.zeros(len(tree), bool), {}  # made: the boxes made so far
+        self.rows[tree.parent_index[1:][~np.isnan(self.lower[1:])]] = True
+
+    @classmethod
+    def read(cls, tree: EventTree, transitions: Mapping[str, TransitionSet]) -> BoxSets:
+        """A transition map's boxes, in one pass; a missing set, vertex list or misfit box: no entry."""
+        off, lower, upper = tree.child_offsets.tolist(), [np.nan], [np.nan]
+        for n, i, j in zip(tree.level_order, off, off[1:]):
+            ts = transitions.get(n) if i < j else None
+            box = ts is not None and ts.is_box and len(ts.lower) == len(ts.upper) == j - i
+            lower += ts.lower if box else [np.nan] * (j - i)
+            upper += ts.upper if box else [np.nan] * (j - i)
+        return cls(tree, lower, upper)
+
+    @cached_property
+    def pad(self) -> _BoxArrays | None:
+        """Every node before the last level as padded rows."""
+        return _pad(self.tree, self, 0, self.tree.level_starts[-2])
+
+    def __getitem__(self, n: str) -> TransitionSet:
+        if n not in self.made:
+            g = self.tree.index(n)  # KeyError off the tree
+            if not self.rows[g]:
+                raise KeyError(n)
+            i, j = self.tree.child_offsets[g : g + 2].tolist()
+            self.made[n] = TransitionSet(tuple(self.lower[i:j].tolist()), tuple(self.upper[i:j].tolist()))
+        return self.made[n]
+
+    def __iter__(self):
+        return itertools.compress(self.tree.preorder(), self.rows[self.tree.preorder_index].tolist())
+
+    def __len__(self) -> int:
+        return int(self.rows.sum())
 
 
 class _CutArrays(NamedTuple):
@@ -262,7 +321,7 @@ class _Level(NamedTuple):
 
     nodes: tuple[str, ...]  # ``tree.level(t)``
     offsets: tuple[int, ...]
-    sets: tuple[TransitionSet | None, ...]  # None: a leaf or a missing set; () with ``cut``
+    sets: tuple[TransitionSet | None, ...]  # None: a leaf or a missing set; () with ``box``/``cut``
     box: _BoxArrays | None  # on wide levels of boxes only
     cut: _CutArrays | None  # the family's ``cuts`` at the level, if it has them
 
@@ -275,26 +334,12 @@ def _compile_level(family: RectangularFamily, t: int) -> _Level:
         c, (s, e) = family.cuts, family.cuts.start[[g, h]]
         cut = _CutArrays(c.start[g : h + 1] - s, c.a[s:e] - h, c.wa[s:e], c.b[s:e] - h, c.wb[s:e])
         return _Level(nodes, offsets, (), None, cut)
-    sets = tuple(family.transitions.get(n) if tree.children(n) else None for n in nodes)
-    k = max(b - a for a, b in zip(offsets, offsets[1:]))
-    if (
-        len(nodes) < _KERNEL_MIN_WIDTH
-        or None in sets
-        or not all(ts.is_box for ts in sets)
-        or len(nodes) * k > _MAX_PAD_RATIO * offsets[-1]
-    ):
-        return _Level(nodes, offsets, sets, None, None)
-    kids = np.full((len(nodes), k), _PAD, dtype=np.intp)
-    lower = np.zeros((len(nodes), k))
-    cap = np.zeros((len(nodes), k))
-    rem = np.zeros(len(nodes))
-    for i, ts in enumerate(sets):
-        a, b = offsets[i], offsets[i + 1]
-        kids[i, : b - a] = range(a, b)
-        lower[i, : b - a] = ts.lower
-        cap[i, : b - a] = [u - l for l, u in zip(ts.lower, ts.upper)]
-        rem[i] = 1.0 - sum(ts.lower)  # the operations of ``maximize``
-    return _Level(nodes, offsets, sets, _BoxArrays(kids, lower, cap, rem), None)
+    box = None
+    if len(nodes) >= _KERNEL_MIN_WIDTH and (b := family.boxes).rows[g:h].all():
+        box = _pad(tree, b, g, h) if b.pad is None else _BoxArrays(  # its rows, children from h
+            b.pad.kids[g:h] - (h - 1), *(a[g:h] for a in b.pad[1:]))
+    sets = () if box else tuple(family.transitions.get(n) if tree.children(n) else None for n in nodes)
+    return _Level(nodes, offsets, sets, box, None)
 
 
 @dataclass(frozen=True)
@@ -306,9 +351,9 @@ class RectangularFamily:
     runs on ``levels``, the family compiled once into per-level arrays: one
     numpy step per level of ``cuts`` (a ``CutSets`` map as arrays) or of at
     least ``_KERNEL_MIN_WIDTH`` boxes, and ``TransitionSet.maximize`` per
-    node on other levels, with bitwise equal results. ``charged`` and
-    ``levels`` are computed on first use and cached, so treat a family, its
-    tree and its transition map as immutable.
+    node on other levels, with bitwise equal results; boxes are read as a
+    ``BoxSets`` map. ``boxes``, ``charged`` and ``levels`` are computed on first
+    use and cached, so treat a family, its tree and its transition map as immutable.
     """
 
     tree: EventTree
@@ -325,6 +370,12 @@ class RectangularFamily:
         return t.arrays if isinstance(t, CutSets) else None
 
     @cached_property
+    def boxes(self) -> BoxSets:
+        """The boxes: the transition map itself, or read from it."""
+        t = self.transitions
+        return t if isinstance(t, BoxSets) else BoxSets.read(self.tree, t)
+
+    @cached_property
     def levels(self) -> tuple[_Level, ...]:
         """The family compiled for backward recursion: one ``_Level`` per
         time 0 .. horizon - 1, in ``tree.level`` order."""
@@ -334,13 +385,14 @@ class RectangularFamily:
     def charged_mask(self) -> np.ndarray:
         """``charged`` in ``tree.level_order``, one level at a time."""
         tree, c = self.tree, self.cuts
-        mask = np.zeros(len(tree), bool)
         if c is not None:  # a vertex's weight above CHARGE_TOL
+            mask = np.zeros(len(tree), bool)
             mask[c.a[c.wa > CHARGE_TOL]] = mask[c.b[c.wb > CHARGE_TOL]] = True
         else:  # a box's support is upper > CHARGE_TOL; children follow their parents
-            sets = map(self.transitions.__getitem__, filter(tree.children, tree.level_order))
-            support = [x for t in sets for x in (t.upper if t.is_box else t.support())]
-            mask[1:] = np.array(support, float) > CHARGE_TOL
+            b, off = self.boxes, tree.child_offsets
+            mask = b.upper > CHARGE_TOL
+            for g in np.flatnonzero((off[1:] > off[:-1]) & ~b.rows).tolist():
+                mask[off[g] : off[g + 1]] = self.transitions[tree.level_order[g]].support()
         mask[0] = True
         for a, b in zip(tree.level_starts[1:], tree.level_starts[2:]):
             mask[a:b] &= mask[tree.parent_index[a:b]]
@@ -451,13 +503,13 @@ def _target_time(tree: EventTree, values: Mapping[str, float], node: str) -> int
 
 
 def _box_step(box: _BoxArrays, lo: int, hi: int, base: int, vals) -> tuple[np.ndarray, np.ndarray]:
-    """``TransitionSet.maximize`` for rows ``lo:hi`` of a wide level at once,
+    """``TransitionSet.maximize`` for box rows ``lo:hi`` at once,
     with its float operations: a stable descending sort (ties in child
     order), the greedy fill one column at a time while mass remains, and the
     dot product from 0.0 in child order. Results are bitwise those of
     ``maximize``; padding columns have zero capacity and read a 0.0 value,
-    so they change nothing. ``vals`` starts at the next level's position
-    ``base``. Returns the values and the maximizers, one row per node."""
+    so they change nothing. ``vals`` starts at the child numbered ``base``
+    in ``box.kids``. Returns the values and the maximizers, one row per node."""
     m = len(vals)
     v = np.empty(m + 1)
     v[:m] = vals
@@ -504,7 +556,7 @@ def _cut_step(cuts: _CutArrays, lo: int, hi: int, x: np.ndarray, shift: int = 0,
 def _step(level: _Level, lo: int, hi: int, vals, weights: list | None = None):
     """Upper one-step expectation at the level's nodes ``lo:hi``. ``vals``
     holds the values of exactly their children, in level order. Cut and
-    wide box levels run in numpy and return an array; the rest call
+    box levels run in numpy and return an array; the rest call
     ``maximize`` per node and return a list. ``weights``, when given, is
     extended by each node's maximizer."""
     off, sets = level.offsets, level.sets
@@ -515,7 +567,7 @@ def _step(level: _Level, lo: int, hi: int, vals, weights: list | None = None):
         out, pick = _cut_step(level.cut, lo, hi, np.asarray(vals, float), base, pick=True)
         weights.extend(_vertices(level.cut, pick, off[lo:hi], off[lo + 1 : hi + 1]))
         return out
-    if level.box is not None and hi - lo >= _KERNEL_MIN_WIDTH:
+    if level.box is not None:
         out, w = _box_step(level.box, lo, hi, base, vals)
         if weights is not None:
             weights.extend(
@@ -737,9 +789,9 @@ class Classification:
 def _one_step_bounds(
     family: RectangularFamily, process: Mapping[str, float], T: int
 ) -> dict[str, tuple[float, float, float]]:
-    """(value, upper, lower) one-step expectations at each charged node before ``T``
-    whose children all carry a value, in preorder: for cuts one ``_cut_step`` per
-    bound over the whole tree, else one ``_step`` per run of a level's nodes."""
+    """(value, upper, lower) one-step expectations at each charged node before ``T`` whose
+    children all carry a value, in preorder: one ``_cut_step`` or ``_box_step`` per bound over the
+    tree; ``maximize`` at vertex lists, and everywhere on < ``_KERNEL_MIN_WIDTH`` nodes or no pad."""
     tree = family.tree
     order, n, off = tree.level_order, len(tree.level_order), tree.child_offsets
     end = tree.level_starts[max(0, min(T, tree.horizon))]  # the inner nodes before T
@@ -751,14 +803,14 @@ def _one_step_bounds(
     if family.cuts is not None:
         up, low = _cut_step(family.cuts, 0, end, x), _cut_step(family.cuts, 0, end, -x)
     else:
+        b, rest = family.boxes, keep
         up, low = np.full(n, np.nan), np.full(n, np.nan)
-        for level, g, h in zip(family.levels[:max(T, 0)], tree.level_starts, tree.level_starts[1:]):
-            runs = itertools.groupby(range(len(level.sets)), lambda i: level.sets[i] is not None)
-            for has_set, run in runs:
-                lo, hi = (run := list(run))[0], run[-1] + 1
-                rows, vals = slice(g + lo, g + hi), x[h + level.offsets[lo] : h + level.offsets[hi]]
-                if has_set:
-                    up[rows], low[rows] = _step(level, lo, hi, vals), _step(level, lo, hi, -vals)
+        if end >= _KERNEL_MIN_WIDTH and b.pad is not None:
+            up[:end], low[:end] = (_box_step(b.pad, 0, end, 0, v)[0] for v in (x[1:], -x[1:]))
+            rest = keep & ~b.rows
+        for g in np.flatnonzero(rest).tolist():
+            vals, ts = x[off[g] : off[g + 1]].tolist(), family.transitions[order[g]]
+            up[g], low[g] = ts.maximize(vals)[0], ts.maximize([-v for v in vals])[0]
     sel = tree.preorder_index[keep[tree.preorder_index]]
     nodes = [order[g] for g in sel.tolist()]
     bounds = zip(map(process.__getitem__, nodes), up[sel].tolist(), (-low[sel]).tolist())

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .ambiguity import (
+    BoxSets,
     CapExceededError,
     ExplicitFamily,
     MeasureFamily,
@@ -163,20 +164,18 @@ def _num_map(doc: Mapping, key: str, where: str) -> dict[str, float]:
     return _number_map(raw, f"{where}: {key}")
 
 
-def _box_transitions(raw: dict, tree: EventTree) -> dict[str, TransitionSet] | None:
-    """The transition sets of a family whose blocks are all boxes, checked
-    for the whole family at once: each test is one pass over every block
-    or every bound. Returns None unless each block sits at a known node and
-    holds ``lower`` and ``upper`` lists of finite numbers that
-    ``TransitionSet.problems`` accepts, and every non-leaf node has one;
-    the per-node path then finds the first problem and its message. The
-    sums are the ones ``problems`` takes, so the check accepts exactly
-    what it accepts (leaf blocks aside, which it never checks: those go
-    the per-node way)."""
-    blocks = list(raw.values())
-    if not set(map(type, blocks)) <= {dict} or not all(map(tree.__contains__, raw)):
+def _box_transitions(raw: dict, tree: EventTree) -> BoxSets | None:
+    """A family whose blocks are all boxes, checked at once: each test is one
+    pass over every block or every bound. None unless the blocks sit at exactly
+    the non-leaf nodes and hold ``lower`` and ``upper`` lists of finite numbers
+    that ``TransitionSet.problems`` accepts, with its sums (a leaf block, which it
+    never checks, fails too); the per-node path then names the first problem.
+    Taken in level order, the blocks' bounds are a ``BoxSets`` map's arrays."""
+    nodes = list(filter(tree.children, tree.level_order))
+    if len(raw) != len(nodes) or not all(map(raw.__contains__, nodes)):
         return None
-    if any(map(operator.contains, blocks, itertools.repeat("vertices"))):
+    blocks = list(map(raw.__getitem__, nodes))
+    if not set(map(type, blocks)) <= {dict} or any("vertices" in b for b in blocks):
         return None
     try:
         los = list(map(operator.itemgetter("lower"), blocks))
@@ -185,7 +184,7 @@ def _box_transitions(raw: dict, tree: EventTree) -> dict[str, TransitionSet] | N
         return None
     if not set(map(type, los)) | set(map(type, his)) <= {list}:
         return None
-    arity = list(map(len, map(tree.children, raw)))
+    arity = list(map(len, map(tree.children, nodes)))
     if list(map(len, los)) != arity or list(map(len, his)) != arity:
         return None
     flat_lo = list(itertools.chain.from_iterable(los))
@@ -196,17 +195,14 @@ def _box_transitions(raw: dict, tree: EventTree) -> dict[str, TransitionSet] | N
     if int in kinds:
         los = [list(map(float, b)) for b in los]
         his = [list(map(float, b)) for b in his]
-        flat_lo = list(map(float, flat_lo))
-        flat_hi = list(map(float, flat_hi))
+    boxes = BoxSets(tree, [math.nan, *flat_lo], [math.nan, *flat_hi])
     if (
-        min(flat_lo, default=0.0) < 0
-        or any(map(operator.gt, flat_lo, flat_hi))
+        ((boxes.lower < 0) | (boxes.lower > boxes.upper)).any()
         or max(map(sum, los), default=0.0) > 1.0 + 1e-12
         or min(map(sum, his), default=1.0) < 1.0 - 1e-12
-        or not all(map(raw.__contains__, tree.non_leaves()))
     ):
         return None
-    return dict(zip(raw, map(TransitionSet, map(tuple, los), map(tuple, his))))
+    return boxes
 
 
 def _parse_family(doc, tree: EventTree, where: str, role: str) -> MeasureFamily:
@@ -357,6 +353,8 @@ def parse_market_file(path: str) -> ParsedMarket:
                     f"{path}: node {nid!r} states time {t} but sits at depth {tree.time(nid)}"
                 )
     horizon = _need(doc, "horizon", path)
+    if _number(horizon, path, "horizon") != int(horizon):
+        raise MarketFileError(f"{path}['horizon'] is not an integer")
     if horizon != tree.horizon:
         raise MarketFileError(
             f"{path}: stated horizon {horizon} != tree depth {tree.horizon}"
@@ -532,7 +530,7 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
 
     if command == "price":
         kind = CLAIM_ALIASES[options["claim"]]
-        maturity = int(options.get("maturity") or tree.horizon)
+        maturity = tree.horizon if options.get("maturity") is None else int(options["maturity"])
         claim = Claim(kind, maturity, float(options["strike"]))
         pricing, ftap = _resolve_pricing(parsed)
         if pricing is None:
@@ -563,7 +561,7 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
             payoff = parse_payoff_file(options["payoff_file"], tree)
         else:
             kind = CLAIM_ALIASES[options["claim"]]
-            maturity = int(options.get("maturity") or tree.horizon)
+            maturity = tree.horizon if options.get("maturity") is None else int(options["maturity"])
             claim = Claim(kind, maturity, float(options["strike"]))
             if not 1 <= maturity <= tree.horizon:
                 raise ValueError(f"maturity {maturity} outside [1, {tree.horizon}]")

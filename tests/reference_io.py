@@ -291,6 +291,9 @@ def parse_market_file(path: str) -> ParsedMarket:
                 f"{path}: node {nid!r} states time {t} but sits at depth {tree.time(nid)}"
             )
     horizon = _need(doc, "horizon", path)
+    t = _number(horizon, path, "horizon")
+    if t != int(t):
+        raise MarketFileError(f"{path}['horizon'] is not an integer")
     if horizon != tree.horizon:
         raise MarketFileError(
             f"{path}: stated horizon {horizon} != tree depth {tree.horizon}"

@@ -93,6 +93,24 @@ def test_malformed_field_exits_1_with_context(tmp_path, capsys, keys, value, con
 
 
 @pytest.mark.parametrize(
+    "horizon, context",
+    [(True, "['horizon'] is not a number"), ("1", "['horizon'] is not a number"),
+     (1.5, "['horizon'] is not an integer"), (float("inf"), "['horizon'] is not finite")],
+    ids=["bool", "string", "fraction", "inf"],
+)
+def test_horizon_must_be_an_integral_json_number(tmp_path, capsys, horizon, context):
+    doc = json.loads(open(data_file("ex1geom.market")).read())  # depth 1: true == 1
+    doc["horizon"] = horizon
+    path = tmp_path / "broken.market"
+    path.write_text(json.dumps(doc))
+    rc = main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"{path}{context}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "content", [b"\xff\xfe not text", b"[" * 100_000 + b"]" * 100_000], ids=["binary", "deep"]
 )
 def test_undecodable_market_file_exits_1(tmp_path, capsys, content):
@@ -410,7 +428,7 @@ def test_hedge_claim_before_horizon(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["price", "hedge"])
-@pytest.mark.parametrize("maturity", ["-1", "3"])
+@pytest.mark.parametrize("maturity", ["-1", "0", "3"])
 def test_maturity_outside_the_tree_exits_1(capsys, command, maturity):
     rc = main([command, "--claim", "ecall", "--maturity", maturity,
                data_file("ex1geom.market")])

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 import reference_io
 from test_cli import _market_doc as market_doc
 
-from bubbletree import fixtures
-from bubbletree.ambiguity import ExplicitFamily, RectangularFamily
+from bubbletree import ambiguity, fixtures
+from bubbletree.ambiguity import BoxSets, ExplicitFamily, RectangularFamily, classify_process
 from bubbletree.cli import MarketFileError, Report, emit_report, parse_market_file
 from bubbletree.lattice import EventTree
 
@@ -189,7 +189,13 @@ REPLACEMENTS = (True, False, "0.5", None, math.nan, math.inf, -math.inf, 10**400
 def corrupt(doc, data) -> str:
     """Apply one drawn corruption to ``doc`` in place and describe it."""
     kind = data.draw(st.sampled_from(
-        ("value", "value", "value", "box", "box", "delete", "pricing", "node")), "kind")
+        ("value", "value", "value", "box", "box", "delete", "pricing", "node", "horizon")), "kind")
+    if kind == "horizon":
+        h = doc["horizon"]
+        doc["horizon"] = data.draw(st.sampled_from(
+            (True, False, str(h), None, [], h + 0.5, float(h), h + 1, 0, -1, math.nan, math.inf,
+             10**400)), "horizon")
+        return f"horizon -> {doc['horizon']!r}"
     if kind in ("box", "pricing"):
         blocks = list(_box_blocks(doc))
         if kind == "pricing":
@@ -329,6 +335,24 @@ def test_equal_pricing_block_is_parsed_once(tmp_path, monkeypatch):
         assert len(calls) == (2 if shape == "other" else 1), shape
         assert (parsed.pricing == parsed.actual.with_role("pricing")) == (shape != "other")
         assert (parsed.actual.role, parsed.pricing.role) == ("actual", "pricing")
+
+
+def test_parsed_family_and_its_pricing_twin_build_the_box_arrays_once(tmp_path, monkeypatch):
+    fx = fixtures.rand_claim_market(3, depth=3, branching=3, style="bumped")
+    path = tmp_path / "m.market"
+    _write(path, market_doc(fx.spec, fx.family))
+    calls = []
+    original = ambiguity._pad
+    monkeypatch.setattr(ambiguity, "_pad", lambda *a: calls.append(a[2:]) or original(*a))
+    monkeypatch.setattr(ambiguity, "_KERNEL_MIN_WIDTH", 0)  # every level reads the boxes
+    parsed = parse_market_file(str(path))
+    boxes = parsed.actual.transitions
+    assert isinstance(boxes, BoxSets) and parsed.pricing.transitions is boxes
+    for fam in (parsed.actual, parsed.pricing):
+        assert fam.charged and all(lv.box is not None for lv in fam.levels)
+        classify_process(fam, parsed.spec.derived.W)
+        assert fam.boxes is boxes
+    assert calls == [(0, fx.spec.tree.level_starts[-2])]  # the whole tree's rows, once
 
 
 def test_bool_in_equal_pricing_block_is_still_rejected(tmp_path):

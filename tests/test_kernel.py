@@ -1,21 +1,30 @@
 """The level kernel against the per-node path.
 
 Every rectangular recursion steps a level either in numpy (levels at least
-``ambiguity._KERNEL_MIN_WIDTH`` nodes wide) or node by node through
+``ambiguity._KERNEL_MIN_WIDTH`` nodes wide; one-step checks of box families
+with at least that many inner nodes) or node by node through
 ``TransitionSet.maximize``. Forcing the width threshold to 0 and to infinity
 runs each computation both ways. The results must be equal, and so must
 their reprs, which also tells signed zeros, float types and dict order
-apart.
+apart. A family of boxes given as a ``BoxSets`` map must give what the same
+boxes in a dict give, and the one-step checks of box families, one array
+step over the whole tree, what ``per_node.one_step_bounds`` gives.
 """
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import per_node
 
 from bubbletree import ambiguity, fixtures
 from bubbletree.ambiguity import (
+    BoxSets,
     RectangularFamily,
     TransitionSet,
+    _one_step_bounds,
     argmax_measure,
     classify_process,
     cond_expectation,
@@ -31,6 +40,7 @@ from bubbletree.claims import (
 from bubbletree.lattice import EventTree
 
 DESK_SEEDS = (0, 32)  # rand_claim_market(s, depth=8, branching=4): ~4.6k nodes
+KERNEL_MIN_WIDTH = ambiguity._KERNEL_MIN_WIDTH
 
 
 def _mixed(family, seed):
@@ -42,6 +52,18 @@ def _mixed(family, seed):
         if ts.is_box and ts.arity() <= 4 and rng.random() < 0.35:
             transitions[n] = TransitionSet.vertex_set(ts.vertex_list())
     return RectangularFamily(family.tree, transitions)
+
+
+def _box_sets(family) -> RectangularFamily | None:
+    """The family with its boxes in a ``BoxSets`` map; None when some node
+    holds a vertex list (and so has no entry in the map)."""
+    tree = family.tree
+    boxes = BoxSets.read(tree, family.transitions)
+    if list(boxes) != list(tree.non_leaves()):
+        return None
+    assert boxes == family.transitions
+    assert all(repr(boxes[n]) == repr(family.transitions[n]) for n in tree.non_leaves())
+    return RectangularFamily(tree, boxes)
 
 
 def _outputs(spec, family, seed, claims: bool) -> list:
@@ -106,17 +128,25 @@ def test_kernel_equals_per_node_path_on_random_families(monkeypatch):
             fams = [fx.family] + ([_mixed(fx.family, seed)] if seed % 4 == 0 else [])
             for fam in fams:
                 claims = gen is fixtures.rand_claim_market
-                _assert_same(*_both_ways(monkeypatch, fx.spec, fam, seed, claims))
+                kernel, per_node_path = _both_ways(monkeypatch, fx.spec, fam, seed, claims)
+                _assert_same(kernel, per_node_path)
+                if (boxes := _box_sets(fam)) is not None:
+                    for out in _both_ways(monkeypatch, fx.spec, boxes, seed, claims):
+                        _assert_same(out, kernel)
+                    families += 1
                 families += 1
-    assert families >= 200
+    assert families >= 300
 
 
 @pytest.mark.parametrize("seed", DESK_SEEDS)
 def test_kernel_equals_per_node_path_on_desk_markets(monkeypatch, seed):
     fx = fixtures.rand_claim_market(seed, depth=8, branching=4, style="bumped")
     assert len(fx.spec.tree) > 4000
-    for fam in (fx.family, _mixed(fx.family, seed)):
-        _assert_same(*_both_ways(monkeypatch, fx.spec, fam, seed, True))
+    _assert_same(*_both_ways(monkeypatch, fx.spec, _mixed(fx.family, seed), seed, True))
+    kernel, per_node_path = _both_ways(monkeypatch, fx.spec, fx.family, seed, True)
+    _assert_same(kernel, per_node_path)
+    for out in _both_ways(monkeypatch, fx.spec, _box_sets(fx.family), seed, True):
+        _assert_same(out, kernel)
 
 
 def test_default_threshold_steps_desk_levels_in_numpy():
@@ -190,3 +220,59 @@ def test_one_very_wide_node_keeps_its_level_off_the_padded_arrays(monkeypatch):
     kernel = run(small)
     monkeypatch.setattr(ambiguity, "_KERNEL_MIN_WIDTH", math.inf)
     _assert_same(kernel, run(small))
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+# repeated values make ties
+values_of = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-4, 4))
+slack = st.sampled_from([0.0, 0.0, 0.05, 0.2, 1.0])
+
+
+@st.composite
+def box_at(draw, k: int) -> TransitionSet:
+    """A box around a drawn probability vector: a point box (no capacity)
+    a third of the time, else each bound moved out by a drawn slack, often 0."""
+    w = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+    w[0] += not any(w)
+    p = [x / sum(w) for x in w]
+    if draw(st.integers(0, 2)) == 0:
+        return TransitionSet.point(p)
+    return TransitionSet.box([max(0.0, x - draw(slack)) for x in p], [x + draw(slack) for x in p])
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.data())
+def test_whole_tree_box_step_matches_per_node_one_step_bounds(data):
+    if data.draw(st.booleans(), "lopsided"):  # wide fans leave the whole tree unpadded
+        tree = _lopsided(data.draw(st.integers(2, 8)), data.draw(st.integers(1, 40))).tree
+    else:
+        tree = EventTree.uniform(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    transitions = {n: data.draw(box_at(len(tree.children(n)))) for n in tree.non_leaves()}
+    fams = [RectangularFamily(tree, transitions)]
+    fams.append(_box_sets(fams[0]))
+    if data.draw(st.booleans(), "mixed"):  # vertex lists at some nodes: a dict only
+        fams = [RectangularFamily(tree, {
+            n: TransitionSet.vertex_set(ts.vertex_list()) if ts.arity() <= 3 and i % 3 == 0 else ts
+            for i, (n, ts) in enumerate(transitions.items())})]
+    ref = fams[0]
+    process = {n: data.draw(values_of) for n in tree.preorder()}
+    partial = {n: v for n, v in process.items() if data.draw(st.integers(0, 5))}
+    try:
+        for width in (0, math.inf):  # whole-tree box steps, or maximize per node
+            ambiguity._KERNEL_MIN_WIDTH = width
+            for fam in fams:
+                assert fam.charged == per_node.charged(ref)
+                for proc in (process, partial):
+                    for T in range(tree.horizon + 2):
+                        expected = per_node.one_step_bounds(ref, proc, T)
+                        got = _one_step_bounds(fam, proc, T)
+                        assert got == expected
+                        assert repr(got) == repr(expected)
+    finally:
+        ambiguity._KERNEL_MIN_WIDTH = KERNEL_MIN_WIDTH
+
+
+def test_wide_fans_leave_the_whole_tree_unpadded():
+    assert _lopsided(width=8, fan=40).boxes.pad is None
+    assert _lopsided(width=2, fan=3).boxes.pad is not None
