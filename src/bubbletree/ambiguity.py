@@ -540,13 +540,14 @@ def _box_step(box: _BoxArrays, lo: int, hi: int, base: int, vals) -> tuple[np.nd
 
 def _cut_step(cuts: _CutArrays, lo: int, hi: int, x: np.ndarray, shift: int = 0, pick=False):
     """``maximize`` at nodes ``lo:hi`` (each with a vertex) of values ``x[g - shift]``:
-    each vertex's terms summed from 0.0 in child order; ``pick``: the first best."""
+    each vertex's terms summed from 0.0 in child order; ``pick``: the first best.
+    A NaN vertex value loses to a finite one, so NaN values can stand for "none"."""
     start = cuts.start[lo : hi + 1]
     s, e = start[0], start[-1]
     a, b = (cuts.a[s:e] - shift, cuts.b[s:e] - shift) if shift else (cuts.a[s:e], cuts.b[s:e])
     val = (0.0 + cuts.wa[s:e] * x[a]) + cuts.wb[s:e] * x[b]
     seg = start[:-1] - s if s else start[:-1]
-    best = np.maximum.reduceat(val, seg)
+    best = np.fmax.reduceat(val, seg)
     if not pick:
         return best
     hit = val == np.repeat(best, start[1:] - start[:-1])

@@ -528,15 +528,16 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
         report.diagnostics["tau_kind"] = spec.tau_kind
         return report
 
+    pricing, ftap = _resolve_pricing(parsed)
+    if pricing is None and command in ("price", "classify", "dominance"):
+        report.verdicts["error"] = "no pricing family available (arbitrage)"
+        report.exit_status = 2
+        return report
+
     if command == "price":
         kind = CLAIM_ALIASES[options["claim"]]
         maturity = tree.horizon if options.get("maturity") is None else int(options["maturity"])
         claim = Claim(kind, maturity, float(options["strike"]))
-        pricing, ftap = _resolve_pricing(parsed)
-        if pricing is None:
-            report.verdicts["error"] = "no pricing family available (arbitrage)"
-            report.exit_status = 2
-            return report
         if kind in ("amer_call", "amer_put"):
             try:
                 result = american_fundamental_price(spec, pricing, claim, parsed.actual)
@@ -556,7 +557,6 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
         return report
 
     if command == "hedge":
-        pricing, ftap = _resolve_pricing(parsed)
         if options.get("payoff_file"):
             payoff = parse_payoff_file(options["payoff_file"], tree)
         else:
@@ -594,11 +594,6 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
 
     if command == "classify":
         which = options["process"]
-        pricing, ftap = _resolve_pricing(parsed)
-        if pricing is None:
-            report.verdicts["error"] = "no pricing family available (arbitrage)"
-            report.exit_status = 2
-            return report
         bubble = analyze_bubble(spec, pricing, parsed.actual, ftap=ftap)
         if which == "S":
             proc = stopped_price_process(spec).values
@@ -620,11 +615,6 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
         return report
 
     if command == "dominance":
-        pricing, ftap = _resolve_pricing(parsed)
-        if pricing is None:
-            report.verdicts["error"] = "no pricing family available (arbitrage)"
-            report.exit_status = 2
-            return report
         bubble = analyze_bubble(spec, pricing, parsed.actual, ftap=ftap)
         pair = find_dominating_strategy(spec, pricing, parsed.actual, tol=tol,
                                         fundamental_root=bubble.S_star[tree.root])

@@ -10,19 +10,21 @@ children: the cuts form the set of all measures under which discounted
 wealth is a supermartingale (a ``RectangularFamily``), and the average vertex
 at each node gives one product measure charging every charged leaf. The
 superhedging price follows the one-step recursion ``V_n = min_{pi >= 0}
-max_c [V_c - pi (W_c - W_n)]``; it equals the upper expectation under that
-family, which the backward recursion evaluates, so the duality is exact.
+max_c [V_c - pi (W_c - W_n)]``, which is the upper expectation over those
+cuts, stepped like every other one: against the discovered family the
+duality gap is 0 by construction; only a file-given family leaves a gap.
 
 The global linear programs over the leaf-gain matrix (``_find_arbitrage_lp``,
 ``_maximal_support``, ``_superhedge_lp``) are kept as reference
-implementations; the tests check the local passes against them. They solve
-with HiGHS through ``linprog``, which imports ``scipy.optimize`` on its first
-call: no other code path calls it, so importing bubbletree does not load
-scipy, and scipy is needed only where the reference LPs run (the tests).
+implementations; the tests check the local passes against them, and the
+superhedge also against the per-node recursion of ``tests/per_node.py``:
+these two are the independent checks of the hedge. They solve with HiGHS
+through ``linprog``, which imports ``scipy.optimize`` on its first call: no
+other code path calls it, so importing bubbletree does not load scipy, and
+scipy is needed only where the reference LPs run (the tests).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -35,6 +37,7 @@ from .ambiguity import (
     ExplicitFamily,
     MeasureFamily,
     RectangularFamily,
+    _cut_step,
     _push_mass,
     charged_leaves,
     classify_process,
@@ -126,7 +129,8 @@ def _one_step(spec: MarketSpec, actual: MeasureFamily | None):
     tree = spec.tree
     order, n, par = tree.level_order, len(tree.level_order), tree.parent_index[1:]
     W = np.fromiter(map(wealth_process(spec).values.__getitem__, order), float, n)
-    charged = (np.ones(n, bool) if actual is None
+    charged = (np.ones(n, bool) if actual is None else actual.charged_mask
+               if isinstance(actual, RectangularFamily)
                else np.fromiter(map(actual.charged.__contains__, order), bool, n))
     gains = np.bincount(par, charged[1:] & (W[1:] > W[par] + _STEP_TOL), minlength=n)
     losses = np.bincount(par, charged[1:] & (W[1:] < W[par] - _STEP_TOL), minlength=n)
@@ -173,6 +177,18 @@ def find_arbitrage(
     return None
 
 
+def _cuts(spec: MarketSpec, actual: MeasureFamily | None):
+    """``_one_step``'s wealth and masks; ``lost``, the inner nodes with no charged
+    child at or below their wealth; and the cuts over ``actual`` as a ``CutSets``
+    map, where a lost node, with no vertex of its own, has one at its first child."""
+    tree, off, par = spec.tree, spec.tree.child_offsets, spec.tree.parent_index[1:]
+    W, charged, arbitrage = _one_step(spec, actual)
+    wc = np.where(charged, W, np.nan)  # each node's wealth in its parent's cut
+    lost = (off[1:] > off[:-1]) & (np.bincount(par, wc[1:] <= W[par] + _STEP_TOL, len(W)) == 0)
+    wc[off[:-1][lost]] = 0.0
+    return W, charged, arbitrage, lost, CutSets(tree, np.where(lost, 0.0, W), wc)
+
+
 def supermartingale_family(
     spec: MarketSpec, actual: MeasureFamily | None = None
 ) -> RectangularFamily | None:
@@ -181,14 +197,8 @@ def supermartingale_family(
     the charged children (unit vectors at children not above W(n), mixtures
     across it). None when a charged node admits a one-step arbitrage (the test
     of ``find_arbitrage``); else each charged child has a vertex charging it."""
-    tree, off = spec.tree, spec.tree.child_offsets
-    W, charged, arbitrage = _one_step(spec, actual)
-    if arbitrage.any():
-        return None
-    wc = np.where(charged, W, np.nan)  # each node's wealth in its parent's cut
-    lost = (off[1:] > off[:-1]) & (np.bincount(tree.parent_index[1:], charged[1:], len(W)) == 0)
-    W[lost], wc[off[:-1][lost]] = 0.0, 0.0  # no charged child: one vertex, at the first child
-    return RectangularFamily(tree, CutSets(tree, W, wc), role="pricing")
+    _, _, arbitrage, _, cuts = _cuts(spec, actual)
+    return None if arbitrage.any() else RectangularFamily(spec.tree, cuts, role="pricing")
 
 
 def _structural_leaf_measure(
@@ -254,26 +264,6 @@ def verify_ftap(spec: MarketSpec, actual: MeasureFamily | None = None) -> FtapRe
     )
 
 
-def _min_max_line(lines: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """min over pi >= 0 of max_c (v_c - pi d_c), for lines (v_c, d_c) at
-    least one of which has d_c <= 0, with a minimizing pi. The maximum is
-    convex and piecewise linear, so the minimum sits at 0 or where two lines
-    cross."""
-    candidates = [0.0]
-    for a, (va, da) in enumerate(lines):
-        for vb, db in lines[a + 1:]:
-            if da != db:
-                p = (va - vb) / (da - db)
-                if p > 0.0:
-                    candidates.append(p)
-    best_val, best_pi = math.inf, 0.0
-    for p in candidates:
-        val = max(v - p * d for v, d in lines)
-        if val < best_val:
-            best_val, best_pi = val, p
-    return best_val, best_pi
-
-
 def superhedge(
     spec: MarketSpec,
     payoff: Mapping[str, float],
@@ -282,57 +272,46 @@ def superhedge(
     """Least initial capital whose gains under some nonnegative adapted
     holding dominate the payoff on every charged leaf.
 
-    Backward over the charged nodes, V_n = min_{pi >= 0} max_c [V_c - pi d_c]
-    over the charged children c with finite V_c, where d_c = W_c - W_n and a
-    step within ``_STEP_TOL`` of zero counts as zero. When every such d_c is
-    positive, or no child is finite, holding more always helps and V_n is
-    -inf. Forward from the root with capital V_root, each node holds the
-    minimizing pi, or at a -inf node the least pi that covers every finite
-    child. ``slack`` is the terminal capital minus the payoff."""
+    By one-step LP duality V_n = min_{pi >= 0} max_c [V_c - pi (W_c - W_n)],
+    over the charged children with a finite V_c, is the upper expectation of
+    V over the cut at n: one ``_cut_step`` per level, backward. A node with
+    no finite value (no such child at or below W_n + ``_STEP_TOL``) holds
+    NaN, which loses to a finite vertex; a NaN root is unbounded below.
+    Forward from V_root, each node holds the least pi >= 0 that covers every
+    child with a finite value, optimal where V_n is finite. ``slack`` is the
+    terminal capital minus the payoff."""
     require_valid(spec)
     tree = spec.tree
-    leaves = charged_leaves(actual, tree)
+    order, par, off, pre = tree.level_order, tree.parent_index, tree.child_offsets, tree.preorder_index
+    W, charged, _, lost, cuts = _cuts(spec, actual)
+    inner = off[1:] > off[:-1]
+    at = pre[(charged & ~inner)[pre]]  # the charged leaves, in preorder
+    leaves = [order[g] for g in at.tolist()]
     missing = [l for l in leaves if l not in payoff]
     if missing:
         raise ValueError(f"payoff missing at leaves {missing}")
-    W = wealth_process(spec).values
-    charged = tree.times() if actual is None else actual.charged
-    steps = [(n, kids) for n in tree.non_leaves() if n in charged  # and its charged children
-             for kids in [[c for c in tree.children(n) if c in charged]] if kids]
 
-    # a node with no charged leaf below constrains nothing: value -inf
-    V = {leaf: float(payoff[leaf]) for leaf in leaves}
-    best_pi: dict[str, float] = {}
-    for n, kids in reversed(steps):  # children before parents
-        lines = []
-        for c in kids:
-            v = V.get(c, -math.inf)
-            if v != -math.inf:
-                d = W[c] - W[n]
-                lines.append((v, 0.0 if abs(d) <= _STEP_TOL else d))
-        if all(d > 0.0 for _, d in lines):
-            V[n] = -math.inf
-        else:
-            V[n], best_pi[n] = _min_max_line(lines)
-    price = V[tree.root]
-    if price == -math.inf:
+    V = np.full(len(order), np.nan)
+    V[at] = np.fromiter(map(payoff.__getitem__, leaves), float, len(leaves))
+    arrays, starts = cuts.arrays, tree.level_starts
+    for g, h in reversed(list(zip(starts[:-2], starts[1:-1]))):  # the inner levels
+        V[g:h] = np.where(lost[g:h], np.nan, _cut_step(arrays, g, h, V))
+    price = V[0].item()
+    if np.isnan(price):
         raise UnboundedHedgeError(
             "superhedge cost is unbounded below; the market admits a strong arbitrage"
         )
 
-    pi = dict.fromkeys(tree.non_leaves(), 0.0)
-    X = {tree.root: price}
-    for n, kids in steps:
-        x, wn = X[n], W[n]
-        p = best_pi.get(n)
-        if p is None:  # V_n = -inf: every finite child has W_c - W_n > _STEP_TOL
-            finite = [c for c in kids if V.get(c, -math.inf) != -math.inf]
-            p = max([0.0] + [(V[c] - x) / (W[c] - wn) for c in finite])
-        pi[n] = p
-        for c in kids:
-            X[c] = x + p * (W[c] - wn)
-    slack = {l: float(X[l] - payoff[l]) for l in leaves}
-    return HedgeSolution(price=price, strategy=Strategy(pi), slack=slack)
+    X, pi = np.full(len(order), price), np.zeros(len(order))
+    for t in range(tree.horizon):  # level t's children are level t + 1, h:e
+        g, h, e = starts[t : t + 3]
+        p, d = par[h:e], W[h:e] - W[par[h:e]]
+        need = (V[h:e] - X[p]) / np.where(d > _STEP_TOL, d, np.nan)
+        pi[g:h] = np.fmax(np.fmax.reduceat(need, off[g:h] - h), 0.0)
+        X[h:e] = X[p] + pi[p] * d
+    slack = dict(zip(leaves, (X[at] - V[at]).tolist()))
+    holding = dict(zip(tree.non_leaves(), pi[pre[inner[pre]]].tolist()))
+    return HedgeSolution(price=price, strategy=Strategy(holding), slack=slack)
 
 
 def robust_price(

@@ -6,9 +6,16 @@ supermartingale family, ``RectangularFamily.charged``, the product witness
 and ``ambiguity._one_step_bounds`` ran on ``EventTree.level_order`` arrays.
 The supermartingale family here is the explicit vertex list of each node's
 cut. The tests hold the array passes to these results, bit for bit.
+
+``superhedge`` is the dict-based recursion that ``noarb.superhedge`` ran
+before it stepped through the cut arrays: per node, the minimum over pi of
+the maximum of lines, from pairwise crossings. It takes no float operation
+from the cut kernel, so the tests hold the kernel's hedge price to it
+within 1e-12 relative, not bit for bit.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterator, Mapping, Sequence
 
 from bubbletree.ambiguity import (
@@ -17,9 +24,15 @@ from bubbletree.ambiguity import (
     RectangularFamily,
     TransitionSet,
     _push_mass,
+    charged_leaves,
 )
 from bubbletree.lattice import MarketSpec, Strategy, require_valid, wealth_process
-from bubbletree.noarb import ArbitrageCertificate, _certificate
+from bubbletree.noarb import (
+    ArbitrageCertificate,
+    HedgeSolution,
+    UnboundedHedgeError,
+    _certificate,
+)
 
 
 def charged(family: MeasureFamily) -> frozenset[str]:
@@ -169,3 +182,84 @@ def one_step_bounds(
             up, low = ts.maximize(vals)[0], ts.maximize([-v for v in vals])[0]
             out[n] = (process[n], up, -low)
     return out
+
+
+def _min_max_line(lines: Sequence[tuple[float, float]]) -> tuple[float, float]:
+    """min over pi >= 0 of max_c (v_c - pi d_c), for lines (v_c, d_c) at
+    least one of which has d_c <= 0, with a minimizing pi. The maximum is
+    convex and piecewise linear, so the minimum sits at 0 or where two lines
+    cross."""
+    candidates = [0.0]
+    for a, (va, da) in enumerate(lines):
+        for vb, db in lines[a + 1:]:
+            if da != db:
+                p = (va - vb) / (da - db)
+                if p > 0.0:
+                    candidates.append(p)
+    best_val, best_pi = math.inf, 0.0
+    for p in candidates:
+        val = max(v - p * d for v, d in lines)
+        if val < best_val:
+            best_val, best_pi = val, p
+    return best_val, best_pi
+
+
+def superhedge(
+    spec: MarketSpec,
+    payoff: Mapping[str, float],
+    actual: MeasureFamily | None = None,
+) -> HedgeSolution:
+    """Least initial capital whose gains under some nonnegative adapted
+    holding dominate the payoff on every charged leaf.
+
+    Backward over the charged nodes, V_n = min_{pi >= 0} max_c [V_c - pi d_c]
+    over the charged children c with finite V_c, where d_c = W_c - W_n and a
+    step within ``_STEP_TOL`` of zero counts as zero. When every such d_c is
+    positive, or no child is finite, holding more always helps and V_n is
+    -inf. Forward from the root with capital V_root, each node holds the
+    minimizing pi, or at a -inf node the least pi that covers every finite
+    child. ``slack`` is the terminal capital minus the payoff."""
+    require_valid(spec)
+    tree = spec.tree
+    leaves = charged_leaves(actual, tree)
+    missing = [l for l in leaves if l not in payoff]
+    if missing:
+        raise ValueError(f"payoff missing at leaves {missing}")
+    W = wealth_process(spec).values
+    charged = tree.times() if actual is None else actual.charged
+    steps = [(n, kids) for n in tree.non_leaves() if n in charged  # and its charged children
+             for kids in [[c for c in tree.children(n) if c in charged]] if kids]
+
+    # a node with no charged leaf below constrains nothing: value -inf
+    V = {leaf: float(payoff[leaf]) for leaf in leaves}
+    best_pi: dict[str, float] = {}
+    for n, kids in reversed(steps):  # children before parents
+        lines = []
+        for c in kids:
+            v = V.get(c, -math.inf)
+            if v != -math.inf:
+                d = W[c] - W[n]
+                lines.append((v, 0.0 if abs(d) <= _STEP_TOL else d))
+        if all(d > 0.0 for _, d in lines):
+            V[n] = -math.inf
+        else:
+            V[n], best_pi[n] = _min_max_line(lines)
+    price = V[tree.root]
+    if price == -math.inf:
+        raise UnboundedHedgeError(
+            "superhedge cost is unbounded below; the market admits a strong arbitrage"
+        )
+
+    pi = dict.fromkeys(tree.non_leaves(), 0.0)
+    X = {tree.root: price}
+    for n, kids in steps:
+        x, wn = X[n], W[n]
+        p = best_pi.get(n)
+        if p is None:  # V_n = -inf: every finite child has W_c - W_n > _STEP_TOL
+            finite = [c for c in kids if V.get(c, -math.inf) != -math.inf]
+            p = max([0.0] + [(V[c] - x) / (W[c] - wn) for c in finite])
+        pi[n] = p
+        for c in kids:
+            X[c] = x + p * (W[c] - wn)
+    slack = {l: float(X[l] - payoff[l]) for l in leaves}
+    return HedgeSolution(price=price, strategy=Strategy(pi), slack=slack)

@@ -155,6 +155,15 @@ def test_hedge_constant_payoff(tmp_path):
     assert report.verdicts["duality_gap"] <= 1e-9
 
 
+def test_hedge_on_the_discovered_family_has_no_duality_gap(capsys):
+    # the hedge and the upper expectation step through the same cut arrays
+    argv = ["--format", "machine", "hedge", "--claim", "ecall", "--strike", "0.9"]
+    assert main([*argv, data_file("branch3-discovered.market")]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts["duality_gap"] == 0.0
+    assert verdicts["price"] == verdicts["value"]
+
+
 def test_classify_command():
     parsed = parse_market_file(data_file("ex1geom.market"))
     report = run_analysis("classify", parsed, {"process": "W"})

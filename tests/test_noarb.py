@@ -1,10 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import per_node
+
 from bubbletree import fixtures
 from bubbletree.ambiguity import (
     CHARGE_TOL,
+    ExplicitFamily,
+    RectangularFamily,
+    TransitionSet,
+    _push_mass,
     charged_leaves,
     classify_process,
     cond_expectation,
@@ -319,6 +327,62 @@ def test_unbounded_hedge_on_strong_arbitrage():
     fx = fixtures.ex1_one_period(s0=1.0, s1=(1.5, 1.2))
     with pytest.raises(UnboundedHedgeError):
         superhedge(fx.spec, {"r0": 0.0, "r1": 0.0})
+
+
+def _hedge_actuals(family, rng):
+    """None, the market's box family, a thinned box family (one child's
+    bound zeroed at about half the nodes), its vertex lists, and two
+    product measures of its vertices as an explicit family."""
+    tree, transitions = family.tree, dict(family.transitions)
+    for n in tree.non_leaves():
+        k = len(tree.children(n))
+        if k >= 2 and rng.random() < 0.5:
+            drop = int(rng.integers(k))
+            transitions[n] = TransitionSet.box([0.0] * k, [float(i != drop) for i in range(k)])
+    vertices = {n: ts.vertex_list() for n, ts in transitions.items()}
+    measures = tuple(
+        _push_mass(tree, {n: vs[int(rng.integers(len(vs)))] for n, vs in vertices.items()})
+        for _ in range(2)
+    )
+    return (
+        None,
+        family,
+        RectangularFamily(tree, transitions, role="actual"),
+        RectangularFamily(tree, {n: TransitionSet.vertex_set(vs) for n, vs in vertices.items()},
+                          role="actual"),
+        ExplicitFamily(tree, measures, role="actual"),
+    )
+
+
+def test_superhedge_matches_per_node_recursion():
+    files = hedges = unbounded = 0
+    for seed in range(320):
+        style = ("neutral", "bumped", "free")[seed % 3]
+        tau = ("bounded", "unbounded", "none", "claim")[seed // 3 % 4]
+        shape = dict(depth=1 + seed % 4, branching=2 + seed // 4 % 3, style=style)
+        fx = (fixtures.rand_claim_market(seed, **shape) if tau == "claim"
+              else fixtures.rand_market(seed, tau_mode=tau, **shape))
+        files += 1
+        spec, tree = fx.spec, fx.spec.tree
+        rng = np.random.default_rng(seed)
+        W = wealth_process(spec).values
+        for actual in _hedge_actuals(fx.family, rng):
+            for payoff in ({l: float(rng.uniform(0, 2)) for l in tree.leaves},
+                           {l: W[l] for l in tree.leaves}):
+                case = (seed, style, tau, type(actual).__name__)
+                hedges += 1
+                fast = _hedge_or_none(superhedge, spec, payoff, actual)
+                ref = _hedge_or_none(per_node.superhedge, spec, payoff, actual)
+                assert (fast is None) == (ref is None), case
+                if fast is None:
+                    unbounded += 1
+                    continue
+                assert math.isclose(fast.price, ref.price, rel_tol=1e-12), case
+                assert list(fast.slack) == list(ref.slack), case
+                assert list(fast.strategy.pi) == list(ref.strategy.pi), case
+                assert min(fast.strategy.pi.values()) >= 0.0, case
+                assert min(fast.slack.values()) >= -1e-9, case
+    assert files >= 300 and unbounded >= 100 and hedges - unbounded >= 1000, (hedges, unbounded)
 
 
 # -- robust price and duality ---------------------------------------------------
