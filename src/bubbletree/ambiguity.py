@@ -30,14 +30,14 @@ CHARGE_TOL = 1e-12
 # a one-step wealth change at most this large counts as zero
 _STEP_TOL = 1e-12
 
-# Levels at least this many nodes wide step their box nodes in numpy;
-# narrower ones call ``TransitionSet.maximize`` node by node. The two paths
-# break even near 20 nodes (numpy's fixed cost is ~70 us a level, per node
+# Runs of at least this many level-order nodes step their box nodes in numpy;
+# shorter ones call ``TransitionSet.maximize`` node by node. The two paths
+# break even near 20 nodes (numpy's fixed cost is ~70 us a step, per node
 # costs ~3.5 us; measured on a 2-vCPU machine), so 32 leaves a margin.
 _KERNEL_MIN_WIDTH = 32
-# Box arrays pad every node to the widest one; a level, or a whole tree,
-# where that would take more than this many cells per child steps node by
-# node instead, so the arrays stay linear in the child count.
+# Box arrays pad every node to the widest one; a tree where that would take
+# more than this many cells per child steps node by node instead, so the
+# arrays stay linear in the child count.
 _MAX_PAD_RATIO = 4
 
 CLASS_ORDER = ("none", "infi_supermartingale", "G_supermartingale", "G_martingale")
@@ -171,29 +171,31 @@ class TransitionSet:
         return tuple(out)
 
 
-_PAD = 1 << 40  # child position of a padding column: past any level's end
+_PAD = 1 << 40  # child index of a padding column: past any tree's end
 
 
 class _BoxArrays(NamedTuple):
-    """A run of nodes' boxes as arrays, one row per node and one column per
-    child, padded to the widest node with zero-capacity columns."""
+    """Every inner node's box as arrays, one row per node in level order and one
+    column per child, padded to the widest node with zero-capacity columns."""
 
-    kids: np.ndarray  # each child's index counted from the first row's first child, or _PAD
+    kids: np.ndarray  # each child's level-order index - 1, or _PAD
     lower: np.ndarray  # box lower bounds
     cap: np.ndarray  # upper - lower
     rem: np.ndarray  # 1 - sum(lower), per row
 
 
-def _pad(tree: EventTree, boxes: BoxSets, g: int, h: int) -> _BoxArrays | None:
-    """Nodes ``g:h`` of ``boxes`` as padded rows (no box: padding only). None without a box
-    child, or where padding takes over ``_MAX_PAD_RATIO`` cells per box child (memory stays linear)."""
-    off, par = tree.child_offsets, tree.parent_index
-    kid = off[g] + np.flatnonzero(boxes.rows[par[off[g] : off[h]]])
-    row, col = par[kid] - g, kid - off[par[kid]]
-    if not len(kid) or (h - g) * (k := col.max() + 1) > _MAX_PAD_RATIO * len(kid):
+def _pad(boxes: BoxSets) -> _BoxArrays | None:
+    """Every node before the last level of ``boxes`` as padded rows (no box: padding only). None
+    without a box child, or where padding takes over ``_MAX_PAD_RATIO`` cells per box child (memory
+    stays linear)."""
+    tree = boxes.tree
+    off, par, h = tree.child_offsets, tree.parent_index, tree.level_starts[-2]
+    kid = 1 + np.flatnonzero(boxes.rows[par[1 : off[h]]])
+    row, col = par[kid], kid - off[par[kid]]
+    if not len(kid) or h * (k := col.max() + 1) > _MAX_PAD_RATIO * len(kid):
         return None
-    kids, lower, cap = np.full((h - g, k), _PAD, np.intp), np.zeros((h - g, k)), np.zeros((h - g, k))
-    kids[row, col] = kid - off[g]
+    kids, lower, cap = np.full((h, k), _PAD, np.intp), np.zeros((h, k)), np.zeros((h, k))
+    kids[row, col] = kid - 1
     lower[row, col] = boxes.lower[kid]
     cap[row, col] = boxes.upper[kid] - boxes.lower[kid]
     rem = 1.0 - np.array(list(map(sum, lower.tolist())))  # the builtin sum, as in ``maximize``
@@ -225,7 +227,7 @@ class BoxSets(Mapping):
     @cached_property
     def pad(self) -> _BoxArrays | None:
         """Every node before the last level as padded rows."""
-        return _pad(self.tree, self, 0, self.tree.level_starts[-2])
+        return _pad(self)
 
     def __getitem__(self, n: str) -> TransitionSet:
         if n not in self.made:
@@ -314,46 +316,18 @@ class CutSets(Mapping):
         return len(self.tree.non_leaves())
 
 
-class _Level(NamedTuple):
-    """One time slice of a compiled rectangular family. The children of the
-    level's i-th node are the next level's ``offsets[i]:offsets[i + 1]``
-    (preorder keeps every node's children, and every subtree, contiguous)."""
-
-    nodes: tuple[str, ...]  # ``tree.level(t)``
-    offsets: tuple[int, ...]
-    sets: tuple[TransitionSet | None, ...]  # None: a leaf or a missing set; () with ``box``/``cut``
-    box: _BoxArrays | None  # on wide levels of boxes only
-    cut: _CutArrays | None  # the family's ``cuts`` at the level, if it has them
-
-
-def _compile_level(family: RectangularFamily, t: int) -> _Level:
-    tree, nodes = family.tree, family.tree.level(t)
-    g, h = tree.level_starts[t : t + 2]
-    offsets = tuple((tree.child_offsets[g : h + 1] - tree.child_offsets[g]).tolist())
-    if family.cuts is not None:  # the level's cuts, with nodes numbered from h
-        c, (s, e) = family.cuts, family.cuts.start[[g, h]]
-        cut = _CutArrays(c.start[g : h + 1] - s, c.a[s:e] - h, c.wa[s:e], c.b[s:e] - h, c.wb[s:e])
-        return _Level(nodes, offsets, (), None, cut)
-    box = None
-    if len(nodes) >= _KERNEL_MIN_WIDTH and (b := family.boxes).rows[g:h].all():
-        box = _pad(tree, b, g, h) if b.pad is None else _BoxArrays(  # its rows, children from h
-            b.pad.kids[g:h] - (h - 1), *(a[g:h] for a in b.pad[1:]))
-    sets = () if box else tuple(family.transitions.get(n) if tree.children(n) else None for n in nodes)
-    return _Level(nodes, offsets, sets, box, None)
-
-
 @dataclass(frozen=True)
 class RectangularFamily:
     """Per-node transition sets; the induced set of path measures.
 
     Every backward recursion over the family (sweeps, conditional
     expectations, argmax measures, the American DP, one-step classification)
-    runs on ``levels``, the family compiled once into per-level arrays: one
-    numpy step per level of ``cuts`` (a ``CutSets`` map as arrays) or of at
-    least ``_KERNEL_MIN_WIDTH`` boxes, and ``TransitionSet.maximize`` per
-    node on other levels, with bitwise equal results; boxes are read as a
-    ``BoxSets`` map. ``boxes``, ``charged`` and ``levels`` are computed on first
-    use and cached, so treat a family, its tree and its transition map as immutable.
+    is ``_upper_step`` over runs of level-order nodes: one numpy step over
+    ``cuts`` (a ``CutSets`` map as arrays), or over the whole-tree box rows of
+    ``boxes.pad`` on runs of at least ``_KERNEL_MIN_WIDTH`` nodes, and
+    ``TransitionSet.maximize`` per node elsewhere, with bitwise equal
+    results. ``boxes`` and ``charged`` are computed on first use and cached,
+    so treat a family, its tree and its transition map as immutable.
     """
 
     tree: EventTree
@@ -374,12 +348,6 @@ class RectangularFamily:
         """The boxes: the transition map itself, or read from it."""
         t = self.transitions
         return t if isinstance(t, BoxSets) else BoxSets.read(self.tree, t)
-
-    @cached_property
-    def levels(self) -> tuple[_Level, ...]:
-        """The family compiled for backward recursion: one ``_Level`` per
-        time 0 .. horizon - 1, in ``tree.level`` order."""
-        return tuple(_compile_level(self, t) for t in range(self.tree.horizon))
 
     @cached_property
     def charged_mask(self) -> np.ndarray:
@@ -538,14 +506,13 @@ def _box_step(box: _BoxArrays, lo: int, hi: int, base: int, vals) -> tuple[np.nd
     return total, w
 
 
-def _cut_step(cuts: _CutArrays, lo: int, hi: int, x: np.ndarray, shift: int = 0, pick=False):
-    """``maximize`` at nodes ``lo:hi`` (each with a vertex) of values ``x[g - shift]``:
+def _cut_step(cuts: _CutArrays, lo: int, hi: int, x: np.ndarray, pick=False):
+    """``maximize`` at nodes ``lo:hi`` (each with a vertex) of the level-order values ``x``:
     each vertex's terms summed from 0.0 in child order; ``pick``: the first best.
     A NaN vertex value loses to a finite one, so NaN values can stand for "none"."""
     start = cuts.start[lo : hi + 1]
     s, e = start[0], start[-1]
-    a, b = (cuts.a[s:e] - shift, cuts.b[s:e] - shift) if shift else (cuts.a[s:e], cuts.b[s:e])
-    val = (0.0 + cuts.wa[s:e] * x[a]) + cuts.wb[s:e] * x[b]
+    val = (0.0 + cuts.wa[s:e] * x[cuts.a[s:e]]) + cuts.wb[s:e] * x[cuts.b[s:e]]
     seg = start[:-1] - s if s else start[:-1]
     best = np.fmax.reduceat(val, seg)
     if not pick:
@@ -554,39 +521,35 @@ def _cut_step(cuts: _CutArrays, lo: int, hi: int, x: np.ndarray, shift: int = 0,
     return best, np.minimum.reduceat(np.where(hit, np.arange(s, e), e), seg)
 
 
-def _step(level: _Level, lo: int, hi: int, vals, weights: list | None = None):
-    """Upper one-step expectation at the level's nodes ``lo:hi``. ``vals``
-    holds the values of exactly their children, in level order. Cut and
-    box levels run in numpy and return an array; the rest call
-    ``maximize`` per node and return a list. ``weights``, when given, is
-    extended by each node's maximizer."""
-    off, sets = level.offsets, level.sets
-    base = off[lo]
-    if level.cut is not None:
-        if weights is None:
-            return _cut_step(level.cut, lo, hi, np.asarray(vals, float), base)
-        out, pick = _cut_step(level.cut, lo, hi, np.asarray(vals, float), base, pick=True)
-        weights.extend(_vertices(level.cut, pick, off[lo:hi], off[lo + 1 : hi + 1]))
-        return out
-    if level.box is not None:
-        out, w = _box_step(level.box, lo, hi, base, vals)
-        if weights is not None:
-            weights.extend(
-                tuple(row[: off[i + 1] - off[i]]) for i, row in zip(range(lo, hi), w.tolist())
-            )
-        return out
-    if not isinstance(vals, list):
-        vals = vals.tolist()
-    out = []
-    for i in range(lo, hi):
-        ts = sets[i]
-        if ts is None:
-            raise KeyError(f"no transition set at node {level.nodes[i]!r}")
-        v, w = ts.maximize(vals[off[i] - base : off[i + 1] - base])
-        out.append(v)
-        if weights is not None:
-            weights.append(w)
-    return out
+def _upper_step(family: RectangularFamily, lo: int, hi: int, x: np.ndarray, pick=False):
+    """Upper one-step expectation at the level-order nodes ``lo:hi`` of the whole-tree
+    level-order values ``x``, as an array; ``pick``: and a list of each node's maximizer.
+    One ``_cut_step`` on cuts; else one ``_box_step`` over the box rows of ``boxes.pad``
+    when the run holds at least ``_KERNEL_MIN_WIDTH`` nodes, and ``maximize`` at every
+    other node (vertex lists, short runs, trees without a pad). Results are bitwise equal."""
+    off = family.tree.child_offsets
+    if (cuts := family.cuts) is not None:
+        if not pick:
+            return _cut_step(cuts, lo, hi, x)
+        out, at = _cut_step(cuts, lo, hi, x, pick=True)
+        return out, _vertices(cuts, at, off[lo:hi].tolist(), off[lo + 1 : hi + 1].tolist())
+    w = [None] * (hi - lo)
+    if hi - lo >= _KERNEL_MIN_WIDTH and (pad := family.boxes.pad) is not None:
+        i, j = off[lo].item(), off[hi].item()
+        out, rows = _box_step(pad, lo, hi, i - 1, x[i:j])
+        if pick:
+            w = [tuple(r[:k]) for k, r in zip(np.diff(off[lo : hi + 1]).tolist(), rows.tolist())]
+        rest = np.flatnonzero(~family.boxes.rows[lo:hi]).tolist()
+    else:
+        out, rest = np.empty(hi - lo), range(hi - lo)
+    if rest:  # maximize per node, on lists
+        o, xs = (off[lo : hi + 1] - off[lo]).tolist(), x[off[lo] : off[hi]].tolist()
+        order, sets = family.tree.level_order, family.transitions
+        for i in rest:
+            if (ts := sets.get(order[lo + i])) is None:
+                raise KeyError(f"no transition set at node {order[lo + i]!r}")
+            out[i], w[i] = ts.maximize(xs[o[i] : o[i + 1]])
+    return (out, w) if pick else out
 
 
 def _backward(
@@ -601,40 +564,39 @@ def _backward(
     """Backward recursion of the upper expectation of the time-``target_t``
     slice ``values``, at every node of ``top``'s subtree down to that time.
 
-    One compiled level at a time (``RectangularFamily.levels``), from the
-    target time up, so depth is unbounded; each level is one ``_step``,
-    vectorised on wide box levels and node by node on the rest. ``weights``, when given, receives each node's
-    maximizer. ``floor`` turns the recursion into an optimal-stopping DP:
+    One level at a time, from the target time up, so depth is unbounded: the
+    subtree's run of each level is one ``_upper_step`` over the values held
+    in a whole-tree level-order array. ``weights``, when given, receives each
+    node's maximizer. ``floor`` turns the recursion into an optimal-stopping DP:
     ``floor[t]`` holds the full level-t exercise values (so ``top`` must be
     the root), a node takes its floor when that is at least its
     continuation value, and such nodes are added to ``exercise``."""
     tree = family.tree
-    levels = family.levels
-    t0 = tree.time(top)
-    lo = tree.position(top)
-    spans = [(lo, lo + 1)]  # top's subtree is a contiguous run of each level
-    for t in range(t0, target_t):
-        lo, hi = spans[-1]
-        off = levels[t].offsets
-        spans.append((off[lo], off[hi]))
+    off, starts = tree.child_offsets, tree.level_starts
+    t0, g = tree.time(top), tree.index(top)
+    spans = [(g, g + 1)]  # top's subtree is a contiguous run of each level
+    for _ in range(t0, target_t):
+        spans.append((int(off[spans[-1][0]]), int(off[spans[-1][1]])))
+    x = np.empty(len(tree))
     lo, hi = spans.pop()
-    nodes = tree.level(target_t)[lo:hi]
+    nodes = tree.level(target_t)[lo - starts[target_t] : hi - starts[target_t]]
     vals = [float(values[n]) for n in nodes]
+    x[lo:hi] = vals
     out = dict(zip(nodes, vals))
     for t in range(target_t - 1, t0 - 1, -1):
         lo, hi = spans[t - t0]
-        nodes = tree.level(t)[lo:hi]
-        w = None if weights is None else []
-        vals = _step(levels[t], lo, hi, vals, w)
-        if floor is not None:
-            f = floor[t][lo:hi]
-            cont = np.asarray(vals)
-            stop = f >= cont
-            vals = np.where(stop, f, cont)
-            exercise.update(itertools.compress(nodes, stop.tolist()))
-        out.update(zip(nodes, vals if isinstance(vals, list) else vals.tolist()))
-        if w is not None:
+        nodes = tree.level(t)[lo - starts[t] : hi - starts[t]]  # a whole level: no copy
+        if weights is None:
+            x[lo:hi] = _upper_step(family, lo, hi, x)
+        else:
+            x[lo:hi], w = _upper_step(family, lo, hi, x, pick=True)
             weights.update(zip(nodes, w))
+        if floor is not None:
+            f = floor[t][lo - starts[t] : hi - starts[t]]
+            stop = f >= x[lo:hi]
+            x[lo:hi] = np.where(stop, f, x[lo:hi])
+            exercise.update(itertools.compress(nodes, stop.tolist()))
+        out.update(zip(nodes, x[lo:hi].tolist()))
     return out
 
 
@@ -791,8 +753,8 @@ def _one_step_bounds(
     family: RectangularFamily, process: Mapping[str, float], T: int
 ) -> dict[str, tuple[float, float, float]]:
     """(value, upper, lower) one-step expectations at each charged node before ``T`` whose
-    children all carry a value, in preorder: one ``_cut_step`` or ``_box_step`` per bound over the
-    tree; ``maximize`` at vertex lists, and everywhere on < ``_KERNEL_MIN_WIDTH`` nodes or no pad."""
+    children all carry a value, in preorder: one ``_upper_step`` per bound over the inner
+    nodes before ``T``."""
     tree = family.tree
     order, n, off = tree.level_order, len(tree.level_order), tree.child_offsets
     end = tree.level_starts[max(0, min(T, tree.horizon))]  # the inner nodes before T
@@ -801,17 +763,7 @@ def _one_step_bounds(
     keep = (off[1:] > off[:-1]) & have & family.charged_mask
     keep &= np.bincount(tree.parent_index[1:], ~have[1:], minlength=n) == 0
     keep[end:] = False
-    if family.cuts is not None:
-        up, low = _cut_step(family.cuts, 0, end, x), _cut_step(family.cuts, 0, end, -x)
-    else:
-        b, rest = family.boxes, keep
-        up, low = np.full(n, np.nan), np.full(n, np.nan)
-        if end >= _KERNEL_MIN_WIDTH and b.pad is not None:
-            up[:end], low[:end] = (_box_step(b.pad, 0, end, 0, v)[0] for v in (x[1:], -x[1:]))
-            rest = keep & ~b.rows
-        for g in np.flatnonzero(rest).tolist():
-            vals, ts = x[off[g] : off[g + 1]].tolist(), family.transitions[order[g]]
-            up[g], low[g] = ts.maximize(vals)[0], ts.maximize([-v for v in vals])[0]
+    up, low = (_upper_step(family, 0, end, v) for v in (x, -x))
     sel = tree.preorder_index[keep[tree.preorder_index]]
     nodes = [order[g] for g in sel.tolist()]
     bounds = zip(map(process.__getitem__, nodes), up[sel].tolist(), (-low[sel]).tolist())

@@ -346,6 +346,14 @@ class BubbleReport:
     tau_kind: str
 
 
+def bubble_processes(
+    spec: MarketSpec, pricing: MeasureFamily
+) -> tuple[AdaptedProcess, AdaptedProcess, AdaptedProcess]:
+    """S*, W* and the bubble, from the one cash-flow sweep (W*)."""
+    val = _conditional_value_process(spec, pricing)
+    return _price_from_value(spec, val), AdaptedProcess(val), _bubble_from_value(spec, val)
+
+
 def analyze_bubble(
     spec: MarketSpec,
     pricing: MeasureFamily,
@@ -353,10 +361,7 @@ def analyze_bubble(
     ftap: FtapReport | None = None,
     tol: float = 1e-9,
 ) -> BubbleReport:
-    val = _conditional_value_process(spec, pricing)  # W*, the one cash-flow sweep
-    s_star = _price_from_value(spec, val)
-    w_star = AdaptedProcess(val)
-    beta = _bubble_from_value(spec, val)
+    s_star, w_star, beta = bubble_processes(spec, pricing)
     classification = classify_bubble(spec, pricing, beta, actual, tol=tol)
     properties = check_bubble_properties(spec, pricing, actual, beta, ftap, tol=tol)
     return BubbleReport(

@@ -34,8 +34,8 @@ from .ambiguity import (
     validate_family,
 )
 from .bubble import (
-    BubbleReport,
     analyze_bubble,
+    bubble_processes,
     find_dominating_strategy,
     stopped_price_process,
 )
@@ -447,24 +447,23 @@ def report_from_dict(doc: Mapping) -> Report:
     )
 
 
-def _resolve_pricing(parsed: ParsedMarket):
+def _resolve_pricing(parsed: ParsedMarket) -> MeasureFamily | None:
     """Pricing family: the one in the file, else the supermartingale family
-    discovered by the equivalence check (None when arbitrage blocks it),
-    with that check's report (None when the file gives the family)."""
+    discovered by the equivalence check (None when arbitrage blocks it)."""
     if parsed.pricing is not None:
-        return parsed.pricing, None
-    ftap = verify_ftap(parsed.spec, parsed.actual)
-    return ftap.pricing_family, ftap
+        return parsed.pricing
+    return verify_ftap(parsed.spec, parsed.actual).pricing_family
 
 
-def _process_table(spec: MarketSpec, bubble: BubbleReport) -> dict[str, dict[str, float]]:
+def _process_table(spec: MarketSpec, s_star, w_star, beta) -> dict[str, dict[str, float]]:
+    """The market's processes and ``bubble_processes``' three, as the reports print them."""
     return {
         "S": dict(spec.price),
         "W": dict(wealth_process(spec).values),
         "B": dict(discount_factors(spec).values),
-        "Sstar": dict(bubble.S_star.values),
-        "Wstar": dict(bubble.W_star.values),
-        "beta": dict(bubble.beta.values),
+        "Sstar": dict(s_star.values),
+        "Wstar": dict(w_star.values),
+        "beta": dict(beta.values),
     }
 
 
@@ -523,12 +522,12 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
                 c[0] for c in clause.get("counterexamples", ())
             )
             report.diagnostics[f"{name}_nodes"] = sorted(nodes)
-        report.processes = _process_table(spec, rep)
+        report.processes = _process_table(spec, rep.S_star, rep.W_star, rep.beta)
         report.diagnostics["beta_0"] = rep.beta[tree.root]
         report.diagnostics["tau_kind"] = spec.tau_kind
         return report
 
-    pricing, ftap = _resolve_pricing(parsed)
+    pricing = _resolve_pricing(parsed)
     if pricing is None and command in ("price", "classify", "dominance"):
         report.verdicts["error"] = "no pricing family available (arbitrage)"
         report.exit_status = 2
@@ -552,8 +551,7 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
             report.processes["claim_value"] = dict(proc.values)
             value = proc[tree.root]
         report.verdicts["value"] = value
-        bubble = analyze_bubble(spec, pricing, parsed.actual, ftap=ftap)
-        report.processes.update(_process_table(spec, bubble))
+        report.processes.update(_process_table(spec, *bubble_processes(spec, pricing)))
         return report
 
     if command == "hedge":
@@ -588,21 +586,20 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
         report.verdicts["duality_gap"] = result.duality_gap
         report.processes["hedge_pi"] = dict(result.hedge.strategy.pi)
         report.processes["hedge_slack"] = dict(result.hedge.slack)
-        bubble = analyze_bubble(spec, pricing, parsed.actual, ftap=ftap)
-        report.processes.update(_process_table(spec, bubble))
+        report.processes.update(_process_table(spec, *bubble_processes(spec, pricing)))
         return report
 
     if command == "classify":
         which = options["process"]
-        bubble = analyze_bubble(spec, pricing, parsed.actual, ftap=ftap)
+        s_star, w_star, beta = bubble_processes(spec, pricing)
         if which == "S":
             proc = stopped_price_process(spec).values
         elif which == "W":
             proc = wealth_process(spec).values
         elif which == "Wstar":
-            proc = bubble.W_star.values
+            proc = w_star.values
         elif which == "beta":
-            proc = bubble.beta.values
+            proc = beta.values
         else:
             raise MarketFileError(f"unknown process {which!r}")
         cls = classify_process(pricing, proc, tol=tol)
@@ -611,13 +608,13 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
         report.verdicts["supermartingale_slack"] = cls.supermartingale_slack
         report.verdicts["infi_slack"] = cls.infi_slack
         report.processes[which] = dict(proc)
-        report.processes.update(_process_table(spec, bubble))
+        report.processes.update(_process_table(spec, s_star, w_star, beta))
         return report
 
     if command == "dominance":
-        bubble = analyze_bubble(spec, pricing, parsed.actual, ftap=ftap)
+        s_star, w_star, beta = bubble_processes(spec, pricing)
         pair = find_dominating_strategy(spec, pricing, parsed.actual, tol=tol,
-                                        fundamental_root=bubble.S_star[tree.root])
+                                        fundamental_root=s_star[tree.root])
         if pair is None:
             report.verdicts["dominance"] = "none"
         else:
@@ -627,7 +624,7 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
             report.verdicts["min_gain_gap"] = pair.min_gap
             report.processes["hedge_pi"] = dict(pair.hedge.strategy.pi)
             report.processes["gain_gap"] = dict(pair.gain_gap)
-        report.processes.update(_process_table(spec, bubble))
+        report.processes.update(_process_table(spec, s_star, w_star, beta))
         return report
 
     raise MarketFileError(f"unknown command {command!r}")

@@ -26,6 +26,7 @@ scipy is needed only where the reference LPs run (the tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -91,29 +92,56 @@ class HedgeSolution:
 
 @dataclass(frozen=True)
 class FtapReport:
-    """Outcome of the no-arbitrage / risk-neutral-family equivalence check.
+    """Outcome of the no-arbitrage / risk-neutral-family equivalence check
+    over the ``actual`` family.
 
     Exactly one of ``arbitrage`` and ``family_found`` obtains: both come from
     the same one-step test at each charged node, and ``consistent`` records
-    that the dichotomy held. ``search_agreement`` records that the product
-    witness measure charged every charged leaf exactly when the family
-    exists. ``witness_family`` holds that product measure (the average
-    vertex at each node), plus a structural product measure for each leaf it
-    leaves uncharged; ``pricing_family`` is the full supermartingale set in
-    per-node vertex form (its convex hull is maximal, so superhedging
-    duality is exact against it).
+    that the dichotomy held. ``pricing_family`` is the full supermartingale
+    set in per-node vertex form (its convex hull is maximal, so superhedging
+    duality is exact against it). ``witness_family`` holds the family's product
+    measure (the average vertex at each node), plus a structural product
+    measure for each leaf it leaves uncharged; ``search_agreement`` records
+    that the product measure charged every charged leaf exactly when the family
+    exists. Both are computed on first access.
     """
 
     arbitrage: ArbitrageCertificate | None
-    family_found: bool
-    witness_family: ExplicitFamily | None
     pricing_family: RectangularFamily | None
-    consistent: bool
-    search_agreement: bool
+    actual: MeasureFamily | None = None
 
     @property
     def no_arbitrage(self) -> bool:
         return self.arbitrage is None
+
+    @property
+    def family_found(self) -> bool:
+        return self.pricing_family is not None
+
+    @property
+    def consistent(self) -> bool:
+        return self.no_arbitrage == self.family_found
+
+    @cached_property
+    def _witness(self) -> tuple[ExplicitFamily | None, bool]:
+        """The witness family, and whether the product measure charges every charged leaf."""
+        family = self.pricing_family
+        if family is None:
+            return None, False
+        leaves = charged_leaves(self.actual, family.tree)
+        q = _product_witness(family)
+        missed = [leaf for leaf in leaves if q[leaf] <= CHARGE_TOL]
+        measures = [q] if len(missed) < len(leaves) else []
+        measures.extend(_structural_leaf_measure(family, leaf) for leaf in missed)
+        return ExplicitFamily(family.tree, tuple(measures), role="pricing"), not missed
+
+    @property
+    def witness_family(self) -> ExplicitFamily | None:
+        return self._witness[0]
+
+    @property
+    def search_agreement(self) -> bool:
+        return self._witness[1] == self.family_found
 
 
 @dataclass(frozen=True)
@@ -166,8 +194,12 @@ def find_arbitrage(
     more if needed for the witness gain to clear ``gain_tol``. When no node
     qualifies, ``supermartingale_family`` finds a pricing family instead."""
     require_valid(spec)
+    return _first_arbitrage(spec, actual, *_one_step(spec, actual), gain_tol)
+
+
+def _first_arbitrage(spec: MarketSpec, actual, W, charged, arbitrage, gain_tol: float = 1e-6):
+    """``find_arbitrage`` from ``_one_step``'s wealth and masks."""
     tree = spec.tree
-    W, charged, arbitrage = _one_step(spec, actual)
     for g in tree.preorder_index[arbitrage[tree.preorder_index]][:1].tolist():
         kids = slice(tree.child_offsets[g], tree.child_offsets[g + 1])
         top = max(W[kids][charged[kids]].tolist()) - W[g].item()
@@ -233,35 +265,14 @@ def _product_witness(family: RectangularFamily) -> dict[str, float]:
 
 
 def verify_ftap(spec: MarketSpec, actual: MeasureFamily | None = None) -> FtapReport:
-    """Run both sides of the equivalence: the arbitrage search and the
-    supermartingale family, from the same one-step test. The witness family
-    is the family's product witness measure, plus the structural product
-    witness for each charged leaf that measure leaves uncharged. The
-    rectangular family is authoritative for existence (the reachable mass
-    of a leaf can be legitimately tiny)."""
-    tree = spec.tree
-    cert = find_arbitrage(spec, actual)
-    structural = supermartingale_family(spec, actual)
-    found_all = structural is not None
-
-    witness = None
-    covered = False
-    if found_all:
-        leaves = charged_leaves(actual, tree)
-        q = _product_witness(structural)
-        missed = [leaf for leaf in leaves if q[leaf] <= CHARGE_TOL]
-        covered = not missed
-        measures = [q] if len(missed) < len(leaves) else []
-        measures.extend(_structural_leaf_measure(structural, leaf) for leaf in missed)
-        witness = ExplicitFamily(tree, tuple(measures), role="pricing")
-    return FtapReport(
-        arbitrage=cert,
-        family_found=found_all,
-        witness_family=witness,
-        pricing_family=structural,
-        consistent=(cert is None) == found_all,
-        search_agreement=covered == found_all,
-    )
+    """Run both sides of the equivalence, the arbitrage search and the
+    supermartingale family, from one one-step test (one ``_cuts`` pass). The
+    rectangular family is authoritative for existence (the reachable mass of
+    a leaf can be legitimately tiny)."""
+    require_valid(spec)
+    W, charged, arbitrage, _, cuts = _cuts(spec, actual)
+    family = None if arbitrage.any() else RectangularFamily(spec.tree, cuts, role="pricing")
+    return FtapReport(_first_arbitrage(spec, actual, W, charged, arbitrage), family, actual)
 
 
 def superhedge(

@@ -3,7 +3,7 @@ oracles.
 
 A ``CutSets`` map lists each node's cut as the vertex set the per-node
 enumeration (``per_node.cut_vertices``) builds. A family of cuts steps its
-levels, its one-step bounds and its charged nodes on the cut arrays; the
+recursions, its one-step bounds and its charged nodes on the cut arrays; the
 same sets in a plain dict step node by node through ``maximize``, and both
 must agree: the same maximum and maximizer (first best vertex), support and
 recursions. On random markets the array passes of ``noarb`` and
@@ -24,7 +24,7 @@ from bubbletree.ambiguity import (
     RectangularFamily,
     TransitionSet,
     _one_step_bounds,
-    _step,
+    _upper_step,
     argmax_measure,
     classify_process,
     cond_expectation,
@@ -109,9 +109,8 @@ def test_cut_matches_its_vertex_set(data):
     }
     for _ in range(3):
         values = data.draw(st.lists(values_of, min_size=k, max_size=k))
-        weights = []
-        (best,) = _step(fam.levels[0], 0, 1, values, weights).tolist()
-        assert_same((best, *weights), ts.maximize(values))
+        (best,), weights = _upper_step(fam, 0, 1, np.array([0.0, *values]), pick=True)
+        assert_same((best.item(), *weights), ts.maximize(values))
 
 
 def recursions(fam: RectangularFamily, rng: np.random.Generator) -> list:
@@ -222,11 +221,16 @@ def test_explicit_actual_family_charges_as_its_measures():
         assert_same(_product_witness(fam), per_node.product_witness(ref))
 
 
-def test_discovered_fiat_family_is_all_cut_levels():
+def test_discovered_fiat_family_is_all_cut_levels(step_calls):
     fx = fixtures.fiat(5)
     fam = supermartingale_family(fx.spec)
     assert fam.cuts is not None
-    assert all(lv.cut is not None and lv.box is None for lv in fam.levels)
+    tree = fam.tree
+    expectation_sweep(fam, dict.fromkeys(tree.level(tree.horizon), 1.0))
+    starts = tree.level_starts
+    levels = list(zip(starts[: tree.horizon], starts[1 : tree.horizon + 1]))[::-1]
+    assert [(lo, hi) for _, lo, hi in step_calls["cut"]] == levels
+    assert step_calls["box"] == step_calls["maximize"] == []
     assert len(fam.transitions) == len(fx.spec.tree.non_leaves())
     assert fam.with_role("actual").transitions is fam.transitions
     assert fam.transitions.get("nowhere") is None

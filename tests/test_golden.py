@@ -5,10 +5,11 @@ report of each market file below under each command of
 ``test_cli.COMMANDS``. ``branch3-discovered.market`` has no pricing block
 and a ternary tree whose nodes have two children above their wealth, two
 below, or one exactly at it, some of them uncharged by the actual family,
-so it runs every case of the discovered pricing family. Reports are compared exactly, without the fields
-whose LP optimum is not unique (hedge holdings and slacks, the dominance
-gain gap, the arbitrage witness and its gain) and without the market file
-path, which depends on the checkout.
+so it runs every case of the discovered pricing family. Reports are
+compared exactly, as values and as JSON text (which tells ``-0.0`` from
+``0.0``), without the fields whose LP optimum is not unique (hedge holdings
+and slacks, the dominance gain gap, the arbitrage witness and its gain) and
+without the market file path, which depends on the checkout.
 
 Re-record (only when an output change is intended and documented):
 
@@ -82,6 +83,8 @@ def test_machine_reports_match_golden(tmp_path):
     for key, case in cases.items():
         assert case["exit"] == golden[key]["exit"], key
         assert case["report"] == golden[key]["report"], key
+        # as text too: ``==`` takes -0.0 for 0.0
+        assert json.dumps(case, sort_keys=True) == json.dumps(golden[key], sort_keys=True), key
 
 
 if __name__ == "__main__":

@@ -337,22 +337,27 @@ def test_equal_pricing_block_is_parsed_once(tmp_path, monkeypatch):
         assert (parsed.actual.role, parsed.pricing.role) == ("actual", "pricing")
 
 
-def test_parsed_family_and_its_pricing_twin_build_the_box_arrays_once(tmp_path, monkeypatch):
+def test_parsed_family_and_its_pricing_twin_build_the_box_arrays_once(tmp_path, monkeypatch,
+                                                                       step_calls):
     fx = fixtures.rand_claim_market(3, depth=3, branching=3, style="bumped")
     path = tmp_path / "m.market"
     _write(path, market_doc(fx.spec, fx.family))
+    step_calls["maximize"].clear()  # the fixture's own pricing
     calls = []
     original = ambiguity._pad
-    monkeypatch.setattr(ambiguity, "_pad", lambda *a: calls.append(a[2:]) or original(*a))
-    monkeypatch.setattr(ambiguity, "_KERNEL_MIN_WIDTH", 0)  # every level reads the boxes
+    monkeypatch.setattr(ambiguity, "_pad", lambda boxes: calls.append(boxes) or original(boxes))
+    monkeypatch.setattr(ambiguity, "_KERNEL_MIN_WIDTH", 0)  # every step reads the boxes
     parsed = parse_market_file(str(path))
     boxes = parsed.actual.transitions
     assert isinstance(boxes, BoxSets) and parsed.pricing.transitions is boxes
     for fam in (parsed.actual, parsed.pricing):
-        assert fam.charged and all(lv.box is not None for lv in fam.levels)
+        assert fam.charged
         classify_process(fam, parsed.spec.derived.W)
         assert fam.boxes is boxes
-    assert calls == [(0, fx.spec.tree.level_starts[-2])]  # the whole tree's rows, once
+    # each classification is one box step per bound over the inner nodes, on the shared rows
+    end = fx.spec.tree.level_starts[-2]
+    assert step_calls["box"] == [(boxes.pad, 0, end)] * 4 and step_calls["maximize"] == []
+    assert calls == [boxes]  # the whole tree's rows, once
 
 
 def test_bool_in_equal_pricing_block_is_still_rejected(tmp_path):

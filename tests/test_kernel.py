@@ -1,14 +1,16 @@
-"""The level kernel against the per-node path.
+"""The one-step kernel against the per-node path.
 
-Every rectangular recursion steps a level either in numpy (levels at least
-``ambiguity._KERNEL_MIN_WIDTH`` nodes wide; one-step checks of box families
-with at least that many inner nodes) or node by node through
-``TransitionSet.maximize``. Forcing the width threshold to 0 and to infinity
-runs each computation both ways. The results must be equal, and so must
-their reprs, which also tells signed zeros, float types and dict order
-apart. A family of boxes given as a ``BoxSets`` map must give what the same
-boxes in a dict give, and the one-step checks of box families, one array
-step over the whole tree, what ``per_node.one_step_bounds`` gives.
+Every rectangular recursion steps runs of level-order nodes through
+``ambiguity._upper_step``: in numpy (the whole-tree box rows, on runs at
+least ``ambiguity._KERNEL_MIN_WIDTH`` nodes long: each level of a sweep, the
+inner nodes of a one-step check) or node by node through
+``TransitionSet.maximize`` (vertex lists, shorter runs, trees too lopsided
+to pad). Forcing the width threshold to 0 and to infinity runs each
+computation both ways. The results must be equal, and so must their reprs,
+which also tells signed zeros, float types and dict order apart. A family of
+boxes given as a ``BoxSets`` map must give what the same boxes in a dict
+give, and the one-step checks of box families what
+``per_node.one_step_bounds`` gives.
 """
 import math
 
@@ -45,7 +47,7 @@ KERNEL_MIN_WIDTH = ambiguity._KERNEL_MIN_WIDTH
 
 def _mixed(family, seed):
     """The family with about a third of its box nodes given as the vertex
-    lists of the same boxes; levels with such a node step node by node."""
+    lists of the same boxes, which step node by node."""
     rng = np.random.default_rng(seed + 40_000)
     transitions = dict(family.transitions)
     for n, ts in family.transitions.items():
@@ -68,7 +70,7 @@ def _box_sets(family) -> RectangularFamily | None:
 
 def _outputs(spec, family, seed, claims: bool) -> list:
     """Every rectangular recursion on one market, on a fresh copy of the
-    family (the compiled levels depend on the threshold in force)."""
+    family."""
     fam = RectangularFamily(family.tree, family.transitions)
     tree = fam.tree
     T = tree.horizon
@@ -149,12 +151,29 @@ def test_kernel_equals_per_node_path_on_desk_markets(monkeypatch, seed):
         _assert_same(out, kernel)
 
 
-def test_default_threshold_steps_desk_levels_in_numpy():
+def _inner_levels(tree: EventTree) -> list[tuple[int, int]]:
+    """Each level before the horizon as its run of level-order nodes."""
+    starts = tree.level_starts
+    return list(zip(starts[: tree.horizon], starts[1 : tree.horizon + 1]))
+
+
+def _sweep(family: RectangularFamily, calls: dict) -> dict:
+    """An upper sweep from the horizon, with ``calls`` (``step_calls``) cleared first."""
+    for c in calls.values():
+        c.clear()
+    tree = family.tree
+    return expectation_sweep(family, {n: float(i % 5) for i, n in enumerate(tree.level(tree.horizon))})
+
+
+def test_default_threshold_steps_desk_levels_in_numpy(step_calls):
     fx = fixtures.rand_claim_market(DESK_SEEDS[0], depth=8, branching=4, style="bumped")
-    levels = fx.family.levels
-    wide = [len(lv.nodes) >= ambiguity._KERNEL_MIN_WIDTH for lv in levels]
+    levels = _inner_levels(fx.family.tree)
+    wide = [hi - lo >= ambiguity._KERNEL_MIN_WIDTH for lo, hi in levels]
     assert wide[0] is False and wide[-1] is True
-    assert all((lv.box is not None) == w for lv, w in zip(levels, wide))
+    _sweep(fx.family, step_calls)
+    pad = fx.family.boxes.pad
+    assert step_calls["box"] == [(pad, lo, hi) for (lo, hi), w in zip(levels, wide) if w][::-1]
+    assert len(step_calls["maximize"]) == sum(hi - lo for (lo, hi), w in zip(levels, wide) if not w)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -174,18 +193,24 @@ def test_kernel_dp_matches_stopping_rule_oracle(monkeypatch, seed):
         )
 
 
-def test_levels_with_a_vertex_set_node_step_node_by_node():
+def test_levels_with_a_vertex_set_node_step_node_by_node(step_calls):
+    """Wide levels step their box rows in numpy and their vertex lists node by node."""
     fx = fixtures.rand_claim_market(DESK_SEEDS[0], depth=8, branching=4, style="bumped")
     mixed = _mixed(fx.family, DESK_SEEDS[0])
-    for lv in mixed.levels:
-        if any(not ts.is_box for ts in lv.sets):
-            assert lv.box is None
-    assert any(lv.box is not None for lv in fx.family.levels)
+    tree, sets = mixed.tree, mixed.transitions
+    levels = _inner_levels(tree)
+    wide = [hi - lo >= ambiguity._KERNEL_MIN_WIDTH for lo, hi in levels]
+    _sweep(mixed, step_calls)
+    assert [(lo, hi) for _, lo, hi in step_calls["box"]] == [lv for lv, w in zip(levels, wide) if w][::-1]
+    per_node = [sets[n] for (lo, hi), w in zip(levels, wide) for n in tree.level_order[lo:hi]
+                if not (w and sets[n].is_box)]
+    assert any(not ts.is_box for ts in per_node) and any(wide)
+    assert sorted(map(id, step_calls["maximize"])) == sorted(map(id, per_node))
 
 
 def _lopsided(width: int, fan: int) -> RectangularFamily:
     """A root with ``width`` children: the first has ``fan`` children, the
-    rest one each, so padding level 1 to its widest node would take about
+    rest one each, so padding the tree to its widest node would take about
     ``width * fan`` cells for ``width + fan`` children."""
     parents = {"r": None}
     for i in range(width):
@@ -200,13 +225,17 @@ def _lopsided(width: int, fan: int) -> RectangularFamily:
     return RectangularFamily(tree, transitions)
 
 
-def test_one_very_wide_node_keeps_its_level_off_the_padded_arrays(monkeypatch):
+def test_one_very_wide_node_keeps_its_level_off_the_padded_arrays(monkeypatch, step_calls):
     monkeypatch.setattr(ambiguity, "_KERNEL_MIN_WIDTH", 0)
     family = _lopsided(width=500, fan=5000)
-    assert family.levels[1].box is None  # 500 x 5000 cells for 5499 children
-    assert family.levels[0].box is not None
-    even = _lopsided(width=500, fan=1)
-    assert even.levels[1].box is not None
+    assert family.boxes.pad is None  # 501 x 5000 cells for 5999 children
+    _sweep(family, step_calls)
+    assert step_calls["box"] == [] and len(step_calls["maximize"]) == 501
+    even = _lopsided(width=6, fan=3)
+    pad = even.boxes.pad  # 7 x 6 cells for 14 children
+    assert pad.kids.size <= ambiguity._MAX_PAD_RATIO * (pad.kids != ambiguity._PAD).sum()
+    _sweep(even, step_calls)
+    assert step_calls["box"] == [(pad, 1, 7), (pad, 0, 1)] and step_calls["maximize"] == []
 
     def run(fam):
         fam = RectangularFamily(fam.tree, fam.transitions)
