@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -543,61 +543,69 @@ def _upper_step(family: RectangularFamily, lo: int, hi: int, x: np.ndarray, pick
     else:
         out, rest = np.empty(hi - lo), range(hi - lo)
     if rest:  # maximize per node, on lists
-        o, xs = (off[lo : hi + 1] - off[lo]).tolist(), x[off[lo] : off[hi]].tolist()
+        o = off[lo : hi + 1].tolist()
+        xs, base = x[o[0] : o[-1]].tolist(), o[0]
         order, sets = family.tree.level_order, family.transitions
         for i in rest:
-            if (ts := sets.get(order[lo + i])) is None:
-                raise KeyError(f"no transition set at node {order[lo + i]!r}")
-            out[i], w[i] = ts.maximize(xs[o[i] : o[i + 1]])
+            try:
+                ts = sets[order[lo + i]]
+            except KeyError:
+                raise KeyError(f"no transition set at node {order[lo + i]!r}") from None
+            out[i], w[i] = ts.maximize(xs[o[i] - base : o[i + 1] - base])
     return (out, w) if pick else out
+
+
+def _runs(tree: EventTree, node: str, target_t: int) -> list[tuple[int, int]]:
+    """The level-order run of ``node``'s subtree at each time from the node's to
+    ``target_t`` (a subtree is a contiguous run of every level)."""
+    off, g = tree.child_offsets, tree.index(node)
+    runs = [(g, g + 1)]
+    for _ in range(tree.time(node), target_t):
+        runs.append((int(off[runs[-1][0]]), int(off[runs[-1][1]])))
+    return runs
 
 
 def _backward(
     family: RectangularFamily,
-    values: Mapping[str, float],
-    target_t: int,
-    top: str,
-    weights: dict[str, tuple[float, ...]] | None = None,
-    floor: Sequence[np.ndarray] | None = None,
-    exercise: set[str] | None = None,
-) -> dict[str, float]:
-    """Backward recursion of the upper expectation of the time-``target_t``
-    slice ``values``, at every node of ``top``'s subtree down to that time.
-
-    One level at a time, from the target time up, so depth is unbounded: the
-    subtree's run of each level is one ``_upper_step`` over the values held
-    in a whole-tree level-order array. ``weights``, when given, receives each
-    node's maximizer. ``floor`` turns the recursion into an optimal-stopping DP:
-    ``floor[t]`` holds the full level-t exercise values (so ``top`` must be
-    the root), a node takes its floor when that is at least its
-    continuation value, and such nodes are added to ``exercise``."""
-    tree = family.tree
-    off, starts = tree.child_offsets, tree.level_starts
-    t0, g = tree.time(top), tree.index(top)
-    spans = [(g, g + 1)]  # top's subtree is a contiguous run of each level
-    for _ in range(t0, target_t):
-        spans.append((int(off[spans[-1][0]]), int(off[spans[-1][1]])))
-    x = np.empty(len(tree))
-    lo, hi = spans.pop()
-    nodes = tree.level(target_t)[lo - starts[target_t] : hi - starts[target_t]]
-    vals = [float(values[n]) for n in nodes]
-    x[lo:hi] = vals
-    out = dict(zip(nodes, vals))
-    for t in range(target_t - 1, t0 - 1, -1):
-        lo, hi = spans[t - t0]
-        nodes = tree.level(t)[lo - starts[t] : hi - starts[t]]  # a whole level: no copy
-        if weights is None:
-            x[lo:hi] = _upper_step(family, lo, hi, x)
-        else:
-            x[lo:hi], w = _upper_step(family, lo, hi, x, pick=True)
-            weights.update(zip(nodes, w))
+    x: np.ndarray,
+    runs: Sequence[tuple[int, int]],
+    floor: np.ndarray | None = None,
+    stop: np.ndarray | None = None,
+) -> np.ndarray:
+    """Backward recursion of the upper expectation on the whole-tree level-order
+    array ``x``, one level at a time (depth is unbounded): ``runs`` holds a run
+    of level-order nodes per time, from the top node's to the target time's;
+    the caller fills ``x`` on the last run, and each earlier one, last to
+    first, is one ``_upper_step``. Returns ``x``. ``floor`` (whole-tree
+    exercise values) makes it an optimal-stopping DP: a node whose floor is at
+    least its continuation value takes it, and ``stop`` (a mask) is set there."""
+    for lo, hi in runs[-2::-1]:
+        x[lo:hi] = _upper_step(family, lo, hi, x)
         if floor is not None:
-            f = floor[t][lo - starts[t] : hi - starts[t]]
-            stop = f >= x[lo:hi]
-            x[lo:hi] = np.where(stop, f, x[lo:hi])
-            exercise.update(itertools.compress(nodes, stop.tolist()))
-        out.update(zip(nodes, x[lo:hi].tolist()))
-    return out
+            f = floor[lo:hi]
+            stop[lo:hi] = f >= x[lo:hi]
+            x[lo:hi] = np.where(stop[lo:hi], f, x[lo:hi])
+    return x
+
+
+def _filled(tree: EventTree, values: Mapping[str, float], node: str, target_t: int):
+    """``_runs`` of ``node`` to ``target_t``, and a whole-tree array holding ``values`` on the last."""
+    runs = _runs(tree, node, target_t)
+    (lo, hi), x = runs[-1], np.zeros(len(tree))
+    x[lo:hi] = np.fromiter(map(values.__getitem__, tree.level_order[lo:hi]), float, hi - lo)
+    return x, runs
+
+
+def _at(tree: EventTree, runs: Sequence[tuple[int, int]]) -> tuple[Iterator[str], np.ndarray]:
+    """The node ids and the level-order indices of ``runs``, in run order."""
+    ids = itertools.chain.from_iterable(tree.level_order[lo:hi] for lo, hi in runs)
+    return ids, np.concatenate([np.arange(lo, hi) for lo, hi in runs] or [np.zeros(0, np.intp)])
+
+
+def _gather(tree: EventTree, x: np.ndarray, runs: Sequence[tuple[int, int]]) -> dict[str, float]:
+    """``x`` on the level-order ``runs`` as a dict, keyed in run order."""
+    ids, idx = _at(tree, runs)
+    return dict(zip(ids, x[idx].tolist()))
 
 
 def _push_mass(tree: EventTree, pick: Mapping[str, Sequence[float]]) -> dict[str, float]:
@@ -619,7 +627,8 @@ def _cond_upper(
     family: MeasureFamily, values: Mapping[str, float], node: str, target_t: int
 ) -> float:
     if isinstance(family, RectangularFamily):
-        return _backward(family, values, target_t, node)[node]
+        x, runs = _filled(family.tree, values, node, target_t)
+        return _backward(family, x, runs)[runs[0][0]].item()
 
     tree = family.tree
     best = None
@@ -673,19 +682,13 @@ def expectation_sweep(
     if not isinstance(family, RectangularFamily):
         raise TypeError("expectation_sweep needs a rectangular family")
     tree = family.tree
-    times = set(map(tree.times().__getitem__, values))
-    if len(times) != 1:
-        raise ValueError("values must all sit at a single time slice")
-    (target_t,) = times
-    missing = [n for n in tree.level(target_t) if n not in values]
-    if missing:
-        raise ValueError(f"values missing at nodes {missing}")
-    if bound == "upper":
-        return _backward(family, values, target_t, tree.root)
-    if bound != "lower":
+    target_t = _target_time(tree, values, tree.root)
+    if bound not in ("upper", "lower"):
         raise ValueError(f"bound must be 'upper' or 'lower', got {bound!r}")
-    neg = _backward(family, {k: -float(v) for k, v in values.items()}, target_t, tree.root)
-    return {n: -v for n, v in neg.items()}
+    x, runs = _filled(tree, values, tree.root, target_t)
+    if bound == "lower":
+        return _gather(tree, -_backward(family, -x, runs), runs[::-1])
+    return _gather(tree, _backward(family, x, runs), runs[::-1])
 
 
 def enumerate_extreme_measures(
@@ -725,8 +728,10 @@ def argmax_measure(
             raise PolarNodeError("empty family")
         return dict(best_q)
 
-    weights: dict[str, tuple[float, ...]] = {}
-    _backward(family, payoff, tree.horizon, tree.root, weights)
+    (x, runs), weights = _filled(tree, payoff, tree.root, tree.horizon), {}
+    for lo, hi in runs[-2::-1]:  # ``_backward``, keeping each node's maximizer
+        x[lo:hi], w = _upper_step(family, lo, hi, x, pick=True)
+        weights.update(zip(tree.level_order[lo:hi], w))
     return _push_mass(tree, weights)
 
 
@@ -750,33 +755,36 @@ class Classification:
 
 
 def _one_step_bounds(
-    family: RectangularFamily, process: Mapping[str, float], T: int
+    family: RectangularFamily, process: Mapping[str, float] | np.ndarray, T: int
 ) -> dict[str, tuple[float, float, float]]:
     """(value, upper, lower) one-step expectations at each charged node before ``T`` whose
     children all carry a value, in preorder: one ``_upper_step`` per bound over the inner
-    nodes before ``T``."""
+    nodes before ``T``. ``process`` is a mapping or whole-tree level-order values."""
     tree = family.tree
     order, n, off = tree.level_order, len(tree.level_order), tree.child_offsets
     end = tree.level_starts[max(0, min(T, tree.horizon))]  # the inner nodes before T
-    have = np.fromiter(map(process.__contains__, order), bool, n)
-    x = np.fromiter(map(process.get, order, itertools.repeat(0.0)), float, n)
+    if isinstance(process, np.ndarray):
+        x, have = process, np.ones(n, bool)
+    else:
+        have = np.fromiter(map(process.__contains__, order), bool, n)
+        x = np.fromiter(map(process.get, order, itertools.repeat(0.0)), float, n)
     keep = (off[1:] > off[:-1]) & have & family.charged_mask
     keep &= np.bincount(tree.parent_index[1:], ~have[1:], minlength=n) == 0
     keep[end:] = False
     up, low = (_upper_step(family, 0, end, v) for v in (x, -x))
     sel = tree.preorder_index[keep[tree.preorder_index]]
-    nodes = [order[g] for g in sel.tolist()]
-    bounds = zip(map(process.__getitem__, nodes), up[sel].tolist(), (-low[sel]).tolist())
-    return dict(zip(nodes, bounds))
+    bounds = zip(x[sel].tolist(), up[sel].tolist(), (-low[sel]).tolist())
+    return dict(zip(map(order.__getitem__, sel.tolist()), bounds))
 
 
 def classify_process(
     family: MeasureFamily,
-    process: Mapping[str, float] | AdaptedProcess,
+    process: Mapping[str, float] | AdaptedProcess | np.ndarray,
     T: int | None = None,
     tol: float = 1e-9,
 ) -> Classification:
-    """Classify a process as G-martingale / G-supermartingale /
+    """Classify a process (a mapping, or values at every node in
+    ``tree.level_order``) as G-martingale / G-supermartingale /
     infi-supermartingale / none under the family.
 
     Rectangular families are checked one step at a time (dynamic consistency
@@ -793,6 +801,8 @@ def classify_process(
         per_node = _one_step_bounds(family, process, T)
         rows = list(per_node.values())
     else:
+        if isinstance(process, np.ndarray):
+            process = dict(zip(tree.level_order, process.tolist()))
         per_node = {}
         rows = []  # every (node, horizon) check, in order
         for n in tree.preorder():

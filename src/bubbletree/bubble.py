@@ -14,54 +14,60 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .ambiguity import (
     Classification,
     MeasureFamily,
     RectangularFamily,
+    _backward,
+    _gather,
+    _runs,
     classify_process,
     cond_expectation,
-    expectation_sweep,
     node_charged,
 )
 from .lattice import (
     AdaptedProcess,
     MarketSpec,
     Strategy,
+    _collected,
     cash_flow_payoff,
-    cumulative_dividends,
-    discount_factors,
     require_valid,
-    tau_node_map,
-    wealth_process,
 )
 from .noarb import FtapReport, HedgeSolution, find_arbitrage, superhedge
 
 
-def _conditional_value_process(spec: MarketSpec, pricing: MeasureFamily) -> dict[str, float]:
-    """Upper conditional expectation, per node, of total discounted cash
-    flows. This is exactly the fundamental wealth process."""
-    tree = spec.tree
-    cf = cash_flow_payoff(spec)
+def _conditional_value_process(
+    spec: MarketSpec, pricing: MeasureFamily
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Upper conditional expectation, per node, of total discounted cash flows
+    (exactly the fundamental wealth W*), as a whole-tree level-order array, with
+    the runs of W*'s key order: levels from the leaves up, or preorder."""
+    tree, x = spec.tree, np.zeros(len(spec.tree))
     if isinstance(pricing, RectangularFamily):
-        return expectation_sweep(pricing, cf)
-    return {n: cond_expectation(pricing, cf, n, "upper") for n in tree.preorder()}
+        runs = _runs(tree, tree.root, tree.horizon)
+        x[runs[-1][0] :] = _collected(spec)[runs[-1][0] :]
+        return _backward(pricing, x, runs), runs[::-1]
+    cf = cash_flow_payoff(spec)
+    x[tree.preorder_index] = [cond_expectation(pricing, cf, n, "upper") for n in tree.preorder()]
+    return x, [(g, g + 1) for g in tree.preorder_index.tolist()]
 
 
 def fundamental_price(spec: MarketSpec, pricing: MeasureFamily) -> AdaptedProcess:
     """Fundamental price on the pre-maturity domain {t < tau}: superhedging
     value of the remaining cash flows, equal to their upper conditional
     expectation. Computed by backward recursion for rectangular families."""
-    return _price_from_value(spec, _conditional_value_process(spec, pricing))
+    return _price_from_value(spec, _conditional_value_process(spec, pricing)[0])
 
 
-def _price_from_value(spec: MarketSpec, val: Mapping[str, float]) -> AdaptedProcess:
-    """S* from the value process W*: W* minus collected dividends, before
-    maturity."""
-    taumap = tau_node_map(spec)
-    cum = cumulative_dividends(spec).values
-    return AdaptedProcess(
-        {n: val[n] - cum[n] for n in spec.tree.preorder() if taumap[n] is None}
-    )
+def _price_from_value(spec: MarketSpec, val: np.ndarray) -> AdaptedProcess:
+    """S* from the value process W* (level-order array): W* minus collected
+    dividends, before maturity, in preorder."""
+    p, pre = spec.processes, spec.tree.preorder_index
+    alive = p.tau[pre] < 0
+    ids = itertools.compress(spec.tree.preorder(), alive.tolist())
+    return AdaptedProcess(dict(zip(ids, (val[pre[alive]] - p.cum[pre[alive]]).tolist())))
 
 
 def fundamental_wealth(
@@ -69,7 +75,7 @@ def fundamental_wealth(
 ) -> tuple[AdaptedProcess, bool]:
     """Fundamental wealth and whether it classifies as a G-martingale (it
     must, for rectangular families: the recursion is the tower property)."""
-    w_star = AdaptedProcess(_conditional_value_process(spec, pricing))
+    w_star = AdaptedProcess(_gather(spec.tree, *_conditional_value_process(spec, pricing)))
     cls = classify_process(pricing, w_star, tol=tol)
     return w_star, cls.strongest == "G_martingale"
 
@@ -86,30 +92,24 @@ def bubble_process(
 ) -> AdaptedProcess:
     """Bubble = discounted price minus fundamental price before maturity and
     zero afterwards. Verifies the wealth identity bubble = W - W*."""
-    return _bubble_from_value(spec, _conditional_value_process(spec, pricing), tol)
+    return _bubble_from_value(spec, _conditional_value_process(spec, pricing)[0], tol)
 
 
 def _bubble_from_value(
-    spec: MarketSpec, val: Mapping[str, float], tol: float = 1e-12
+    spec: MarketSpec, val: np.ndarray, tol: float = 1e-12
 ) -> AdaptedProcess:
-    """The bubble from the value process W* (see ``bubble_process``)."""
-    tree = spec.tree
-    B = discount_factors(spec).values
-    taumap = tau_node_map(spec)
-    cum = cumulative_dividends(spec).values
-    W = wealth_process(spec).values
-    beta = {}
-    for n in tree.preorder():
-        if taumap[n] is None:
-            beta[n] = spec.price[n] / B[n] - (val[n] - cum[n])
-        else:
-            beta[n] = 0.0
-        dev = abs(beta[n] - (W[n] - val[n]))
-        if dev > tol:
-            raise AssertionError(
-                f"bubble identity beta = W - W* violated at {n!r} by {dev:.3g}"
-            )
-    return AdaptedProcess(beta)
+    """The bubble from the value process W* (level-order array; see
+    ``bubble_process``), in preorder."""
+    p, tree, pre = spec.processes, spec.tree, spec.tree.preorder_index
+    beta = np.where(p.tau < 0, p.S - (val - p.cum), 0.0)[pre]
+    dev = np.abs(beta - (p.W - val)[pre])
+    bad = np.flatnonzero(dev > tol)
+    if len(bad):
+        raise AssertionError(
+            f"bubble identity beta = W - W* violated at {tree.preorder()[bad[0]]!r}"
+            f" by {dev[bad[0]].item():.3g}"
+        )
+    return AdaptedProcess(dict(zip(tree.preorder(), beta.tolist())))
 
 
 def bubble_exists(
@@ -157,11 +157,10 @@ def classify_bubble(
     """
     if beta is None:
         beta = bubble_process(spec, pricing)
-    price = stopped_price_process(spec)
     # classify over the bubble's own domain: up to the last pre-maturity time
     horizon = spec.alive_horizon
     bubble_class = classify_process(pricing, beta, T=horizon, tol=tol)
-    price_class = classify_process(pricing, price, T=horizon, tol=tol)
+    price_class = classify_process(pricing, spec.processes.stopped, T=horizon, tol=tol)
     exists = bubble_exists(beta, actual if actual is not None else pricing, tol=tol)
 
     consistency: dict = {"tau_kind": spec.tau_kind, "bubble_exists": exists}
@@ -308,9 +307,7 @@ def find_dominating_strategy(
     root of ``fundamental_price(spec, pricing)`` when the caller has it
     already (``BubbleReport.S_star``); otherwise it is computed here."""
     tree = spec.tree
-    B = discount_factors(spec).values
-    s0_hat = spec.price[tree.root] / B[tree.root]
-    cum0 = cumulative_dividends(spec)[tree.root]
+    s0_hat, cum0 = spec.processes.S[0].item(), spec.processes.cum[0].item()
     s_star0 = fundamental_root
     if s_star0 is None:
         s_star0 = fundamental_price(spec, pricing)[tree.root]
@@ -350,8 +347,9 @@ def bubble_processes(
     spec: MarketSpec, pricing: MeasureFamily
 ) -> tuple[AdaptedProcess, AdaptedProcess, AdaptedProcess]:
     """S*, W* and the bubble, from the one cash-flow sweep (W*)."""
-    val = _conditional_value_process(spec, pricing)
-    return _price_from_value(spec, val), AdaptedProcess(val), _bubble_from_value(spec, val)
+    val, runs = _conditional_value_process(spec, pricing)
+    w_star = AdaptedProcess(_gather(spec.tree, val, runs))
+    return _price_from_value(spec, val), w_star, _bubble_from_value(spec, val)
 
 
 def analyze_bubble(

@@ -8,6 +8,7 @@ the account value there, which collapses to plain K when rates are zero.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import prod
 from typing import Mapping
@@ -18,10 +19,12 @@ from .ambiguity import (
     CapExceededError,
     MeasureFamily,
     RectangularFamily,
+    _at,
     _backward,
+    _gather,
+    _runs,
     cond_expectation,
     enumerate_extreme_measures,
-    expectation_sweep,
     node_charged,
 )
 from .lattice import AdaptedProcess, MarketSpec, discount_factors, require_valid
@@ -81,29 +84,49 @@ def validate_claim(
 
 def _intrinsic(spec: MarketSpec, claim: Claim, t: int) -> np.ndarray:
     """Discounted exercise value of the claim at the time-t nodes, in
-    ``tree.level(t)`` order, with the float operations of ``max(x, 0.0)``."""
+    ``tree.level(t)`` order, with the float operations of ``max(x, 0.0)``;
+    a custom terminal claim's payoff there."""
+    if claim.kind == "custom_terminal":
+        nodes = spec.tree.level(t)
+        missing = [n for n in nodes if n not in claim.payoff]
+        if missing:
+            raise ValueError(f"custom payoff missing at {missing}")
+        return np.array([float(claim.payoff[n]) for n in nodes], dtype=float)
     s, B = spec.level_prices[t]
     k = claim.strike / B
-    if claim.kind in ("forward",):
+    if claim.kind == "forward":
         return s - k
-    if claim.kind in ("euro_call", "amer_call"):
-        x = s - k
-    elif claim.kind in ("euro_put", "amer_put"):
-        x = k - s
-    else:
-        raise ValueError(f"no intrinsic value for {claim.kind!r}")
+    x = s - k if claim.kind in ("euro_call", "amer_call") else k - s
     return np.where(0.0 > x, 0.0, x)
 
 
 def terminal_payoff(spec: MarketSpec, claim: Claim) -> dict[str, float]:
     """Discounted payoff of the claim at its maturity nodes."""
-    nodes = spec.tree.level(claim.maturity)
-    if claim.kind == "custom_terminal":
-        missing = [n for n in nodes if n not in claim.payoff]
-        if missing:
-            raise ValueError(f"custom payoff missing at {missing}")
-        return {n: float(claim.payoff[n]) for n in nodes}
-    return dict(zip(nodes, _intrinsic(spec, claim, claim.maturity).tolist()))
+    T = claim.maturity
+    return dict(zip(spec.tree.level(T), _intrinsic(spec, claim, T).tolist()))
+
+
+def _claim_values(
+    spec: MarketSpec, pricing: MeasureFamily, claim: Claim, actual: MeasureFamily | None,
+    t0: int = 0, negate: bool = False,
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Upper conditional expectation of the claim's terminal payoff (of its
+    negation with ``negate``) at the charged nodes of times ``t0..T``, after
+    ``validate_claim``: a whole-tree level-order array, and those nodes' runs
+    in result order, whole levels from ``T`` up (rectangular families) or one
+    node at a time in level order."""
+    validate_claim(spec, claim, actual)
+    tree, T = spec.tree, claim.maturity
+    runs = _runs(tree, tree.root, T)[t0:]  # whole levels, times t0..T
+    (lo, hi), x, payoff = runs[-1], np.zeros(len(tree)), _intrinsic(spec, claim, T)
+    x[lo:hi] = -payoff if negate else payoff
+    if isinstance(pricing, RectangularFamily):
+        return _backward(pricing, x, runs), runs[::-1]
+    order, target = tree.level_order, dict(zip(tree.level(T), x[lo:hi].tolist()))
+    runs = [(g, g + 1) for lo, hi in runs for g in range(lo, hi) if node_charged(pricing, order[g])]
+    for g, _ in runs:
+        x[g] = cond_expectation(pricing, target, order[g], "upper")
+    return x, runs
 
 
 def fundamental_claim_price(
@@ -113,18 +136,7 @@ def fundamental_claim_price(
     to maturity (European-style claims, forwards, custom terminal payoffs)."""
     if claim.kind in ("amer_call", "amer_put"):
         raise ValueError("American claims are priced by american_fundamental_price")
-    validate_claim(spec, claim, actual)
-    tree = spec.tree
-    target = terminal_payoff(spec, claim)
-    if isinstance(pricing, RectangularFamily):
-        return AdaptedProcess(expectation_sweep(pricing, target))
-    out = {}
-    for t in range(claim.maturity + 1):
-        for n in tree.level(t):
-            if not node_charged(pricing, n):
-                continue
-            out[n] = cond_expectation(pricing, target, n, "upper")
-    return AdaptedProcess(out)
+    return AdaptedProcess(_gather(spec.tree, *_claim_values(spec, pricing, claim, actual)))
 
 
 def asset_fundamental(
@@ -140,11 +152,10 @@ def asset_fundamental(
 def asset_bubble(
     spec: MarketSpec, pricing: MeasureFamily, maturity: int, actual: MeasureFamily | None = None
 ) -> AdaptedProcess:
-    star = asset_fundamental(spec, pricing, maturity, actual)
-    B = discount_factors(spec).values
-    return AdaptedProcess(
-        {n: spec.price[n] / B[n] - v for n, v in star.items()}
-    )
+    """Discounted price minus the claim-horizon fundamental value, at the
+    nodes where that is defined."""
+    x, runs = _claim_values(spec, pricing, Claim("forward", maturity, 0.0), actual)
+    return AdaptedProcess(_gather(spec.tree, spec.processes.S - x, runs))
 
 
 @dataclass(frozen=True)
@@ -183,21 +194,19 @@ def parity_bounds(
 ) -> ParityReport:
     """Sandwich of the call-put spread between the lower and upper
     expectations of the forward payoff, per node at time t."""
-    validate_claim(spec, Claim("forward", maturity, strike), actual)
-    tree = spec.tree
-    fwd = terminal_payoff(spec, Claim("forward", maturity, strike))
-    call = fundamental_claim_price(spec, pricing, Claim("euro_call", maturity, strike), actual)
-    put = fundamental_claim_price(spec, pricing, Claim("euro_put", maturity, strike), actual)
+    fwd = Claim("forward", maturity, strike)
+    call, runs = _claim_values(spec, pricing, Claim("euro_call", maturity, strike), actual)
+    put, _ = _claim_values(spec, pricing, Claim("euro_put", maturity, strike), actual)
+    starts = spec.tree.level_starts
     per_node = {}
-    all_ok = True
-    for n in tree.level(t):
-        if n not in call:
-            continue
-        lower = cond_expectation(pricing, fwd, n, "lower")
-        upper = cond_expectation(pricing, fwd, n, "upper")
-        triple = ParityTriple(lower, call[n] - put[n], upper)
-        per_node[n] = triple
-        all_ok = all_ok and triple.ok(tol)
+    if 0 <= t <= maturity:  # the nodes of time t that hold a value
+        at = [(lo, hi) for lo, hi in runs if starts[t] <= lo < starts[t + 1]]
+        ids, idx = _at(spec.tree, at)
+        lower = -_claim_values(spec, pricing, fwd, actual, t, negate=True)[0][idx]
+        upper = _claim_values(spec, pricing, fwd, actual, t)[0][idx]
+        triples = map(ParityTriple, lower.tolist(), (call[idx] - put[idx]).tolist(), upper.tolist())
+        per_node = dict(zip(ids, triples))
+    all_ok = all(triple.ok(tol) for triple in per_node.values())
     return ParityReport(strike, maturity, t, per_node, all_ok)
 
 
@@ -211,12 +220,9 @@ class MarketParityReport:
 
 def _strike_discount(spec: MarketSpec, maturity: int) -> float | None:
     """1/B at maturity when the account value there is path-independent."""
-    B = discount_factors(spec).values
-    vals = {B[n] for n in spec.tree.level(maturity)}
-    lo, hi = min(vals), max(vals)
-    if hi - lo > 1e-12:
-        return None
-    return 1.0 / lo
+    B = spec.level_prices[maturity][1]
+    lo, hi = B.min().item(), B.max().item()
+    return None if hi - lo > 1e-12 else 1.0 / lo
 
 
 def market_parity(
@@ -337,6 +343,15 @@ def american_fundamental_price(
     node the larger of immediate (discounted-strike) exercise and the upper
     one-step expectation of continuing. Ties exercise, so the exercise region
     is closed and deterministic."""
+    x, runs, stop = _american_values(spec, pricing, claim, actual)
+    return AmericanResult(AdaptedProcess(_gather(spec.tree, x, runs)),
+                          frozenset(itertools.compress(spec.tree.level_order, stop.tolist())))
+
+
+def _american_values(
+    spec: MarketSpec, pricing: MeasureFamily, claim: Claim, actual: MeasureFamily | None
+) -> tuple[np.ndarray, list[tuple[int, int]], np.ndarray]:
+    """The American DP as a whole-tree array, its result runs and its exercise mask."""
     if claim.kind not in ("amer_call", "amer_put"):
         raise ValueError("american_fundamental_price prices amer_call / amer_put")
     if not isinstance(pricing, RectangularFamily):
@@ -344,15 +359,13 @@ def american_fundamental_price(
             "rectangularity required: American pricing needs a rectangular family"
         )
     validate_claim(spec, claim, actual)
-    tree = spec.tree
-    T = claim.maturity
-    intrinsic = [_intrinsic(spec, claim, t) for t in range(T + 1)]
-    exercise = set(tree.level(T))
-    values = _backward(
-        pricing, dict(zip(tree.level(T), intrinsic[T].tolist())), T, tree.root,
-        floor=intrinsic, exercise=exercise,
-    )
-    return AmericanResult(AdaptedProcess(values), frozenset(exercise))
+    tree, T = spec.tree, claim.maturity
+    floor = np.concatenate([_intrinsic(spec, claim, t) for t in range(T + 1)])
+    runs = _runs(tree, tree.root, T)
+    x, stop = np.zeros(len(tree)), np.zeros(len(tree), bool)
+    lo, hi = runs[-1]
+    x[lo:hi], stop[lo:hi] = floor[lo:hi], True
+    return _backward(pricing, x, runs, floor=floor, stop=stop), runs[::-1], stop
 
 
 def _stopping_rule_count(tree, node: str, T: int, memo: dict) -> int:
@@ -450,22 +463,17 @@ def american_bounds(
     """American call bounds: the European value from below, the European
     value plus the asset bubble from above; and the same squeeze shifted by
     claim bubbles for market prices when those are supplied."""
-    euro = fundamental_claim_price(spec, pricing, Claim("euro_call", maturity, strike), actual)
-    amer = american_fundamental_price(
-        spec, pricing, Claim("amer_call", maturity, strike), actual
-    ).process
-    bubble = asset_bubble(spec, pricing, maturity, actual)
-    per_node = {}
-    worst = 0.0
-    ok = True
-    for n in euro.values:
-        ce, ca, d = euro[n], amer[n], bubble[n]
-        per_node[n] = (ce, ca, d)
-        lower_slack = ca - ce
-        upper_slack = ce + d - ca
-        worst = min(worst, lower_slack, upper_slack)
-        if lower_slack < -tol or upper_slack < -tol:
-            ok = False
+    euro, runs = _claim_values(spec, pricing, Claim("euro_call", maturity, strike), actual)
+    amer = _american_values(spec, pricing, Claim("amer_call", maturity, strike), actual)[0]
+    fwd = _claim_values(spec, pricing, Claim("forward", maturity, 0.0), actual)[0]
+    ids, idx = _at(spec.tree, runs)
+    ce, ca = euro[idx], amer[idx]
+    d = spec.processes.S[idx] - fwd[idx]  # the asset bubble
+    lower_slack, upper_slack = ca - ce, ce + d - ca
+    # the builtin min of 0.0 and every slack, as a left fold: NaN skipped, 0.0 kept over -0.0
+    worst = min(0.0, np.fmin.reduce(np.concatenate((lower_slack, upper_slack))).item())
+    ok = not ((lower_slack < -tol) | (upper_slack < -tol)).any()
+    per_node = dict(zip(ids, zip(ce.tolist(), ca.tolist(), d.tolist())))
 
     market_ok = None
     market_worst = None
@@ -474,18 +482,16 @@ def american_bounds(
         missing = [k for k in needed if k not in market_prices]
         if missing:
             raise ValueError(f"missing market prices for {missing}")
-        euro_put = fundamental_claim_price(
-            spec, pricing, Claim("euro_put", maturity, strike), actual
-        )
+        euro_put = fundamental_claim_price(spec, pricing, Claim("euro_put", maturity, strike), actual)
         market_ok = True
         market_worst = 0.0
         for n in market_prices["amer_call"]:
-            if n not in euro.values:
+            if n not in per_node:
                 continue
             if any(n not in market_prices[k] for k in ("euro_call", "euro_put")):
                 continue
-            d_ac = market_prices["amer_call"][n] - amer[n]
-            d_ec = market_prices["euro_call"][n] - euro[n]
+            d_ac = market_prices["amer_call"][n] - per_node[n][1]
+            d_ec = market_prices["euro_call"][n] - per_node[n][0]
             d_ep = market_prices["euro_put"][n] - euro_put[n]
             ca_m = market_prices["amer_call"][n]
             ce_m = market_prices["euro_call"][n]

@@ -21,6 +21,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+import numpy as np
+
 from .ambiguity import (
     BoxSets,
     CapExceededError,
@@ -43,10 +45,10 @@ from .claims import (
     AssumptionViolationError,
     Claim,
     RectangularityError,
+    _intrinsic,
     american_fundamental_price,
     american_oracle,
     fundamental_claim_price,
-    terminal_payoff,
 )
 from .lattice import (
     EventTree,
@@ -563,17 +565,14 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
             claim = Claim(kind, maturity, float(options["strike"]))
             if not 1 <= maturity <= tree.horizon:
                 raise ValueError(f"maturity {maturity} outside [1, {tree.horizon}]")
-            target = terminal_payoff(spec, claim)
             # claims settling before the horizon are hedged as the path-wise
             # constant payoff fixed at maturity: each leaf takes the value at
             # its ancestor horizon - maturity steps up
-            up = tree.horizon - maturity
-            payoff = {}
-            for leaf in tree.leaves:
-                anc = leaf
-                for _ in range(up):
-                    anc = tree.parent(anc)
-                payoff[leaf] = target[anc]
+            target = _intrinsic(spec, claim, maturity)
+            anc = np.arange(tree.level_starts[-2], len(tree))  # the leaves, in preorder
+            for _ in range(tree.horizon - maturity):
+                anc = tree.parent_index[anc]
+            payoff = dict(zip(tree.leaves, target[anc - tree.level_starts[maturity]].tolist()))
         if pricing is None:
             hedge = superhedge(spec, payoff, parsed.actual)
             report.verdicts["price"] = hedge.price

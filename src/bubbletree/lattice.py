@@ -7,6 +7,7 @@ money-market account value is B is worth c / B.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from dataclasses import dataclass
@@ -302,6 +303,17 @@ class Derived(NamedTuple):
     W: dict[str, float]
 
 
+class Processes(NamedTuple):
+    """Per-node processes of a valid market, as arrays in ``tree.level_order``."""
+
+    tau: np.ndarray  # level-order index of the tau node on the path (itself included); -1: none
+    B: np.ndarray  # account value
+    cum: np.ndarray  # collected discounted dividends
+    W: np.ndarray  # discounted wealth
+    S: np.ndarray  # discounted price, price / B
+    stopped: np.ndarray  # S while the asset lives, payoff / B at the tau node from there on
+
+
 @dataclass(frozen=True)
 class MarketSpec:
     """Market data on an event tree.
@@ -312,11 +324,11 @@ class MarketSpec:
     ``dividend`` the dividend paid at the node (known there), ``payoff`` the
     liquidation value, defined exactly on the tau nodes.
 
-    ``validation``, ``derived``, ``stopped_price``, ``alive_horizon``,
-    ``level_prices`` and ``cash_events`` are computed on first use and
-    cached on the instance, so treat a spec, its tree and its dicts as
-    immutable: editing them afterwards leaves them stale. Build a new spec
-    instead.
+    ``validation``, ``processes`` (read-only level-order arrays) and the
+    ``derived``, ``stopped_price``, ``alive_horizon``, ``level_prices`` and
+    ``cash_events`` read off them are computed on first use and cached on
+    the instance, so treat a spec, its tree and its dicts as immutable:
+    editing them afterwards leaves them stale. Build a new spec instead.
     """
 
     tree: EventTree
@@ -333,86 +345,105 @@ class MarketSpec:
         return validate_market(self)
 
     @cached_property
-    def derived(self) -> Derived:
-        """Tau map, B, cumulative dividends and wealth in one preorder pass.
+    def processes(self) -> Processes:
+        """The tau node, B, collected dividends, wealth, discounted and stopped
+        price, from the root down (numpy one level at a time, or node by node
+        on lists when every level is narrower than ``_KERNEL_MIN_WIDTH``), each
+        value with the float operations of a per-node recursion down the tree.
         Raises ``InvalidMarketError`` when the market fails validation."""
         require_valid(self)
         tree = self.tree
-        tau_nodes = self.tau.tau_nodes
-        taumap: dict[str, str | None] = {}
-        B: dict[str, float] = {}
-        cum: dict[str, float] = {}
-        W: dict[str, float] = {}
-        for n in tree.preorder():
-            par = tree.parent(n)
-            inherited = taumap[par] if par is not None else None
-            tau_at = inherited if inherited is not None else (n if n in tau_nodes else None)
-            taumap[n] = tau_at
-            B[n] = 1.0 if par is None else B[par] * (1.0 + self.rates[par])
-            prev = cum[par] if par is not None else 0.0
-            if tau_at is not None and tau_at != n:
-                cum[n] = prev  # strictly after liquidation
-            else:
-                cum[n] = prev + self.dividend[n] / B[n]
-            if tau_at is None:
-                W[n] = self.price[n] / B[n] + cum[n]
-            else:
-                W[n] = cum[n] + self.payoff[tau_at] / B[tau_at]
-        return Derived(taumap, B, cum, W)
+        order, par, starts = tree.level_order, tree.parent_index, tree.level_starts
+        n, inner = len(order), starts[-2]  # uniform depth: the last level holds the leaves
+        from .ambiguity import _KERNEL_MIN_WIDTH  # imported here: ambiguity imports this module
+
+        if max(map(operator.sub, starts[1:], starts)) < _KERNEL_MIN_WIDTH:
+            # narrow levels: per node on lists, which costs less than numpy's calls per level
+            tau, B = [-1] * n, [1.0] * n
+            cum, W, S, stopped = ([0.0] * n for _ in range(4))
+            for a in map(tree.index, self.tau.tau_nodes):
+                tau[a] = a
+            for g, (nid, p) in enumerate(zip(order, par.tolist())):
+                if g:
+                    B[g] = B[p] * (1.0 + self.rates[order[p]])
+                if g and tau[p] >= 0:  # strictly after liquidation
+                    tau[g], cum[g] = tau[p], cum[p]
+                else:
+                    cum[g] = (cum[p] if g else 0.0) + self.dividend[nid] / B[g]
+                S[g] = self.price[nid] / B[g]
+                if (a := tau[g]) < 0:
+                    W[g], stopped[g] = S[g] + cum[g], S[g]
+                else:
+                    stopped[g] = self.payoff[order[a]] / B[a]
+                    W[g] = cum[g] + stopped[g]
+            out = Processes(np.array(tau, np.intp), *map(np.array, (B, cum, W, S, stopped)))
+        else:
+            price = np.fromiter(map(self.price.__getitem__, order), float, n)
+            div = np.fromiter(map(self.dividend.__getitem__, order), float, n)
+            grow = 1.0 + np.fromiter(map(self.rates.__getitem__, order[:inner]), float, inner)
+            tau, pay = np.full(n, -1, np.intp), np.full(n, np.nan)
+            at = np.fromiter(map(tree.index, self.tau.tau_nodes), np.intp, len(self.tau.tau_nodes))
+            tau[at] = at
+            pay[at] = np.fromiter(map(self.payoff.__getitem__, self.tau.tau_nodes), float, len(at))
+            B, cum = np.ones(n), np.zeros(n)
+            cum[0] += div[0] / B[0]
+            for a, b in zip(starts[1:], starts[2:]):
+                p = par[a:b]
+                B[a:b] = B[p] * grow[p]
+                after = tau[p] >= 0  # the parent has matured: strictly after liquidation
+                tau[a:b] = np.where(after, tau[p], tau[a:b])
+                cum[a:b] = np.where(after, cum[p], cum[p] + div[a:b] / B[a:b])
+            S = price / B
+            matured = tau >= 0
+            paid = (pay / B)[tau]  # the discounted payoff at the tau node (garbage where none)
+            out = Processes(tau, B, cum, np.where(matured, cum + paid, S + cum), S,
+                            np.where(matured, paid, S))
+        for x in out:
+            x.flags.writeable = False
+        return out
+
+    @cached_property
+    def derived(self) -> Derived:
+        """``processes`` as preorder-keyed dicts (tau node ids, None where none)."""
+        p, tree = self.processes, self.tree
+        pre, nodes = tree.preorder_index, tree.preorder()
+        ids = [*tree.level_order, None]  # index -1: no tau node
+        taumap = dict(zip(nodes, map(ids.__getitem__, p.tau[pre].tolist())))
+        return Derived(taumap, *(dict(zip(nodes, x[pre].tolist())) for x in (p.B, p.cum, p.W)))
 
     @cached_property
     def stopped_price(self) -> dict[str, float]:
         """In preorder: the discounted price price / B while the asset
         lives, and from the maturity node on the discounted liquidation
         value payoff / B there."""
-        d = self.derived
-        order = self.tree.preorder()
-        out = dict(zip(order, map(
-            operator.truediv, map(self.price.__getitem__, order), map(d.B.__getitem__, order)
-        )))
-        matured = map(operator.is_not, d.taumap.values(), itertools.repeat(None))
-        for n in itertools.compress(d.taumap, matured):
-            a = d.taumap[n]
-            out[n] = self.payoff[a] / d.B[a]
-        return out
+        tree = self.tree
+        return dict(zip(tree.preorder(), self.processes.stopped[tree.preorder_index].tolist()))
 
     @cached_property
     def alive_horizon(self) -> int:
         """The last time at which some node comes before maturity (0 when
         the root itself matures)."""
-        taumap = self.derived.taumap
-        for t in range(self.tree.horizon, -1, -1):
-            level = self.tree.level(t)
-            if any(map(operator.is_, map(taumap.__getitem__, level), itertools.repeat(None))):
-                return t
-        return 0
+        alive = np.flatnonzero(self.processes.tau < 0)
+        return bisect.bisect_right(self.tree.level_starts, alive[-1]) - 1 if len(alive) else 0
 
     @cached_property
     def level_prices(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per time t, in ``tree.level(t)`` order: the discounted prices
-        price / B and the account values B."""
-        B = self.derived.B
-        out = []
-        for t in range(self.tree.horizon + 1):
-            nodes = self.tree.level(t)
-            out.append((
-                np.array([self.price[n] / B[n] for n in nodes], dtype=float),
-                np.array([B[n] for n in nodes], dtype=float),
-            ))
-        return tuple(out)
+        price / B and the account values B (read-only slices of
+        ``processes``)."""
+        p, starts = self.processes, self.tree.level_starts
+        return tuple((p.S[a:b], p.B[a:b]) for a, b in zip(starts, starts[1:]))
 
     @cached_property
     def cash_events(self) -> tuple[tuple[str, str | None], ...]:
         """In preorder, the nodes where the asset has matured (with the tau
         node on their path) or, after time 0, pays a dividend (with None)."""
-        d = self.derived
-        tree = self.tree
-        return tuple(
-            (n, d.taumap[n])
-            for n in tree.preorder()
-            if d.taumap[n] is not None
-            or (tree.time(n) >= 1 and abs(self.dividend[n]) > 1e-12)
-        )
+        p, tree = self.processes, self.tree
+        div = np.fromiter(map(self.dividend.__getitem__, tree.level_order), float, len(tree))
+        hit = (p.tau >= 0) | (np.abs(div) > 1e-12)
+        hit[0] = p.tau[0] >= 0
+        at, ids = tree.preorder_index[hit[tree.preorder_index]], [*tree.level_order, None]
+        return tuple(zip(map(ids.__getitem__, at.tolist()), map(ids.__getitem__, p.tau[at].tolist())))
 
 
 def tau_node_map(spec: MarketSpec) -> dict[str, str | None]:
@@ -568,13 +599,8 @@ def strategy_eta(spec: MarketSpec, strategy: Strategy) -> AdaptedProcess:
     """Money-market leg implied by a self-financing risky position: the
     holding times collected dividends plus payoff once matured (which is
     wealth from tau on)."""
-    d = spec.derived
-    return AdaptedProcess(
-        {
-            n: strategy.holding(n) * (d.cum[n] if tau_at is None else d.W[n])
-            for n, tau_at in d.taumap.items()
-        }
-    )
+    nodes, held = spec.tree.preorder(), _collected(spec)[spec.tree.preorder_index].tolist()
+    return AdaptedProcess(dict(zip(nodes, map(operator.mul, map(strategy.holding, nodes), held))))
 
 
 def cash_flow_payoff(spec: MarketSpec) -> dict[str, float]:
@@ -582,8 +608,11 @@ def cash_flow_payoff(spec: MarketSpec) -> dict[str, float]:
     payoff if the path matured within the horizon (the leaf's wealth).
     Residual price on paths that never mature is excluded (it is not a
     realizable cash flow)."""
-    d = spec.derived
-    return {
-        leaf: d.cum[leaf] if d.taumap[leaf] is None else d.W[leaf]
-        for leaf in spec.tree.leaves
-    }
+    return dict(zip(spec.tree.leaves, _collected(spec)[spec.tree.level_starts[-2] :].tolist()))
+
+
+def _collected(spec: MarketSpec) -> np.ndarray:
+    """Per node, in level order: collected discounted dividends, plus the
+    discounted liquidation payoff from maturity on (wealth there)."""
+    p = spec.processes
+    return np.where(p.tau < 0, p.cum, p.W)

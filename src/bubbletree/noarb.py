@@ -156,7 +156,7 @@ def _one_step(spec: MarketSpec, actual: MeasureFamily | None):
     over one step gains on some charged child and loses on none, as masks."""
     tree = spec.tree
     order, n, par = tree.level_order, len(tree.level_order), tree.parent_index[1:]
-    W = np.fromiter(map(wealth_process(spec).values.__getitem__, order), float, n)
+    W = spec.processes.W
     charged = (np.ones(n, bool) if actual is None else actual.charged_mask
                if isinstance(actual, RectangularFamily)
                else np.fromiter(map(actual.charged.__contains__, order), bool, n))

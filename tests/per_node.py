@@ -12,11 +12,20 @@ before it stepped through the cut arrays: per node, the minimum over pi of
 the maximum of lines, from pairwise crossings. It takes no float operation
 from the cut kernel, so the tests hold the kernel's hedge price to it
 within 1e-12 relative, not bit for bit.
+
+``derived``, ``stopped_price``, ``alive_horizon``, ``level_prices`` and
+``cash_events`` are the preorder loops of ``MarketSpec`` before it computed
+the market's processes as level-order arrays (``MarketSpec.processes``);
+``strategy_eta`` is the loop of ``lattice`` that read them.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from bubbletree.ambiguity import (
     _STEP_TOL,
@@ -26,7 +35,14 @@ from bubbletree.ambiguity import (
     _push_mass,
     charged_leaves,
 )
-from bubbletree.lattice import MarketSpec, Strategy, require_valid, wealth_process
+from bubbletree.lattice import (
+    AdaptedProcess,
+    Derived,
+    MarketSpec,
+    Strategy,
+    require_valid,
+    wealth_process,
+)
 from bubbletree.noarb import (
     ArbitrageCertificate,
     HedgeSolution,
@@ -263,3 +279,98 @@ def superhedge(
             X[c] = x + p * (W[c] - wn)
     slack = {l: float(X[l] - payoff[l]) for l in leaves}
     return HedgeSolution(price=price, strategy=Strategy(pi), slack=slack)
+
+
+def derived(self: MarketSpec) -> Derived:
+    """Tau map, B, cumulative dividends and wealth in one preorder pass.
+    Raises ``InvalidMarketError`` when the market fails validation."""
+    require_valid(self)
+    tree = self.tree
+    tau_nodes = self.tau.tau_nodes
+    taumap: dict[str, str | None] = {}
+    B: dict[str, float] = {}
+    cum: dict[str, float] = {}
+    W: dict[str, float] = {}
+    for n in tree.preorder():
+        par = tree.parent(n)
+        inherited = taumap[par] if par is not None else None
+        tau_at = inherited if inherited is not None else (n if n in tau_nodes else None)
+        taumap[n] = tau_at
+        B[n] = 1.0 if par is None else B[par] * (1.0 + self.rates[par])
+        prev = cum[par] if par is not None else 0.0
+        if tau_at is not None and tau_at != n:
+            cum[n] = prev  # strictly after liquidation
+        else:
+            cum[n] = prev + self.dividend[n] / B[n]
+        if tau_at is None:
+            W[n] = self.price[n] / B[n] + cum[n]
+        else:
+            W[n] = cum[n] + self.payoff[tau_at] / B[tau_at]
+    return Derived(taumap, B, cum, W)
+
+
+def stopped_price(self: MarketSpec) -> dict[str, float]:
+    """In preorder: the discounted price price / B while the asset
+    lives, and from the maturity node on the discounted liquidation
+    value payoff / B there."""
+    d = derived(self)
+    order = self.tree.preorder()
+    out = dict(zip(order, map(
+        operator.truediv, map(self.price.__getitem__, order), map(d.B.__getitem__, order)
+    )))
+    matured = map(operator.is_not, d.taumap.values(), itertools.repeat(None))
+    for n in itertools.compress(d.taumap, matured):
+        a = d.taumap[n]
+        out[n] = self.payoff[a] / d.B[a]
+    return out
+
+
+def alive_horizon(self: MarketSpec) -> int:
+    """The last time at which some node comes before maturity (0 when
+    the root itself matures)."""
+    taumap = derived(self).taumap
+    for t in range(self.tree.horizon, -1, -1):
+        level = self.tree.level(t)
+        if any(map(operator.is_, map(taumap.__getitem__, level), itertools.repeat(None))):
+            return t
+    return 0
+
+
+def level_prices(self: MarketSpec) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per time t, in ``tree.level(t)`` order: the discounted prices
+    price / B and the account values B."""
+    B = derived(self).B
+    out = []
+    for t in range(self.tree.horizon + 1):
+        nodes = self.tree.level(t)
+        out.append((
+            np.array([self.price[n] / B[n] for n in nodes], dtype=float),
+            np.array([B[n] for n in nodes], dtype=float),
+        ))
+    return tuple(out)
+
+
+def cash_events(self: MarketSpec) -> tuple[tuple[str, str | None], ...]:
+    """In preorder, the nodes where the asset has matured (with the tau
+    node on their path) or, after time 0, pays a dividend (with None)."""
+    d = derived(self)
+    tree = self.tree
+    return tuple(
+        (n, d.taumap[n])
+        for n in tree.preorder()
+        if d.taumap[n] is not None
+        or (tree.time(n) >= 1 and abs(self.dividend[n]) > 1e-12)
+    )
+
+
+def strategy_eta(spec: MarketSpec, strategy: Strategy) -> AdaptedProcess:
+    """Money-market leg implied by a self-financing risky position: the
+    holding times collected dividends plus payoff once matured (which is
+    wealth from tau on)."""
+    d = derived(spec)
+    return AdaptedProcess(
+        {
+            n: strategy.holding(n) * (d.cum[n] if tau_at is None else d.W[n])
+            for n, tau_at in d.taumap.items()
+        }
+    )

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from bubbletree import fixtures
@@ -346,3 +349,71 @@ def test_cumulative_dividends_freeze_after_tau():
     cum = cumulative_dividends(spec)
     assert cum["r0"] == pytest.approx(0.3)
     assert cum["r00"] == pytest.approx(0.3)  # post-liquidation dividend ignored
+
+
+# -- level-order processes against the per-node loops -----------------------
+
+def _spec_markets():
+    """Over 200 generated markets (every style and tau mode, with dividends and
+    nonzero rates; claim markets; some with -0.0 for every zero price and
+    dividend), fiat(3..7) and the data files."""
+    import os
+
+    from bubbletree.cli import parse_market_file
+
+    for seed in range(40):
+        for style in ("neutral", "bumped", "free"):
+            for tau_mode in ("bounded", "unbounded", "none"):
+                if (seed + len(style) + len(tau_mode)) % 2:
+                    continue
+                yield fixtures.rand_market(seed, depth=1 + seed % 4, branching=2 + seed % 3,
+                                           style=style, tau_mode=tau_mode).spec
+        yield fixtures.rand_claim_market(seed, depth=2 + seed % 3, branching=2 + seed % 3,
+                                         style=("neutral", "bumped", "free")[seed % 3]).spec
+    for seed in range(20):
+        spec = fixtures.rand_market(seed, style=("neutral", "free")[seed % 2]).spec
+        neg = {n: -0.0 for n, x in spec.price.items() if x == 0.0}
+        yield MarketSpec(spec.tree, spec.rates, {**spec.price, **neg},
+                         {n: -0.0 if x == 0.0 else x for n, x in spec.dividend.items()},
+                         spec.payoff, spec.tau, spec.tau_kind)
+    for periods in range(3, 8):
+        yield fixtures.fiat(periods).spec
+    data = os.path.join(os.path.dirname(__file__), "data")
+    for name in sorted(os.listdir(data)):
+        if name.endswith(".market"):
+            yield parse_market_file(os.path.join(data, name)).spec
+
+
+@pytest.mark.parametrize("width", [0, math.inf])
+def test_level_processes_and_their_readers_equal_the_preorder_loops(monkeypatch, width):
+    """Both paths of ``MarketSpec.processes``: numpy per level (width 0) and
+    per node on lists (width infinite; by default, trees whose levels are all
+    narrower than ``ambiguity._KERNEL_MIN_WIDTH``)."""
+    import per_node
+
+    from bubbletree import ambiguity
+
+    monkeypatch.setattr(ambiguity, "_KERNEL_MIN_WIDTH", width)
+    count = 0
+    for spec in _spec_markets():
+        count += 1
+        ref, got = per_node.derived(spec), spec.derived
+        for a, b in zip(ref, got):
+            assert list(a) == list(b)  # key order
+            assert repr(a) == repr(b)  # values bitwise, signed zeros and NaN included
+        assert repr(per_node.stopped_price(spec)) == repr(spec.stopped_price)
+        assert per_node.alive_horizon(spec) == spec.alive_horizon
+        assert per_node.cash_events(spec) == spec.cash_events
+        for (s0, b0), (s1, b1) in zip(per_node.level_prices(spec), spec.level_prices, strict=True):
+            assert s0.dtype == s1.dtype == b0.dtype == b1.dtype == float
+            assert repr(s0.tolist()) == repr(s1.tolist()) and repr(b0.tolist()) == repr(b1.tolist())
+        p, order = spec.processes, spec.tree.level_order
+        assert repr(p.W.tolist()) == repr([ref.W[n] for n in order])
+        assert p.tau.dtype == np.intp and not any(x.flags.writeable for x in p)
+        rng = np.random.default_rng(count)
+        for strategy in (
+            Strategy({n: float(rng.choice([0.0, 1.0, rng.uniform(0, 2)])) for n in order}),
+            Strategy({n: 1 for n in spec.tree.non_leaves()}),  # int holdings
+        ):
+            assert repr(per_node.strategy_eta(spec, strategy)) == repr(strategy_eta(spec, strategy))
+    assert count >= 200
