@@ -35,7 +35,7 @@ from .lattice import (
     cash_flow_payoff,
     require_valid,
 )
-from .noarb import FtapReport, HedgeSolution, find_arbitrage, superhedge
+from .noarb import HedgeSolution, _pass, superhedge
 
 
 def _conditional_value_process(
@@ -75,9 +75,9 @@ def fundamental_wealth(
 ) -> tuple[AdaptedProcess, bool]:
     """Fundamental wealth and whether it classifies as a G-martingale (it
     must, for rectangular families: the recursion is the tower property)."""
-    w_star = AdaptedProcess(_gather(spec.tree, *_conditional_value_process(spec, pricing)))
-    cls = classify_process(pricing, w_star, tol=tol)
-    return w_star, cls.strongest == "G_martingale"
+    val, runs = _conditional_value_process(spec, pricing)
+    cls = classify_process(pricing, val, tol=tol)
+    return AdaptedProcess(_gather(spec.tree, val, runs)), cls.strongest == "G_martingale"
 
 
 def stopped_price_process(spec: MarketSpec) -> AdaptedProcess:
@@ -209,13 +209,13 @@ def check_bubble_properties(
     pricing: MeasureFamily,
     actual: MeasureFamily | None = None,
     beta: AdaptedProcess | None = None,
-    ftap: FtapReport | None = None,
     tol: float = 1e-9,
 ) -> BubblePropertyReport:
     """Structural bubble properties:
 
     (i) under no arbitrage the bubble is nonnegative on charged nodes
-    (skipped, with a note, when the market admits arbitrage);
+    (skipped, with a note, when the market admits arbitrage: the one-step
+    test of ``noarb``, read from the spec's memo);
     (ii) the bubble vanishes at maturity nodes;
     (iii) with bounded maturity and no dividends, a dead bubble stays dead
     down the subtree; for unbounded maturities counterexamples are recorded
@@ -225,13 +225,9 @@ def check_bubble_properties(
     tree = spec.tree
     if beta is None:
         beta = bubble_process(spec, pricing)
-    no_arbitrage = find_arbitrage(spec, actual) is None if ftap is None else ftap.no_arbitrage
-
-    if no_arbitrage:
-        charged = [
-            n for n in tree.preorder()
-            if actual is None or node_charged(actual, n)
-        ]
+    on, arbitrage, _, _ = _pass(spec, actual)
+    if not arbitrage.any():
+        charged = list(itertools.compress(tree.preorder(), on[tree.preorder_index].tolist()))
         bad = [n for n in charged if beta[n] < -tol]
         worst = min((beta[n] for n in charged), default=0.0)
         nonneg = {
@@ -356,12 +352,11 @@ def analyze_bubble(
     spec: MarketSpec,
     pricing: MeasureFamily,
     actual: MeasureFamily | None = None,
-    ftap: FtapReport | None = None,
     tol: float = 1e-9,
 ) -> BubbleReport:
     s_star, w_star, beta = bubble_processes(spec, pricing)
     classification = classify_bubble(spec, pricing, beta, actual, tol=tol)
-    properties = check_bubble_properties(spec, pricing, actual, beta, ftap, tol=tol)
+    properties = check_bubble_properties(spec, pricing, actual, beta, tol=tol)
     return BubbleReport(
         S_star=s_star,
         W_star=w_star,

@@ -492,7 +492,7 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
             report.verdicts["bubble"] = "unavailable (no pricing family)"
             report.exit_status = 2
             return report
-        rep = analyze_bubble(spec, pricing, parsed.actual, ftap=ftap, tol=tol)
+        rep = analyze_bubble(spec, pricing, parsed.actual, tol=tol)
         beta1 = rep.beta.at_time(tree, 1)
         if beta1:
             report.diagnostics["inf E[beta_1]"] = cond_expectation(

@@ -327,8 +327,10 @@ class MarketSpec:
     ``validation``, ``processes`` (read-only level-order arrays) and the
     ``derived``, ``stopped_price``, ``alive_horizon``, ``level_prices`` and
     ``cash_events`` read off them are computed on first use and cached on
-    the instance, so treat a spec, its tree and its dicts as immutable:
-    editing them afterwards leaves them stale. Build a new spec instead.
+    the instance, and so is ``memo``, where ``noarb`` keeps its one-step
+    test per ``actual`` family. Treat a spec, its tree and its dicts as
+    immutable: editing them afterwards leaves them stale. Build a new spec
+    instead.
     """
 
     tree: EventTree
@@ -343,6 +345,11 @@ class MarketSpec:
     def validation(self) -> ValidationReport:
         """The ``validate_market`` report of this spec."""
         return validate_market(self)
+
+    @cached_property
+    def memo(self) -> dict:
+        """Results derived from this spec and one more input; none refers to the spec."""
+        return {}
 
     @cached_property
     def processes(self) -> Processes:
@@ -573,26 +580,19 @@ def gains_process(
     for n, p in strategy.pi.items():
         if p < 0:
             raise ShortSaleViolationError(f"negative holding {p} at node {n!r}")
-    tree = spec.tree
-    W = wealth_process(spec).values
-    G: dict[str, float] = {}
-    for n in tree.preorder():
-        par = tree.parent(n)
-        if par is None:
-            G[n] = 0.0
-        else:
-            G[n] = G[par] + strategy.holding(par) * (W[n] - W[par])
-    v0 = strategy.holding(tree.root) * W[tree.root]
-    V = {n: v0 + g for n, g in G.items()}
-    self_financing = True
-    for n in tree.preorder():
-        par = tree.parent(n)
-        if par is None or tree.is_leaf(n):
-            continue
-        if abs((strategy.holding(n) - strategy.holding(par)) * W[n]) > tol:
-            self_financing = False
-            break
-    return GainsResult(AdaptedProcess(G), AdaptedProcess(V), self_financing)
+    tree, W = spec.tree, spec.processes.W
+    par, off, pre = tree.parent_index, tree.child_offsets, tree.preorder_index
+    h = np.fromiter(map(strategy.holding, tree.level_order), float, len(tree))
+    G = np.zeros(len(tree))
+    for a, b in zip(tree.level_starts[1:], tree.level_starts[2:]):
+        p = par[a:b]
+        G[a:b] = G[p] + h[p] * (W[a:b] - W[p])
+    V = h[0] * W[0] + G
+    # the holding may change only where wealth is zero, at the non-root inner nodes
+    shift = np.abs((h[1:] - h[par[1:]]) * W[1:])[off[2:] > off[1:-1]]
+    self_financing = not (shift > tol).any()
+    G, V = (AdaptedProcess(dict(zip(tree.preorder(), x[pre].tolist()))) for x in (G, V))
+    return GainsResult(G, V, self_financing)
 
 
 def strategy_eta(spec: MarketSpec, strategy: Strategy) -> AdaptedProcess:

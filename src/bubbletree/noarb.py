@@ -14,6 +14,10 @@ max_c [V_c - pi (W_c - W_n)]``, which is the upper expectation over those
 cuts, stepped like every other one: against the discovered family the
 duality gap is 0 by construction; only a file-given family leaves a gap.
 
+That test (``_cuts``) runs once per market and ``actual`` family, kept in
+``MarketSpec.memo``: every entry point here, and the bubble property checks,
+read that one pass.
+
 The global linear programs over the leaf-gain matrix (``_find_arbitrage_lp``,
 ``_maximal_support``, ``_superhedge_lp``) are kept as reference
 implementations; the tests check the local passes against them, and the
@@ -53,6 +57,10 @@ from .lattice import (
 )
 
 
+# the least witness gain of an arbitrage certificate
+_GAIN_TOL = 1e-6
+
+
 class NotRiskNeutralError(ValueError):
     """The supplied pricing family does not make wealth a G-supermartingale."""
 
@@ -80,7 +88,7 @@ class ArbitrageCertificate:
         g = result.gains.values
         if any(g[leaf] < -tol for leaf in leaves):
             return False
-        return g[self.witness] > 1e-6
+        return g[self.witness] > _GAIN_TOL
 
 
 @dataclass(frozen=True)
@@ -151,74 +159,70 @@ class RobustPriceResult:
     hedge: HedgeSolution
 
 
-def _one_step(spec: MarketSpec, actual: MeasureFamily | None):
-    """Wealth, the charged nodes and those of them where holding the asset
-    over one step gains on some charged child and loses on none, as masks."""
-    tree = spec.tree
-    order, n, par = tree.level_order, len(tree.level_order), tree.parent_index[1:]
-    W = spec.processes.W
+def _cuts(spec: MarketSpec, actual: MeasureFamily | None):
+    """The one-step test over ``actual``: the charged nodes and those of them
+    where holding the asset over one step gains on some charged child and loses
+    on none, as masks; ``lost``, the inner nodes with no charged child at or
+    below their wealth; and the cuts over ``actual`` as a ``CutSets`` map, where
+    a lost node, with no vertex of its own, has one at its first child."""
+    tree, off, par = spec.tree, spec.tree.child_offsets, spec.tree.parent_index[1:]
+    W, n = spec.processes.W, len(tree)
     charged = (np.ones(n, bool) if actual is None else actual.charged_mask
                if isinstance(actual, RectangularFamily)
-               else np.fromiter(map(actual.charged.__contains__, order), bool, n))
+               else np.fromiter(map(actual.charged.__contains__, tree.level_order), bool, n))
     gains = np.bincount(par, charged[1:] & (W[1:] > W[par] + _STEP_TOL), minlength=n)
     losses = np.bincount(par, charged[1:] & (W[1:] < W[par] - _STEP_TOL), minlength=n)
-    return W, charged, charged & (gains > 0) & (losses == 0)
+    wc = np.where(charged, W, np.nan)  # each node's wealth in its parent's cut
+    lost = (off[1:] > off[:-1]) & (np.bincount(par, wc[1:] <= W[par] + _STEP_TOL, n) == 0)
+    wc[off[:-1][lost]] = 0.0
+    arbitrage = charged & (gains > 0) & (losses == 0)
+    return charged, arbitrage, lost, CutSets(tree, np.where(lost, 0.0, W), wc)
+
+
+def _pass(spec: MarketSpec, actual: MeasureFamily | None):
+    """``_cuts(spec, actual)``, run once per spec and family object."""
+    key = ("noarb._cuts", id(actual))
+    if key not in spec.memo:  # the entry keeps the family alive: no other takes its id
+        spec.memo[key] = actual, _cuts(spec, actual)
+    return spec.memo[key][1]
 
 
 def _certificate(
     spec: MarketSpec, leaves: Sequence[str], strategy: Strategy
 ) -> ArbitrageCertificate:
-    """The strategy's gains on the charged ``leaves`` as a certificate,
-    re-validated by direct evaluation."""
+    """The strategy's gains on the charged ``leaves`` as a certificate, checked
+    as ``ArbitrageCertificate.revalidate`` checks it."""
     gains = gains_process(spec, strategy).gains.values
     leaf_gains = {leaf: gains[leaf] for leaf in leaves}
-    witness = max(leaf_gains, key=lambda k: leaf_gains[k])
-    cert = ArbitrageCertificate(
+    witness = max(leaf_gains, key=leaf_gains.__getitem__)
+    if any(g < -1e-9 for g in leaf_gains.values()) or not leaf_gains[witness] > _GAIN_TOL:
+        raise RuntimeError("arbitrage certificate failed direct re-validation")
+    return ArbitrageCertificate(
         strategy=strategy,
         witness=witness,
         witness_gain=leaf_gains[witness],
         total_gain=sum(leaf_gains.values()),
         gains=leaf_gains,
     )
-    if not cert.revalidate(spec, leaves):
-        raise RuntimeError("arbitrage certificate failed direct re-validation")
-    return cert
 
 
 def find_arbitrage(
-    spec: MarketSpec, actual: MeasureFamily | None = None, gain_tol: float = 1e-6
+    spec: MarketSpec, actual: MeasureFamily | None = None
 ) -> ArbitrageCertificate | None:
     """Search for an arbitrage: the first charged node, in preorder, where
     holding the asset over one step gains on some charged child and loses on
     none. The certificate holds the asset at that node only, one unit or
-    more if needed for the witness gain to clear ``gain_tol``. When no node
+    more if needed for the witness gain to clear ``_GAIN_TOL``. When no node
     qualifies, ``supermartingale_family`` finds a pricing family instead."""
     require_valid(spec)
-    return _first_arbitrage(spec, actual, *_one_step(spec, actual), gain_tol)
-
-
-def _first_arbitrage(spec: MarketSpec, actual, W, charged, arbitrage, gain_tol: float = 1e-6):
-    """``find_arbitrage`` from ``_one_step``'s wealth and masks."""
-    tree = spec.tree
+    tree, W, (charged, arbitrage, _, _) = spec.tree, spec.processes.W, _pass(spec, actual)
     for g in tree.preorder_index[arbitrage[tree.preorder_index]][:1].tolist():
         kids = slice(tree.child_offsets[g], tree.child_offsets[g + 1])
         top = max(W[kids][charged[kids]].tolist()) - W[g].item()
-        units = 1.0 if top > gain_tol else 2.0 * gain_tol / top
+        units = 1.0 if top > _GAIN_TOL else 2.0 * _GAIN_TOL / top
         leaves = charged_leaves(actual, tree)
         return _certificate(spec, leaves, Strategy({tree.level_order[g]: units}))
     return None
-
-
-def _cuts(spec: MarketSpec, actual: MeasureFamily | None):
-    """``_one_step``'s wealth and masks; ``lost``, the inner nodes with no charged
-    child at or below their wealth; and the cuts over ``actual`` as a ``CutSets``
-    map, where a lost node, with no vertex of its own, has one at its first child."""
-    tree, off, par = spec.tree, spec.tree.child_offsets, spec.tree.parent_index[1:]
-    W, charged, arbitrage = _one_step(spec, actual)
-    wc = np.where(charged, W, np.nan)  # each node's wealth in its parent's cut
-    lost = (off[1:] > off[:-1]) & (np.bincount(par, wc[1:] <= W[par] + _STEP_TOL, len(W)) == 0)
-    wc[off[:-1][lost]] = 0.0
-    return W, charged, arbitrage, lost, CutSets(tree, np.where(lost, 0.0, W), wc)
 
 
 def supermartingale_family(
@@ -229,7 +233,7 @@ def supermartingale_family(
     the charged children (unit vectors at children not above W(n), mixtures
     across it). None when a charged node admits a one-step arbitrage (the test
     of ``find_arbitrage``); else each charged child has a vertex charging it."""
-    _, _, arbitrage, _, cuts = _cuts(spec, actual)
+    _, arbitrage, _, cuts = _pass(spec, actual)
     return None if arbitrage.any() else RectangularFamily(spec.tree, cuts, role="pricing")
 
 
@@ -266,13 +270,10 @@ def _product_witness(family: RectangularFamily) -> dict[str, float]:
 
 def verify_ftap(spec: MarketSpec, actual: MeasureFamily | None = None) -> FtapReport:
     """Run both sides of the equivalence, the arbitrage search and the
-    supermartingale family, from one one-step test (one ``_cuts`` pass). The
-    rectangular family is authoritative for existence (the reachable mass of
-    a leaf can be legitimately tiny)."""
-    require_valid(spec)
-    W, charged, arbitrage, _, cuts = _cuts(spec, actual)
-    family = None if arbitrage.any() else RectangularFamily(spec.tree, cuts, role="pricing")
-    return FtapReport(_first_arbitrage(spec, actual, W, charged, arbitrage), family, actual)
+    supermartingale family, from the one one-step test of ``spec`` over
+    ``actual``. The rectangular family is authoritative for existence (the
+    reachable mass of a leaf can be legitimately tiny)."""
+    return FtapReport(find_arbitrage(spec, actual), supermartingale_family(spec, actual), actual)
 
 
 def superhedge(
@@ -294,7 +295,7 @@ def superhedge(
     require_valid(spec)
     tree = spec.tree
     order, par, off, pre = tree.level_order, tree.parent_index, tree.child_offsets, tree.preorder_index
-    W, charged, _, lost, cuts = _cuts(spec, actual)
+    W, (charged, _, lost, cuts) = spec.processes.W, _pass(spec, actual)
     inner = off[1:] > off[:-1]
     at = pre[(charged & ~inner)[pre]]  # the charged leaves, in preorder
     leaves = [order[g] for g in at.tolist()]
@@ -335,8 +336,7 @@ def robust_price(
     """Upper expectation of the payoff under the pricing family, plus the gap
     to the superhedge cost. The family must price the market: wealth has to
     be a G-supermartingale under it."""
-    W = wealth_process(spec)
-    classification = classify_process(pricing, W, tol=tol)
+    classification = classify_process(pricing, spec.processes.W, tol=tol)
     if not classification.satisfies("G_supermartingale"):
         raise NotRiskNeutralError(
             "wealth is not a G-supermartingale under the supplied pricing family "
@@ -384,7 +384,7 @@ def _gain_rows(spec: MarketSpec, leaves: Sequence[str]):
 
 
 def _find_arbitrage_lp(
-    spec: MarketSpec, actual: MeasureFamily | None = None, gain_tol: float = 1e-6
+    spec: MarketSpec, actual: MeasureFamily | None = None
 ) -> ArbitrageCertificate | None:
     """Maximize total terminal gain over nonnegative holdings boxed to
     [0, 1], subject to nonnegative gains on every charged leaf. Any positive
@@ -404,7 +404,7 @@ def _find_arbitrage_lp(
     )
     if res.status != 0:
         raise RuntimeError(f"arbitrage LP failed: {res.message}")
-    if -res.fun <= gain_tol:
+    if -res.fun <= _GAIN_TOL:
         return None
     pi = {n: float(max(x, 0.0)) for n, x in zip(cols, res.x)}
     return _certificate(spec, leaves, Strategy(pi))

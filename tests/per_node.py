@@ -1,7 +1,7 @@
 """The per-node passes that whole-tree arrays replaced, kept as ``==`` oracles.
 
 Each function is what ``bubbletree`` computed one node at a time, in
-preorder, before the one-step test (``noarb._one_step``), the
+preorder, before the one-step test (``noarb._cuts``), the
 supermartingale family, ``RectangularFamily.charged``, the product witness
 and ``ambiguity._one_step_bounds`` ran on ``EventTree.level_order`` arrays.
 The supermartingale family here is the explicit vertex list of each node's
@@ -16,7 +16,9 @@ within 1e-12 relative, not bit for bit.
 ``derived``, ``stopped_price``, ``alive_horizon``, ``level_prices`` and
 ``cash_events`` are the preorder loops of ``MarketSpec`` before it computed
 the market's processes as level-order arrays (``MarketSpec.processes``);
-``strategy_eta`` is the loop of ``lattice`` that read them.
+``strategy_eta`` is the loop of ``lattice`` that read them, and
+``gains_process`` the two preorder loops of ``lattice.gains_process``
+before it stepped one level at a time over ``MarketSpec.processes``.
 """
 from __future__ import annotations
 
@@ -38,12 +40,15 @@ from bubbletree.ambiguity import (
 from bubbletree.lattice import (
     AdaptedProcess,
     Derived,
+    GainsResult,
     MarketSpec,
+    ShortSaleViolationError,
     Strategy,
     require_valid,
     wealth_process,
 )
 from bubbletree.noarb import (
+    _GAIN_TOL,
     ArbitrageCertificate,
     HedgeSolution,
     UnboundedHedgeError,
@@ -90,7 +95,7 @@ def one_step_arbitrage(wn: float, wk: Sequence[float]) -> bool:
 
 
 def find_arbitrage(
-    spec: MarketSpec, actual: MeasureFamily | None = None, gain_tol: float = 1e-6
+    spec: MarketSpec, actual: MeasureFamily | None = None
 ) -> ArbitrageCertificate | None:
     """The first charged node, in preorder, that admits a one-step
     arbitrage, as a certificate holding the asset there only."""
@@ -105,7 +110,7 @@ def find_arbitrage(
         wk = [W[kids[i]] for i in idx]
         if one_step_arbitrage(W[n], wk):
             top = max(wk) - W[n]
-            units = 1.0 if top > gain_tol else 2.0 * gain_tol / top
+            units = 1.0 if top > _GAIN_TOL else 2.0 * _GAIN_TOL / top
             return _certificate(spec, leaves, Strategy({n: units}))
     return None
 
@@ -374,3 +379,34 @@ def strategy_eta(spec: MarketSpec, strategy: Strategy) -> AdaptedProcess:
             for n, tau_at in d.taumap.items()
         }
     )
+
+
+def gains_process(
+    spec: MarketSpec, strategy: Strategy, tol: float = 1e-9
+) -> GainsResult:
+    """Cumulative trading gains and portfolio value of a strategy, and
+    whether its holding changes only at nodes where wealth is zero."""
+    require_valid(spec)
+    for n, p in strategy.pi.items():
+        if p < 0:
+            raise ShortSaleViolationError(f"negative holding {p} at node {n!r}")
+    tree = spec.tree
+    W = wealth_process(spec).values
+    G: dict[str, float] = {}
+    for n in tree.preorder():
+        par = tree.parent(n)
+        if par is None:
+            G[n] = 0.0
+        else:
+            G[n] = G[par] + strategy.holding(par) * (W[n] - W[par])
+    v0 = strategy.holding(tree.root) * W[tree.root]
+    V = {n: v0 + g for n, g in G.items()}
+    self_financing = True
+    for n in tree.preorder():
+        par = tree.parent(n)
+        if par is None or tree.is_leaf(n):
+            continue
+        if abs((strategy.holding(n) - strategy.holding(par)) * W[n]) > tol:
+            self_financing = False
+            break
+    return GainsResult(AdaptedProcess(G), AdaptedProcess(V), self_financing)

@@ -176,7 +176,7 @@ def test_properties_nonnegative_and_persistent_on_noarb_market():
                               tau_mode="bounded")
     ftap = verify_ftap(fx.spec, fx.family)
     assert ftap.no_arbitrage
-    rep = check_bubble_properties(fx.spec, fx.family, fx.family, ftap=ftap)
+    rep = check_bubble_properties(fx.spec, fx.family, fx.family)
     assert rep.nonneg_under_noarb["status"] == "holds"
     assert rep.persistence["status"] == "holds"
 
@@ -197,7 +197,7 @@ def test_persistence_counterexample_at_exact_price_tie():
     )
     ftap = verify_ftap(spec)
     assert ftap.no_arbitrage
-    rep = check_bubble_properties(spec, ftap.pricing_family, ftap=ftap)
+    rep = check_bubble_properties(spec, ftap.pricing_family)
     assert rep.persistence["status"] == "violated"
     assert rep.persistence["counterexamples"]
 

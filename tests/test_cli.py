@@ -1,3 +1,4 @@
+import functools
 import json
 from collections import Counter
 
@@ -263,7 +264,8 @@ def test_exit_code_schema_error(capsys):
 
 
 def test_exit_code_arbitrage_blocks_family(tmp_path, capsys):
-    doc = json.loads(open(data_file("ex1.market")).read())
+    with open(data_file("ex1.market")) as fh:
+        doc = json.load(fh)
     del doc["pricing"]  # force the analysis to derive a family, which fails
     path = tmp_path / "arb.market"
     path.write_text(json.dumps(doc))
@@ -466,20 +468,23 @@ def discovered_fiat_doc(periods: int = 3) -> dict:
     return doc
 
 
+def _counting(calls: Counter, name: str, fn):
+    """``fn``, counting its calls in ``calls[name]``."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 @pytest.mark.parametrize("argv", COMMANDS)
 def test_each_command_runs_ftap_and_bubble_analysis_once(tmp_path, capsys, monkeypatch, argv):
+    import bubbletree.ambiguity
     import bubbletree.bubble
     import bubbletree.cli
     import bubbletree.noarb
 
     calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
+    counted = functools.partial(_counting, calls)
     ftap = counted("verify_ftap", bubbletree.noarb.verify_ftap)
     monkeypatch.setattr(bubbletree.cli, "verify_ftap", ftap)
     monkeypatch.setattr(
@@ -488,14 +493,41 @@ def test_each_command_runs_ftap_and_bubble_analysis_once(tmp_path, capsys, monke
     # the backward sweep of the asset's cash flows (W*), behind S*, W* and beta
     monkeypatch.setattr(bubbletree.bubble, "_conditional_value_process", counted(
         "cash_flow_sweep", bubbletree.bubble._conditional_value_process))
+    # the one-step test and the vertex arrays of its cuts, shared by the
+    # pricing family and the superhedge
+    monkeypatch.setattr(bubbletree.noarb, "_cuts", counted("one_step", bubbletree.noarb._cuts))
+    monkeypatch.setattr(bubbletree.ambiguity, "_cut_arrays", counted(
+        "cut_arrays", bubbletree.ambiguity._cut_arrays))
     path = tmp_path / "fiat.market"
-    path.write_text(json.dumps(discovered_fiat_doc()))
+    path.write_text(json.dumps(discovered_fiat_doc(6)))
     rc = main([*argv, str(path)])
     capsys.readouterr()
     assert rc == 0
     # only ``analyze`` prints the bubble's classification and properties
     analyses = 1 if argv[0] == "analyze" else 0
-    assert calls == Counter(verify_ftap=1, analyze_bubble=analyses, cash_flow_sweep=1)
+    assert calls == Counter(verify_ftap=1, analyze_bubble=analyses, cash_flow_sweep=1,
+                            one_step=1, cut_arrays=1)
+
+
+@pytest.mark.parametrize("argv", COMMANDS)
+def test_each_command_evaluates_the_arbitrage_certificate_once(tmp_path, capsys, monkeypatch,
+                                                               argv):
+    import bubbletree.noarb
+
+    calls = Counter()
+    for name in ("_cuts", "gains_process"):
+        fn = getattr(bubbletree.noarb, name)
+        monkeypatch.setattr(bubbletree.noarb, name, _counting(calls, name, fn))
+    # ex1 without its pricing block: a strong arbitrage on the cheap branch
+    with open(data_file("ex1.market")) as fh:
+        doc = json.load(fh)
+    del doc["pricing"]
+    path = tmp_path / "ex1.market"
+    path.write_text(json.dumps(doc))
+    rc = main([*argv, str(path)])
+    capsys.readouterr()
+    assert rc in (2, 3)
+    assert calls == Counter(_cuts=1, gains_process=1)
 
 
 @pytest.mark.parametrize("argv", COMMANDS)

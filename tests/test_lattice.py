@@ -417,3 +417,33 @@ def test_level_processes_and_their_readers_equal_the_preorder_loops(monkeypatch,
         ):
             assert repr(per_node.strategy_eta(spec, strategy)) == repr(strategy_eta(spec, strategy))
     assert count >= 200
+
+
+def test_gains_process_equals_the_preorder_loops():
+    """The level pass of ``gains_process`` against its per-node loops, on the
+    markets above: zero, buy-and-hold, random nonnegative holdings with zeros,
+    and buy-and-hold that stops at one zero-wealth node. Gains and value must
+    match bitwise, signed zeros and key order included (``repr``)."""
+    import per_node
+
+    count, changed, outcomes = 0, 0, set()
+    for spec in _spec_markets():
+        count += 1
+        tree, W = spec.tree, spec.processes.W
+        inner = tree.non_leaves()
+        rng = np.random.default_rng(count)
+        hold = {n: 1.0 for n in inner}
+        broke = [n for n in inner[1:] if W[tree.index(n)] == 0.0][:1]
+        changed += bool(broke)
+        for strategy in (
+            Strategy({}),
+            Strategy(hold),
+            Strategy({n: float(rng.choice([0.0, 0.0, 1.0, rng.uniform(0, 2)])) for n in inner}),
+            Strategy({**hold, **dict.fromkeys(broke, 0.0)}),
+        ):
+            ref, got = per_node.gains_process(spec, strategy), gains_process(spec, strategy)
+            assert repr(ref.gains.values) == repr(got.gains.values)
+            assert repr(ref.value.values) == repr(got.value.values)
+            assert ref.self_financing is got.self_financing
+            outcomes.add(got.self_financing)
+    assert count >= 200 and changed >= 10 and outcomes == {True, False}

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,10 +21,20 @@ from bubbletree.ambiguity import (
     enumerate_extreme_measures,
     node_charged,
 )
-from bubbletree.lattice import EventTree, MarketSpec, StoppingTime, gains_process, wealth_process
+from bubbletree.lattice import (
+    EventTree,
+    MarketSpec,
+    StoppingTime,
+    Strategy,
+    gains_process,
+    wealth_process,
+)
 from bubbletree.noarb import (
+    _GAIN_TOL,
+    FtapReport,
     NotRiskNeutralError,
     UnboundedHedgeError,
+    _certificate,
     _find_arbitrage_lp,
     _gain_rows,
     _maximal_support,
@@ -91,6 +103,90 @@ def test_rise_or_stay_flat_is_an_arbitrage_with_a_bounded_hedge():
     payoff = {"r0": 0.0, "r1": 0.0}
     assert superhedge(fx.spec, payoff).price == 0.0
     assert _superhedge_lp(fx.spec, payoff).price == pytest.approx(0.0, abs=1e-9)
+
+
+def test_small_one_step_gain_scales_the_certificate():
+    # one branch rises by 5e-7, the other stays flat: one unit gains less than
+    # _GAIN_TOL, so the certificate holds 4 units for a witness gain of 2e-6
+    tree = EventTree.uniform([2])
+    price = {"r": 1.0, "r0": 1.0 + 5e-7, "r1": 1.0}
+    spec = MarketSpec(tree, {"r": 0.0}, price, dict.fromkeys(price, 0.0),
+                      {"r0": price["r0"], "r1": 1.0}, StoppingTime(frozenset({"r0", "r1"})),
+                      "bounded")
+    cert = find_arbitrage(spec)
+    assert cert.witness == "r0" and cert.strategy.pi == {"r": pytest.approx(4.0)}
+    assert cert.witness_gain == pytest.approx(2e-6) and cert.witness_gain > _GAIN_TOL
+    assert cert.gains["r1"] == 0.0 and cert.revalidate(spec, tree.leaves)
+    # the certificate is checked on the gains it computes: one unit gains too
+    # little, and holding the asset where a charged leaf loses fails
+    with pytest.raises(RuntimeError, match="certificate failed direct re-validation"):
+        _certificate(spec, tree.leaves, Strategy({"r": 1.0}))
+    falls = fixtures.ex1_one_period(s0=1.0, s1=(1.5, 0.5)).spec
+    with pytest.raises(RuntimeError, match="certificate failed direct re-validation"):
+        _certificate(falls, falls.tree.leaves, Strategy({"r": 1.0}))
+
+
+def _noarb_calls(spec, actual, payoff):
+    """What ``verify_ftap``, ``find_arbitrage``, ``supermartingale_family`` and
+    ``superhedge`` return over ``actual``, as comparable text."""
+    def family(fam):
+        return None if fam is None else (repr([x.tolist() for x in fam.cuts]), sorted(fam.charged))
+
+    rep = verify_ftap(spec, actual)
+    assert isinstance(rep, FtapReport) and rep.actual is actual
+    hedge = _hedge_or_none(superhedge, spec, payoff, actual)
+    return [repr(rep.arbitrage), family(rep.pricing_family), repr(find_arbitrage(spec, actual)),
+            family(supermartingale_family(spec, actual)), repr(hedge)]
+
+
+def test_one_step_pass_runs_once_per_spec_and_family(monkeypatch):
+    """The entry points of ``noarb`` read one one-step pass per spec and
+    ``actual`` family: called in turn on one spec over no family, a box, a
+    vertex-list and an explicit family, each returns what it returns on a
+    fresh spec, and each family's pass runs once."""
+    from bubbletree import noarb
+
+    runs = Counter()
+    cuts = noarb._cuts
+
+    def counted(spec, actual):
+        runs[id(spec), id(actual)] += 1
+        return cuts(spec, actual)
+
+    monkeypatch.setattr(noarb, "_cuts", counted)
+    differ = 0
+    for seed in range(9):
+        fx = fixtures.rand_market(seed, depth=3, branching=2 + seed % 2,
+                                  style=("neutral", "bumped", "free")[seed % 3])
+        spec, tree = fx.spec, fx.spec.tree
+        runs.clear()  # ids are unique among live objects only
+        rng = np.random.default_rng(seed)
+        boxes = dict(fx.family.transitions)
+        for n in tree.non_leaves():
+            k = len(tree.children(n))
+            if k >= 2 and rng.random() < 0.5:  # one child uncharged
+                drop = rng.integers(k)
+                boxes[n] = TransitionSet.box([0.0] * k, [float(i != drop) for i in range(k)])
+        vertex = {n: TransitionSet.vertex_set(ts.vertex_list())
+                  for n, ts in fx.family.transitions.items()}
+        measures = []
+        for _ in range(2):
+            q = rng.uniform(0, 1, len(tree.leaves)) * (rng.random(len(tree.leaves)) < 0.6)
+            q[0] += 0.1
+            measures.append(dict(zip(tree.leaves, (q / q.sum()).tolist())))
+        families = (None, RectangularFamily(tree, boxes), RectangularFamily(tree, vertex),
+                    ExplicitFamily(tree, tuple(measures), role="actual"))
+        payoff = {leaf: float(rng.uniform(0, 2)) for leaf in tree.leaves}
+        shared = [[] for _ in families]
+        for _ in range(2):
+            for i, actual in enumerate(families):
+                shared[i].append(_noarb_calls(spec, actual, payoff))
+        for got, actual in zip(shared, families):
+            fresh = _noarb_calls(dataclasses.replace(spec), actual, payoff)
+            assert got == [fresh, fresh], seed
+        assert [runs[id(spec), id(a)] for a in families] == [1, 1, 1, 1], seed
+        differ += len({repr(got) for got in shared}) > 1
+    assert differ >= 6
 
 
 # -- the pricing-equivalence report -------------------------------------------
