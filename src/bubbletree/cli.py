@@ -35,12 +35,7 @@ from .ambiguity import (
     cond_expectation,
     validate_family,
 )
-from .bubble import (
-    analyze_bubble,
-    bubble_processes,
-    find_dominating_strategy,
-    stopped_price_process,
-)
+from .bubble import analyze_bubble, bubble_processes, find_dominating_strategy
 from .claims import (
     AssumptionViolationError,
     Claim,
@@ -50,14 +45,7 @@ from .claims import (
     american_oracle,
     fundamental_claim_price,
 )
-from .lattice import (
-    EventTree,
-    InvalidMarketError,
-    MarketSpec,
-    StoppingTime,
-    discount_factors,
-    wealth_process,
-)
+from .lattice import EventTree, InvalidMarketError, MarketSpec, StoppingTime
 from .noarb import NotRiskNeutralError, UnboundedHedgeError, robust_price, superhedge, verify_ftap
 
 CLAIM_ALIASES = {
@@ -449,184 +437,187 @@ def report_from_dict(doc: Mapping) -> Report:
     )
 
 
-def _resolve_pricing(parsed: ParsedMarket) -> MeasureFamily | None:
-    """Pricing family: the one in the file, else the supermartingale family
-    discovered by the equivalence check (None when arbitrage blocks it)."""
-    if parsed.pricing is not None:
-        return parsed.pricing
-    return verify_ftap(parsed.spec, parsed.actual).pricing_family
-
-
 def _process_table(spec: MarketSpec, s_star, w_star, beta) -> dict[str, dict[str, float]]:
-    """The market's processes and ``bubble_processes``' three, as the reports print them."""
-    return {
-        "S": dict(spec.price),
-        "W": dict(wealth_process(spec).values),
-        "B": dict(discount_factors(spec).values),
-        "Sstar": dict(s_star.values),
-        "Wstar": dict(w_star.values),
-        "beta": dict(beta.values),
-    }
+    """The market's processes and ``bubble_processes``' three, as the reports
+    print them; the maps the spec caches are copied."""
+    derived = spec.derived
+    return {"S": dict(spec.price), "W": dict(derived.W), "B": dict(derived.B),
+            "Sstar": s_star.values, "Wstar": w_star.values, "beta": beta.values}
+
+
+def _claim(options: Mapping[str, Any], tree: EventTree, missing: str) -> Claim:
+    """The claim of ``--claim``, ``--strike`` and ``--maturity`` (the horizon
+    when not given); ``missing`` is the error when there is no ``--claim``."""
+    if options.get("claim") is None:
+        raise MarketFileError(missing)
+    maturity = tree.horizon if options.get("maturity") is None else int(options["maturity"])
+    return Claim(CLAIM_ALIASES[options["claim"]], maturity, float(options["strike"]))
+
+
+def _payoff(spec: MarketSpec, options: Mapping[str, Any]) -> dict[str, float]:
+    """The leaf payoff ``hedge`` superhedges: the ``--payoff-file``'s, else the
+    claim's. A claim settling before the horizon is hedged as the path-wise
+    constant payoff fixed at maturity: each leaf takes the value at its
+    ancestor horizon - maturity steps up."""
+    tree = spec.tree
+    if options.get("payoff_file"):
+        return parse_payoff_file(options["payoff_file"], tree)
+    claim = _claim(options, tree, "hedge needs --claim or --payoff-file")
+    maturity = claim.maturity
+    if not 1 <= maturity <= tree.horizon:
+        raise ValueError(f"maturity {maturity} outside [1, {tree.horizon}]")
+    target = _intrinsic(spec, claim, maturity)
+    anc = np.arange(tree.level_starts[-2], len(tree))  # the leaves, in preorder
+    for _ in range(tree.horizon - maturity):
+        anc = tree.parent_index[anc]
+    return dict(zip(tree.leaves, target[anc - tree.level_starts[maturity]].tolist()))
+
+
+# Each command is a function that reports it with a pricing family and returns
+# ``bubble_processes``' three for the process table, and one that reports it
+# without a family. All take (report, parsed, pricing, ftap, tol, options),
+# where ``ftap()`` is the market's ``verify_ftap`` report, run on first call.
+
+def _market(report, parsed, pricing, ftap, tol, options):
+    """``analyze`` without a pricing family; with one, its first verdicts."""
+    rep = ftap()
+    report.verdicts["validation"] = "pass"
+    report.verdicts["arbitrage"] = "FOUND" if rep.arbitrage else "none"
+    report.verdicts["ftap_consistent"] = rep.consistent
+    if rep.arbitrage:
+        report.diagnostics["arbitrage_witness"] = rep.arbitrage.witness
+        report.diagnostics["arbitrage_gain"] = rep.arbitrage.witness_gain
+    if pricing is None:
+        report.verdicts["bubble"] = "unavailable (no pricing family)"
+
+
+def _analyze(report, parsed, pricing, ftap, tol, options):
+    spec, tree = parsed.spec, parsed.spec.tree
+    _market(report, parsed, pricing, ftap, tol, options)
+    rep = analyze_bubble(spec, pricing, parsed.actual, tol=tol)
+    beta1 = rep.beta.at_time(tree, 1)
+    if beta1:
+        report.diagnostics["inf E[beta_1]"] = cond_expectation(pricing, beta1, tree.root, "lower")
+        report.diagnostics["sup E[beta_1]"] = cond_expectation(pricing, beta1, tree.root, "upper")
+    report.verdicts["bubble_exists"] = rep.exists
+    report.verdicts["bubble_class"] = rep.classification.bubble_class.strongest
+    report.verdicts["price_class"] = rep.classification.price_class.strongest
+    clauses = vars(rep.properties)  # nonneg_under_noarb, vanishes_at_tau, persistence
+    report.verdicts["properties"] = {name: c.get("status") for name, c in clauses.items()}
+    violated = {name: c for name, c in clauses.items() if c.get("status") == "violated"}
+    report.verdicts["checks"] = "FAIL" if violated else "pass"
+    for name, clause in violated.items():
+        nodes = clause.get("nodes") or tuple(c[0] for c in clause.get("counterexamples", ()))
+        report.diagnostics[f"{name}_nodes"] = sorted(nodes)
+    report.diagnostics["beta_0"] = rep.beta[tree.root]
+    report.diagnostics["tau_kind"] = spec.tau_kind
+    return rep.S_star, rep.W_star, rep.beta
+
+
+def _price(report, parsed, pricing, ftap, tol, options):
+    spec, tree = parsed.spec, parsed.spec.tree
+    claim = _claim(options, tree, "price needs --claim")
+    if claim.kind in ("amer_call", "amer_put"):
+        try:
+            result = american_fundamental_price(spec, pricing, claim, parsed.actual)
+            report.processes["claim_value"] = dict(result.process.values)
+            report.diagnostics["exercise_region"] = sorted(result.exercise)
+            value = result.process[tree.root]
+        except RectangularityError:
+            value = american_oracle(spec, pricing, claim)
+            report.diagnostics["note"] = "explicit family: priced by stopping-rule enumeration"
+    else:
+        proc = fundamental_claim_price(spec, pricing, claim, parsed.actual)
+        report.processes["claim_value"] = dict(proc.values)
+        value = proc[tree.root]
+    report.verdicts["value"] = value
+    return bubble_processes(spec, pricing)
+
+
+def _hedge(report, parsed, pricing, ftap, tol, options):
+    spec = parsed.spec
+    result = robust_price(spec, pricing, _payoff(spec, options), parsed.actual, tol=tol)
+    report.verdicts["price"] = result.hedge.price
+    report.verdicts["value"] = result.value
+    report.verdicts["duality_gap"] = result.duality_gap
+    report.processes["hedge_pi"] = dict(result.hedge.strategy.pi)
+    report.processes["hedge_slack"] = dict(result.hedge.slack)
+    return bubble_processes(spec, pricing)
+
+
+def _primal_hedge(report, parsed, pricing, ftap, tol, options):
+    report.verdicts["price"] = superhedge(parsed.spec, _payoff(parsed.spec, options),
+                                          parsed.actual).price
+    report.verdicts["note"] = "no pricing family (arbitrage); primal hedge only"
+
+
+def _classify(report, parsed, pricing, ftap, tol, options):
+    spec, which = parsed.spec, options["process"]
+    s_star, w_star, beta = bubble_processes(spec, pricing)
+    named = {"S": spec.processes.stopped, "W": spec.processes.W, "Wstar": w_star, "beta": beta}
+    if which not in named:
+        raise MarketFileError(f"unknown process {which!r}")
+    cls = classify_process(pricing, named[which], tol=tol)
+    report.verdicts["class"] = cls.strongest
+    report.verdicts["martingale_gap"] = cls.martingale_gap
+    report.verdicts["supermartingale_slack"] = cls.supermartingale_slack
+    report.verdicts["infi_slack"] = cls.infi_slack
+    return s_star, w_star, beta
+
+
+def _dominance(report, parsed, pricing, ftap, tol, options):
+    spec = parsed.spec
+    s_star, w_star, beta = bubble_processes(spec, pricing)
+    pair = find_dominating_strategy(spec, pricing, parsed.actual, tol=tol,
+                                    fundamental_root=s_star[spec.tree.root])
+    if pair is None:
+        report.verdicts["dominance"] = "none"
+    else:
+        report.verdicts["dominance"] = "FOUND"
+        report.verdicts["hedge_cost"] = pair.hedge_cost
+        report.verdicts["asset_cost"] = pair.asset_cost
+        report.verdicts["min_gain_gap"] = pair.min_gap
+        report.processes["hedge_pi"] = dict(pair.hedge.strategy.pi)
+        report.processes["gain_gap"] = dict(pair.gain_gap)
+    return s_star, w_star, beta
+
+
+def _no_family(report, parsed, pricing, ftap, tol, options):
+    report.verdicts["error"] = "no pricing family available (arbitrage)"
+
+
+_COMMANDS = {
+    "analyze": (_analyze, _market),
+    "price": (_price, _no_family),
+    "hedge": (_hedge, _primal_hedge),
+    "classify": (_classify, _no_family),
+    "dominance": (_dominance, _no_family),
+}
 
 
 def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any]) -> Report:
-    """Dispatch a subcommand over parsed inputs and assemble its report."""
+    """Run a subcommand over parsed inputs and assemble its report. The pricing
+    family is the file's, else the one ``verify_ftap`` discovers. Without one
+    the command reports what it can and exits 2; with one its report ends in
+    the process table."""
+    if command not in _COMMANDS:
+        raise MarketFileError(f"unknown command {command!r}")
+    with_family, without_family = _COMMANDS[command]
     spec = parsed.spec
-    tree = spec.tree
-    tol = float(options.get("tolerance", 1e-9))
     report = Report(
         command=command,
         inputs={"file": parsed.path, **{k: v for k, v in options.items() if v is not None}},
     )
-
-    if command == "analyze":
-        ftap = verify_ftap(spec, parsed.actual)
-        pricing = parsed.pricing if parsed.pricing is not None else ftap.pricing_family
-        report.verdicts["validation"] = "pass"
-        report.verdicts["arbitrage"] = "FOUND" if ftap.arbitrage else "none"
-        report.verdicts["ftap_consistent"] = ftap.consistent
-        if ftap.arbitrage:
-            report.diagnostics["arbitrage_witness"] = ftap.arbitrage.witness
-            report.diagnostics["arbitrage_gain"] = ftap.arbitrage.witness_gain
-        if pricing is None:
-            report.verdicts["bubble"] = "unavailable (no pricing family)"
-            report.exit_status = 2
-            return report
-        rep = analyze_bubble(spec, pricing, parsed.actual, tol=tol)
-        beta1 = rep.beta.at_time(tree, 1)
-        if beta1:
-            report.diagnostics["inf E[beta_1]"] = cond_expectation(
-                pricing, beta1, tree.root, "lower"
-            )
-            report.diagnostics["sup E[beta_1]"] = cond_expectation(
-                pricing, beta1, tree.root, "upper"
-            )
-        report.verdicts["bubble_exists"] = rep.exists
-        report.verdicts["bubble_class"] = rep.classification.bubble_class.strongest
-        report.verdicts["price_class"] = rep.classification.price_class.strongest
-        report.verdicts["properties"] = {
-            "nonneg_under_noarb": rep.properties.nonneg_under_noarb.get("status"),
-            "vanishes_at_tau": rep.properties.vanishes_at_tau.get("status"),
-            "persistence": rep.properties.persistence.get("status"),
-        }
-        violated = [
-            (name, clause)
-            for name, clause in (
-                ("nonneg_under_noarb", rep.properties.nonneg_under_noarb),
-                ("vanishes_at_tau", rep.properties.vanishes_at_tau),
-                ("persistence", rep.properties.persistence),
-            )
-            if clause.get("status") == "violated"
-        ]
-        report.verdicts["checks"] = "FAIL" if violated else "pass"
-        for name, clause in violated:
-            nodes = clause.get("nodes") or tuple(
-                c[0] for c in clause.get("counterexamples", ())
-            )
-            report.diagnostics[f"{name}_nodes"] = sorted(nodes)
-        report.processes = _process_table(spec, rep.S_star, rep.W_star, rep.beta)
-        report.diagnostics["beta_0"] = rep.beta[tree.root]
-        report.diagnostics["tau_kind"] = spec.tau_kind
-        return report
-
-    pricing = _resolve_pricing(parsed)
-    if pricing is None and command in ("price", "classify", "dominance"):
-        report.verdicts["error"] = "no pricing family available (arbitrage)"
+    tol = float(options.get("tolerance", 1e-9))
+    ftap = functools.cache(functools.partial(verify_ftap, spec, parsed.actual))
+    pricing = parsed.pricing if parsed.pricing is not None else ftap().pricing_family
+    args = report, parsed, pricing, ftap, tol, options
+    if pricing is None:
+        without_family(*args)
         report.exit_status = 2
-        return report
-
-    if command == "price":
-        kind = CLAIM_ALIASES[options["claim"]]
-        maturity = tree.horizon if options.get("maturity") is None else int(options["maturity"])
-        claim = Claim(kind, maturity, float(options["strike"]))
-        if kind in ("amer_call", "amer_put"):
-            try:
-                result = american_fundamental_price(spec, pricing, claim, parsed.actual)
-                report.processes["claim_value"] = dict(result.process.values)
-                report.diagnostics["exercise_region"] = sorted(result.exercise)
-                value = result.process[tree.root]
-            except RectangularityError:
-                value = american_oracle(spec, pricing, claim)
-                report.diagnostics["note"] = "explicit family: priced by stopping-rule enumeration"
-        else:
-            proc = fundamental_claim_price(spec, pricing, claim, parsed.actual)
-            report.processes["claim_value"] = dict(proc.values)
-            value = proc[tree.root]
-        report.verdicts["value"] = value
-        report.processes.update(_process_table(spec, *bubble_processes(spec, pricing)))
-        return report
-
-    if command == "hedge":
-        if options.get("payoff_file"):
-            payoff = parse_payoff_file(options["payoff_file"], tree)
-        else:
-            kind = CLAIM_ALIASES[options["claim"]]
-            maturity = tree.horizon if options.get("maturity") is None else int(options["maturity"])
-            claim = Claim(kind, maturity, float(options["strike"]))
-            if not 1 <= maturity <= tree.horizon:
-                raise ValueError(f"maturity {maturity} outside [1, {tree.horizon}]")
-            # claims settling before the horizon are hedged as the path-wise
-            # constant payoff fixed at maturity: each leaf takes the value at
-            # its ancestor horizon - maturity steps up
-            target = _intrinsic(spec, claim, maturity)
-            anc = np.arange(tree.level_starts[-2], len(tree))  # the leaves, in preorder
-            for _ in range(tree.horizon - maturity):
-                anc = tree.parent_index[anc]
-            payoff = dict(zip(tree.leaves, target[anc - tree.level_starts[maturity]].tolist()))
-        if pricing is None:
-            hedge = superhedge(spec, payoff, parsed.actual)
-            report.verdicts["price"] = hedge.price
-            report.verdicts["note"] = "no pricing family (arbitrage); primal hedge only"
-            report.exit_status = 2
-            return report
-        result = robust_price(spec, pricing, payoff, parsed.actual, tol=tol)
-        report.verdicts["price"] = result.hedge.price
-        report.verdicts["value"] = result.value
-        report.verdicts["duality_gap"] = result.duality_gap
-        report.processes["hedge_pi"] = dict(result.hedge.strategy.pi)
-        report.processes["hedge_slack"] = dict(result.hedge.slack)
-        report.processes.update(_process_table(spec, *bubble_processes(spec, pricing)))
-        return report
-
-    if command == "classify":
-        which = options["process"]
-        s_star, w_star, beta = bubble_processes(spec, pricing)
-        if which == "S":
-            proc = stopped_price_process(spec).values
-        elif which == "W":
-            proc = wealth_process(spec).values
-        elif which == "Wstar":
-            proc = w_star.values
-        elif which == "beta":
-            proc = beta.values
-        else:
-            raise MarketFileError(f"unknown process {which!r}")
-        cls = classify_process(pricing, proc, tol=tol)
-        report.verdicts["class"] = cls.strongest
-        report.verdicts["martingale_gap"] = cls.martingale_gap
-        report.verdicts["supermartingale_slack"] = cls.supermartingale_slack
-        report.verdicts["infi_slack"] = cls.infi_slack
-        report.processes[which] = dict(proc)
-        report.processes.update(_process_table(spec, s_star, w_star, beta))
-        return report
-
-    if command == "dominance":
-        s_star, w_star, beta = bubble_processes(spec, pricing)
-        pair = find_dominating_strategy(spec, pricing, parsed.actual, tol=tol,
-                                        fundamental_root=s_star[tree.root])
-        if pair is None:
-            report.verdicts["dominance"] = "none"
-        else:
-            report.verdicts["dominance"] = "FOUND"
-            report.verdicts["hedge_cost"] = pair.hedge_cost
-            report.verdicts["asset_cost"] = pair.asset_cost
-            report.verdicts["min_gain_gap"] = pair.min_gap
-            report.processes["hedge_pi"] = dict(pair.hedge.strategy.pi)
-            report.processes["gain_gap"] = dict(pair.gain_gap)
-        report.processes.update(_process_table(spec, s_star, w_star, beta))
-        return report
-
-    raise MarketFileError(f"unknown command {command!r}")
+    else:
+        report.processes.update(_process_table(spec, *with_family(*args)))
+    return report
 
 
 _json_key = json.encoder.encode_basestring_ascii
@@ -681,49 +672,38 @@ def _float_map(
     return "{\n" + "".join(parts)
 
 
-def _float_valued(proc) -> bool:
+def _str_keyed(proc, kind: type) -> bool:
+    """Whether ``proc`` is a non-empty dict of str keys to ``kind`` values."""
     return (
         type(proc) is dict
         and len(proc) > 0
         and set(map(type, proc)) <= {str}
-        and set(map(type, proc.values())) <= {float}
+        and set(map(type, proc.values())) <= {kind}
     )
 
 
 def _machine(report: Report) -> str:
     """``json.dumps(report.as_dict(), sort_keys=True, indent=2)`` plus a
-    newline, byte for byte, with the per-node ``processes`` maps of floats
-    written by ``_float_map`` (each node id and each distinct value is
-    spelled once per report); the rest of the report takes ``_rounded``
-    and ``json.dumps``, section by section."""
+    newline, byte for byte. When ``processes`` holds only non-empty maps of
+    str keys to floats, ``_float_map`` writes them (each node id and each
+    distinct value spelled once per report), and the block goes in before the
+    top-level ``"verdicts"`` key of the rest's one ``json.dumps``: a newline,
+    two spaces and a quote meet nowhere else, as ``json.dumps`` escapes
+    newlines inside strings. Any other report is dumped whole."""
     processes = report.processes
-    if type(processes) is not dict or not set(map(type, processes)) <= {str}:
+    if not (_str_keyed(processes, dict) and all(_str_keyed(p, float) for p in processes.values())):
         return json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
-    floats = {name: proc for name, proc in processes.items() if _float_valued(proc)}
-    keys = set().union(*floats.values())
+    keys = set().union(*processes.values())
     prefix = dict(zip(keys, map("      %s: ".__mod__, map(_json_key, keys))))
-    spelled = _spellings(list(itertools.chain.from_iterable(map(dict.values, floats.values()))))
-    entries = []
-    for name in sorted(processes):
-        proc = processes[name]
-        if name in floats:
-            body = _float_map(proc, prefix, spelled)
-        else:
-            body = json.dumps(_rounded(proc), sort_keys=True, indent=2).replace("\n", "\n    ")
-        entries.append(f"    {_json_key(name)}: {body}")
-    sections = {
-        key: json.dumps(_rounded(value), sort_keys=True, indent=2).replace("\n", "\n  ")
-        for key, value in (
-            ("command", report.command),
-            ("inputs", report.inputs),
-            ("verdicts", report.verdicts),
-            ("diagnostics", report.diagnostics),
-            ("exit_status", report.exit_status),
-        )
-    }
-    sections["processes"] = "{\n" + ",\n".join(entries) + "\n  }" if entries else "{}"
-    body = ",\n".join(f'  "{key}": {sections[key]}' for key in sorted(sections))
-    return "{\n" + body + "\n}\n"
+    spelled = _spellings(list(itertools.chain.from_iterable(map(dict.values, processes.values()))))
+    block = ",\n".join(
+        f"    {_json_key(name)}: {_float_map(processes[name], prefix, spelled)}"
+        for name in sorted(processes)
+    )
+    sections = {key: value for key, value in vars(report).items() if key != "processes"}
+    rest = json.dumps(_rounded(sections), sort_keys=True, indent=2)
+    head, verdicts, tail = rest.rpartition('\n  "verdicts": ')
+    return f'{head}\n  "processes": {{\n{block}\n  }},{verdicts}{tail}\n'
 
 
 CSV_COLUMNS = ("S", "Sstar", "beta", "W", "Wstar")
@@ -818,7 +798,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error exits 1, as other input errors do
+        if exc.code != 2:  # -h
+            raise
+        return 1
     for flag, value in (("--tolerance", args.tolerance), ("--strike", getattr(args, "strike", None))):
         if value is not None and not (math.isfinite(value) and value >= 0):
             sys.stderr.write(f"error: {flag} must be a finite number >= 0, got {value}\n")

@@ -229,7 +229,7 @@ class StoppingTime:
 
     def problems(self, tree: EventTree) -> list[str]:
         out = []
-        for a in self.tau_nodes:
+        for a in sorted(self.tau_nodes):  # messages in one order, whatever the string hashing
             if a not in tree:
                 out.append(f"tau node {a!r} not in tree")
                 continue

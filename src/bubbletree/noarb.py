@@ -164,12 +164,17 @@ def _cuts(spec: MarketSpec, actual: MeasureFamily | None):
     where holding the asset over one step gains on some charged child and loses
     on none, as masks; ``lost``, the inner nodes with no charged child at or
     below their wealth; and the cuts over ``actual`` as a ``CutSets`` map, where
-    a lost node, with no vertex of its own, has one at its first child."""
+    a lost node, with no vertex of its own, has one at its first child. A node
+    counts as charged if ``actual`` charges it and some charged leaf below it."""
     tree, off, par = spec.tree, spec.tree.child_offsets, spec.tree.parent_index[1:]
     W, n = spec.processes.W, len(tree)
     charged = (np.ones(n, bool) if actual is None else actual.charged_mask
                if isinstance(actual, RectangularFamily)
                else np.fromiter(map(actual.charged.__contains__, tree.level_order), bool, n))
+    if (charged & (off[1:] > off[:-1]) & (np.bincount(par, charged[1:], n) == 0)).any():
+        charged, starts = charged.copy(), tree.level_starts
+        for g, h, e in reversed(list(zip(starts[:-2], starts[1:-1], starts[2:]))):
+            charged[g:h] &= np.bincount(par[h - 1 : e - 1] - g, charged[h:e], h - g) > 0
     gains = np.bincount(par, charged[1:] & (W[1:] > W[par] + _STEP_TOL), minlength=n)
     losses = np.bincount(par, charged[1:] & (W[1:] < W[par] - _STEP_TOL), minlength=n)
     wc = np.where(charged, W, np.nan)  # each node's wealth in its parent's cut
@@ -387,8 +392,8 @@ def _find_arbitrage_lp(
     spec: MarketSpec, actual: MeasureFamily | None = None
 ) -> ArbitrageCertificate | None:
     """Maximize total terminal gain over nonnegative holdings boxed to
-    [0, 1], subject to nonnegative gains on every charged leaf. Any positive
-    optimum scales to an arbitrage."""
+    [0, 1], subject to nonnegative gains on every charged leaf. An optimum
+    above the LP's tolerance is an arbitrage, scaled as ``find_arbitrage`` scales."""
     require_valid(spec)
     leaves = charged_leaves(actual, spec.tree)
     cols, rows, _ = _gain_rows(spec, leaves)
@@ -404,9 +409,12 @@ def _find_arbitrage_lp(
     )
     if res.status != 0:
         raise RuntimeError(f"arbitrage LP failed: {res.message}")
-    if -res.fun <= _GAIN_TOL:
+    if -res.fun <= _LP_OPTIONS["primal_feasibility_tolerance"]:
         return None
-    pi = {n: float(max(x, 0.0)) for n, x in zip(cols, res.x)}
+    x = np.maximum(res.x, 0.0)
+    top = (rows @ x).max()
+    units = 1.0 if top > _GAIN_TOL else 2.0 * _GAIN_TOL / top
+    pi = {n: float(v) for n, v in zip(cols, (x * units).tolist())}
     return _certificate(spec, leaves, Strategy(pi))
 
 

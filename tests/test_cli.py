@@ -681,3 +681,121 @@ def test_zero_tolerance_and_strike_are_accepted(capsys):
     assert main(["--tolerance", "0", "price", "--claim", "ecall", "--strike", "0",
                  data_file("ex1geom.market")]) == 0
     capsys.readouterr()
+
+
+def test_hedge_without_claim_or_payoff_file_exits_1(capsys):
+    rc = main(["hedge", data_file("ex1geom.market")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: hedge needs --claim or --payoff-file\n"
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["price"], "the following arguments are required: --claim"),
+        (["price", "--claim", "call"], "argument --claim: invalid choice: 'call'"),
+        (["--tolerance", "abc", "analyze"], "argument --tolerance: invalid float value: 'abc'"),
+        (["hedge", "--claim", "ecall", "--maturity", "1.5"],
+         "argument --maturity: invalid int value: '1.5'"),
+    ],
+    ids=["missing-flag", "bad-choice", "bad-float", "bad-int"],
+)
+def test_usage_errors_exit_1_with_the_argparse_message(capsys, argv, message):
+    rc = main([*argv, data_file("ex1.market")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("usage: bubbletree")
+    assert f"error: {message}" in captured.err.splitlines()[-1]
+    assert captured.out == ""
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["price", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bubbletree price")
+
+
+def test_validation_errors_print_in_one_order_under_any_string_hashing(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    # two tau nodes above two others: the antichain breaks twice, and
+    # PYTHONHASHSEED 0 and 2 iterate the tau-node set in different orders
+    nodes = {"r": None, "r0": "r", "r1": "r", "r00": "r0", "r10": "r1"}
+    tau = ["r0", "r1", "r00", "r10"]
+    doc = {
+        "horizon": 2,
+        "nodes": [{"id": n, "parent": p, "time": len(n) - 1} for n, p in nodes.items()],
+        "rates": {"r": 0.0, "r0": 0.0, "r1": 0.0},
+        "prices": dict.fromkeys(nodes, 1.0),
+        "dividends": dict.fromkeys(nodes, 0.0),
+        "tau": {"nodes": tau, "kind": "bounded"},
+        "payoffs": dict.fromkeys(tau, 1.0),
+        "actual": {"type": "rectangular", "transitions": {
+            "r": {"lower": [0.3, 0.3], "upper": [0.7, 0.7]},
+            "r0": {"lower": [1.0], "upper": [1.0]},
+            "r1": {"lower": [1.0], "upper": [1.0]}}},
+    }
+    path = tmp_path / "antichain.market"
+    path.write_text(json.dumps(doc))
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "bubbletree.cli", "analyze", str(path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p)},
+        )
+        for seed in ("0", "2")
+    ]
+    assert [r.returncode for r in runs] == [1, 1]
+    assert runs[0].stderr == runs[1].stderr
+    assert runs[0].stderr.endswith(
+        "tau nodes 'r0' and 'r00' violate the antichain; "
+        "tau nodes 'r1' and 'r10' violate the antichain\n"
+    )
+
+
+def tiny_branch_doc() -> dict:
+    """A valid explicit family whose only measure gives the branch ``a``
+    1.4e-12, above ``CHARGE_TOL``, and each of its leaves 0.7e-12, below it:
+    ``a`` is charged, neither child is, and the asset rises into ``a``."""
+    nodes = [("r", None, 0), ("a", "r", 1), ("b", "r", 1),
+             ("a0", "a", 2), ("a1", "a", 2), ("b0", "b", 2)]
+    price = {"r": 1.0, "a": 2.0, "b": 1.0, "a0": 2.0, "a1": 2.0, "b0": 1.0}
+    return {
+        "horizon": 2,
+        "nodes": [{"id": n, "parent": p, "time": t} for n, p, t in nodes],
+        "rates": {"r": 0.0, "a": 0.0, "b": 0.0},
+        "prices": price,
+        "dividends": dict.fromkeys(price, 0.0),
+        "tau": {"nodes": [], "kind": "possibly_infinite"},
+        "payoffs": {},
+        "actual": {"type": "explicit",
+                   "measures": [{"a0": 0.7e-12, "a1": 0.7e-12, "b0": 1 - 1.4e-12}]},
+    }
+
+
+@pytest.mark.parametrize("argv", COMMANDS)
+def test_charged_node_without_a_charged_leaf_is_no_arbitrage(tmp_path, capsys, argv):
+    from bubbletree.ambiguity import validate_family
+    from bubbletree.noarb import verify_ftap
+
+    path = tmp_path / "tiny.market"
+    path.write_text(json.dumps(tiny_branch_doc()))
+    parsed = parse_market_file(str(path))
+    assert validate_family(parsed.actual) == [] and "a" in parsed.actual.charged
+    rep = verify_ftap(parsed.spec, parsed.actual)
+    assert rep.arbitrage is None and rep.family_found and rep.consistent
+    rc = main(["--format", "machine", *argv, str(path)])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["exit_status"] == 0
+    if argv[0] == "analyze":
+        assert report["verdicts"]["arbitrage"] == "none"
+        assert report["verdicts"]["ftap_consistent"] is True

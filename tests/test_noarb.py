@@ -105,14 +105,20 @@ def test_rise_or_stay_flat_is_an_arbitrage_with_a_bounded_hedge():
     assert _superhedge_lp(fx.spec, payoff).price == pytest.approx(0.0, abs=1e-9)
 
 
-def test_small_one_step_gain_scales_the_certificate():
-    # one branch rises by 5e-7, the other stays flat: one unit gains less than
-    # _GAIN_TOL, so the certificate holds 4 units for a witness gain of 2e-6
+def small_gain_spec() -> MarketSpec:
+    """One branch rises by 5e-7, the other stays flat: one unit of the asset
+    gains less than ``_GAIN_TOL``."""
     tree = EventTree.uniform([2])
     price = {"r": 1.0, "r0": 1.0 + 5e-7, "r1": 1.0}
-    spec = MarketSpec(tree, {"r": 0.0}, price, dict.fromkeys(price, 0.0),
+    return MarketSpec(tree, {"r": 0.0}, price, dict.fromkeys(price, 0.0),
                       {"r0": price["r0"], "r1": 1.0}, StoppingTime(frozenset({"r0", "r1"})),
                       "bounded")
+
+
+def test_small_one_step_gain_scales_the_certificate():
+    # the certificate holds 4 units for a witness gain of 2e-6
+    spec = small_gain_spec()
+    tree = spec.tree
     cert = find_arbitrage(spec)
     assert cert.witness == "r0" and cert.strategy.pi == {"r": pytest.approx(4.0)}
     assert cert.witness_gain == pytest.approx(2e-6) and cert.witness_gain > _GAIN_TOL
@@ -357,6 +363,51 @@ def test_local_passes_match_lp_oracles():
                             direct = fast.price + G[l] - payoff[l]
                             assert fast.slack[l] == pytest.approx(direct, abs=1e-9), case
     assert n_markets >= 200
+    # a gain too small for one unit: the LP scales its holding as the search does
+    spec = small_gain_spec()
+    cert, lp = find_arbitrage(spec), _find_arbitrage_lp(spec)
+    assert cert is not None and lp is not None
+    assert lp.witness == cert.witness == "r0" and lp.witness_gain > _GAIN_TOL
+    assert lp.revalidate(spec, spec.tree.leaves)
+
+
+def test_charged_node_without_a_charged_leaf_admits_no_false_arbitrage():
+    """A box that drops the one child of a node (which ``validate_family``
+    reports, and the ``noarb`` entry points do not check) leaves that node
+    charged with no charged child. A one-step gain into it lands on no charged
+    leaf: it is no arbitrage, and the search agrees with the LP oracle."""
+    tree = EventTree({"r": None, "a": "r", "b": "r", "a0": "a", "b0": "b", "b1": "b"})
+    price = {"r": 1.0, "a": 2.0, "b": 1.0, "a0": 2.0, "b0": 1.0, "b1": 1.0}
+    spec = MarketSpec(tree, {"r": 0.0, "a": 0.0, "b": 0.0}, price, dict.fromkeys(price, 0.0),
+                      {}, StoppingTime(frozenset()), "possibly_infinite")
+    full = TransitionSet.box([0.0, 0.0], [1.0, 1.0])
+    family = RectangularFamily(tree, {"r": full, "a": TransitionSet.box([0.0], [0.0]), "b": full})
+    assert "a" in family.charged and "a0" not in family.charged
+    assert find_arbitrage(spec, family) is None and _find_arbitrage_lp(spec, family) is None
+    assert verify_ftap(spec, family).consistent
+
+    exercised = arbitrages = 0
+    for seed in range(30):
+        fx = fixtures.rand_market(seed, depth=3, branching=2,
+                                  style=("neutral", "bumped", "free")[seed % 3])
+        tree = fx.spec.tree
+        rng = np.random.default_rng(seed)
+        boxes = dict(fx.family.transitions)
+        for n in tree.non_leaves():
+            if len(tree.children(n)) == 1 and rng.random() < 0.5:
+                boxes[n] = TransitionSet.box([0.0], [0.0])
+        family = RectangularFamily(tree, boxes, role="actual")
+        mask = family.charged_mask
+        inner = tree.child_offsets[1:] > tree.child_offsets[:-1]
+        kids = np.bincount(tree.parent_index[1:], mask[1:], len(tree))
+        exercised += bool((mask & inner & (kids == 0)).any())
+        cert = find_arbitrage(fx.spec, family)
+        assert (cert is None) == (_find_arbitrage_lp(fx.spec, family) is None), seed
+        if cert is not None:
+            arbitrages += 1
+            assert cert.revalidate(fx.spec, charged_leaves(family, tree)), seed
+        assert verify_ftap(fx.spec, family).consistent, seed
+    assert exercised >= 15 and arbitrages >= 5
 
 
 def test_witness_falls_back_to_structural_measures(monkeypatch):
