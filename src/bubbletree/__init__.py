@@ -32,7 +32,6 @@ from .bubble import (
 from .claims import (
     AssumptionViolationError,
     Claim,
-    RectangularityError,
     american_bounds,
     american_fundamental_price,
     american_oracle,

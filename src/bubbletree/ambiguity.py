@@ -3,19 +3,20 @@
 Two representations of a set of probability measures on the tree's leaves:
 
 * ``RectangularFamily`` — a transition set per non-leaf node (a probability
-  box over the children, or an explicit vertex list). The induced upper
-  expectation is computed by backward recursion and is dynamically consistent
-  (tower property), which is what makes one-step supermartingale checks
-  equivalent to multi-step ones.
-* ``ExplicitFamily`` — a finite list of leaf-probability vectors. Conditional
-  values are extrema over the measures charging the conditioning node; nodes
-  charged by no measure are polar and conditioning there is an error.
+  box over the children, or an explicit vertex list). Its upper expectation
+  is a one-step backward recursion, dynamically consistent (tower property),
+  so one-step supermartingale checks are equivalent to multi-step ones.
+* ``ExplicitFamily`` — K leaf-probability vectors. A conditional value is the
+  largest over the measures charging the node; a node no measure charges is
+  polar, and conditioning there is an error (``PolarNodeError``).
 
+Both kinds go through ``_backward``, and only this module tells them apart.
 Upper expectations are suprema over the family; lower expectations are the
 conjugates ``lower[X] = -upper[-X]`` (exact, by construction).
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -316,8 +317,20 @@ class CutSets(Mapping):
         return len(self.tree.non_leaves())
 
 
+class _Family:
+    """What both kinds of family share: ``with_role``, and ``charged`` from ``charged_mask``."""
+
+    def with_role(self, role: str):
+        return dataclasses.replace(self, role=role)
+
+    @cached_property
+    def charged(self) -> frozenset[str]:
+        """``charged_mask`` as a set of nodes."""
+        return frozenset(itertools.compress(self.tree.level_order, self.charged_mask.tolist()))
+
+
 @dataclass(frozen=True)
-class RectangularFamily:
+class RectangularFamily(_Family):
     """Per-node transition sets; the induced set of path measures.
 
     Every backward recursion over the family (sweeps, conditional
@@ -334,9 +347,6 @@ class RectangularFamily:
     transitions: Mapping[str, TransitionSet]
     role: str = "pricing"
 
-    def with_role(self, role: str) -> "RectangularFamily":
-        return RectangularFamily(self.tree, self.transitions, role)
-
     @property
     def cuts(self) -> _CutArrays | None:
         """A ``CutSets`` map's vertex arrays; None for other transition maps."""
@@ -351,7 +361,8 @@ class RectangularFamily:
 
     @cached_property
     def charged_mask(self) -> np.ndarray:
-        """``charged`` in ``tree.level_order``, one level at a time."""
+        """The nodes on whose path every step is in its transition set's support,
+        in ``tree.level_order``, one level at a time."""
         tree, c = self.tree, self.cuts
         if c is not None:  # a vertex's weight above CHARGE_TOL
             mask = np.zeros(len(tree), bool)
@@ -366,48 +377,40 @@ class RectangularFamily:
             mask[a:b] &= mask[tree.parent_index[a:b]]
         return mask
 
-    @cached_property
-    def charged(self) -> frozenset[str]:
-        """Nodes on whose path every step is in its transition set's support."""
-        return frozenset(itertools.compress(self.tree.level_order, self.charged_mask.tolist()))
-
 
 @dataclass(frozen=True)
-class ExplicitFamily:
-    """A finite list of measures given by leaf probabilities.
-
-    ``masses`` and ``charged`` are computed on first use and cached on the
-    instance, so treat a family, its tree and its measures as immutable.
-    """
+class ExplicitFamily(_Family):
+    """A finite list of measures given by leaf probabilities. ``node_mass``,
+    ``charged_mask`` and ``charged`` are computed on first use and cached, so
+    treat a family, its tree and its measures as immutable."""
 
     tree: EventTree
     measures: tuple[dict[str, float], ...]
     role: str = "pricing"
 
-    def with_role(self, role: str) -> "ExplicitFamily":
-        return ExplicitFamily(self.tree, self.measures, role)
+    @cached_property
+    def node_mass(self) -> np.ndarray:
+        """(measures, nodes): each node's mass in ``tree.level_order``, its
+        subtree's leaf probabilities added left to right in preorder."""
+        tree, pre, n = self.tree, self.tree.preorder_index, len(self.tree)
+        size = np.ones(n)  # each node's subtree: a run of preorder positions
+        for a, b in zip(tree.level_starts[-2:0:-1], tree.level_starts[:0:-1]):
+            size[:a] += np.bincount(tree.parent_index[a:b], size[a:b], a)
+        p, at, leaves = np.zeros((len(self.measures), n)), np.argsort(pre), tree.leaves
+        p[:, (tree.child_offsets[1:] == tree.child_offsets[:-1])[pre]] = np.reshape(
+            [[q.get(leaf, 0.0) for leaf in leaves] for q in self.measures], (len(p), len(leaves)))
+        return _left_sums(p, at, at + size.astype(np.intp))  # 0.0 at inner nodes adds nothing
 
     @cached_property
+    def charged_mask(self) -> np.ndarray:
+        """The nodes some measure gives more than ``CHARGE_TOL`` mass."""
+        return (self.node_mass > CHARGE_TOL).any(axis=0)
+
+    @property
     def masses(self) -> tuple[dict[str, float], ...]:
-        """Per measure, each node's mass: its subtree's leaf probabilities,
-        summed in preorder."""
-        tree = self.tree
-        out = []
-        for q in self.measures:
-            mass = dict.fromkeys(tree.preorder(), 0)
-            for leaf in tree.leaves:
-                p = q.get(leaf, 0.0)
-                for n in tree.path(leaf):
-                    mass[n] += p
-            out.append(mass)
-        return tuple(out)
-
-    @cached_property
-    def charged(self) -> frozenset[str]:
-        """Nodes some measure gives more than ``CHARGE_TOL`` mass."""
-        return frozenset(
-            n for n in self.tree.preorder() if any(m[n] > CHARGE_TOL for m in self.masses)
-        )
+        """``node_mass`` per measure, as a map in preorder."""
+        order, pre = self.tree.preorder(), self.tree.preorder_index
+        return tuple(dict(zip(order, m[pre].tolist())) for m in self.node_mass)
 
 
 MeasureFamily = Union[RectangularFamily, ExplicitFamily]
@@ -422,8 +425,7 @@ def validate_family(family: MeasureFamily) -> list[str]:
             if ts is None:
                 problems.append(f"no transition set at node {n!r}")
                 continue
-            for msg in ts.problems(len(tree.children(n))):
-                problems.append(f"node {n!r}: {msg}")
+            problems.extend(f"node {n!r}: {msg}" for msg in ts.problems(len(tree.children(n))))
         return problems
     if not family.measures:
         problems.append("empty measure family")
@@ -454,20 +456,6 @@ def charged_leaves(family: MeasureFamily | None, tree: EventTree) -> tuple[str, 
 def check_full_support(family: MeasureFamily) -> bool:
     """True iff every leaf is charged by some measure of the family."""
     return family.charged.issuperset(family.tree.leaves)
-
-
-def _target_time(tree: EventTree, values: Mapping[str, float], node: str) -> int:
-    times = set(map(tree.times().__getitem__, values))
-    if len(times) != 1:
-        raise ValueError("values must all sit at a single time slice")
-    (t,) = times
-    if t < tree.time(node):
-        raise ValueError("conditioning node is later than the target time")
-    below = tree.level(t) if node == tree.root else tree.descendants_at(node, t)
-    missing = [m for m in below if m not in values]
-    if missing:
-        raise ValueError(f"values missing at nodes {missing}")
-    return t
 
 
 def _box_step(box: _BoxArrays, lo: int, hi: int, base: int, vals) -> tuple[np.ndarray, np.ndarray]:
@@ -565,8 +553,62 @@ def _runs(tree: EventTree, node: str, target_t: int) -> list[tuple[int, int]]:
     return runs
 
 
+def _left_sums(v: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Each ``v[..., start[i]:stop[i]]`` added left to right from 0.0 as a loop adds
+    (``np.add.reduceat`` adds pairwise): ``np.cumsum`` along rows padded with 0.0
+    per power-of-two length class, so padding at most doubles them."""
+    size = stop - start
+    out, width = np.zeros(v.shape[:-1] + size.shape), np.frexp(size)[1]
+    for w in np.unique(width[size > 0]).tolist():
+        sel = np.flatnonzero(width == w)
+        col = np.arange(size[sel].max())
+        live = col < size[sel, None]
+        cells = np.where(live, v[..., np.where(live, start[sel, None] + col, 0)], 0.0)
+        cells[..., 0] += 0.0  # the loop's 0.0 + v: -0.0 becomes 0.0
+        out[..., sel] = np.cumsum(cells, axis=-1)[..., -1]
+    return out
+
+
+def _first_max(num: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Per node (column), the first strict maximum of ``num / mass`` over the measures
+    (rows) whose mass there is above ``CHARGE_TOL``; NaN where there are none."""
+    best, have = np.full(num.shape[1:], np.nan), np.zeros(num.shape[1:], bool)
+    for n, m in zip(num, mass):
+        on = m > CHARGE_TOL
+        e = np.divide(n, m, out=np.zeros_like(n), where=on)
+        take = on & (~have | (e > best))
+        best[take], have = e[take], have | on
+    return best
+
+
+def _explicit_backward(family: ExplicitFamily, x, runs, floor=None, stop=None) -> np.ndarray:
+    """``_backward`` for an explicit family, NaN at polar nodes: the ``_first_max`` of
+    the measures' sums of mass times value (a zero mass adds nothing) over the node's
+    descendants on the last run. With ``floor``: as the suprema over stopping times and
+    measures commute, each measure's Snell envelope on unnormalized masses, V =
+    max(m floor, sum of V over the children), and a node continues at its ``_first_max``."""
+    m, off, on = family.node_mass, family.tree.child_offsets, family.charged_mask
+    a, b = runs[-1]
+    if floor is None:
+        ends, nz, below = np.arange(b - a + 1), m[:, a:b] != 0, a
+        terms = np.multiply(m[:, a:b], x[a:b], out=np.zeros(nz.shape), where=nz)
+        for lo, hi in runs[::-1]:  # ends: each node's descendants in terms; below: the run below
+            ends, below = (ends if lo == a else ends[off[lo : hi + 1] - below]), lo
+            x[lo:hi] = _first_max(_left_sums(terms, ends[:-1], ends[1:]), m[:, lo:hi])
+        return x
+    V, stop[a:b] = np.zeros(m.shape), stop[a:b] & on[a:b]
+    V[:, a:b], x[a:b] = m[:, a:b] * x[a:b], np.where(on[a:b], x[a:b], np.nan)
+    for lo, hi in runs[-2::-1]:
+        i, j = off[lo], off[hi]
+        cont = _left_sums(V[:, i:j], off[lo:hi] - i, off[lo + 1 : hi + 1] - i)
+        f, best = floor[lo:hi], _first_max(cont, m[:, lo:hi])
+        stop[lo:hi] = f >= best
+        x[lo:hi], V[:, lo:hi] = np.where(stop[lo:hi], f, best), np.maximum(m[:, lo:hi] * f, cont)
+    return x
+
+
 def _backward(
-    family: RectangularFamily,
+    family: MeasureFamily,
     x: np.ndarray,
     runs: Sequence[tuple[int, int]],
     floor: np.ndarray | None = None,
@@ -578,7 +620,10 @@ def _backward(
     the caller fills ``x`` on the last run, and each earlier one, last to
     first, is one ``_upper_step``. Returns ``x``. ``floor`` (whole-tree
     exercise values) makes it an optimal-stopping DP: a node whose floor is at
-    least its continuation value takes it, and ``stop`` (a mask) is set there."""
+    least its continuation value takes it, and ``stop`` (a mask) is set there.
+    Explicit families take ``_explicit_backward`` (only rectangular ones are time-consistent)."""
+    if isinstance(family, ExplicitFamily):
+        return _explicit_backward(family, x, runs, floor, stop)
     for lo, hi in runs[-2::-1]:
         x[lo:hi] = _upper_step(family, lo, hi, x)
         if floor is not None:
@@ -586,6 +631,22 @@ def _backward(
             stop[lo:hi] = f >= x[lo:hi]
             x[lo:hi] = np.where(stop[lo:hi], f, x[lo:hi])
     return x
+
+
+def _valued_runs(family: MeasureFamily, runs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The nodes of ``runs`` ``_backward`` values, as runs in key order: levels from
+    the last up, or for an explicit family each charged node, from the first down."""
+    if isinstance(family, ExplicitFamily):
+        on = family.charged_mask
+        return [(g, g + 1) for lo, hi in runs for g in (lo + np.flatnonzero(on[lo:hi])).tolist()]
+    return runs[::-1]
+
+
+def _require_charged(family: MeasureFamily, nodes: np.ndarray) -> None:
+    """``PolarNodeError`` at the first of ``nodes`` no measure of an explicit family charges."""
+    if isinstance(family, ExplicitFamily) and len(polar := nodes[~family.charged_mask[nodes]]):
+        node = family.tree.level_order[polar[0]]
+        raise PolarNodeError(f"no measure in the family charges node {node!r}")
 
 
 def _filled(tree: EventTree, values: Mapping[str, float], node: str, target_t: int):
@@ -623,30 +684,22 @@ def _push_mass(tree: EventTree, pick: Mapping[str, Sequence[float]]) -> dict[str
     return q
 
 
-def _cond_upper(
-    family: MeasureFamily, values: Mapping[str, float], node: str, target_t: int
-) -> float:
-    if isinstance(family, RectangularFamily):
-        x, runs = _filled(family.tree, values, node, target_t)
-        return _backward(family, x, runs)[runs[0][0]].item()
-
+def _swept(family: MeasureFamily, values: Mapping[str, float], node: str, bound: str):
+    """The upper or lower conditional expectation of the single-time slice ``values``
+    at ``node`` and below, as a whole-tree level-order array, and its ``_runs``."""
     tree = family.tree
-    best = None
-    for mass in family.masses:
-        m0 = mass[node]
-        if m0 <= CHARGE_TOL:
-            continue
-        total = 0.0
-        for m in tree.descendants_at(node, target_t):
-            qm = mass[m]
-            if qm:
-                total += qm * float(values[m])
-        e = total / m0
-        if best is None or e > best:
-            best = e
-    if best is None:
-        raise PolarNodeError(f"no measure in the family charges node {node!r}")
-    return best
+    if len(times := set(map(tree.times().__getitem__, values))) != 1:
+        raise ValueError("values must all sit at a single time slice")
+    if (t := times.pop()) < tree.time(node):
+        raise ValueError("conditioning node is later than the target time")
+    below = tree.level(t) if node == tree.root else tree.descendants_at(node, t)
+    if missing := [m for m in below if m not in values]:
+        raise ValueError(f"values missing at nodes {missing}")
+    if bound not in ("upper", "lower"):
+        raise ValueError(f"bound must be 'upper' or 'lower', got {bound!r}")
+    x, runs = _filled(tree, values, node, t)
+    _require_charged(family, np.array(runs[0][:1]))
+    return (_backward(family, x, runs) if bound == "upper" else -_backward(family, -x, runs)), runs
 
 
 def cond_expectation(
@@ -662,12 +715,8 @@ def cond_expectation(
     """
     if isinstance(values, AdaptedProcess):
         values = values.values
-    t = _target_time(family.tree, values, node)
-    if bound == "upper":
-        return _cond_upper(family, values, node, t)
-    if bound == "lower":
-        return -_cond_upper(family, {k: -v for k, v in values.items()}, node, t)
-    raise ValueError(f"bound must be 'upper' or 'lower', got {bound!r}")
+    x, runs = _swept(family, values, node, bound)
+    return x[runs[0][0]].item()
 
 
 def expectation_sweep(
@@ -681,14 +730,8 @@ def expectation_sweep(
     agree bitwise with the per-node calls."""
     if not isinstance(family, RectangularFamily):
         raise TypeError("expectation_sweep needs a rectangular family")
-    tree = family.tree
-    target_t = _target_time(tree, values, tree.root)
-    if bound not in ("upper", "lower"):
-        raise ValueError(f"bound must be 'upper' or 'lower', got {bound!r}")
-    x, runs = _filled(tree, values, tree.root, target_t)
-    if bound == "lower":
-        return _gather(tree, -_backward(family, -x, runs), runs[::-1])
-    return _gather(tree, _backward(family, x, runs), runs[::-1])
+    x, runs = _swept(family, values, family.tree.root, bound)
+    return _gather(family.tree, x, runs[::-1])
 
 
 def enumerate_extreme_measures(
@@ -718,15 +761,11 @@ def argmax_measure(
     """A measure attaining the (unconditional) upper expectation of a leaf
     payoff; for rectangular families assembled from per-node maximizers."""
     tree = family.tree
-    if isinstance(family, ExplicitFamily):
-        best_q, best_v = None, None
-        for q in family.measures:
-            v = sum(q.get(leaf, 0.0) * payoff[leaf] for leaf in tree.leaves)
-            if best_v is None or v > best_v:
-                best_q, best_v = q, v
-        if best_q is None:
+    if isinstance(family, ExplicitFamily):  # the first measure of largest expectation
+        v = [sum(q.get(leaf, 0.0) * payoff[leaf] for leaf in tree.leaves) for q in family.measures]
+        if not v:
             raise PolarNodeError("empty family")
-        return dict(best_q)
+        return dict(family.measures[v.index(max(v))])
 
     (x, runs), weights = _filled(tree, payoff, tree.root, tree.horizon), {}
     for lo, hi in runs[-2::-1]:  # ``_backward``, keeping each node's maximizer
@@ -754,27 +793,59 @@ class Classification:
         return CLASS_ORDER.index(self.strongest) >= CLASS_ORDER.index(cls)
 
 
-def _one_step_bounds(
-    family: RectangularFamily, process: Mapping[str, float] | np.ndarray, T: int
-) -> dict[str, tuple[float, float, float]]:
-    """(value, upper, lower) one-step expectations at each charged node before ``T`` whose
-    children all carry a value, in preorder: one ``_upper_step`` per bound over the inner
-    nodes before ``T``. ``process`` is a mapping or whole-tree level-order values."""
-    tree = family.tree
-    order, n, off = tree.level_order, len(tree.level_order), tree.child_offsets
-    end = tree.level_starts[max(0, min(T, tree.horizon))]  # the inner nodes before T
+def _level_values(tree: EventTree, process: Mapping[str, float] | np.ndarray):
+    """``process`` as level-order values (0.0 where none) and the mask of those it has."""
+    order, n = tree.level_order, len(tree)
     if isinstance(process, np.ndarray):
-        x, have = process, np.ones(n, bool)
-    else:
-        have = np.fromiter(map(process.__contains__, order), bool, n)
-        x = np.fromiter(map(process.get, order, itertools.repeat(0.0)), float, n)
+        return process, np.ones(n, bool)
+    have = np.fromiter(map(process.__contains__, order), bool, n)
+    return np.fromiter(map(process.get, order, itertools.repeat(0.0)), float, n), have
+
+
+def _step_rows(family: RectangularFamily, x: np.ndarray, have: np.ndarray, T: int):
+    """(node, value, upper, lower) rows at each charged node before ``T`` whose
+    children all have a value, in preorder: one ``_upper_step`` per bound."""
+    tree, off = family.tree, family.tree.child_offsets
+    end = tree.level_starts[max(0, min(T, tree.horizon))]  # the inner nodes before T
     keep = (off[1:] > off[:-1]) & have & family.charged_mask
-    keep &= np.bincount(tree.parent_index[1:], ~have[1:], minlength=n) == 0
+    keep &= np.bincount(tree.parent_index[1:], ~have[1:], minlength=len(tree)) == 0
     keep[end:] = False
     up, low = (_upper_step(family, 0, end, v) for v in (x, -x))
     sel = tree.preorder_index[keep[tree.preorder_index]]
-    bounds = zip(x[sel].tolist(), up[sel].tolist(), (-low[sel]).tolist())
-    return dict(zip(map(order.__getitem__, sel.tolist()), bounds))
+    return sel, x[sel], up[sel], -low[sel]
+
+
+def _horizon_rows(family: ExplicitFamily, x: np.ndarray, have: np.ndarray, T: int):
+    """(node, value, upper, lower) rows at each charged node before ``T`` with a value,
+    one per later time up to ``T`` where all its descendants have one, in preorder."""
+    tree, rows = family.tree, [(np.zeros(0, np.intp), *np.zeros((3, 0)))]
+    for t in range(1, T + 1):
+        runs, ok = _runs(tree, tree.root, t), have.copy()  # ok: every descendant at t has a value
+        for (lo, hi), (a, b) in zip(runs[-2::-1], runs[:0:-1]):
+            ok[lo:hi] = np.bincount(tree.parent_index[a:b] - lo, ~ok[a:b], hi - lo) == 0
+        g = np.flatnonzero((ok & have & family.charged_mask)[: runs[-1][0]])
+        up, low = _backward(family, x.copy(), runs)[g], -_backward(family, -x, runs)[g]
+        rows.append((g, x[g], up, low))
+    g, *rows = map(np.concatenate, zip(*rows))
+    order = np.argsort(np.argsort(tree.preorder_index)[g], kind="stable")  # times stay in order
+    return g[order], *(r[order] for r in rows)
+
+
+def _one_step_bounds(
+    family: RectangularFamily, process: Mapping[str, float] | np.ndarray, T: int
+) -> dict[str, tuple[float, float, float]]:
+    """``_step_rows`` as a map of node to (value, upper, lower), in preorder."""
+    node, *rows = _step_rows(family, *_level_values(family.tree, process), T)
+    ids = map(family.tree.level_order.__getitem__, node.tolist())
+    return dict(zip(ids, zip(*(r.tolist() for r in rows))))
+
+
+def _first_min(a: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Per group of ``a`` (from each ``start``), the index of what the builtin ``min``
+    keeps: the first minimum, NaN skipped unless the group starts with it."""
+    best = np.fmin.reduceat(a, start).repeat(np.diff(np.append(start, len(a))))
+    at = np.minimum.reduceat(np.where(a == best, np.arange(len(a)), len(a)), start)
+    return np.where(np.isnan(a[start]), start, at)
 
 
 def classify_process(
@@ -789,53 +860,27 @@ def classify_process(
 
     Rectangular families are checked one step at a time (dynamic consistency
     makes that equivalent to all horizons); explicit families are checked
-    against every horizon directly. Nodes the family does not charge are
+    against every horizon directly, and ``per_node`` keeps each node's first
+    row of least value minus upper. Nodes the family does not charge are
     skipped — the statements are quasi-sure.
     """
     if isinstance(process, AdaptedProcess):
         process = process.values
     tree = family.tree
-    if T is None:
-        T = tree.horizon
-    if isinstance(family, RectangularFamily):
-        per_node = _one_step_bounds(family, process, T)
-        rows = list(per_node.values())
-    else:
-        if isinstance(process, np.ndarray):
-            process = dict(zip(tree.level_order, process.tolist()))
-        per_node = {}
-        rows = []  # every (node, horizon) check, in order
-        for n in tree.preorder():
-            t = tree.time(n)
-            if t >= T or n not in process or not node_charged(family, n):
-                continue
-            for t2 in range(t + 1, T + 1):
-                level = tree.descendants_at(n, t2)
-                if any(m not in process for m in level):
-                    continue
-                slice_vals = {m: process[m] for m in level}
-                up = _cond_upper(family, slice_vals, n, t2)
-                low = -_cond_upper(family, {k: -v for k, v in slice_vals.items()}, n, t2)
-                v = process[n]
-                rows.append((v, up, low))
-                if n not in per_node or (v - up) < (per_node[n][0] - per_node[n][1]):
-                    per_node[n] = (v, up, low)
-
-    if not rows:
+    rows = _horizon_rows if isinstance(family, ExplicitFamily) else _step_rows
+    node, v, up, low = rows(family, *_level_values(tree, process), tree.horizon if T is None else T)
+    if not len(node):
         return Classification("G_martingale", 0.0, 0.0, 0.0, {})
-    # builtin max/min keep the first extreme, as a left fold would
-    mart_gap = max(abs(v - up) for v, up, _ in rows)
-    sup_slack = min(v - up for v, up, _ in rows)
-    infi_slack = min(v - low for v, _, low in rows)
-    if mart_gap <= tol:
-        strongest = "G_martingale"
-    elif sup_slack >= -tol:
-        strongest = "G_supermartingale"
-    elif infi_slack >= -tol:
-        strongest = "infi_supermartingale"
-    else:
-        strongest = "none"
-    return Classification(strongest, mart_gap, sup_slack, infi_slack, per_node)
+    # the builtin min, in row order, of -|v - up|, v - up, v - low and each node's v - up
+    d, first = v - up, np.concatenate(([True], node[1:] != node[:-1]))  # each node's first row
+    n, folds = len(node), np.concatenate((-np.abs(d), d, v - low, d))
+    at = _first_min(folds, np.concatenate(([0, n, 2 * n], 3 * n + np.flatnonzero(first))))
+    (mart_gap, sup_slack, infi_slack), worst = folds[at[:3]] * [-1.0, 1.0, 1.0], at[3:] - 3 * n
+    per_node = dict(zip(map(tree.level_order.__getitem__, node[worst].tolist()),
+                        zip(v[worst].tolist(), up[worst].tolist(), low[worst].tolist())))
+    strongest = ("G_martingale" if mart_gap <= tol else "G_supermartingale" if sup_slack >= -tol
+                 else "infi_supermartingale" if infi_slack >= -tol else "none")
+    return Classification(strongest, mart_gap.item(), sup_slack.item(), infi_slack.item(), per_node)
 
 
 def check_absolute_continuity(

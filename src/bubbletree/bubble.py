@@ -19,12 +19,11 @@ import numpy as np
 from .ambiguity import (
     Classification,
     MeasureFamily,
-    RectangularFamily,
     _backward,
     _gather,
+    _require_charged,
     _runs,
     classify_process,
-    cond_expectation,
     node_charged,
 )
 from .lattice import (
@@ -43,15 +42,13 @@ def _conditional_value_process(
 ) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Upper conditional expectation, per node, of total discounted cash flows
     (exactly the fundamental wealth W*), as a whole-tree level-order array, with
-    the runs of W*'s key order: levels from the leaves up, or preorder."""
+    the runs of W*'s key order: levels from the leaves up. Raises
+    ``PolarNodeError`` at the first node in preorder the family leaves polar."""
     tree, x = spec.tree, np.zeros(len(spec.tree))
-    if isinstance(pricing, RectangularFamily):
-        runs = _runs(tree, tree.root, tree.horizon)
-        x[runs[-1][0] :] = _collected(spec)[runs[-1][0] :]
-        return _backward(pricing, x, runs), runs[::-1]
-    cf = cash_flow_payoff(spec)
-    x[tree.preorder_index] = [cond_expectation(pricing, cf, n, "upper") for n in tree.preorder()]
-    return x, [(g, g + 1) for g in tree.preorder_index.tolist()]
+    _require_charged(pricing, tree.preorder_index)
+    runs = _runs(tree, tree.root, tree.horizon)
+    x[runs[-1][0] :] = _collected(spec)[runs[-1][0] :]
+    return _backward(pricing, x, runs), runs[::-1]
 
 
 def fundamental_price(spec: MarketSpec, pricing: MeasureFamily) -> AdaptedProcess:

@@ -18,12 +18,11 @@ import numpy as np
 from .ambiguity import (
     CapExceededError,
     MeasureFamily,
-    RectangularFamily,
     _at,
     _backward,
     _gather,
     _runs,
-    cond_expectation,
+    _valued_runs,
     enumerate_extreme_measures,
     node_charged,
 )
@@ -35,11 +34,6 @@ CLAIM_KINDS = ("forward", "euro_call", "euro_put", "amer_call", "amer_put", "cus
 class AssumptionViolationError(ValueError):
     """The claim-pricing assumptions (no dividends before T, no maturity on a
     charged path by T) do not hold."""
-
-
-class RectangularityError(TypeError):
-    """American pricing needs a rectangular family (the exchange of suprema
-    over stopping times and measures is only safe there)."""
 
 
 @dataclass(frozen=True)
@@ -111,22 +105,15 @@ def _claim_values(
     t0: int = 0, negate: bool = False,
 ) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Upper conditional expectation of the claim's terminal payoff (of its
-    negation with ``negate``) at the charged nodes of times ``t0..T``, after
-    ``validate_claim``: a whole-tree level-order array, and those nodes' runs
-    in result order, whole levels from ``T`` up (rectangular families) or one
-    node at a time in level order."""
+    negation with ``negate``) at the nodes of times ``t0..T`` where it is
+    defined, after ``validate_claim``: a whole-tree level-order array, and
+    those nodes' runs in result order (``_valued_runs``)."""
     validate_claim(spec, claim, actual)
     tree, T = spec.tree, claim.maturity
     runs = _runs(tree, tree.root, T)[t0:]  # whole levels, times t0..T
     (lo, hi), x, payoff = runs[-1], np.zeros(len(tree)), _intrinsic(spec, claim, T)
     x[lo:hi] = -payoff if negate else payoff
-    if isinstance(pricing, RectangularFamily):
-        return _backward(pricing, x, runs), runs[::-1]
-    order, target = tree.level_order, dict(zip(tree.level(T), x[lo:hi].tolist()))
-    runs = [(g, g + 1) for lo, hi in runs for g in range(lo, hi) if node_charged(pricing, order[g])]
-    for g, _ in runs:
-        x[g] = cond_expectation(pricing, target, order[g], "upper")
-    return x, runs
+    return _backward(pricing, x, runs), _valued_runs(pricing, runs)
 
 
 def fundamental_claim_price(
@@ -292,23 +279,13 @@ def claim_bubbles(
     bubble, and it cannot exceed the call-put bubble spread."""
     B = discount_factors(spec).values
     disc = _strike_discount(spec, maturity)
-    star = {
-        "asset": asset_fundamental(spec, pricing, maturity, actual),
-        "forward": fundamental_claim_price(
-            spec, pricing, Claim("forward", maturity, strike), actual
-        ),
-        "euro_call": fundamental_claim_price(
-            spec, pricing, Claim("euro_call", maturity, strike), actual
-        ),
-        "euro_put": fundamental_claim_price(
-            spec, pricing, Claim("euro_put", maturity, strike), actual
-        ),
-    }
+    kinds = (("asset", "forward", 0.0), ("forward", "forward", strike),
+             ("euro_call", "euro_call", strike), ("euro_put", "euro_put", strike))
+    star = {key: fundamental_claim_price(spec, pricing, Claim(kind, maturity, k), actual)
+            for key, kind, k in kinds}
     market: dict[str, Mapping[str, float]] = dict(market_prices)
     if "asset" not in market:
-        market["asset"] = {
-            n: spec.price[n] / B[n] for n in star["asset"].values
-        }
+        market["asset"] = {n: spec.price[n] / B[n] for n in star["asset"].values}
     if "forward" not in market:
         if disc is None:
             raise ValueError("need a forward price or path-independent strike discount")
@@ -317,16 +294,12 @@ def claim_bubbles(
     for key in ("asset", "forward", "euro_call", "euro_put"):
         if key not in market:
             raise ValueError(f"missing market prices for {key}")
-        deltas[key] = {
-            n: market[key][n] - star[key][n] for n in market[key] if n in star[key]
-        }
+        deltas[key] = {n: market[key][n] - star[key][n] for n in market[key] if n in star[key]}
     common = set(deltas["asset"]) & set(deltas["forward"])
     feq = all(abs(deltas["forward"][n] - deltas["asset"][n]) <= tol for n in common)
     common2 = set(deltas["asset"]) & set(deltas["euro_call"]) & set(deltas["euro_put"])
-    dom = all(
-        deltas["asset"][n] <= deltas["euro_call"][n] - deltas["euro_put"][n] + tol
-        for n in common2
-    )
+    dom = all(deltas["asset"][n] <= deltas["euro_call"][n] - deltas["euro_put"][n] + tol
+              for n in common2)
     return ClaimBubbleReport(deltas=deltas, forward_equals_asset=feq, spread_dominates=dom)
 
 
@@ -341,8 +314,8 @@ def american_fundamental_price(
 ) -> AmericanResult:
     """Backward dynamic program for the American fundamental price: at each
     node the larger of immediate (discounted-strike) exercise and the upper
-    one-step expectation of continuing. Ties exercise, so the exercise region
-    is closed and deterministic."""
+    expectation of continuing (``_backward``; no value at polar nodes). Ties
+    exercise, so the exercise region is closed and deterministic."""
     x, runs, stop = _american_values(spec, pricing, claim, actual)
     return AmericanResult(AdaptedProcess(_gather(spec.tree, x, runs)),
                           frozenset(itertools.compress(spec.tree.level_order, stop.tolist())))
@@ -354,10 +327,6 @@ def _american_values(
     """The American DP as a whole-tree array, its result runs and its exercise mask."""
     if claim.kind not in ("amer_call", "amer_put"):
         raise ValueError("american_fundamental_price prices amer_call / amer_put")
-    if not isinstance(pricing, RectangularFamily):
-        raise RectangularityError(
-            "rectangularity required: American pricing needs a rectangular family"
-        )
     validate_claim(spec, claim, actual)
     tree, T = spec.tree, claim.maturity
     floor = np.concatenate([_intrinsic(spec, claim, t) for t in range(T + 1)])
@@ -365,7 +334,7 @@ def _american_values(
     x, stop = np.zeros(len(tree)), np.zeros(len(tree), bool)
     lo, hi = runs[-1]
     x[lo:hi], stop[lo:hi] = floor[lo:hi], True
-    return _backward(pricing, x, runs, floor=floor, stop=stop), runs[::-1], stop
+    return _backward(pricing, x, runs, floor=floor, stop=stop), _valued_runs(pricing, runs), stop
 
 
 def _stopping_rule_count(tree, node: str, T: int, memo: dict) -> int:
@@ -475,29 +444,20 @@ def american_bounds(
     ok = not ((lower_slack < -tol) | (upper_slack < -tol)).any()
     per_node = dict(zip(ids, zip(ce.tolist(), ca.tolist(), d.tolist())))
 
-    market_ok = None
-    market_worst = None
+    market_ok = market_worst = None
     if market_prices is not None:
-        needed = ("euro_call", "euro_put", "amer_call")
-        missing = [k for k in needed if k not in market_prices]
+        missing = [k for k in ("euro_call", "euro_put", "amer_call") if k not in market_prices]
         if missing:
             raise ValueError(f"missing market prices for {missing}")
+        ca_m, ce_m, ep_m = (market_prices[k] for k in ("amer_call", "euro_call", "euro_put"))
         euro_put = fundamental_claim_price(spec, pricing, Claim("euro_put", maturity, strike), actual)
-        market_ok = True
-        market_worst = 0.0
-        for n in market_prices["amer_call"]:
-            if n not in per_node:
-                continue
-            if any(n not in market_prices[k] for k in ("euro_call", "euro_put")):
-                continue
-            d_ac = market_prices["amer_call"][n] - per_node[n][1]
-            d_ec = market_prices["euro_call"][n] - per_node[n][0]
-            d_ep = market_prices["euro_put"][n] - euro_put[n]
-            ca_m = market_prices["amer_call"][n]
-            ce_m = market_prices["euro_call"][n]
-            lower_slack = ca_m - (ce_m + d_ac - d_ec)
-            upper_slack = (ce_m + d_ac - d_ep) - ca_m
-            market_worst = min(market_worst, lower_slack, upper_slack)
-            if lower_slack < -tol or upper_slack < -tol:
-                market_ok = False
+        market_ok, market_worst = True, 0.0
+        for n in filter(per_node.__contains__, ca_m):
+            if n in ce_m and n in ep_m:
+                ce, ca = per_node[n][:2]
+                d_ac, d_ec, d_ep = ca_m[n] - ca, ce_m[n] - ce, ep_m[n] - euro_put[n]
+                lower_slack = ca_m[n] - (ce_m[n] + d_ac - d_ec)
+                upper_slack = (ce_m[n] + d_ac - d_ep) - ca_m[n]
+                market_worst = min(market_worst, lower_slack, upper_slack)
+                market_ok = market_ok and not (lower_slack < -tol or upper_slack < -tol)
     return AmericanBoundsReport(ok, worst, market_ok, market_worst, per_node)

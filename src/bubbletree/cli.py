@@ -7,7 +7,9 @@ machine-readable JSON document (byte-stable for identical inputs), and a CSV
 of per-node values for external plotting.
 
 Exit codes: 0 success, 1 input or schema error, 2 arbitrage where a
-no-arbitrage precondition was required, 3 solver or enumeration limits hit.
+no-arbitrage precondition was required, 3 no finite answer: a superhedge
+cost unbounded below, or conditioning on a node no measure of an explicit
+family charges.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ import numpy as np
 
 from .ambiguity import (
     BoxSets,
-    CapExceededError,
     ExplicitFamily,
     MeasureFamily,
     PolarNodeError,
@@ -39,10 +40,8 @@ from .bubble import analyze_bubble, bubble_processes, find_dominating_strategy
 from .claims import (
     AssumptionViolationError,
     Claim,
-    RectangularityError,
     _intrinsic,
     american_fundamental_price,
-    american_oracle,
     fundamental_claim_price,
 )
 from .lattice import EventTree, InvalidMarketError, MarketSpec, StoppingTime
@@ -518,14 +517,10 @@ def _price(report, parsed, pricing, ftap, tol, options):
     spec, tree = parsed.spec, parsed.spec.tree
     claim = _claim(options, tree, "price needs --claim")
     if claim.kind in ("amer_call", "amer_put"):
-        try:
-            result = american_fundamental_price(spec, pricing, claim, parsed.actual)
-            report.processes["claim_value"] = dict(result.process.values)
-            report.diagnostics["exercise_region"] = sorted(result.exercise)
-            value = result.process[tree.root]
-        except RectangularityError:
-            value = american_oracle(spec, pricing, claim)
-            report.diagnostics["note"] = "explicit family: priced by stopping-rule enumeration"
+        result = american_fundamental_price(spec, pricing, claim, parsed.actual)
+        report.processes["claim_value"] = dict(result.process.values)
+        report.diagnostics["exercise_region"] = sorted(result.exercise)
+        value = result.process[tree.root]
     else:
         proc = fundamental_claim_price(spec, pricing, claim, parsed.actual)
         report.processes["claim_value"] = dict(proc.values)
@@ -558,10 +553,11 @@ def _classify(report, parsed, pricing, ftap, tol, options):
     if which not in named:
         raise MarketFileError(f"unknown process {which!r}")
     cls = classify_process(pricing, named[which], tol=tol)
-    report.verdicts["class"] = cls.strongest
-    report.verdicts["martingale_gap"] = cls.martingale_gap
-    report.verdicts["supermartingale_slack"] = cls.supermartingale_slack
-    report.verdicts["infi_slack"] = cls.infi_slack
+    if which == "S":  # the classified stopped price; the table's S is the market price
+        report.processes["S_stopped"] = dict(spec.stopped_price)
+    report.verdicts.update({"class": cls.strongest, "martingale_gap": cls.martingale_gap,
+                            "supermartingale_slack": cls.supermartingale_slack,
+                            "infi_slack": cls.infi_slack})
     return s_star, w_star, beta
 
 
@@ -824,7 +820,7 @@ def main(argv=None) -> int:
     except NotRiskNeutralError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (CapExceededError, UnboundedHedgeError, PolarNodeError) as exc:
+    except (UnboundedHedgeError, PolarNodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except (MarketFileError, InvalidMarketError, AssumptionViolationError,

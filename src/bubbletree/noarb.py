@@ -29,6 +29,7 @@ scipy is needed only where the reference LPs run (the tests).
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -168,9 +169,7 @@ def _cuts(spec: MarketSpec, actual: MeasureFamily | None):
     counts as charged if ``actual`` charges it and some charged leaf below it."""
     tree, off, par = spec.tree, spec.tree.child_offsets, spec.tree.parent_index[1:]
     W, n = spec.processes.W, len(tree)
-    charged = (np.ones(n, bool) if actual is None else actual.charged_mask
-               if isinstance(actual, RectangularFamily)
-               else np.fromiter(map(actual.charged.__contains__, tree.level_order), bool, n))
+    charged = np.ones(n, bool) if actual is None else actual.charged_mask
     if (charged & (off[1:] > off[:-1]) & (np.bincount(par, charged[1:], n) == 0)).any():
         charged, starts = charged.copy(), tree.level_starts
         for g, h, e in reversed(list(zip(starts[:-2], starts[1:-1], starts[2:]))):
@@ -185,11 +184,14 @@ def _cuts(spec: MarketSpec, actual: MeasureFamily | None):
 
 
 def _pass(spec: MarketSpec, actual: MeasureFamily | None):
-    """``_cuts(spec, actual)``, run once per spec and family object."""
+    """``_cuts(spec, actual)``, run once per spec and family object. An entry
+    goes when its family does (no live family takes a dead one's id)."""
     key = ("noarb._cuts", id(actual))
-    if key not in spec.memo:  # the entry keeps the family alive: no other takes its id
-        spec.memo[key] = actual, _cuts(spec, actual)
-    return spec.memo[key][1]
+    if key not in spec.memo:
+        spec.memo[key] = _cuts(spec, actual)
+        if actual is not None:
+            weakref.finalize(actual, spec.memo.pop, key, None)
+    return spec.memo[key]
 
 
 def _certificate(

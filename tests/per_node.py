@@ -19,6 +19,13 @@ the market's processes as level-order arrays (``MarketSpec.processes``);
 ``strategy_eta`` is the loop of ``lattice`` that read them, and
 ``gains_process`` the two preorder loops of ``lattice.gains_process``
 before it stepped one level at a time over ``MarketSpec.processes``.
+
+The ``explicit_*`` functions are the per-node passes of explicit families
+before they went through ``ambiguity._backward``: masses by a walk up each
+leaf's path, a conditional expectation as each measure's sum over the
+node's descendants at the target time, the claim values, W* and the
+classification node by node (and horizon by horizon), and the American
+price as each measure's Snell envelope on unnormalized masses, node by node.
 """
 from __future__ import annotations
 
@@ -31,12 +38,17 @@ import numpy as np
 
 from bubbletree.ambiguity import (
     _STEP_TOL,
+    CHARGE_TOL,
+    Classification,
+    ExplicitFamily,
     MeasureFamily,
+    PolarNodeError,
     RectangularFamily,
     TransitionSet,
     _push_mass,
     charged_leaves,
 )
+from bubbletree.claims import Claim, _intrinsic, terminal_payoff
 from bubbletree.lattice import (
     AdaptedProcess,
     Derived,
@@ -44,6 +56,7 @@ from bubbletree.lattice import (
     MarketSpec,
     ShortSaleViolationError,
     Strategy,
+    cash_flow_payoff,
     require_valid,
     wealth_process,
 )
@@ -410,3 +423,143 @@ def gains_process(
             self_financing = False
             break
     return GainsResult(AdaptedProcess(G), AdaptedProcess(V), self_financing)
+
+
+# -- explicit families, node by node -------------------------------------------
+
+def explicit_masses(family: ExplicitFamily) -> tuple[dict[str, float], ...]:
+    """Per measure, each node's mass: its subtree's leaf probabilities,
+    summed in preorder."""
+    tree = family.tree
+    out = []
+    for q in family.measures:
+        mass = dict.fromkeys(tree.preorder(), 0)
+        for leaf in tree.leaves:
+            p = q.get(leaf, 0.0)
+            for n in tree.path(leaf):
+                mass[n] += p
+        out.append(mass)
+    return tuple(out)
+
+
+def explicit_charged(family: ExplicitFamily) -> frozenset[str]:
+    """Nodes some measure gives more than ``CHARGE_TOL`` mass."""
+    masses = explicit_masses(family)
+    return frozenset(n for n in family.tree.preorder() if any(m[n] > CHARGE_TOL for m in masses))
+
+
+def explicit_cond_upper(
+    family: ExplicitFamily, values: Mapping[str, float], node: str, target_t: int,
+    masses: Sequence[Mapping[str, float]] | None = None,
+) -> float:
+    """The largest, over the measures charging ``node``, of the conditional
+    expectation there of the time-``target_t`` values."""
+    tree = family.tree
+    best = None
+    for mass in masses or explicit_masses(family):
+        m0 = mass[node]
+        if m0 <= CHARGE_TOL:
+            continue
+        total = 0.0
+        for m in tree.descendants_at(node, target_t):
+            qm = mass[m]
+            if qm:
+                total += qm * float(values[m])
+        e = total / m0
+        if best is None or e > best:
+            best = e
+    if best is None:
+        raise PolarNodeError(f"no measure in the family charges node {node!r}")
+    return best
+
+
+def explicit_claim_values(spec: MarketSpec, family: ExplicitFamily, claim: Claim) -> dict:
+    """A European claim's values at the charged nodes up to maturity, level
+    by level from the root."""
+    tree, T, masses = spec.tree, claim.maturity, explicit_masses(family)
+    target, on = terminal_payoff(spec, claim), explicit_charged(family)
+    return {n: explicit_cond_upper(family, target, n, T, masses)
+            for t in range(T + 1) for n in tree.level(t) if n in on}
+
+
+def explicit_value_process(spec: MarketSpec, family: ExplicitFamily) -> dict[str, float]:
+    """W*: the cash flows' upper conditional expectation at every node, in
+    preorder; ``PolarNodeError`` at the first polar node."""
+    tree, cf, masses = spec.tree, cash_flow_payoff(spec), explicit_masses(family)
+    return {n: explicit_cond_upper(family, cf, n, tree.horizon, masses) for n in tree.preorder()}
+
+
+def explicit_classify(
+    family: ExplicitFamily, process: Mapping[str, float], T: int | None = None, tol: float = 1e-9
+) -> Classification:
+    """``classify_process`` against every horizon, one (node, horizon) check
+    at a time, in preorder, folded with the builtin ``max`` and ``min``."""
+    tree, masses, on = family.tree, explicit_masses(family), explicit_charged(family)
+    if T is None:
+        T = tree.horizon
+    per_node = {}
+    rows = []
+    for n in tree.preorder():
+        t = tree.time(n)
+        if t >= T or n not in process or n not in on:
+            continue
+        for t2 in range(t + 1, T + 1):
+            level = tree.descendants_at(n, t2)
+            if any(m not in process for m in level):
+                continue
+            slice_vals = {m: process[m] for m in level}
+            up = explicit_cond_upper(family, slice_vals, n, t2, masses)
+            neg = {k: -v for k, v in slice_vals.items()}
+            low = -explicit_cond_upper(family, neg, n, t2, masses)
+            v = process[n]
+            rows.append((v, up, low))
+            if n not in per_node or (v - up) < (per_node[n][0] - per_node[n][1]):
+                per_node[n] = (v, up, low)
+    if not rows:
+        return Classification("G_martingale", 0.0, 0.0, 0.0, {})
+    mart_gap = max(abs(v - up) for v, up, _ in rows)
+    sup_slack = min(v - up for v, up, _ in rows)
+    infi_slack = min(v - low for v, _, low in rows)
+    if mart_gap <= tol:
+        strongest = "G_martingale"
+    elif sup_slack >= -tol:
+        strongest = "G_supermartingale"
+    elif infi_slack >= -tol:
+        strongest = "infi_supermartingale"
+    else:
+        strongest = "none"
+    return Classification(strongest, mart_gap, sup_slack, infi_slack, per_node)
+
+
+def explicit_american(
+    spec: MarketSpec, family: ExplicitFamily, claim: Claim
+) -> tuple[dict[str, float], frozenset[str]]:
+    """The American price at each charged node up to maturity, level by level
+    from the root, and the exercise region: each measure's Snell envelope on
+    unnormalized masses, V(n) = max(m(n) Z(n), sum of V over the children),
+    and at each node the largest continuation sum over its mass among the
+    measures charging it, exercised where the payoff is at least that."""
+    tree, T, masses = spec.tree, claim.maturity, explicit_masses(family)
+    Z = {}
+    for t in range(T + 1):
+        Z.update(zip(tree.level(t), _intrinsic(spec, claim, t).tolist()))
+    on = explicit_charged(family)
+    value = {n: Z[n] for n in tree.level(T) if n in on}
+    exercise = set(value)
+    envelopes = [{n: mass[n] * Z[n] for n in tree.level(T)} for mass in masses]
+    for t in range(T - 1, -1, -1):
+        for n in tree.level(t):
+            best = None
+            for mass, V in zip(masses, envelopes):
+                cont = 0.0
+                for c in tree.children(n):
+                    cont += V[c]
+                V[n] = max(mass[n] * Z[n], cont)
+                if mass[n] > CHARGE_TOL and (best is None or cont / mass[n] > best):
+                    best = cont / mass[n]
+            if best is not None:
+                value[n] = Z[n] if Z[n] >= best else best
+                if Z[n] >= best:
+                    exercise.add(n)
+    order = [n for t in range(T + 1) for n in tree.level(t) if n in value]
+    return {n: value[n] for n in order}, frozenset(exercise)

@@ -8,7 +8,6 @@ from bubbletree.ambiguity import ExplicitFamily, RectangularFamily, TransitionSe
 from bubbletree.claims import (
     AssumptionViolationError,
     Claim,
-    RectangularityError,
     american_bounds,
     american_fundamental_price,
     american_oracle,
@@ -427,11 +426,15 @@ def test_dp_matches_stopping_rule_oracle(seed):
         assert dp.process[fx.spec.tree.root] == pytest.approx(orc, abs=1e-9)
 
 
-def test_explicit_family_rejected_for_american_dp():
+def test_explicit_family_american_dp_matches_the_oracles():
+    # one measure: the call pays 0.5 up, nothing down, and nothing now
     fx = fixtures.ex1_one_period()
     fam = ExplicitFamily(fx.spec.tree, ({"r0": 0.3, "r1": 0.7},))
-    with pytest.raises(RectangularityError, match="rectangularity required"):
-        american_fundamental_price(fx.spec, fam, Claim("amer_call", 1, 1.0))
+    claim = Claim("amer_call", 1, 1.0)
+    res = american_fundamental_price(fx.spec, fam, claim)
+    assert res.process.values == pytest.approx({"r": 0.15, "r0": 0.5, "r1": 0.0}, abs=1e-15)
+    assert res.exercise == {"r0", "r1"}
+    assert res.process["r"] == pytest.approx(american_oracle(fx.spec, fam, claim), abs=1e-12)
 
 
 def test_american_bounds_squeeze_when_no_bubble():

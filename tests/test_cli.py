@@ -171,6 +171,19 @@ def test_classify_command():
     assert report.verdicts["class"] == "G_supermartingale"
 
 
+def test_classify_s_reports_the_stopped_price_it_classifies(capsys):
+    # on ex1 the asset matures at r00 and r10: the market price there is 0.0,
+    # the stopped price (payoff / B) is 1.0
+    parsed = parse_market_file(data_file("ex1.market"))
+    report = run_analysis("classify", parsed, {"process": "S"})
+    assert report.processes["S_stopped"] == parsed.spec.stopped_price
+    assert report.processes["S_stopped"]["r00"] == 1.0 and report.processes["S"]["r00"] == 0.0
+    for which in ("W", "Wstar", "beta"):
+        assert "S_stopped" not in run_analysis("classify", parsed, {"process": which}).processes
+    assert main(["--format", "machine", "classify", "--process", "S", data_file("ex1.market")]) == 0
+    assert json.loads(capsys.readouterr().out)["processes"]["S_stopped"]["r10"] == 1.0
+
+
 def test_dominance_command_none():
     parsed = parse_market_file(data_file("ex1geom.market"))
     report = run_analysis("dominance", parsed, {})
@@ -274,9 +287,12 @@ def test_exit_code_arbitrage_blocks_family(tmp_path, capsys):
     assert rc == 2
 
 
-def test_exit_code_cap_exceeded(tmp_path, capsys):
-    # explicit pricing family forces American pricing onto the enumeration
-    # oracle, whose stopping-rule count explodes on a depth-5 binary tree
+def test_explicit_american_price_exits_0_past_the_enumeration_cap(tmp_path, capsys):
+    # a depth-5 binary tree has 458,330 stopping rules, past american_oracle's
+    # cap; an explicit family prices the call by its measures' Snell envelopes
+    from per_node import explicit_american
+
+    from bubbletree.claims import Claim, _stopping_rule_count
     from bubbletree.lattice import EventTree
 
     tree = EventTree.uniform([2] * 5)
@@ -285,23 +301,63 @@ def test_exit_code_cap_exceeded(tmp_path, capsys):
         for n in tree.preorder()
     ]
     uniform = 1.0 / len(tree.leaves)
+    tilted = {l: 2.0 * uniform if l.startswith("r1") else 0.0 for l in tree.leaves}
     doc = {
         "horizon": 5,
         "nodes": nodes,
         "rates": {n: 0.0 for n in tree.non_leaves()},
-        "prices": {n: 1.0 for n in tree.preorder()},
+        "prices": {n: 1.1 ** n.count("1") * 0.9 ** n.count("0") for n in tree.preorder()},
         "dividends": {n: 0.0 for n in tree.preorder()},
         "tau": {"nodes": [], "kind": "possibly_infinite"},
         "payoffs": {},
         "actual": {"type": "explicit", "measures": [{l: uniform for l in tree.leaves}]},
-        "pricing": {"type": "explicit", "measures": [{l: uniform for l in tree.leaves}]},
+        "pricing": {"type": "explicit", "measures": [{l: uniform for l in tree.leaves}, tilted]},
     }
     path = tmp_path / "deep.market"
     path.write_text(json.dumps(doc))
-    rc = main(["price", "--claim", "acall", "--strike", "1", "--maturity", "5", str(path)])
-    err = capsys.readouterr().err
-    assert rc == 3
-    assert "cap" in err
+    assert _stopping_rule_count(tree, tree.root, 5, {}) > 50_000
+    rc = main(["--format", "machine", "price", "--claim", "acall", "--strike", "1",
+               "--maturity", "5", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0 and "note" not in report["diagnostics"]
+    parsed = parse_market_file(str(path))
+    values, exercise = explicit_american(parsed.spec, parsed.pricing, Claim("amer_call", 5, 1.0))
+    assert report["verdicts"]["value"] == pytest.approx(values["r"], abs=1e-12)
+    assert values["r"] > 0.1
+    assert report["processes"]["claim_value"] == pytest.approx(values, abs=1e-12)
+    assert report["diagnostics"]["exercise_region"] == sorted(exercise)
+
+
+def test_explicit_american_root_equals_the_enumeration_oracle():
+    from bubbletree.claims import Claim, american_fundamental_price, american_oracle
+
+    parsed = parse_market_file(data_file("explicit4.market"))
+    for claim in (Claim("amer_put", 4, 1.0), Claim("amer_call", 4, 0.9)):
+        dp = american_fundamental_price(parsed.spec, parsed.pricing, claim, parsed.actual)
+        oracle = american_oracle(parsed.spec, parsed.pricing, claim)
+        assert abs(dp.process["r"] - oracle) <= 1e-12
+
+
+def test_exit_code_3_unbounded_hedge_and_polar_node(tmp_path, capsys):
+    with open(data_file("ex1.market")) as fh:
+        doc = json.load(fh)
+    del doc["pricing"]  # a strong arbitrage: the hedge cost is unbounded below
+    path = tmp_path / "unbounded.market"
+    path.write_text(json.dumps(doc))
+    assert main(["hedge", "--claim", "ecall", str(path)]) == 3
+    assert "unbounded below" in capsys.readouterr().err
+
+    with open(data_file("explicit4.market")) as fh:
+        doc = json.load(fh)
+    # pricing measures that charge nothing below r1: W* is undefined there
+    doc["pricing"]["measures"] = [q for q in doc["pricing"]["measures"]
+                                  if not any(v for l, v in q.items() if l.startswith("r1"))]
+    path = tmp_path / "polar.market"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no measure in the family charges node 'r1'\n"
 
 
 def test_failing_verdict_text_names_nodes(tmp_path):

@@ -5,7 +5,10 @@ report of each market file below under each command of
 ``test_cli.COMMANDS``. ``branch3-discovered.market`` has no pricing block
 and a ternary tree whose nodes have two children above their wealth, two
 below, or one exactly at it, some of them uncharged by the actual family,
-so it runs every case of the discovered pricing family. Reports are
+so it runs every case of the discovered pricing family.
+``explicit4.market`` is a depth-4 binary tree with explicit ``actual`` and
+``pricing`` families of three measures each, one of them charging only the
+``r0`` half of the tree. Reports are
 compared exactly, as values and as JSON text (which tells ``-0.0`` from
 ``0.0``), without the fields whose LP optimum is not unique (hedge holdings
 and slacks, the dominance gain gap, the arbitrage witness and its gain) and
@@ -30,7 +33,8 @@ from bubbletree.cli import main
 
 GOLDEN = os.path.join(DATA, "golden_machine.json")
 
-FILES = ("ex1.market", "ex1geom.market", "fiat3-discovered.market", "branch3-discovered.market")
+FILES = ("ex1.market", "ex1geom.market", "fiat3-discovered.market", "branch3-discovered.market",
+         "explicit4.market")
 NOT_UNIQUE = {
     ("inputs", "file"),
     ("processes", "hedge_pi"),

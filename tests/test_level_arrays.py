@@ -14,6 +14,8 @@ import re
 import numpy as np
 import pytest
 
+from per_node import explicit_american
+
 from bubbletree import fixtures
 from bubbletree.ambiguity import (
     BoxSets,
@@ -28,7 +30,6 @@ from bubbletree.bubble import _bubble_from_value, _conditional_value_process, bu
 from bubbletree.claims import (
     Claim,
     ParityTriple,
-    RectangularityError,
     _intrinsic,
     american_bounds,
     american_fundamental_price,
@@ -108,8 +109,9 @@ def ref_bubble_processes(spec, pricing) -> tuple[dict, dict, dict]:
     cf = cash_flow_payoff(spec)
     if isinstance(pricing, RectangularFamily):
         val = expectation_sweep(pricing, cf)
-    else:
-        val = {n: cond_expectation(pricing, cf, n, "upper") for n in tree.preorder()}
+    else:  # keyed as the shared recursion keys W*: levels from the leaves up
+        val = {n: cond_expectation(pricing, cf, n, "upper")
+               for t in range(tree.horizon, -1, -1) for n in tree.level(t)}
     s_star = {n: val[n] - d.cum[n] for n in tree.preorder() if d.taumap[n] is None}
     beta = {n: spec.price[n] / d.B[n] - (val[n] - d.cum[n]) if d.taumap[n] is None else 0.0
             for n in tree.preorder()}
@@ -172,10 +174,17 @@ def test_claim_prices_and_bounds_equal_the_dict_path():
                     _same(rep.per_node, ref)
                     assert rep.ok == all(tr.ok() for tr in ref.values())
                 if isinstance(fam, ExplicitFamily):
-                    with pytest.raises(RectangularityError):
-                        american_fundamental_price(spec, fam, Claim("amer_put", T, s0))
-                    with pytest.raises(RectangularityError):
-                        american_bounds(spec, fam, s0, T)
+                    # the largest of the measures' Snell envelopes, not the one-step DP
+                    res = american_fundamental_price(spec, fam, Claim("amer_put", T, s0))
+                    values, exercise = explicit_american(spec, fam, Claim("amer_put", T, s0))
+                    _same(res.process.values, values)
+                    assert res.exercise == exercise
+                    rep = american_bounds(spec, fam, s0, T)
+                    euro = ref_claim(spec, fam, Claim("euro_call", T, s0))
+                    amer = explicit_american(spec, fam, Claim("amer_call", T, s0))[0]
+                    _same(list(rep.per_node), list(euro))
+                    _same([v[:2] for v in rep.per_node.values()],
+                          [(euro[n], amer[n]) for n in euro])
                     continue
                 for kind in ("amer_call", "amer_put"):
                     for mult in (0.9, 1.1):

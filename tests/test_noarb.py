@@ -195,6 +195,21 @@ def test_one_step_pass_runs_once_per_spec_and_family(monkeypatch):
     assert differ >= 6
 
 
+def test_one_step_pass_goes_with_its_family():
+    """A spec keeps one pass per live ``actual`` family: fresh family objects
+    leave no entry behind, and the pass over no family stays."""
+    fx = fixtures.rand_market(3)
+    spec = fx.spec
+    verify_ftap(spec)
+    for _ in range(1000):
+        verify_ftap(spec, fx.family.with_role("actual"))
+    assert len(spec.memo) <= 2 and ("noarb._cuts", id(None)) in spec.memo
+    kept = fx.family.with_role("actual")
+    rep = verify_ftap(spec, kept)
+    assert verify_ftap(spec, kept).pricing_family.transitions is rep.pricing_family.transitions
+    assert len(spec.memo) <= 3
+
+
 # -- the pricing-equivalence report -------------------------------------------
 
 def test_ftap_ex1_arbitrage_side():
