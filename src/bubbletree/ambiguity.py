@@ -25,7 +25,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .lattice import AdaptedProcess, EventTree
+from .lattice import AdaptedProcess, EventTree, NodeValues
 
 CHARGE_TOL = 1e-12
 # a one-step wealth change at most this large counts as zero
@@ -321,7 +321,11 @@ class _Family:
     """What both kinds of family share: ``with_role``, and ``charged`` from ``charged_mask``."""
 
     def with_role(self, role: str):
-        return dataclasses.replace(self, role=role)
+        """The family under ``role``, sharing what it has cached so far that no role changes."""
+        twin = dataclasses.replace(self, role=role)
+        shared = ("node_mass", "charged_mask", "charged", "boxes")
+        vars(twin).update((key, vars(self)[key]) for key in shared if key in vars(self))
+        return twin
 
     @cached_property
     def charged(self) -> frozenset[str]:
@@ -393,13 +397,11 @@ class ExplicitFamily(_Family):
         """(measures, nodes): each node's mass in ``tree.level_order``, its
         subtree's leaf probabilities added left to right in preorder."""
         tree, pre, n = self.tree, self.tree.preorder_index, len(self.tree)
-        size = np.ones(n)  # each node's subtree: a run of preorder positions
-        for a, b in zip(tree.level_starts[-2:0:-1], tree.level_starts[:0:-1]):
-            size[:a] += np.bincount(tree.parent_index[a:b], size[a:b], a)
         p, at, leaves = np.zeros((len(self.measures), n)), np.argsort(pre), tree.leaves
         p[:, (tree.child_offsets[1:] == tree.child_offsets[:-1])[pre]] = np.reshape(
             [[q.get(leaf, 0.0) for leaf in leaves] for q in self.measures], (len(p), len(leaves)))
-        return _left_sums(p, at, at + size.astype(np.intp))  # 0.0 at inner nodes adds nothing
+        # each node's subtree: the run of preorder positions from its own; 0.0 at inner nodes adds nothing
+        return _left_sums(p, at, at + tree.subtree_size)
 
     @cached_property
     def charged_mask(self) -> np.ndarray:
@@ -548,7 +550,7 @@ def _runs(tree: EventTree, node: str, target_t: int) -> list[tuple[int, int]]:
     ``target_t`` (a subtree is a contiguous run of every level)."""
     off, g = tree.child_offsets, tree.index(node)
     runs = [(g, g + 1)]
-    for _ in range(tree.time(node), target_t):
+    for _ in range(tree.time(node) if g else 0, target_t):
         runs.append((int(off[runs[-1][0]]), int(off[runs[-1][1]])))
     return runs
 
@@ -798,6 +800,8 @@ def _level_values(tree: EventTree, process: Mapping[str, float] | np.ndarray):
     order, n = tree.level_order, len(tree)
     if isinstance(process, np.ndarray):
         return process, np.ones(n, bool)
+    if isinstance(process, NodeValues) and process.tree is tree:
+        return np.where(process.mask, process.array, 0.0), process.mask
     have = np.fromiter(map(process.__contains__, order), bool, n)
     return np.fromiter(map(process.get, order, itertools.repeat(0.0)), float, n), have
 

@@ -21,14 +21,15 @@ from .ambiguity import (
     MeasureFamily,
     _backward,
     _gather,
+    _level_values,
     _require_charged,
     _runs,
     classify_process,
-    node_charged,
 )
 from .lattice import (
     AdaptedProcess,
     MarketSpec,
+    NodeValues,
     Strategy,
     _collected,
     cash_flow_payoff,
@@ -89,24 +90,23 @@ def bubble_process(
 ) -> AdaptedProcess:
     """Bubble = discounted price minus fundamental price before maturity and
     zero afterwards. Verifies the wealth identity bubble = W - W*."""
-    return _bubble_from_value(spec, _conditional_value_process(spec, pricing)[0], tol)
+    beta = _bubble_from_value(spec, _conditional_value_process(spec, pricing)[0], tol)
+    return AdaptedProcess(dict(zip(spec.tree.preorder(), beta[spec.tree.preorder_index].tolist())))
 
 
-def _bubble_from_value(
-    spec: MarketSpec, val: np.ndarray, tol: float = 1e-12
-) -> AdaptedProcess:
-    """The bubble from the value process W* (level-order array; see
-    ``bubble_process``), in preorder."""
-    p, tree, pre = spec.processes, spec.tree, spec.tree.preorder_index
-    beta = np.where(p.tau < 0, p.S - (val - p.cum), 0.0)[pre]
-    dev = np.abs(beta - (p.W - val)[pre])
+def _bubble_from_value(spec: MarketSpec, val: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """The bubble from the value process W* (see ``bubble_process``), both level-order
+    arrays; an error at the first node in preorder that breaks the identity."""
+    p, tree = spec.processes, spec.tree
+    beta = np.where(p.tau < 0, p.S - (val - p.cum), 0.0)
+    dev = np.abs(beta - (p.W - val))[tree.preorder_index]
     bad = np.flatnonzero(dev > tol)
     if len(bad):
         raise AssertionError(
             f"bubble identity beta = W - W* violated at {tree.preorder()[bad[0]]!r}"
             f" by {dev[bad[0]].item():.3g}"
         )
-    return AdaptedProcess(dict(zip(tree.preorder(), beta.tolist())))
+    return beta
 
 
 def bubble_exists(
@@ -116,9 +116,8 @@ def bubble_exists(
 ) -> bool:
     """A bubble exists when some node the actual family charges carries a
     positive bubble."""
-    values = beta.values if isinstance(beta, AdaptedProcess) else beta
-    positive = itertools.compress(values, map(operator.gt, values.values(), itertools.repeat(tol)))
-    return any(node_charged(actual, n) for n in positive)
+    x, have = _level_values(actual.tree, beta.values if isinstance(beta, AdaptedProcess) else beta)
+    return bool((have & (x > tol) & actual.charged_mask).any())
 
 
 def _no_dividends(spec: MarketSpec) -> bool:
@@ -219,14 +218,22 @@ def check_bubble_properties(
     without failing.
     """
     require_valid(spec)
-    tree = spec.tree
+    tree, pre = spec.tree, spec.tree.preorder_index
     if beta is None:
         beta = bubble_process(spec, pricing)
+    values = beta.values if isinstance(beta, AdaptedProcess) else beta
+    x, have = (v[pre] for v in _level_values(tree, values))  # in preorder
+
+    def at(nodes: np.ndarray) -> np.ndarray:  # the bubble at a preorder mask; a KeyError where none
+        if len(miss := np.flatnonzero(nodes & ~have)):
+            raise KeyError(tree.preorder()[miss[0]])
+        return x[nodes]
+
     on, arbitrage, _, _ = _pass(spec, actual)
     if not arbitrage.any():
-        charged = list(itertools.compress(tree.preorder(), on[tree.preorder_index].tolist()))
-        bad = [n for n in charged if beta[n] < -tol]
-        worst = min((beta[n] for n in charged), default=0.0)
+        on = on[pre]
+        worst = min(at(on).tolist(), default=0.0)
+        bad = list(itertools.compress(tree.preorder(), (on & (x < -tol)).tolist()))
         nonneg = {
             "status": "holds" if not bad else "violated",
             "worst": worst,
@@ -247,19 +254,19 @@ def check_bubble_properties(
     if not no_dividends:
         persistence = {"status": "skipped", "note": "market pays dividends"}
     else:
-        counterexamples = []
-        for n in tree.preorder():
-            if abs(beta[n]) > tol:
-                continue
-            for m in tree.subtree(n):
-                if beta[m] > tol:
-                    counterexamples.append((n, m, beta[m]))
-                    break
+        # each zero-bubble node (NaN counts) with the first positive one in its preorder run
+        b, ids = at(np.ones(len(tree), bool)), tree.preorder()
+        dead, live = np.flatnonzero(~(np.abs(b) > tol)), np.flatnonzero(b > tol)
+        first = np.append(live, len(b))[np.searchsorted(live, dead)]
+        hit = first < dead + tree.subtree_size[pre][dead]
+        dead, first = dead[hit].tolist(), first[hit]
+        counterexamples = tuple(zip(map(ids.__getitem__, dead), map(ids.__getitem__, first.tolist()),
+                                    b[first].tolist()))
         if spec.tau_kind == "bounded":
             status = "holds" if not counterexamples else "violated"
         else:
             status = "holds" if not counterexamples else "recorded"
-        persistence = {"status": status, "counterexamples": tuple(counterexamples)}
+        persistence = {"status": status, "counterexamples": counterexamples}
 
     return BubblePropertyReport(nonneg, vanishes, persistence)
 
@@ -341,8 +348,16 @@ def bubble_processes(
 ) -> tuple[AdaptedProcess, AdaptedProcess, AdaptedProcess]:
     """S*, W* and the bubble, from the one cash-flow sweep (W*)."""
     val, runs = _conditional_value_process(spec, pricing)
-    w_star = AdaptedProcess(_gather(spec.tree, val, runs))
-    return _price_from_value(spec, val), w_star, _bubble_from_value(spec, val)
+    w_star, beta = AdaptedProcess(_gather(spec.tree, val, runs)), _bubble_from_value(spec, val)
+    beta = AdaptedProcess(dict(zip(spec.tree.preorder(), beta[spec.tree.preorder_index].tolist())))
+    return _price_from_value(spec, val), w_star, beta
+
+
+def _bubble_maps(spec: MarketSpec, pricing: MeasureFamily) -> tuple[NodeValues, NodeValues, NodeValues]:
+    """``bubble_processes``' three as ``NodeValues`` over the sweep's arrays, no dict built."""
+    val, p, tree = _conditional_value_process(spec, pricing)[0], spec.processes, spec.tree
+    beta = _bubble_from_value(spec, val)
+    return NodeValues(tree, val - p.cum, p.tau < 0), NodeValues(tree, val), NodeValues(tree, beta)
 
 
 def analyze_bubble(
@@ -351,7 +366,8 @@ def analyze_bubble(
     actual: MeasureFamily | None = None,
     tol: float = 1e-9,
 ) -> BubbleReport:
-    s_star, w_star, beta = bubble_processes(spec, pricing)
+    """``bubble_processes``, over ``NodeValues``, classified and checked."""
+    s_star, w_star, beta = map(AdaptedProcess, _bubble_maps(spec, pricing))
     classification = classify_bubble(spec, pricing, beta, actual, tol=tol)
     properties = check_bubble_properties(spec, pricing, actual, beta, tol=tol)
     return BubbleReport(

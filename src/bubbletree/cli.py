@@ -36,7 +36,7 @@ from .ambiguity import (
     cond_expectation,
     validate_family,
 )
-from .bubble import analyze_bubble, bubble_processes, find_dominating_strategy
+from .bubble import _bubble_maps, analyze_bubble, find_dominating_strategy
 from .claims import (
     AssumptionViolationError,
     Claim,
@@ -44,7 +44,7 @@ from .claims import (
     american_fundamental_price,
     fundamental_claim_price,
 )
-from .lattice import EventTree, InvalidMarketError, MarketSpec, StoppingTime
+from .lattice import EventTree, InvalidMarketError, MarketSpec, NodeValues, StoppingTime
 from .noarb import NotRiskNeutralError, UnboundedHedgeError, robust_price, superhedge, verify_ftap
 
 CLAIM_ALIASES = {
@@ -160,7 +160,8 @@ def _box_transitions(raw: dict, tree: EventTree) -> BoxSets | None:
     that ``TransitionSet.problems`` accepts, with its sums (a leaf block, which it
     never checks, fails too); the per-node path then names the first problem.
     Taken in level order, the blocks' bounds are a ``BoxSets`` map's arrays."""
-    nodes = list(filter(tree.children, tree.level_order))
+    arity = tree.child_offsets[1:] - tree.child_offsets[:-1]
+    nodes = list(itertools.compress(tree.level_order, arity.tolist()))
     if len(raw) != len(nodes) or not all(map(raw.__contains__, nodes)):
         return None
     blocks = list(map(raw.__getitem__, nodes))
@@ -173,7 +174,7 @@ def _box_transitions(raw: dict, tree: EventTree) -> BoxSets | None:
         return None
     if not set(map(type, los)) | set(map(type, his)) <= {list}:
         return None
-    arity = list(map(len, map(tree.children, nodes)))
+    arity = arity[arity > 0].tolist()
     if list(map(len, los)) != arity or list(map(len, his)) != arity:
         return None
     flat_lo = list(itertools.chain.from_iterable(los))
@@ -378,6 +379,7 @@ def parse_market_file(path: str) -> ParsedMarket:
     pricing = None
     if "pricing" in doc:
         if doc["pricing"] == doc["actual"] and _bool_free(doc["pricing"]):
+            actual.charged_mask  # every command reads it: computed once for the twin as well
             pricing = actual.with_role("pricing")
         else:
             pricing = _parse_family(doc["pricing"], tree, f"{path}.pricing", "pricing")
@@ -408,7 +410,7 @@ class Report:
     command: str
     inputs: dict[str, Any]
     verdicts: dict[str, Any] = field(default_factory=dict)
-    processes: dict[str, dict[str, float]] = field(default_factory=dict)
+    processes: dict[str, Mapping[str, float]] = field(default_factory=dict)
     diagnostics: dict[str, Any] = field(default_factory=dict)
     exit_status: int = 0
 
@@ -436,12 +438,14 @@ def report_from_dict(doc: Mapping) -> Report:
     )
 
 
-def _process_table(spec: MarketSpec, s_star, w_star, beta) -> dict[str, dict[str, float]]:
-    """The market's processes and ``bubble_processes``' three, as the reports
-    print them; the maps the spec caches are copied."""
-    derived = spec.derived
-    return {"S": dict(spec.price), "W": dict(derived.W), "B": dict(derived.B),
-            "Sstar": s_star.values, "Wstar": w_star.values, "beta": beta.values}
+def _process_table(spec: MarketSpec, s_star, w_star, beta) -> dict[str, Mapping[str, float]]:
+    """The market's processes and ``bubble_processes``' three, as the reports print them:
+    ``NodeValues`` over the level-order arrays (a price map with ids off the tree, copied)."""
+    tree, p = spec.tree, spec.processes
+    price = (dict(spec.price) if len(spec.price) > len(tree) else NodeValues(
+        tree, np.fromiter(map(spec.price.__getitem__, tree.level_order), float, len(tree))))
+    return {"S": price, "W": NodeValues(tree, p.W), "B": NodeValues(tree, p.B),
+            "Sstar": s_star, "Wstar": w_star, "beta": beta}
 
 
 def _claim(options: Mapping[str, Any], tree: EventTree, missing: str) -> Claim:
@@ -494,7 +498,7 @@ def _analyze(report, parsed, pricing, ftap, tol, options):
     spec, tree = parsed.spec, parsed.spec.tree
     _market(report, parsed, pricing, ftap, tol, options)
     rep = analyze_bubble(spec, pricing, parsed.actual, tol=tol)
-    beta1 = rep.beta.at_time(tree, 1)
+    beta1 = dict(zip(tree.level(1), rep.beta.values.array[slice(*tree.level_starts[1:3])].tolist()))
     if beta1:
         report.diagnostics["inf E[beta_1]"] = cond_expectation(pricing, beta1, tree.root, "lower")
         report.diagnostics["sup E[beta_1]"] = cond_expectation(pricing, beta1, tree.root, "upper")
@@ -510,7 +514,7 @@ def _analyze(report, parsed, pricing, ftap, tol, options):
         report.diagnostics[f"{name}_nodes"] = sorted(nodes)
     report.diagnostics["beta_0"] = rep.beta[tree.root]
     report.diagnostics["tau_kind"] = spec.tau_kind
-    return rep.S_star, rep.W_star, rep.beta
+    return rep.S_star.values, rep.W_star.values, rep.beta.values
 
 
 def _price(report, parsed, pricing, ftap, tol, options):
@@ -518,15 +522,15 @@ def _price(report, parsed, pricing, ftap, tol, options):
     claim = _claim(options, tree, "price needs --claim")
     if claim.kind in ("amer_call", "amer_put"):
         result = american_fundamental_price(spec, pricing, claim, parsed.actual)
-        report.processes["claim_value"] = dict(result.process.values)
+        report.processes["claim_value"] = result.process.values
         report.diagnostics["exercise_region"] = sorted(result.exercise)
         value = result.process[tree.root]
     else:
         proc = fundamental_claim_price(spec, pricing, claim, parsed.actual)
-        report.processes["claim_value"] = dict(proc.values)
+        report.processes["claim_value"] = proc.values
         value = proc[tree.root]
     report.verdicts["value"] = value
-    return bubble_processes(spec, pricing)
+    return _bubble_maps(spec, pricing)
 
 
 def _hedge(report, parsed, pricing, ftap, tol, options):
@@ -535,9 +539,9 @@ def _hedge(report, parsed, pricing, ftap, tol, options):
     report.verdicts["price"] = result.hedge.price
     report.verdicts["value"] = result.value
     report.verdicts["duality_gap"] = result.duality_gap
-    report.processes["hedge_pi"] = dict(result.hedge.strategy.pi)
-    report.processes["hedge_slack"] = dict(result.hedge.slack)
-    return bubble_processes(spec, pricing)
+    report.processes["hedge_pi"] = result.hedge.strategy.pi
+    report.processes["hedge_slack"] = result.hedge.slack
+    return _bubble_maps(spec, pricing)
 
 
 def _primal_hedge(report, parsed, pricing, ftap, tol, options):
@@ -548,13 +552,13 @@ def _primal_hedge(report, parsed, pricing, ftap, tol, options):
 
 def _classify(report, parsed, pricing, ftap, tol, options):
     spec, which = parsed.spec, options["process"]
-    s_star, w_star, beta = bubble_processes(spec, pricing)
+    s_star, w_star, beta = _bubble_maps(spec, pricing)
     named = {"S": spec.processes.stopped, "W": spec.processes.W, "Wstar": w_star, "beta": beta}
     if which not in named:
         raise MarketFileError(f"unknown process {which!r}")
     cls = classify_process(pricing, named[which], tol=tol)
     if which == "S":  # the classified stopped price; the table's S is the market price
-        report.processes["S_stopped"] = dict(spec.stopped_price)
+        report.processes["S_stopped"] = NodeValues(spec.tree, spec.processes.stopped)
     report.verdicts.update({"class": cls.strongest, "martingale_gap": cls.martingale_gap,
                             "supermartingale_slack": cls.supermartingale_slack,
                             "infi_slack": cls.infi_slack})
@@ -563,7 +567,7 @@ def _classify(report, parsed, pricing, ftap, tol, options):
 
 def _dominance(report, parsed, pricing, ftap, tol, options):
     spec = parsed.spec
-    s_star, w_star, beta = bubble_processes(spec, pricing)
+    s_star, w_star, beta = _bubble_maps(spec, pricing)
     pair = find_dominating_strategy(spec, pricing, parsed.actual, tol=tol,
                                     fundamental_root=s_star[spec.tree.root])
     if pair is None:
@@ -573,8 +577,8 @@ def _dominance(report, parsed, pricing, ftap, tol, options):
         report.verdicts["hedge_cost"] = pair.hedge_cost
         report.verdicts["asset_cost"] = pair.asset_cost
         report.verdicts["min_gain_gap"] = pair.min_gap
-        report.processes["hedge_pi"] = dict(pair.hedge.strategy.pi)
-        report.processes["gain_gap"] = dict(pair.gain_gap)
+        report.processes["hedge_pi"] = pair.hedge.strategy.pi
+        report.processes["gain_gap"] = pair.gain_gap
     return s_star, w_star, beta
 
 
@@ -619,82 +623,61 @@ def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any])
 _json_key = json.encoder.encode_basestring_ascii
 
 
-def _spellings(values: list[float]) -> dict[float, str] | None:
-    """The text ``json.dumps(_round12(x))`` of each distinct value, each
-    formatted once: ``%.12g``, with ``.0`` where that has no point or
-    exponent. That spelling holds for finite values that are zero or have
-    1e-300 < |x| < 1e11 (beyond 1e12 ``%g`` takes an exponent where
-    ``repr`` does not, and near subnormals the two round differently);
-    with any other value, None. Zero reads "0.0": -0.0 is the same key, so
-    a caller spells it itself."""
-    if not math.isfinite(sum(values)):  # inf and NaN propagate; huge values overflow
-        return None
-    size = list(map(abs, values))
-    if max(size, default=0.0) >= 1e11 or min(filter(None, size), default=1.0) <= 1e-300:
-        return None
-    distinct = list(set(values))
-    texts = list(map("%.12g".__mod__, distinct))
+def _spellings(values: np.ndarray) -> np.ndarray:
+    """The text ``json.dumps(_round12(x))`` of each value. When every value is
+    0 or has 1e-300 < |x| < 1e11, each distinct one (-0.0 apart from 0.0) is
+    formatted once as ``%.12g``, with ``.0`` where that has no point or
+    exponent (beyond 1e12 ``%g`` takes an exponent where ``repr`` does not,
+    and near subnormals the two round differently); else each value goes
+    through ``json.dumps``."""
+    size = np.abs(values)
+    if not (size < 1e11).all() or (size[size > 0] <= 1e-300).any():  # NaN fails the first test
+        return np.array([json.dumps(_round12(x)) for x in values.tolist()], object)
+    bits, at = np.unique(values.view(np.int64), return_inverse=True)
+    texts = list(map("%.12g".__mod__, bits.view(float).tolist()))
     integral = map(str.isdigit, map(str.lstrip, texts, itertools.repeat("-")))
     for i in itertools.compress(range(len(texts)), integral):
         texts[i] += ".0"
-    spelled = dict(zip(distinct, texts))
-    if 0.0 in spelled:
-        spelled[0.0] = "0.0"
-    return spelled
+    return np.array(texts, object)[at]
 
 
-def _float_map(
-    proc: dict[str, float], prefix: Mapping[str, str], spelled: Mapping[float, str] | None
-) -> str:
-    """``json.dumps(_rounded(proc), sort_keys=True, indent=2)`` for a
-    non-empty map of str keys to floats, indented as a ``processes`` entry.
-    ``prefix`` holds each key's line up to its value and ``spelled`` each
-    value's text (see ``_spellings``); without it each value goes through
-    ``json.dumps``."""
+def _column(proc, trees: dict) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each node id's line up to its value and the values, in sorted-id order, as arrays; None
+    unless ``proc`` is a non-empty map of str keys to floats. A ``NodeValues`` takes its tree's
+    sorted-id permutation and lines, made once per tree in ``trees``; a dict, ``sorted``."""
+    if isinstance(proc, NodeValues):
+        if id(proc.tree) not in trees:
+            ids = proc.tree.level_order
+            perm = sorted(range(len(ids)), key=ids.__getitem__)
+            lines = map("      %s: ".__mod__, map(_json_key, map(ids.__getitem__, perm)))
+            trees[id(proc.tree)] = np.array(perm, np.intp), np.array(list(lines), object)
+        perm, lines = trees[id(proc.tree)]
+        return (lines[keep], proc.array[perm[keep]]) if (keep := proc.mask[perm]).any() else None
+    if (type(proc) is not dict or not proc or not set(map(type, proc)) <= {str}
+            or not set(map(type, proc.values())) <= {float}):
+        return None
     keys = sorted(proc)
-    values = list(map(proc.__getitem__, keys))
-    if spelled is None:
-        texts = [json.dumps(_round12(x)) for x in values]
-    else:
-        texts = list(map(spelled.__getitem__, values))
-        zeros = list(itertools.compress(range(len(values)), map(operator.not_, values)))
-        signs = map(math.copysign, itertools.repeat(1.0), map(values.__getitem__, zeros))
-        for i in itertools.compress(zeros, map(operator.lt, signs, itertools.repeat(0.0))):
-            texts[i] = "-0.0"
-    parts = [",\n"] * (3 * len(keys))  # key, value, separator per line
-    parts[0::3] = map(prefix.__getitem__, keys)
-    parts[1::3] = texts
-    parts[-1] = "\n    }"
-    return "{\n" + "".join(parts)
-
-
-def _str_keyed(proc, kind: type) -> bool:
-    """Whether ``proc`` is a non-empty dict of str keys to ``kind`` values."""
-    return (
-        type(proc) is dict
-        and len(proc) > 0
-        and set(map(type, proc)) <= {str}
-        and set(map(type, proc.values())) <= {kind}
-    )
+    lines = list(map("      %s: ".__mod__, map(_json_key, keys)))
+    return np.array(lines, object), np.array(list(map(proc.__getitem__, keys)))
 
 
 def _machine(report: Report) -> str:
     """``json.dumps(report.as_dict(), sort_keys=True, indent=2)`` plus a
-    newline, byte for byte. When ``processes`` holds only non-empty maps of
-    str keys to floats, ``_float_map`` writes them (each node id and each
-    distinct value spelled once per report), and the block goes in before the
+    newline, byte for byte. When every process is a ``_column``, all values
+    are spelled at once (``_spellings``) and the block goes in before the
     top-level ``"verdicts"`` key of the rest's one ``json.dumps``: a newline,
     two spaces and a quote meet nowhere else, as ``json.dumps`` escapes
-    newlines inside strings. Any other report is dumped whole."""
-    processes = report.processes
-    if not (_str_keyed(processes, dict) and all(_str_keyed(p, float) for p in processes.values())):
+    newlines in strings. Else it dumps the report."""
+    processes, trees = report.processes, {}
+    names = type(processes) is dict and set(map(type, processes)) <= {str} and sorted(processes)
+    columns = [_column(processes[name], trees) for name in names or ()]
+    if not columns or None in columns:
         return json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
-    keys = set().union(*processes.values())
-    prefix = dict(zip(keys, map("      %s: ".__mod__, map(_json_key, keys))))
-    spelled = _spellings(list(itertools.chain.from_iterable(map(dict.values, processes.values()))))
+    texts = _spellings(np.concatenate([v for _, v in columns]))
+    ends = itertools.accumulate(len(v) for _, v in columns)
     block = ",\n".join(
-        f"    {_json_key(name)}: {_float_map(processes[name], prefix, spelled)}"
-        for name in sorted(processes)
+        f"    {_json_key(name)}: {{\n" + ",\n".join((lines + texts[e - len(lines) : e]).tolist())
+        + "\n    }" for name, (lines, _), e in zip(names, columns, ends)
     )
     sections = {key: value for key, value in vars(report).items() if key != "processes"}
     rest = json.dumps(_rounded(sections), sort_keys=True, indent=2)

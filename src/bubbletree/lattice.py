@@ -43,72 +43,80 @@ class EventTree:
     parent known, everything reachable). Uniform leaf depth and the other
     market-level invariants are checked by ``validate_market`` so that broken
     trees can be represented and reported rather than rejected outright.
+
+    The tree is its level-order arrays (see ``__init__``); the per-node maps
+    behind the accessors are built from them on first use.
     """
 
     def __init__(self, parents: Mapping[str, str | None]):
-        parents = dict(parents)
+        self._parent = parents = dict(parents)
         if not parents:
             raise ValueError("empty tree")
-        kids: dict[str, list[str]] = {}  # non-leaves only: leaves share ()
-        roots = []
-        for nid, par in parents.items():
-            if par is None:
-                roots.append(nid)
-            elif par in kids:
-                kids[par].append(nid)
-            elif par in parents:
-                kids[par] = [nid]
-            else:
-                raise ValueError(f"node {nid!r} has unknown parent {par!r}")
-        if len(roots) != 1:
-            raise ValueError(f"expected exactly one root, found {len(roots)}")
-        self.root: str = roots[0]
-        children = dict.fromkeys(parents, ())
-        for nid, cs in kids.items():
-            children[nid] = tuple(cs)
-
-        # levels breadth first: listing each node's children in turn keeps
-        # every level in preorder, so a node's subtree is contiguous in it
-        levels = [(self.root,)]
-        while True:
-            nxt = tuple(itertools.chain.from_iterable(map(children.__getitem__, levels[-1])))
-            if not nxt:
-                break
-            levels.append(nxt)
-        if sum(map(len, levels)) != len(parents):
-            reached = set(itertools.chain.from_iterable(levels))
-            missing = sorted(set(parents) - reached)
+        ids, pars, n = list(parents), list(parents.values()), len(parents)
+        up = list(map(dict(zip(ids, range(n))).get, pars, itertools.repeat(-1)))  # parents' places
+        if up.count(-1) > (roots := pars.count(None)):
+            nid = next(i for i, u, p in zip(ids, up, pars) if u < 0 and p is not None)
+            raise ValueError(f"node {nid!r} has unknown parent {parents[nid]!r}")
+        if roots != 1:
+            raise ValueError(f"expected exactly one root, found {roots}")
+        from .ambiguity import _KERNEL_MIN_WIDTH  # imported here: ambiguity imports this module
+        g, depth = n - 1, 0  # the last listed node's depth (the horizon when it is a leaf)
+        while up[g] >= 0 and depth < n:
+            g, depth = up[g], depth + 1
+        # levels breadth first, each node's children in turn (every level in preorder): per node
+        # on lists where levels average under ``_KERNEL_MIN_WIDTH`` nodes, else numpy per level
+        if n < _KERNEL_MIN_WIDTH * (depth + 1):
+            kids: list[list[int]] = [[] for _ in range(n + 1)]  # the root's: kids[-1]
+            for i, p in enumerate(up):
+                kids[p].append(i)
+            levels = [kids[-1]]
+            while nxt := list(itertools.chain.from_iterable(map(kids.__getitem__, levels[-1]))):
+                levels.append(nxt)
+            by_level = list(itertools.chain.from_iterable(levels))
+            counts = list(map(len, map(kids.__getitem__, by_level)))
+            par = [-1, *itertools.chain.from_iterable(map(itertools.repeat, range(n), counts))]
+        else:
+            up = np.array(up)
+            order = np.argsort(up, kind="stable")  # children by parent, in listing order
+            counts = np.bincount(up + 1, minlength=n + 1)[1:]
+            first = np.cumsum(counts) + 1 - counts  # node i's children: order[first[i]:][:counts[i]]
+            levels = [order[:1]]
+            while (c := counts[levels[-1]]).any():
+                end = np.cumsum(c)
+                levels.append(order[np.repeat(first[levels[-1]] - end + c, c) + np.arange(end[-1])])
+            rank, by_level = np.empty(n, np.intp), np.concatenate(levels)
+            rank[by_level] = np.arange(len(by_level))
+            par, counts, by_level = rank[up[by_level]], counts[by_level], by_level.tolist()
+            par[0] = -1
+        if len(by_level) != n:
+            missing = sorted(set(ids) - set(map(ids.__getitem__, by_level)))
             raise ValueError(f"nodes unreachable from root: {missing}")
-        # preorder: a stack of child iterators, one per open non-leaf
-        order = [self.root]
-        stack = [iter(children[self.root])]
-        while stack:
-            for nid in stack[-1]:
-                order.append(nid)
-                if children[nid]:
-                    stack.append(iter(children[nid]))
-                    break
-            else:
-                stack.pop()
-        self.level_order = by_level = tuple(itertools.chain.from_iterable(levels))
-        self._parent = parents
-        self._time = dict(zip(by_level, itertools.chain.from_iterable(
-            map(itertools.repeat, range(len(levels)), map(len, levels))
-        )))
-        self._children = children
-        self._preorder = tuple(order)
-        self.leaves: tuple[str, ...] = tuple(itertools.filterfalse(kids.__contains__, order))
-        self._non_leaves = tuple(filter(kids.__contains__, order))
-        self.horizon: int = len(levels) - 1  # the deepest level holds leaves only
-        self._levels = dict(enumerate(levels))
+        self.level_order: tuple[str, ...] = tuple(map(ids.__getitem__, by_level))
+        self.root, self.horizon = self.level_order[0], len(levels) - 1  # the deepest level: leaves only
         # node g of ``level_order``: parent ``parent_index[g]`` (root: -1), children
-        # ``child_offsets[g]:[g + 1]``; level t: ``level_starts[t]:[t + 1]``
-        self._index = dict(zip(by_level, range(len(by_level))))
-        kids = np.fromiter(map(len, map(children.__getitem__, by_level)), np.intp, len(by_level))
-        self.child_offsets = np.concatenate(([1], np.cumsum(kids) + 1))
-        self.parent_index = np.concatenate(([-1], np.repeat(np.arange(len(kids)), kids)))
-        self.level_starts = tuple(itertools.accumulate(map(len, levels), initial=0))
-        self.preorder_index = np.fromiter(map(self._index.__getitem__, order), np.intp, len(order))
+        # ``child_offsets[g]:[g + 1]``, ``subtree_size[g]`` nodes in its subtree, preorder
+        # position ``preorder_index.argsort()[g]``; level t: ``level_starts[t]:[t + 1]``
+        self.level_starts = starts = tuple(itertools.accumulate(map(len, levels), initial=0))
+        self.child_offsets = off = np.concatenate(([1], np.cumsum(counts) + 1))
+        self.parent_index = np.asarray(par, np.intp)
+        # from the leaves up, each subtree's size; from the root down, each node's preorder
+        # position: its parent's, plus one, plus the sizes of its earlier siblings
+        if isinstance(par, list):
+            size, pos, free = [1] * n, [0] * n, [1] * n  # free: the position of a node's next child
+            for g in range(n - 1, 0, -1):
+                size[par[g]] += size[g]
+            for g, p in enumerate(par[1:], 1):
+                pos[g], free[p], free[g] = free[p], free[p] + size[g], free[p] + 1
+        else:
+            size, pos = np.ones(n, np.intp), np.zeros(n, np.intp)
+            for s, a, b in zip(starts[-3::-1], starts[-2:0:-1], starts[:0:-1]):
+                size[s:a] += np.bincount(par[a:b] - s, size[a:b], a - s).astype(np.intp)
+            for a, b in zip(starts[1:], starts[2:]):
+                before = np.cumsum(size[a:b]) - size[a:b]
+                pos[a:b] = pos[par[a:b]] + 1 + before - before[off[par[a:b]] - a]
+        self.subtree_size, self._position = np.asarray(size, np.intp), np.asarray(pos, np.intp)
+        self.preorder_index = np.empty(n, np.intp)
+        self.preorder_index[self._position] = np.arange(n)
 
     @classmethod
     def uniform(cls, branching: Iterable[int], root: str = "r") -> "EventTree":
@@ -124,6 +132,21 @@ class EventTree:
                     nxt.append(cid)
             frontier = nxt
         return cls(parents)
+
+    # -- per-node maps, built from the arrays on first use -------------------
+    _index = cached_property(lambda self: dict(zip(self.level_order, itertools.count())))
+    _preorder = cached_property(
+        lambda self: tuple(map(self.level_order.__getitem__, self.preorder_index.tolist())))
+    _time = cached_property(lambda self: dict(zip(self.level_order, itertools.chain.from_iterable(map(
+        itertools.repeat, itertools.count(),
+        map(operator.sub, self.level_starts[1:], self.level_starts))))))
+    _children = cached_property(lambda self: dict(zip(self.level_order, map(self.level_order.__getitem__,
+        itertools.starmap(slice, itertools.pairwise(self.child_offsets.tolist()))))))
+    _kids = cached_property(  # child counts, in preorder
+        lambda self: (self.child_offsets[1:] - self.child_offsets[:-1])[self.preorder_index].tolist())
+    leaves = cached_property(
+        lambda self: tuple(itertools.compress(self._preorder, map(operator.not_, self._kids))))
+    _non_leaves = cached_property(lambda self: tuple(itertools.compress(self._preorder, self._kids)))
 
     # -- accessors ---------------------------------------------------------
     def node(self, nid: str) -> Node:
@@ -152,11 +175,12 @@ class EventTree:
         return self._non_leaves
 
     def level(self, t: int) -> tuple[str, ...]:
-        return self._levels.get(t, ())
+        s = self.level_starts
+        return self.level_order[s[t] : s[t + 1]] if 0 <= t <= self.horizon else ()
 
     def index(self, nid: str) -> int:
-        """The node's index in ``level_order``."""
-        return self._index[nid]
+        """The node's index in ``level_order`` (the root's needs no map)."""
+        return 0 if nid == self.root else self._index[nid]
 
     def position(self, nid: str) -> int:
         """The node's index in ``level(time(nid))``."""
@@ -171,11 +195,8 @@ class EventTree:
         return tuple(reversed(out))
 
     def subtree(self, nid: str) -> Iterator[str]:
-        stack = [nid]
-        while stack:
-            n = stack.pop()
-            yield n
-            stack.extend(reversed(self._children[n]))
+        p = self._position[g := self.index(nid)]
+        return iter(self._preorder[p : p + self.subtree_size[g]])
 
     def subtree_leaves(self, nid: str) -> tuple[str, ...]:
         return tuple(n for n in self.subtree(nid) if self.is_leaf(n))
@@ -191,20 +212,17 @@ class EventTree:
         return isinstance(other, EventTree) and self.parent_map == other.parent_map
 
     def __len__(self) -> int:
-        return len(self._time)
+        return len(self.level_order)
 
     def __contains__(self, nid: str) -> bool:
-        return nid in self._time
+        return nid in self._parent
 
     def structure_problems(self) -> list[str]:
         """Invariant violations deferred from construction (uniform depth)."""
         problems = []
-        depths = set(map(self._time.__getitem__, self.leaves))
-        if len(depths) > 1:
-            problems.append(
-                "non-uniform depth: leaves at times "
-                + ", ".join(str(t) for t in sorted(depths))
-            )
+        if np.count_nonzero(self.child_offsets[1:] - self.child_offsets[:-1]) < self.level_starts[-2]:
+            depths = sorted(set(map(self._time.__getitem__, self.leaves)))
+            problems.append("non-uniform depth: leaves at times " + ", ".join(map(str, depths)))
         if self.horizon < 1:
             problems.append("horizon must be >= 1")
         return problems
@@ -221,10 +239,9 @@ class StoppingTime:
     tau_nodes: frozenset[str]
 
     def infinite_on(self, tree: EventTree) -> frozenset[str]:
-        dead = set()
-        for a in self.tau_nodes:
-            if a in tree:  # unknown nodes are reported by ``problems``
-                dead.update(tree.subtree_leaves(a))
+        dead = set()  # below a tau node: its preorder run; unknown nodes are reported by ``problems``
+        for a in filter(tree.__contains__, self.tau_nodes):
+            dead.update(tree.subtree(a))
         return frozenset(tree.leaves).difference(dead)
 
     def problems(self, tree: EventTree) -> list[str]:
@@ -264,6 +281,25 @@ class AdaptedProcess:
 
     def at_time(self, tree: EventTree, t: int) -> dict[str, float]:
         return {n: self.values[n] for n in tree.level(t) if n in self.values}
+
+
+class NodeValues(Mapping):
+    """A process as a read-only map of node ids to floats, iterated in preorder: ``array[g]``
+    at node g of ``tree.level_order`` where ``mask`` (by default every node) is set."""
+
+    def __init__(self, tree: EventTree, array: np.ndarray, mask: np.ndarray | None = None):
+        self.tree, self.array, self.mask = tree, array, np.ones(len(tree), bool) if mask is None else mask
+
+    def __getitem__(self, nid: str) -> float:
+        if not self.mask[g := self.tree.index(nid)]:  # a KeyError off the tree
+            raise KeyError(nid)
+        return self.array[g].item()
+
+    def __iter__(self) -> Iterator[str]:
+        return itertools.compress(self.tree.preorder(), self.mask[self.tree.preorder_index].tolist())
+
+    def __len__(self) -> int:
+        return int(self.mask.sum())
 
 
 @dataclass(frozen=True)
@@ -468,12 +504,13 @@ def validate_market(spec: MarketSpec) -> ValidationReport:
     for msg in spec.tau.problems(tree):
         failures.append(ValidationFailure("tau", msg))
 
-    def check_nonneg(data: Mapping[str, float], label: str, domain: Iterable[str], covered: bool):
+    def check_nonneg(data: Mapping[str, float], label: str, nodes, covered: bool):
         # one C-level pass when ``covered`` (data at every domain node) and
-        # nothing is negative; a NaN minimum takes the per-node path, which
-        # lets NaN pass as before
+        # nothing is negative; a NaN minimum takes the per-node path over the
+        # domain ``nodes()``, which lets NaN pass as before
         if covered and min(data.values(), default=0.0) >= 0:
             return
+        domain = nodes()
         missing = [n for n in domain if n not in data]
         if missing:
             failures.append(
@@ -489,11 +526,11 @@ def validate_market(spec: MarketSpec) -> ValidationReport:
                 )
             )
 
-    nodes = tree.times().keys()
-    inner = tree.non_leaves()
-    check_nonneg(spec.price, "price", tree.preorder(), spec.price.keys() >= nodes)
-    check_nonneg(spec.dividend, "dividend", tree.preorder(), spec.dividend.keys() >= nodes)
-    check_nonneg(spec.rates, "rate", inner, all(map(spec.rates.__contains__, inner)))
+    nodes, off = tree._parent.keys(), tree.child_offsets
+    inner = itertools.compress(tree.level_order, (off[1:] - off[:-1]).tolist())  # in level order
+    check_nonneg(spec.price, "price", tree.preorder, spec.price.keys() >= nodes)
+    check_nonneg(spec.dividend, "dividend", tree.preorder, spec.dividend.keys() >= nodes)
+    check_nonneg(spec.rates, "rate", tree.non_leaves, all(map(spec.rates.__contains__, inner)))
 
     extra = sorted(set(spec.payoff) - spec.tau.tau_nodes)
     missing = sorted(spec.tau.tau_nodes - set(spec.payoff))

@@ -20,6 +20,12 @@ the market's processes as level-order arrays (``MarketSpec.processes``);
 ``gains_process`` the two preorder loops of ``lattice.gains_process``
 before it stepped one level at a time over ``MarketSpec.processes``.
 
+``check_bubble_properties`` is ``bubble.check_bubble_properties`` as it
+read the bubble node by node: the charged nodes' values in preorder, and for
+persistence a walk down each zero-bubble node's subtree to its first
+positive bubble (O(n * depth)), before it took one ``searchsorted`` over the
+preorder runs of ``EventTree.subtree_size``.
+
 The ``explicit_*`` functions are the per-node passes of explicit families
 before they went through ``ambiguity._backward``: masses by a walk up each
 leaf's path, a conditional expectation as each measure's sum over the
@@ -48,6 +54,7 @@ from bubbletree.ambiguity import (
     _push_mass,
     charged_leaves,
 )
+from bubbletree.bubble import BubblePropertyReport, _no_dividends
 from bubbletree.claims import Claim, _intrinsic, terminal_payoff
 from bubbletree.lattice import (
     AdaptedProcess,
@@ -66,6 +73,7 @@ from bubbletree.noarb import (
     HedgeSolution,
     UnboundedHedgeError,
     _certificate,
+    _pass,
 )
 
 
@@ -423,6 +431,46 @@ def gains_process(
             self_financing = False
             break
     return GainsResult(AdaptedProcess(G), AdaptedProcess(V), self_financing)
+
+
+def check_bubble_properties(
+    spec: MarketSpec,
+    actual: MeasureFamily | None,
+    beta: AdaptedProcess,
+    tol: float = 1e-9,
+) -> BubblePropertyReport:
+    """Nonnegativity on charged nodes, vanishing at tau nodes and
+    persistence, each read from ``beta`` node by node."""
+    require_valid(spec)
+    tree = spec.tree
+    on, arbitrage, _, _ = _pass(spec, actual)
+    if not arbitrage.any():
+        charged = list(itertools.compress(tree.preorder(), on[tree.preorder_index].tolist()))
+        bad = [n for n in charged if beta[n] < -tol]
+        worst = min((beta[n] for n in charged), default=0.0)
+        nonneg = {"status": "holds" if not bad else "violated", "worst": worst, "nodes": tuple(bad)}
+    else:
+        nonneg = {"status": "skipped", "note": "market fails no-arbitrage"}
+    tau_dev = max((abs(beta[a]) for a in spec.tau.tau_nodes if a in beta), default=0.0)
+    vanishes = {"status": "holds" if tau_dev <= 1e-12 else "violated", "worst": tau_dev}
+    if not _no_dividends(spec):
+        persistence = {"status": "skipped", "note": "market pays dividends"}
+    else:
+        counterexamples = []
+        for n in tree.preorder():
+            if abs(beta[n]) > tol:
+                continue
+            stack = [n]  # the subtree in preorder, walked down from n
+            while stack:
+                m = stack.pop()
+                if beta[m] > tol:
+                    counterexamples.append((n, m, beta[m]))
+                    break
+                stack.extend(reversed(tree.children(m)))
+        failed = "violated" if spec.tau_kind == "bounded" else "recorded"
+        persistence = {"status": failed if counterexamples else "holds",
+                       "counterexamples": tuple(counterexamples)}
+    return BubblePropertyReport(nonneg, vanishes, persistence)
 
 
 # -- explicit families, node by node -------------------------------------------

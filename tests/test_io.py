@@ -15,6 +15,7 @@ is deterministic.
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,8 +26,9 @@ from test_cli import _market_doc as market_doc
 from bubbletree import ambiguity, fixtures
 from bubbletree.ambiguity import BoxSets, ExplicitFamily, RectangularFamily, classify_process
 from bubbletree.cli import MarketFileError, Report, emit_report, parse_market_file
-from bubbletree.lattice import EventTree
+from bubbletree.lattice import EventTree, NodeValues
 
+KERNEL_MIN_WIDTH = ambiguity._KERNEL_MIN_WIDTH
 PROPERTY = settings(
     derandomize=True,
     database=None,
@@ -105,6 +107,36 @@ def test_machine_writer_matches_json_dumps_on_float_processes(procs):
     assert emit_report(report, "machine") == oracle(report)
 
 
+SPELLING_BOUNDS = (0.0, -0.0, 1e-300, -1e-300, 1.0000000001e-300, 9.99999999999e-301, 5e-324,
+                   1e11, -1e11, 1e11 - 0.5, 99999999999.99, 2.5, -2.5, 0.1, 1e-5)
+
+
+@st.composite
+def node_value_reports(draw):
+    """Reports whose processes are ``NodeValues`` over one random tree (masks
+    that leave some or every node out included) beside plain maps: values at
+    ``_spellings``' bounds, -0.0, and now and then a non-finite one, which
+    sends every value through ``json.dumps``."""
+    n = draw(st.integers(1, 80))
+    ids = draw(st.lists(node_ids, min_size=n, max_size=n, unique=True))
+    tree = EventTree({ids[0]: None, **{ids[i]: ids[draw(st.integers(0, i - 1))] for i in range(1, n)}})
+    values = st.one_of(st.sampled_from(SPELLING_BOUNDS), st.floats(-1e3, 1e3), st.sampled_from(
+        (math.inf, math.nan)) if draw(st.integers(0, 4)) == 0 else st.nothing())
+    processes = {}
+    for name in draw(st.lists(node_ids, min_size=1, max_size=4, unique=True)):
+        x = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+        mask = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n, max_size=n)))
+        proc = NodeValues(tree, x, mask if mask is None else np.array(mask))
+        processes[name] = dict(proc) if draw(st.integers(0, 3)) == 0 else proc
+    return Report("analyze", {"file": "m.market"}, {"bubble_exists": True}, processes)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(node_value_reports())
+def test_machine_writer_matches_json_dumps_on_node_values(report):
+    assert emit_report(report, "machine") == oracle(report)
+
+
 def test_machine_writer_matches_json_dumps_on_cli_reports(tmp_path):
     from bubbletree.cli import run_analysis
 
@@ -113,10 +145,15 @@ def test_machine_writer_matches_json_dumps_on_cli_reports(tmp_path):
         ("hedge", {"claim": "ecall", "strike": 0.9}), ("classify", {"process": "beta"}),
         ("dominance", {}),
     )
-    for seed in range(6):
-        fx = fixtures.rand_claim_market(seed, depth=3, branching=3, style="bumped")
+    markets = [(fixtures.rand_claim_market(seed, depth=3, branching=3, style="bumped"), "same")
+               for seed in range(6)]
+    # both sides of the width switches: fiat(7) (its pricing family discovered) has a
+    # level of 128 nodes
+    markets += [(fixtures.fiat(7), "absent"),
+                (fixtures.rand_claim_market(0, depth=5, branching=4, style="bumped"), "same")]
+    for seed, (fx, pricing) in enumerate(markets):
         path = tmp_path / f"m{seed}.market"
-        path.write_text(json.dumps(market_doc(fx.spec, fx.family)))
+        path.write_text(json.dumps(market_doc(fx.spec, fx.family, pricing=pricing)))
         parsed = parse_market_file(str(path))
         for command, options in commands:
             report = run_analysis(command, parsed, {"tolerance": 1e-9, **options})
@@ -360,6 +397,26 @@ def test_parsed_family_and_its_pricing_twin_build_the_box_arrays_once(tmp_path, 
     assert calls == [boxes]  # the whole tree's rows, once
 
 
+def test_explicit_pricing_twin_computes_the_node_masses_once(tmp_path, monkeypatch):
+    """A ``pricing`` block equal to an explicit ``actual`` one is a twin that
+    shares the family's role-free cached arrays: ``node_mass`` is computed
+    once for the two, through a whole ``analyze``."""
+    from bubbletree.cli import run_analysis
+
+    fx = fixtures.rand_claim_market(3, depth=3, branching=3, style="bumped")
+    path = tmp_path / "m.market"
+    _write(path, market_doc(fx.spec, fx.family, explicit=True))
+    calls, prop = [], ExplicitFamily.__dict__["node_mass"]
+    monkeypatch.setattr(prop, "func", lambda fam, f=prop.func: calls.append(fam.role) or f(fam))
+    parsed = parse_market_file(str(path))
+    assert isinstance(parsed.pricing, ExplicitFamily)
+    assert parsed.pricing == parsed.actual.with_role("pricing")
+    assert parsed.pricing.node_mass is parsed.actual.node_mass
+    assert parsed.pricing.charged_mask is parsed.actual.charged_mask
+    run_analysis("analyze", parsed, {"tolerance": 1e-9})
+    assert calls == ["actual"]
+
+
 def test_bool_in_equal_pricing_block_is_still_rejected(tmp_path):
     fx = fixtures.fiat(2)
     doc = market_doc(fx.spec, fx.family)
@@ -375,12 +432,18 @@ def test_bool_in_equal_pricing_block_is_still_rejected(tmp_path):
 
 @st.composite
 def parent_maps(draw):
-    n = draw(st.integers(1, 40))
+    """Parent maps of up to 40 nodes, or of wide trees: a root with at least
+    ``_KERNEL_MIN_WIDTH`` children and up to 160 nodes, whose levels average
+    over that width or under it, so that ``EventTree`` builds either one on
+    numpy arrays or on lists. Listed in a random order; some have a flaw."""
+    width = KERNEL_MIN_WIDTH
+    wide = draw(st.booleans())
+    n = draw(st.integers(width + 1, 160) if wide else st.integers(1, 40))
     ids = draw(st.lists(st.text(alphabet="abcxyz01", min_size=1, max_size=4),
                         min_size=n, max_size=n, unique=True))
     parents = {ids[0]: None}
     for i in range(1, n):
-        parents[ids[i]] = ids[draw(st.integers(0, i - 1))]
+        parents[ids[i]] = ids[0 if wide and i <= width else draw(st.integers(0, i - 1))]
     order = draw(st.permutations(ids))
     parents = {k: parents[k] for k in order}
     flaw = draw(st.sampled_from((None, None, None, "unknown", "roots", "cycle", "empty")))
@@ -414,3 +477,16 @@ def _tree_view(make, parents):
 @given(parent_maps())
 def test_event_tree_matches_node_record_reference(parents):
     assert _tree_view(EventTree, parents) == _tree_view(reference_io.ReferenceTree, parents)
+
+
+@pytest.mark.parametrize("width", [0, math.inf], ids=["numpy", "lists"])
+@settings(PROPERTY, max_examples=100)
+@given(parents=parent_maps())
+def test_event_tree_builds_equal_on_numpy_and_on_lists(monkeypatch, width, parents):
+    """Each build path on every parent map, whatever the width switch picks."""
+    monkeypatch.setattr(ambiguity, "_KERNEL_MIN_WIDTH", width)
+    view = _tree_view(EventTree, parents)
+    assert view == _tree_view(reference_io.ReferenceTree, parents)
+    if view[0] != "raised":  # node ids are never that word
+        tree, ref = EventTree(parents), reference_io.ReferenceTree(parents)
+        assert tree.subtree_size.tolist() == [len(tuple(ref.subtree(n))) for n in tree.level_order]
