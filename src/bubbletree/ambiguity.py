@@ -21,11 +21,11 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .lattice import AdaptedProcess, EventTree, NodeValues
+from .lattice import AdaptedProcess, EventTree, NodeValues, _level_values
 
 CHARGE_TOL = 1e-12
 # a one-step wealth change at most this large counts as zero
@@ -635,13 +635,11 @@ def _backward(
     return x
 
 
-def _valued_runs(family: MeasureFamily, runs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The nodes of ``runs`` ``_backward`` values, as runs in key order: levels from
-    the last up, or for an explicit family each charged node, from the first down."""
-    if isinstance(family, ExplicitFamily):
-        on = family.charged_mask
-        return [(g, g + 1) for lo, hi in runs for g in (lo + np.flatnonzero(on[lo:hi])).tolist()]
-    return runs[::-1]
+def _valued(family: MeasureFamily, runs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Mask of the nodes of whole-level ``runs`` that ``_backward`` values (explicit: charged)."""
+    mask = np.zeros(len(family.tree), bool)
+    mask[runs[0][0] : runs[-1][1]] = True
+    return mask & family.charged_mask if isinstance(family, ExplicitFamily) else mask
 
 
 def _require_charged(family: MeasureFamily, nodes: np.ndarray) -> None:
@@ -657,18 +655,6 @@ def _filled(tree: EventTree, values: Mapping[str, float], node: str, target_t: i
     (lo, hi), x = runs[-1], np.zeros(len(tree))
     x[lo:hi] = np.fromiter(map(values.__getitem__, tree.level_order[lo:hi]), float, hi - lo)
     return x, runs
-
-
-def _at(tree: EventTree, runs: Sequence[tuple[int, int]]) -> tuple[Iterator[str], np.ndarray]:
-    """The node ids and the level-order indices of ``runs``, in run order."""
-    ids = itertools.chain.from_iterable(tree.level_order[lo:hi] for lo, hi in runs)
-    return ids, np.concatenate([np.arange(lo, hi) for lo, hi in runs] or [np.zeros(0, np.intp)])
-
-
-def _gather(tree: EventTree, x: np.ndarray, runs: Sequence[tuple[int, int]]) -> dict[str, float]:
-    """``x`` on the level-order ``runs`` as a dict, keyed in run order."""
-    ids, idx = _at(tree, runs)
-    return dict(zip(ids, x[idx].tolist()))
 
 
 def _push_mass(tree: EventTree, pick: Mapping[str, Sequence[float]]) -> dict[str, float]:
@@ -725,7 +711,7 @@ def expectation_sweep(
     family: RectangularFamily,
     values: Mapping[str, float],
     bound: str = "upper",
-) -> dict[str, float]:
+) -> NodeValues:
     """Conditional expectation of a single-time slice at every node at or
     above it, in one backward pass. Composes the same per-node extrema as
     ``cond_expectation`` (the recursion is the tower property), so values
@@ -733,7 +719,7 @@ def expectation_sweep(
     if not isinstance(family, RectangularFamily):
         raise TypeError("expectation_sweep needs a rectangular family")
     x, runs = _swept(family, values, family.tree.root, bound)
-    return _gather(family.tree, x, runs[::-1])
+    return NodeValues(family.tree, x, _valued(family, runs))
 
 
 def enumerate_extreme_measures(
@@ -793,17 +779,6 @@ class Classification:
 
     def satisfies(self, cls: str) -> bool:
         return CLASS_ORDER.index(self.strongest) >= CLASS_ORDER.index(cls)
-
-
-def _level_values(tree: EventTree, process: Mapping[str, float] | np.ndarray):
-    """``process`` as level-order values (0.0 where none) and the mask of those it has."""
-    order, n = tree.level_order, len(tree)
-    if isinstance(process, np.ndarray):
-        return process, np.ones(n, bool)
-    if isinstance(process, NodeValues) and process.tree is tree:
-        return np.where(process.mask, process.array, 0.0), process.mask
-    have = np.fromiter(map(process.__contains__, order), bool, n)
-    return np.fromiter(map(process.get, order, itertools.repeat(0.0)), float, n), have
 
 
 def _step_rows(family: RectangularFamily, x: np.ndarray, have: np.ndarray, T: int):

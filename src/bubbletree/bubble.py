@@ -20,8 +20,6 @@ from .ambiguity import (
     Classification,
     MeasureFamily,
     _backward,
-    _gather,
-    _level_values,
     _require_charged,
     _runs,
     classify_process,
@@ -32,40 +30,36 @@ from .lattice import (
     NodeValues,
     Strategy,
     _collected,
+    _level_values,
     cash_flow_payoff,
     require_valid,
 )
 from .noarb import HedgeSolution, _pass, superhedge
 
 
-def _conditional_value_process(
-    spec: MarketSpec, pricing: MeasureFamily
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def _conditional_value_process(spec: MarketSpec, pricing: MeasureFamily) -> np.ndarray:
     """Upper conditional expectation, per node, of total discounted cash flows
-    (exactly the fundamental wealth W*), as a whole-tree level-order array, with
-    the runs of W*'s key order: levels from the leaves up. Raises
-    ``PolarNodeError`` at the first node in preorder the family leaves polar."""
+    (exactly the fundamental wealth W*), as a whole-tree level-order array.
+    Raises ``PolarNodeError`` at the first node in preorder the family leaves polar."""
     tree, x = spec.tree, np.zeros(len(spec.tree))
     _require_charged(pricing, tree.preorder_index)
     runs = _runs(tree, tree.root, tree.horizon)
     x[runs[-1][0] :] = _collected(spec)[runs[-1][0] :]
-    return _backward(pricing, x, runs), runs[::-1]
+    return _backward(pricing, x, runs)
 
 
 def fundamental_price(spec: MarketSpec, pricing: MeasureFamily) -> AdaptedProcess:
     """Fundamental price on the pre-maturity domain {t < tau}: superhedging
     value of the remaining cash flows, equal to their upper conditional
     expectation. Computed by backward recursion for rectangular families."""
-    return _price_from_value(spec, _conditional_value_process(spec, pricing)[0])
+    return AdaptedProcess(_price_from_value(spec, _conditional_value_process(spec, pricing)))
 
 
-def _price_from_value(spec: MarketSpec, val: np.ndarray) -> AdaptedProcess:
+def _price_from_value(spec: MarketSpec, val: np.ndarray) -> NodeValues:
     """S* from the value process W* (level-order array): W* minus collected
-    dividends, before maturity, in preorder."""
-    p, pre = spec.processes, spec.tree.preorder_index
-    alive = p.tau[pre] < 0
-    ids = itertools.compress(spec.tree.preorder(), alive.tolist())
-    return AdaptedProcess(dict(zip(ids, (val[pre[alive]] - p.cum[pre[alive]]).tolist())))
+    dividends, before maturity."""
+    p = spec.processes
+    return NodeValues(spec.tree, val - p.cum, p.tau < 0)
 
 
 def fundamental_wealth(
@@ -73,16 +67,16 @@ def fundamental_wealth(
 ) -> tuple[AdaptedProcess, bool]:
     """Fundamental wealth and whether it classifies as a G-martingale (it
     must, for rectangular families: the recursion is the tower property)."""
-    val, runs = _conditional_value_process(spec, pricing)
+    val = _conditional_value_process(spec, pricing)
     cls = classify_process(pricing, val, tol=tol)
-    return AdaptedProcess(_gather(spec.tree, val, runs)), cls.strongest == "G_martingale"
+    return AdaptedProcess(NodeValues(spec.tree, val)), cls.strongest == "G_martingale"
 
 
 def stopped_price_process(spec: MarketSpec) -> AdaptedProcess:
     """Discounted market price while the asset lives, frozen at the
     discounted liquidation value from the maturity node on. This is the
     price-level process the necessary conditions classify."""
-    return AdaptedProcess(spec.stopped_price)
+    return AdaptedProcess(NodeValues(spec.tree, spec.processes.stopped))
 
 
 def bubble_process(
@@ -90,8 +84,8 @@ def bubble_process(
 ) -> AdaptedProcess:
     """Bubble = discounted price minus fundamental price before maturity and
     zero afterwards. Verifies the wealth identity bubble = W - W*."""
-    beta = _bubble_from_value(spec, _conditional_value_process(spec, pricing)[0], tol)
-    return AdaptedProcess(dict(zip(spec.tree.preorder(), beta[spec.tree.preorder_index].tolist())))
+    beta = _bubble_from_value(spec, _conditional_value_process(spec, pricing), tol)
+    return AdaptedProcess(NodeValues(spec.tree, beta))
 
 
 def _bubble_from_value(spec: MarketSpec, val: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -283,7 +277,7 @@ class DominancePair:
     hedge_cost: float
     asset_cost: float
     fundamental_root: float
-    gain_gap: dict[str, float]
+    gain_gap: Mapping[str, float]
 
     @property
     def min_gap(self) -> float:
@@ -319,7 +313,7 @@ def find_dominating_strategy(
     if s0_hat - hedge.price <= tol:
         return None
     # hedge gains dominate cf - x'; buy-and-hold gains are cf - price
-    gap = {leaf: s + (s0_hat - hedge.price) for leaf, s in hedge.slack.items()}
+    gap = NodeValues(tree, hedge.slack.array + (s0_hat - hedge.price), hedge.slack.mask)
     return DominancePair(
         hedge=hedge,
         buy_and_hold=Strategy({n: 1.0 for n in tree.non_leaves()}),
@@ -347,17 +341,9 @@ def bubble_processes(
     spec: MarketSpec, pricing: MeasureFamily
 ) -> tuple[AdaptedProcess, AdaptedProcess, AdaptedProcess]:
     """S*, W* and the bubble, from the one cash-flow sweep (W*)."""
-    val, runs = _conditional_value_process(spec, pricing)
-    w_star, beta = AdaptedProcess(_gather(spec.tree, val, runs)), _bubble_from_value(spec, val)
-    beta = AdaptedProcess(dict(zip(spec.tree.preorder(), beta[spec.tree.preorder_index].tolist())))
-    return _price_from_value(spec, val), w_star, beta
-
-
-def _bubble_maps(spec: MarketSpec, pricing: MeasureFamily) -> tuple[NodeValues, NodeValues, NodeValues]:
-    """``bubble_processes``' three as ``NodeValues`` over the sweep's arrays, no dict built."""
-    val, p, tree = _conditional_value_process(spec, pricing)[0], spec.processes, spec.tree
-    beta = _bubble_from_value(spec, val)
-    return NodeValues(tree, val - p.cum, p.tau < 0), NodeValues(tree, val), NodeValues(tree, beta)
+    val, tree = _conditional_value_process(spec, pricing), spec.tree
+    beta = NodeValues(tree, _bubble_from_value(spec, val))
+    return tuple(map(AdaptedProcess, (_price_from_value(spec, val), NodeValues(tree, val), beta)))
 
 
 def analyze_bubble(
@@ -366,8 +352,8 @@ def analyze_bubble(
     actual: MeasureFamily | None = None,
     tol: float = 1e-9,
 ) -> BubbleReport:
-    """``bubble_processes``, over ``NodeValues``, classified and checked."""
-    s_star, w_star, beta = map(AdaptedProcess, _bubble_maps(spec, pricing))
+    """``bubble_processes``, classified and checked."""
+    s_star, w_star, beta = bubble_processes(spec, pricing)
     classification = classify_bubble(spec, pricing, beta, actual, tol=tol)
     properties = check_bubble_properties(spec, pricing, actual, beta, tol=tol)
     return BubbleReport(

@@ -18,15 +18,13 @@ import numpy as np
 from .ambiguity import (
     CapExceededError,
     MeasureFamily,
-    _at,
     _backward,
-    _gather,
     _runs,
-    _valued_runs,
+    _valued,
     enumerate_extreme_measures,
     node_charged,
 )
-from .lattice import AdaptedProcess, MarketSpec, discount_factors, require_valid
+from .lattice import AdaptedProcess, MarketSpec, NodeValues, discount_factors, require_valid
 
 CLAIM_KINDS = ("forward", "euro_call", "euro_put", "amer_call", "amer_put", "custom_terminal")
 
@@ -103,17 +101,17 @@ def terminal_payoff(spec: MarketSpec, claim: Claim) -> dict[str, float]:
 def _claim_values(
     spec: MarketSpec, pricing: MeasureFamily, claim: Claim, actual: MeasureFamily | None,
     t0: int = 0, negate: bool = False,
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Upper conditional expectation of the claim's terminal payoff (of its
     negation with ``negate``) at the nodes of times ``t0..T`` where it is
     defined, after ``validate_claim``: a whole-tree level-order array, and
-    those nodes' runs in result order (``_valued_runs``)."""
+    the mask of those nodes (``_valued``)."""
     validate_claim(spec, claim, actual)
     tree, T = spec.tree, claim.maturity
     runs = _runs(tree, tree.root, T)[t0:]  # whole levels, times t0..T
     (lo, hi), x, payoff = runs[-1], np.zeros(len(tree)), _intrinsic(spec, claim, T)
     x[lo:hi] = -payoff if negate else payoff
-    return _backward(pricing, x, runs), _valued_runs(pricing, runs)
+    return _backward(pricing, x, runs), _valued(pricing, runs)
 
 
 def fundamental_claim_price(
@@ -123,7 +121,7 @@ def fundamental_claim_price(
     to maturity (European-style claims, forwards, custom terminal payoffs)."""
     if claim.kind in ("amer_call", "amer_put"):
         raise ValueError("American claims are priced by american_fundamental_price")
-    return AdaptedProcess(_gather(spec.tree, *_claim_values(spec, pricing, claim, actual)))
+    return AdaptedProcess(NodeValues(spec.tree, *_claim_values(spec, pricing, claim, actual)))
 
 
 def asset_fundamental(
@@ -141,8 +139,8 @@ def asset_bubble(
 ) -> AdaptedProcess:
     """Discounted price minus the claim-horizon fundamental value, at the
     nodes where that is defined."""
-    x, runs = _claim_values(spec, pricing, Claim("forward", maturity, 0.0), actual)
-    return AdaptedProcess(_gather(spec.tree, spec.processes.S - x, runs))
+    x, mask = _claim_values(spec, pricing, Claim("forward", maturity, 0.0), actual)
+    return AdaptedProcess(NodeValues(spec.tree, spec.processes.S - x, mask))
 
 
 @dataclass(frozen=True)
@@ -182,13 +180,13 @@ def parity_bounds(
     """Sandwich of the call-put spread between the lower and upper
     expectations of the forward payoff, per node at time t."""
     fwd = Claim("forward", maturity, strike)
-    call, runs = _claim_values(spec, pricing, Claim("euro_call", maturity, strike), actual)
+    call, mask = _claim_values(spec, pricing, Claim("euro_call", maturity, strike), actual)
     put, _ = _claim_values(spec, pricing, Claim("euro_put", maturity, strike), actual)
     starts = spec.tree.level_starts
     per_node = {}
     if 0 <= t <= maturity:  # the nodes of time t that hold a value
-        at = [(lo, hi) for lo, hi in runs if starts[t] <= lo < starts[t + 1]]
-        ids, idx = _at(spec.tree, at)
+        idx = starts[t] + np.flatnonzero(mask[starts[t] : starts[t + 1]])
+        ids = map(spec.tree.level_order.__getitem__, idx.tolist())
         lower = -_claim_values(spec, pricing, fwd, actual, t, negate=True)[0][idx]
         upper = _claim_values(spec, pricing, fwd, actual, t)[0][idx]
         triples = map(ParityTriple, lower.tolist(), (call[idx] - put[idx]).tolist(), upper.tolist())
@@ -316,15 +314,15 @@ def american_fundamental_price(
     node the larger of immediate (discounted-strike) exercise and the upper
     expectation of continuing (``_backward``; no value at polar nodes). Ties
     exercise, so the exercise region is closed and deterministic."""
-    x, runs, stop = _american_values(spec, pricing, claim, actual)
-    return AmericanResult(AdaptedProcess(_gather(spec.tree, x, runs)),
+    x, mask, stop = _american_values(spec, pricing, claim, actual)
+    return AmericanResult(AdaptedProcess(NodeValues(spec.tree, x, mask)),
                           frozenset(itertools.compress(spec.tree.level_order, stop.tolist())))
 
 
 def _american_values(
     spec: MarketSpec, pricing: MeasureFamily, claim: Claim, actual: MeasureFamily | None
-) -> tuple[np.ndarray, list[tuple[int, int]], np.ndarray]:
-    """The American DP as a whole-tree array, its result runs and its exercise mask."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The American DP as a whole-tree array, its result mask and its exercise mask."""
     if claim.kind not in ("amer_call", "amer_put"):
         raise ValueError("american_fundamental_price prices amer_call / amer_put")
     validate_claim(spec, claim, actual)
@@ -334,7 +332,7 @@ def _american_values(
     x, stop = np.zeros(len(tree)), np.zeros(len(tree), bool)
     lo, hi = runs[-1]
     x[lo:hi], stop[lo:hi] = floor[lo:hi], True
-    return _backward(pricing, x, runs, floor=floor, stop=stop), _valued_runs(pricing, runs), stop
+    return _backward(pricing, x, runs, floor=floor, stop=stop), _valued(pricing, runs), stop
 
 
 def _stopping_rule_count(tree, node: str, T: int, memo: dict) -> int:
@@ -432,10 +430,11 @@ def american_bounds(
     """American call bounds: the European value from below, the European
     value plus the asset bubble from above; and the same squeeze shifted by
     claim bubbles for market prices when those are supplied."""
-    euro, runs = _claim_values(spec, pricing, Claim("euro_call", maturity, strike), actual)
+    euro, mask = _claim_values(spec, pricing, Claim("euro_call", maturity, strike), actual)
     amer = _american_values(spec, pricing, Claim("amer_call", maturity, strike), actual)[0]
     fwd = _claim_values(spec, pricing, Claim("forward", maturity, 0.0), actual)[0]
-    ids, idx = _at(spec.tree, runs)
+    idx = spec.tree.preorder_index[mask[spec.tree.preorder_index]]  # valued nodes, in preorder
+    ids = map(spec.tree.level_order.__getitem__, idx.tolist())
     ce, ca = euro[idx], amer[idx]
     d = spec.processes.S[idx] - fwd[idx]  # the asset bubble
     lower_slack, upper_slack = ca - ce, ce + d - ca

@@ -36,7 +36,7 @@ from .ambiguity import (
     cond_expectation,
     validate_family,
 )
-from .bubble import _bubble_maps, analyze_bubble, find_dominating_strategy
+from .bubble import analyze_bubble, bubble_processes, find_dominating_strategy
 from .claims import (
     AssumptionViolationError,
     Claim,
@@ -389,8 +389,8 @@ def parse_market_file(path: str) -> ParsedMarket:
 
 
 def parse_payoff_file(path: str, tree: EventTree) -> dict[str, float]:
-    """Load a ``hedge --payoff-file``: a JSON object mapping leaves of
-    ``tree`` to finite numbers, checked as market-file number maps are.
+    """Load a ``hedge --payoff-file``: a JSON object mapping every leaf of
+    ``tree`` to a finite number, checked as market-file number maps are.
     Anything else raises ``MarketFileError`` naming the file and field."""
     where = f"payoff file {path}"
     doc = _load_json(path, where)
@@ -402,6 +402,9 @@ def parse_payoff_file(path: str, tree: EventTree) -> dict[str, float]:
     inner = sorted(n for n in payoff if not tree.is_leaf(n))
     if inner:
         raise MarketFileError(f"{where}: payoffs sit at leaves, not at {inner}")
+    missing = sorted(n for n in tree.leaves if n not in payoff)
+    if missing:
+        raise MarketFileError(f"{where}: payoff missing at leaves {missing}")
     return payoff
 
 
@@ -445,7 +448,7 @@ def _process_table(spec: MarketSpec, s_star, w_star, beta) -> dict[str, Mapping[
     price = (dict(spec.price) if len(spec.price) > len(tree) else NodeValues(
         tree, np.fromiter(map(spec.price.__getitem__, tree.level_order), float, len(tree))))
     return {"S": price, "W": NodeValues(tree, p.W), "B": NodeValues(tree, p.B),
-            "Sstar": s_star, "Wstar": w_star, "beta": beta}
+            "Sstar": s_star.values, "Wstar": w_star.values, "beta": beta.values}
 
 
 def _claim(options: Mapping[str, Any], tree: EventTree, missing: str) -> Claim:
@@ -514,7 +517,7 @@ def _analyze(report, parsed, pricing, ftap, tol, options):
         report.diagnostics[f"{name}_nodes"] = sorted(nodes)
     report.diagnostics["beta_0"] = rep.beta[tree.root]
     report.diagnostics["tau_kind"] = spec.tau_kind
-    return rep.S_star.values, rep.W_star.values, rep.beta.values
+    return rep.S_star, rep.W_star, rep.beta
 
 
 def _price(report, parsed, pricing, ftap, tol, options):
@@ -530,7 +533,7 @@ def _price(report, parsed, pricing, ftap, tol, options):
         report.processes["claim_value"] = proc.values
         value = proc[tree.root]
     report.verdicts["value"] = value
-    return _bubble_maps(spec, pricing)
+    return bubble_processes(spec, pricing)
 
 
 def _hedge(report, parsed, pricing, ftap, tol, options):
@@ -541,7 +544,7 @@ def _hedge(report, parsed, pricing, ftap, tol, options):
     report.verdicts["duality_gap"] = result.duality_gap
     report.processes["hedge_pi"] = result.hedge.strategy.pi
     report.processes["hedge_slack"] = result.hedge.slack
-    return _bubble_maps(spec, pricing)
+    return bubble_processes(spec, pricing)
 
 
 def _primal_hedge(report, parsed, pricing, ftap, tol, options):
@@ -552,7 +555,7 @@ def _primal_hedge(report, parsed, pricing, ftap, tol, options):
 
 def _classify(report, parsed, pricing, ftap, tol, options):
     spec, which = parsed.spec, options["process"]
-    s_star, w_star, beta = _bubble_maps(spec, pricing)
+    s_star, w_star, beta = bubble_processes(spec, pricing)
     named = {"S": spec.processes.stopped, "W": spec.processes.W, "Wstar": w_star, "beta": beta}
     if which not in named:
         raise MarketFileError(f"unknown process {which!r}")
@@ -567,7 +570,7 @@ def _classify(report, parsed, pricing, ftap, tol, options):
 
 def _dominance(report, parsed, pricing, ftap, tol, options):
     spec = parsed.spec
-    s_star, w_star, beta = _bubble_maps(spec, pricing)
+    s_star, w_star, beta = bubble_processes(spec, pricing)
     pair = find_dominating_strategy(spec, pricing, parsed.actual, tol=tol,
                                     fundamental_root=s_star[spec.tree.root])
     if pair is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
+from collections.abc import ItemsView, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -262,7 +263,7 @@ class StoppingTime:
 class AdaptedProcess:
     """Real value per node. May live on a sub-domain such as {t < tau}."""
 
-    values: dict[str, float]
+    values: Mapping[str, float]
 
     def __getitem__(self, nid: str) -> float:
         return self.values[nid]
@@ -285,21 +286,59 @@ class AdaptedProcess:
 
 class NodeValues(Mapping):
     """A process as a read-only map of node ids to floats, iterated in preorder: ``array[g]``
-    at node g of ``tree.level_order`` where ``mask`` (by default every node) is set."""
+    at node g of ``tree.level_order`` where ``mask`` (by default every node) is set. Both are
+    read-only views; ``dict(r.items())`` is a mutable copy."""
 
     def __init__(self, tree: EventTree, array: np.ndarray, mask: np.ndarray | None = None):
-        self.tree, self.array, self.mask = tree, array, np.ones(len(tree), bool) if mask is None else mask
+        self.tree, self.array = tree, array.view()
+        self.mask = np.ones(len(tree), bool) if mask is None else mask.view()
+        self.array.flags.writeable = self.mask.flags.writeable = False
 
     def __getitem__(self, nid: str) -> float:
-        if not self.mask[g := self.tree.index(nid)]:  # a KeyError off the tree
-            raise KeyError(nid)
-        return self.array[g].item()
+        tree = self.tree  # ``tree.index`` inlined, ``item``: one Python call, no numpy scalar
+        if self.mask.item(g := 0 if nid == tree.root else tree._index[nid]):  # KeyError off the tree
+            return self.array.item(g)
+        raise KeyError(nid)
 
     def __iter__(self) -> Iterator[str]:
         return itertools.compress(self.tree.preorder(), self.mask[self.tree.preorder_index].tolist())
 
     def __len__(self) -> int:
-        return int(self.mask.sum())
+        return int(np.count_nonzero(self.mask))
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+    def _listed(self) -> list[float]:
+        """The values, in preorder, from one ``tolist``."""
+        return self.array[self.tree.preorder_index[self.mask[self.tree.preorder_index]]].tolist()
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._listed())
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._listed())
+
+
+def _level_values(tree: EventTree, process: Mapping[str, float] | np.ndarray):
+    """``process`` as level-order values (0.0 where none) and the mask of those it has."""
+    order, n = tree.level_order, len(tree)
+    if isinstance(process, np.ndarray):
+        return process, np.ones(n, bool)
+    if isinstance(process, NodeValues) and process.tree is tree:
+        return np.where(process.mask, process.array, 0.0), process.mask
+    have = np.fromiter(map(process.__contains__, order), bool, n)
+    return np.fromiter(map(process.get, order, itertools.repeat(0.0)), float, n), have
 
 
 @dataclass(frozen=True)
@@ -307,7 +346,7 @@ class Strategy:
     """Risky-asset holdings: pi[n] is the position taken at node n and held
     over the following step. Nodes absent from the map hold zero."""
 
-    pi: dict[str, float]
+    pi: Mapping[str, float]
 
     def holding(self, nid: str) -> float:
         return self.pi.get(nid, 0.0)
@@ -618,8 +657,8 @@ def gains_process(
         if p < 0:
             raise ShortSaleViolationError(f"negative holding {p} at node {n!r}")
     tree, W = spec.tree, spec.processes.W
-    par, off, pre = tree.parent_index, tree.child_offsets, tree.preorder_index
-    h = np.fromiter(map(strategy.holding, tree.level_order), float, len(tree))
+    par, off = tree.parent_index, tree.child_offsets
+    h = _level_values(tree, strategy.pi)[0]
     G = np.zeros(len(tree))
     for a, b in zip(tree.level_starts[1:], tree.level_starts[2:]):
         p = par[a:b]
@@ -628,16 +667,15 @@ def gains_process(
     # the holding may change only where wealth is zero, at the non-root inner nodes
     shift = np.abs((h[1:] - h[par[1:]]) * W[1:])[off[2:] > off[1:-1]]
     self_financing = not (shift > tol).any()
-    G, V = (AdaptedProcess(dict(zip(tree.preorder(), x[pre].tolist()))) for x in (G, V))
-    return GainsResult(G, V, self_financing)
+    return GainsResult(*(AdaptedProcess(NodeValues(tree, x)) for x in (G, V)), self_financing)
 
 
 def strategy_eta(spec: MarketSpec, strategy: Strategy) -> AdaptedProcess:
     """Money-market leg implied by a self-financing risky position: the
     holding times collected dividends plus payoff once matured (which is
     wealth from tau on)."""
-    nodes, held = spec.tree.preorder(), _collected(spec)[spec.tree.preorder_index].tolist()
-    return AdaptedProcess(dict(zip(nodes, map(operator.mul, map(strategy.holding, nodes), held))))
+    held = _level_values(spec.tree, strategy.pi)[0] * _collected(spec)
+    return AdaptedProcess(NodeValues(spec.tree, held))
 
 
 def cash_flow_payoff(spec: MarketSpec) -> dict[str, float]:

@@ -51,6 +51,7 @@ from .ambiguity import (
 )
 from .lattice import (
     MarketSpec,
+    NodeValues,
     Strategy,
     gains_process,
     require_valid,
@@ -96,7 +97,7 @@ class ArbitrageCertificate:
 class HedgeSolution:
     price: float
     strategy: Strategy
-    slack: dict[str, float]
+    slack: Mapping[str, float]
 
 
 @dataclass(frozen=True)
@@ -306,8 +307,7 @@ def superhedge(
     inner = off[1:] > off[:-1]
     at = pre[(charged & ~inner)[pre]]  # the charged leaves, in preorder
     leaves = [order[g] for g in at.tolist()]
-    missing = [l for l in leaves if l not in payoff]
-    if missing:
+    if missing := [l for l in leaves if l not in payoff]:
         raise ValueError(f"payoff missing at leaves {missing}")
 
     V = np.full(len(order), np.nan)
@@ -328,9 +328,8 @@ def superhedge(
         need = (V[h:e] - X[p]) / np.where(d > _STEP_TOL, d, np.nan)
         pi[g:h] = np.fmax(np.fmax.reduceat(need, off[g:h] - h), 0.0)
         X[h:e] = X[p] + pi[p] * d
-    slack = dict(zip(leaves, (X[at] - V[at]).tolist()))
-    holding = dict(zip(tree.non_leaves(), pi[pre[inner[pre]]].tolist()))
-    return HedgeSolution(price=price, strategy=Strategy(holding), slack=slack)
+    slack = NodeValues(tree, X - V, charged & ~inner)
+    return HedgeSolution(price=price, strategy=Strategy(NodeValues(tree, pi, inner)), slack=slack)
 
 
 def robust_price(

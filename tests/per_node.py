@@ -20,6 +20,12 @@ the market's processes as level-order arrays (``MarketSpec.processes``);
 ``gains_process`` the two preorder loops of ``lattice.gains_process``
 before it stepped one level at a time over ``MarketSpec.processes``.
 
+``upper_sweep`` and ``american_values`` are the claim and cash-flow
+recursions one node at a time (``TransitionSet.maximize`` per node, or the
+explicit passes below), keyed in preorder as the library's ``NodeValues``
+results are; ``hedge_slack`` replays a hedge's price and holdings down each
+path, node by node, to its terminal capital minus the payoff.
+
 ``check_bubble_properties`` is ``bubble.check_bubble_properties`` as it
 read the bubble node by node: the charged nodes' values in preorder, and for
 persistence a walk down each zero-bubble node's subtree to its first
@@ -473,6 +479,64 @@ def check_bubble_properties(
     return BubblePropertyReport(nonneg, vanishes, persistence)
 
 
+# -- per-node results, one node at a time --------------------------------------
+
+def upper_sweep(family: MeasureFamily, values: Mapping[str, float], t: int) -> dict[str, float]:
+    """The upper conditional expectation of the time-``t`` slice ``values`` at
+    every node at or above ``t`` that the family values, in preorder: for a
+    rectangular family one ``maximize`` per node from ``t`` up, for an explicit
+    one ``explicit_cond_upper`` at each charged node."""
+    tree = family.tree
+    if isinstance(family, ExplicitFamily):
+        on, masses = explicit_charged(family), explicit_masses(family)
+        return {n: explicit_cond_upper(family, values, n, t, masses)
+                for n in tree.preorder() if tree.time(n) <= t and n in on}
+    V = {n: float(values[n]) for n in tree.level(t)}
+    for s in range(t - 1, -1, -1):
+        for n in tree.level(s):
+            V[n] = family.transitions[n].maximize([V[c] for c in tree.children(n)])[0]
+    return {n: V[n] for n in tree.preorder() if n in V}
+
+
+def american_values(
+    spec: MarketSpec, family: MeasureFamily, claim: Claim
+) -> tuple[dict[str, float], frozenset[str]]:
+    """The American price up to maturity, in preorder, and the exercise region:
+    for a rectangular family the DP one ``maximize`` per node (ties exercise),
+    for an explicit one ``explicit_american``."""
+    if isinstance(family, ExplicitFamily):
+        return explicit_american(spec, family, claim)
+    tree, T = spec.tree, claim.maturity
+    Z = {}
+    for t in range(T + 1):
+        Z.update(zip(tree.level(t), _intrinsic(spec, claim, t).tolist()))
+    V = {n: Z[n] for n in tree.level(T)}
+    exercise = set(V)
+    for t in range(T - 1, -1, -1):
+        for n in tree.level(t):
+            cont = family.transitions[n].maximize([V[c] for c in tree.children(n)])[0]
+            if Z[n] >= cont:
+                V[n] = Z[n]
+                exercise.add(n)
+            else:
+                V[n] = cont
+    return {n: V[n] for n in tree.preorder() if n in V}, frozenset(exercise)
+
+
+def hedge_slack(
+    spec: MarketSpec, hedge: HedgeSolution, payoff: Mapping[str, float], leaves: Sequence[str]
+) -> dict[str, float]:
+    """The terminal capital of ``hedge`` (its price at the root, then its
+    holdings' gains node by node down each path) minus the payoff, at
+    ``leaves``."""
+    tree, W = spec.tree, wealth_process(spec).values
+    X = {tree.root: hedge.price}
+    for n in tree.preorder()[1:]:
+        par = tree.parent(n)
+        X[n] = X[par] + hedge.strategy.holding(par) * (W[n] - W[par])
+    return {leaf: X[leaf] - float(payoff[leaf]) for leaf in leaves}
+
+
 # -- explicit families, node by node -------------------------------------------
 
 def explicit_masses(family: ExplicitFamily) -> tuple[dict[str, float], ...]:
@@ -522,12 +586,8 @@ def explicit_cond_upper(
 
 
 def explicit_claim_values(spec: MarketSpec, family: ExplicitFamily, claim: Claim) -> dict:
-    """A European claim's values at the charged nodes up to maturity, level
-    by level from the root."""
-    tree, T, masses = spec.tree, claim.maturity, explicit_masses(family)
-    target, on = terminal_payoff(spec, claim), explicit_charged(family)
-    return {n: explicit_cond_upper(family, target, n, T, masses)
-            for t in range(T + 1) for n in tree.level(t) if n in on}
+    """A European claim's values at the charged nodes up to maturity, in preorder."""
+    return upper_sweep(family, terminal_payoff(spec, claim), claim.maturity)
 
 
 def explicit_value_process(spec: MarketSpec, family: ExplicitFamily) -> dict[str, float]:
@@ -582,8 +642,8 @@ def explicit_classify(
 def explicit_american(
     spec: MarketSpec, family: ExplicitFamily, claim: Claim
 ) -> tuple[dict[str, float], frozenset[str]]:
-    """The American price at each charged node up to maturity, level by level
-    from the root, and the exercise region: each measure's Snell envelope on
+    """The American price at each charged node up to maturity, in preorder,
+    and the exercise region: each measure's Snell envelope on
     unnormalized masses, V(n) = max(m(n) Z(n), sum of V over the children),
     and at each node the largest continuation sum over its mass among the
     measures charging it, exercised where the payoff is at least that."""
@@ -609,5 +669,4 @@ def explicit_american(
                 value[n] = Z[n] if Z[n] >= best else best
                 if Z[n] >= best:
                     exercise.add(n)
-    order = [n for t in range(T + 1) for n in tree.level(t) if n in value]
-    return {n: value[n] for n in order}, frozenset(exercise)
+    return {n: value[n] for n in tree.preorder() if n in value}, frozenset(exercise)

@@ -698,6 +698,36 @@ def test_bad_payoff_file_exits_1_with_context(tmp_path, capsys, content, context
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("market", ["branch3-discovered", "ex1-without-pricing"])
+@pytest.mark.parametrize("given", ["one-leaf", "empty"])
+def test_payoff_file_missing_leaves_exits_1_naming_the_file(tmp_path, capsys, market, given):
+    """With a pricing family (branch3's discovered one) and without one (ex1
+    without its pricing block admits an arbitrage), a payoff file that misses
+    leaves is one input error: exit 1, naming the file and the missing leaves."""
+    if market == "ex1-without-pricing":
+        doc = json.loads(open(data_file("ex1.market")).read())
+        del doc["pricing"]
+        path = tmp_path / "ex1-discovered.market"
+        path.write_text(json.dumps(doc))
+    else:
+        path = data_file(f"{market}.market")
+    leaves = parse_market_file(str(path)).spec.tree.leaves
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps(dict.fromkeys(leaves, 1.0)))
+    # the whole payoff runs the path: a hedge on the discovered family, or the primal
+    # hedge alone, which ex1's strong arbitrage leaves unbounded
+    assert main(["hedge", "--payoff-file", str(full), str(path)]) == (
+        0 if market == "branch3-discovered" else 3)
+    capsys.readouterr()
+    payoff = tmp_path / "payoff.json"
+    payoff.write_text(json.dumps({leaves[0]: 1.0} if given == "one-leaf" else {}))
+    rc = main(["hedge", "--payoff-file", str(payoff), str(path)])
+    captured = capsys.readouterr()
+    missing = sorted(leaves[1:] if given == "one-leaf" else leaves)
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: payoff file {payoff}: payoff missing at leaves {missing}\n"
+
+
 def test_missing_payoff_file_exits_1(capsys):
     rc = main(["hedge", "--payoff-file", "no-such-payoff.json", data_file("ex1geom.market")])
     assert rc == 1

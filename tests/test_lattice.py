@@ -447,3 +447,26 @@ def test_gains_process_equals_the_preorder_loops():
             assert ref.self_financing is got.self_financing
             outcomes.add(got.self_financing)
     assert count >= 200 and changed >= 10 and outcomes == {True, False}
+
+
+def test_gains_process_reads_node_values_holdings_as_their_array(monkeypatch):
+    """A superhedge's holdings on fiat(10) (a ``NodeValues`` over the tree's
+    inner nodes) give the gains and value of the same holdings in a dict,
+    bitwise and in the same key order, with no per-node read of the holdings."""
+    from bubbletree.lattice import NodeValues
+    from bubbletree.noarb import superhedge
+
+    fx = fixtures.fiat(10)
+    spec, tree = fx.spec, fx.spec.tree
+    payoff = {leaf: max(w - 0.9, 0.0) for leaf, w in wealth_process(spec).values.items()
+              if tree.is_leaf(leaf)}
+    pi = superhedge(spec, payoff, fx.family).strategy.pi
+    assert len(pi) == 1023 and len(set(pi.values())) > 100
+    want = gains_process(spec, Strategy(dict(pi.items())))
+    calls = []
+    monkeypatch.setattr(NodeValues, "__getitem__", lambda self, nid: calls.append(nid))
+    got = gains_process(spec, Strategy(pi))
+    assert calls == []
+    assert repr(got.gains.values) == repr(want.gains.values)
+    assert repr(got.value.values) == repr(want.value.values)
+    assert got.self_financing is want.self_financing

@@ -14,19 +14,30 @@ import re
 import numpy as np
 import pytest
 
+import per_node
 from per_node import explicit_american
 
 from bubbletree import fixtures
 from bubbletree.ambiguity import (
     BoxSets,
     ExplicitFamily,
+    PolarNodeError,
     RectangularFamily,
     TransitionSet,
     cond_expectation,
     expectation_sweep,
     node_charged,
 )
-from bubbletree.bubble import _bubble_from_value, _conditional_value_process, bubble_processes
+from bubbletree.bubble import (
+    _bubble_from_value,
+    _conditional_value_process,
+    bubble_process,
+    bubble_processes,
+    find_dominating_strategy,
+    fundamental_price,
+    fundamental_wealth,
+    stopped_price_process,
+)
 from bubbletree.claims import (
     Claim,
     ParityTriple,
@@ -38,8 +49,8 @@ from bubbletree.claims import (
     parity_bounds,
     terminal_payoff,
 )
-from bubbletree.lattice import cash_flow_payoff
-from bubbletree.noarb import supermartingale_family
+from bubbletree.lattice import NodeValues, Strategy, cash_flow_payoff, gains_process, strategy_eta
+from bubbletree.noarb import UnboundedHedgeError, superhedge, supermartingale_family
 
 
 # -- the dict-based references ------------------------------------------------
@@ -48,9 +59,8 @@ def ref_claim(spec, pricing, claim) -> dict:
     target = terminal_payoff(spec, claim)
     if isinstance(pricing, RectangularFamily):
         return expectation_sweep(pricing, target)
-    return {n: cond_expectation(pricing, target, n, "upper")
-            for t in range(claim.maturity + 1) for n in spec.tree.level(t)
-            if node_charged(pricing, n)}
+    return {n: cond_expectation(pricing, target, n, "upper") for n in spec.tree.preorder()
+            if spec.tree.time(n) <= claim.maturity and node_charged(pricing, n)}
 
 
 def ref_american(spec, pricing, claim) -> tuple[dict, frozenset]:
@@ -71,7 +81,7 @@ def ref_american(spec, pricing, claim) -> tuple[dict, frozenset]:
                 exercise.add(n)
             else:
                 V[n] = cont
-    return V, frozenset(exercise)
+    return {n: V[n] for n in tree.preorder() if n in V}, frozenset(exercise)
 
 
 def ref_asset_bubble(spec, pricing, T) -> dict:
@@ -109,9 +119,8 @@ def ref_bubble_processes(spec, pricing) -> tuple[dict, dict, dict]:
     cf = cash_flow_payoff(spec)
     if isinstance(pricing, RectangularFamily):
         val = expectation_sweep(pricing, cf)
-    else:  # keyed as the shared recursion keys W*: levels from the leaves up
-        val = {n: cond_expectation(pricing, cf, n, "upper")
-               for t in range(tree.horizon, -1, -1) for n in tree.level(t)}
+    else:
+        val = {n: cond_expectation(pricing, cf, n, "upper") for n in tree.preorder()}
     s_star = {n: val[n] - d.cum[n] for n in tree.preorder() if d.taumap[n] is None}
     beta = {n: spec.price[n] / d.B[n] - (val[n] - d.cum[n]) if d.taumap[n] is None else 0.0
             for n in tree.preorder()}
@@ -227,10 +236,121 @@ def test_bubble_identity_check_names_the_first_node_in_preorder():
         if pairs:
             break
     a, b = pairs[0]
-    val, _ = _conditional_value_process(spec, fx.family)
+    val = _conditional_value_process(spec, fx.family)
     _bubble_from_value(spec, val)  # the unmutated value process passes
     bad = val.copy()
     for n, shift in ((a, 0.5), (b, 2.0)):
         bad[tree.index(n)] = spec.processes.W[tree.index(n)] + shift
     with pytest.raises(AssertionError, match=re.escape(f"violated at {a!r} by 0.5")):
         _bubble_from_value(spec, bad)
+
+
+# -- every per-node result a NodeValues, against the per-node oracle ------------
+
+def _node_values(got, ref: dict, tree) -> None:
+    """``got`` is a ``NodeValues`` over read-only arrays, keyed as ``ref`` in
+    preorder, with ``ref``'s values bitwise, equal to its own dict copy both
+    ways, and without the nodes off its mask."""
+    assert isinstance(got, NodeValues)
+    assert not got.array.flags.writeable and not got.mask.flags.writeable
+    assert list(ref) == [n for n in tree.preorder() if n in ref]
+    assert list(got) == list(ref) and len(got) == len(ref)
+    _same(got, ref)
+    copy = dict(got)
+    assert got == copy and copy == got and repr(got) == repr(copy)
+    for n in [n for n in tree.preorder() if n not in ref][:1] + ["no such node"]:
+        with pytest.raises(KeyError):
+            got[n]
+
+
+def _wealth_or_polar(spec, fam):
+    """The per-node W*, or None where an explicit family leaves a node polar."""
+    try:
+        if isinstance(fam, ExplicitFamily):
+            return per_node.explicit_value_process(spec, fam)
+        return per_node.upper_sweep(fam, cash_flow_payoff(spec), spec.tree.horizon)
+    except PolarNodeError:
+        return None
+
+
+def test_per_node_results_are_node_values_equal_to_the_per_node_oracle():
+    """The claims, sweeps, bubbles, hedges, gains and gain gaps on 120
+    generated markets under box, vertex-list, discovered-cut and explicit
+    families. The oracle's holdings may differ where the hedge's optimum is
+    not unique, so a hedge's holdings are held to it by their keys and to the
+    slack they imply by a per-node replay."""
+    markets, names, gaps = 0, set(), 0
+    for seed in range(120):
+        claims = seed % 2 == 0
+        gen = fixtures.rand_claim_market if claims else fixtures.rand_market
+        fx = gen(seed, depth=1 + seed % 4, branching=2 + seed % 2,
+                 style=("neutral", "bumped", "free")[seed // 2 % 3])
+        spec, tree = fx.spec, fx.spec.tree
+        d, H, rng = spec.derived, tree.horizon, np.random.default_rng(seed)
+        s0 = spec.price[tree.root]
+        markets += 1
+        _node_values(stopped_price_process(spec).values, per_node.stopped_price(spec), tree)
+        for name, fam in families(fx, seed, full_support=seed % 3 == 0):
+            if name not in ("box", "vertex", "cuts", "explicit"):
+                continue
+            names.add(name)
+            if claims:
+                for T in sorted({1, H}):
+                    claim = Claim("euro_call", T, s0)
+                    _node_values(fundamental_claim_price(spec, fam, claim).values,
+                                 per_node.upper_sweep(fam, terminal_payoff(spec, claim), T), tree)
+                    star = per_node.upper_sweep(fam, terminal_payoff(spec, Claim("forward", T)), T)
+                    _node_values(asset_bubble(spec, fam, T).values,
+                                 {n: spec.price[n] / d.B[n] - v for n, v in star.items()}, tree)
+                    res = american_fundamental_price(spec, fam, Claim("amer_put", T, s0))
+                    values, exercise = per_node.american_values(spec, fam, Claim("amer_put", T, s0))
+                    _node_values(res.process.values, values, tree)
+                    assert res.exercise == exercise
+            if not isinstance(fam, ExplicitFamily):
+                t = int(rng.integers(H + 1))
+                values = {n: float(rng.normal()) for n in tree.level(t)}
+                _node_values(expectation_sweep(fam, values), per_node.upper_sweep(fam, values, t), tree)
+
+            w_star = _wealth_or_polar(spec, fam)
+            if w_star is None:
+                with pytest.raises(PolarNodeError):
+                    bubble_processes(spec, fam)
+            else:
+                s_star = {n: w_star[n] - d.cum[n] for n in tree.preorder() if d.taumap[n] is None}
+                beta = {n: spec.price[n] / d.B[n] - (w_star[n] - d.cum[n])
+                        if d.taumap[n] is None else 0.0 for n in tree.preorder()}
+                for got, want in zip(bubble_processes(spec, fam), (s_star, w_star, beta)):
+                    _node_values(got.values, want, tree)
+                _node_values(fundamental_price(spec, fam).values, s_star, tree)
+                _node_values(fundamental_wealth(spec, fam)[0].values, w_star, tree)
+                _node_values(bubble_process(spec, fam).values, beta, tree)
+
+            actual = fam.with_role("actual")
+            payoff = {leaf: float(rng.uniform(0, 2)) for leaf in tree.leaves}
+            try:
+                hedge = superhedge(spec, payoff, actual)
+            except UnboundedHedgeError:
+                with pytest.raises(UnboundedHedgeError):
+                    per_node.superhedge(spec, payoff, actual)
+                continue
+            ref = per_node.superhedge(spec, payoff, actual)
+            _node_values(hedge.slack, per_node.hedge_slack(spec, hedge, payoff, list(ref.slack)), tree)
+            pi = hedge.strategy.pi
+            _node_values(pi, {n: pi[n] for n in ref.strategy.pi}, tree)
+            for strategy in (hedge.strategy, Strategy(dict(pi.items()))):
+                got, want = gains_process(spec, strategy), per_node.gains_process(spec, strategy)
+                _node_values(got.gains.values, want.gains.values, tree)
+                _node_values(got.value.values, want.value.values, tree)
+                assert got.self_financing is want.self_financing
+                _node_values(strategy_eta(spec, strategy).values,
+                             per_node.strategy_eta(spec, strategy).values, tree)
+            if w_star is None or (pair := find_dominating_strategy(spec, fam, actual)) is None:
+                continue
+            gaps += 1
+            cf = {leaf: v - d.cum[tree.root] for leaf, v in cash_flow_payoff(spec).items()}
+            leaves = list(per_node.superhedge(spec, cf, actual).slack)
+            slack = per_node.hedge_slack(spec, pair.hedge, cf, leaves)
+            s0_hat = spec.price[tree.root] / d.B[tree.root]
+            _node_values(pair.gain_gap, {n: v + (s0_hat - pair.hedge_cost) for n, v in slack.items()},
+                         tree)
+    assert markets >= 100 and names == {"box", "vertex", "cuts", "explicit"} and gaps >= 100, gaps
