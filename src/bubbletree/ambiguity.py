@@ -52,6 +52,14 @@ class CapExceededError(RuntimeError):
     """An enumeration grew past its configured cap."""
 
 
+def _simplex_misses(lower, upper, rows: np.ndarray, n: int) -> np.ndarray:
+    """Per row of ``n``, whether the box of the bounds ``rows`` assigns to it misses the
+    simplex: lower bounds adding to over 1 + 1e-12 or upper ones to under 1 - 1e-12, each
+    sum left to right from 0.0 for a family and a ``TransitionSet`` alike (``np.bincount``;
+    from Python 3.12 the builtin ``sum`` of floats is compensated)."""
+    return (np.bincount(rows, lower, n) > 1.0 + 1e-12) | (np.bincount(rows, upper, n) < 1.0 - 1e-12)
+
+
 def _dot(weights: Sequence[float], values: Sequence[float]) -> float:
     total = 0.0
     for w, v in zip(weights, values):
@@ -114,7 +122,7 @@ class TransitionSet:
             out.append("negative lower bound")
         if any(l > u for l, u in zip(self.lower, self.upper)):
             out.append("lower bound above upper bound")
-        if sum(self.lower) > 1.0 + 1e-12 or sum(self.upper) < 1.0 - 1e-12:
+        if _simplex_misses(self.lower, self.upper, np.zeros(k, np.intp), 1)[0]:
             out.append("box does not intersect the probability simplex")
         return out
 

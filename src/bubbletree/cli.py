@@ -32,6 +32,7 @@ from .ambiguity import (
     PolarNodeError,
     RectangularFamily,
     TransitionSet,
+    _simplex_misses,
     classify_process,
     cond_expectation,
     validate_family,
@@ -111,15 +112,12 @@ def _number(value, where: str, key) -> float:
     raise MarketFileError(f"{where}[{key!r}] is not finite")
 
 
-_NUMBER_TYPES = frozenset((int, float))
-
-
 def _finite_kinds(values) -> set | None:
     """The value types when every value is a finite JSON number, else None.
     One C-level pass per test instead of a ``_number`` call per value; on
     None the caller reruns ``_number`` per value to name the first bad one."""
     kinds = set(map(type, values))
-    if not kinds <= _NUMBER_TYPES:
+    if not kinds <= {int, float}:
         return None
     try:  # inf and NaN propagate through the sum; an overflowing one is refused too
         if math.isfinite(sum(values)):
@@ -154,45 +152,38 @@ def _num_map(doc: Mapping, key: str, where: str) -> dict[str, float]:
 
 
 def _box_transitions(raw: dict, tree: EventTree) -> BoxSets | None:
-    """A family whose blocks are all boxes, checked at once: each test is one
-    pass over every block or every bound. None unless the blocks sit at exactly
-    the non-leaf nodes and hold ``lower`` and ``upper`` lists of finite numbers
-    that ``TransitionSet.problems`` accepts, with its sums (a leaf block, which it
-    never checks, fails too); the per-node path then names the first problem.
-    Taken in level order, the blocks' bounds are a ``BoxSets`` map's arrays."""
-    arity = tree.child_offsets[1:] - tree.child_offsets[:-1]
-    nodes = list(itertools.compress(tree.level_order, arity.tolist()))
-    if len(raw) != len(nodes) or not all(map(raw.__contains__, nodes)):
+    """A family whose blocks are all boxes, checked at once: taken in level order, their
+    bounds are a ``BoxSets`` map's arrays, and each test is one pass over them. None unless
+    the blocks sit at exactly the non-leaf nodes and hold ``lower`` and ``upper`` lists of
+    finite numbers that ``TransitionSet.problems`` accepts, with its sums (a leaf block,
+    which it never checks, fails too); the per-node path then names the first problem."""
+    inner = tree.level_starts[-2]  # the tree is valid: its nodes before the last level
+    at = list(map(tree._place.get, raw, itertools.repeat(-1)))  # the blocks' listing places
+    if len(raw) != inner or -1 in at or (g := tree.listing_index[at]).max() >= inner:
         return None
-    blocks = list(map(raw.__getitem__, nodes))
-    if not set(map(type, blocks)) <= {dict} or any("vertices" in b for b in blocks):
-        return None
+    blocks = list(map(list(raw.values()).__getitem__, g.argsort().tolist()))  # in level order
     try:
+        if set(map(len, blocks)) != {2}:  # lower and upper only: no vertices
+            return None
         los = list(map(operator.itemgetter("lower"), blocks))
         his = list(map(operator.itemgetter("upper"), blocks))
-    except KeyError:
+    except (KeyError, TypeError):  # a block that is no object with both bounds
         return None
     if not set(map(type, los)) | set(map(type, his)) <= {list}:
         return None
-    arity = arity[arity > 0].tolist()
+    off = tree.child_offsets
+    arity = (off[1 : inner + 1] - off[:inner]).tolist()
     if list(map(len, los)) != arity or list(map(len, his)) != arity:
         return None
-    flat_lo = list(itertools.chain.from_iterable(los))
-    flat_hi = list(itertools.chain.from_iterable(his))
-    kinds = _finite_kinds(flat_lo + flat_hi)
-    if kinds is None:
+    lower, upper = (list(itertools.chain.from_iterable(b)) for b in (los, his))
+    if _finite_kinds(lower) is None or _finite_kinds(upper) is None:
         return None
-    if int in kinds:
-        los = [list(map(float, b)) for b in los]
-        his = [list(map(float, b)) for b in his]
-    boxes = BoxSets(tree, [math.nan, *flat_lo], [math.nan, *flat_hi])
-    if (
-        ((boxes.lower < 0) | (boxes.lower > boxes.upper)).any()
-        or max(map(sum, los), default=0.0) > 1.0 + 1e-12
-        or min(map(sum, his), default=1.0) < 1.0 - 1e-12
-    ):
+    bounds = np.empty((2, len(tree)))
+    bounds[:, 0], bounds[:, 1:] = math.nan, (lower, upper)  # the root's: NaN
+    lo, hi = bounds[:, 1:]
+    if ((lo < 0) | (lo > hi)).any() or _simplex_misses(lo, hi, tree.parent_index[1:], inner).any():
         return None
-    return boxes
+    return BoxSets(tree, *bounds)
 
 
 def _parse_family(doc, tree: EventTree, where: str, role: str) -> MeasureFamily:
@@ -238,27 +229,22 @@ def _parse_family(doc, tree: EventTree, where: str, role: str) -> MeasureFamily:
     return family
 
 
-def _node_entries(nodes: list, path: str) -> tuple[dict[str, str | None], dict[str, int]]:
-    """Parent and stated time per node id, in listing order. Entries that
-    all carry a unique string id, a string or null parent and an integer
-    time within float range are read in one pass; anything else is read
-    entry by entry, which names the first bad one."""
-    if set(map(type, nodes)) <= {dict}:
-        try:
-            ids, pars, times = (
-                list(map(operator.itemgetter(key), nodes)) for key in ("id", "parent", "time")
-            )
-        except KeyError:
-            ids = None
-        if ids:
-            parents = dict(zip(ids, pars))
-            if (
-                len(parents) == len(ids)
-                and set(map(type, ids)) <= {str}
-                and set(map(type, pars)) <= {str, type(None)}
-                and _finite_kinds(times) == {int}  # not bool, nor beyond float range
-            ):
-                return parents, dict(zip(ids, times))
+def _node_entries(nodes: list, path: str) -> tuple[dict[str, int], list, list]:
+    """Each node id's index in the listing, and the parents and stated times (None where
+    none) in listing order. Entries that all carry a unique string id, a string or null
+    parent and an integer time within float range are read in one pass; anything else is
+    read entry by entry, which names the first bad one."""
+    try:
+        ids, pars, times = (
+            list(map(operator.itemgetter(key), nodes)) for key in ("id", "parent", "time")
+        )
+    except (KeyError, TypeError):  # an entry that is no object, or misses a field
+        ids = None
+    if ids and set(map(type, ids)) <= {str}:
+        place = dict(zip(ids, range(len(ids))))
+        if (len(place) == len(ids) and set(map(type, pars)) <= {str, type(None)}
+                and _finite_kinds(times) == {int}):  # not bool, nor beyond float range
+            return place, pars, times
     parents: dict[str, str | None] = {}
     stated_times: dict[str, int] = {}
     for i, entry in enumerate(nodes):
@@ -274,7 +260,7 @@ def _node_entries(nodes: list, path: str) -> tuple[dict[str, str | None], dict[s
             if t != int(t):
                 raise MarketFileError(f"{at}['time'] is not an integer")
             stated_times[nid] = int(t)
-    return parents, stated_times
+    return dict(zip(parents, itertools.count())), list(parents.values()), list(map(stated_times.get, parents))
 
 
 def _bool_free(value) -> bool:
@@ -331,17 +317,18 @@ def parse_market_file(path: str) -> ParsedMarket:
     doc = _load_json(path, path)
     _typed(doc, dict, path, "a JSON object")
     nodes = _typed(_need(doc, "nodes", path), list, f"{path}: field 'nodes'", "a list")
-    parents, stated_times = _node_entries(nodes, path)
+    place, parents, stated_times = _node_entries(nodes, path)
     try:
-        tree = EventTree(parents)
+        tree = EventTree(parents, place)
     except ValueError as exc:
         raise MarketFileError(f"{path}: bad tree: {exc}") from exc
-    if stated_times != tree.times():  # then find the first mismatch in listing order
-        for nid, t in stated_times.items():
-            if tree.time(nid) != t:
-                raise MarketFileError(
-                    f"{path}: node {nid!r} states time {t} but sits at depth {tree.time(nid)}"
-                )
+    starts = tree.level_starts  # each listed node's level, then the first mismatch in listing order
+    levels = np.arange(len(starts) - 1).repeat(list(map(operator.sub, starts[1:], starts)))
+    levels = levels[tree.listing_index].tolist()
+    if stated_times != levels:
+        for nid, t, depth in zip(place, stated_times, levels):
+            if t is not None and t != depth:
+                raise MarketFileError(f"{path}: node {nid!r} states time {t} but sits at depth {depth}")
     horizon = _need(doc, "horizon", path)
     if _number(horizon, path, "horizon") != int(horizon):
         raise MarketFileError(f"{path}['horizon'] is not an integer")
@@ -358,15 +345,8 @@ def parse_market_file(path: str) -> ParsedMarket:
         raise MarketFileError(f"{path}.tau.nodes: unknown nodes {unknown}")
     kind = _need(tau_doc, "kind", f"{path}.tau")
 
-    spec = MarketSpec(
-        tree=tree,
-        rates=_num_map(doc, "rates", path),
-        price=_num_map(doc, "prices", path),
-        dividend=_num_map(doc, "dividends", path),
-        payoff=_num_map(doc, "payoffs", path),
-        tau=tau,
-        tau_kind=str(kind),
-    )
+    maps = (_num_map(doc, key, path) for key in ("rates", "prices", "dividends", "payoffs"))
+    spec = MarketSpec(tree, *maps, tau, str(kind))
     report = spec.validation
     if not report.ok:
         details = "; ".join(
@@ -378,7 +358,10 @@ def parse_market_file(path: str) -> ParsedMarket:
     actual = _parse_family(_need(doc, "actual", path), tree, f"{path}.actual", "actual")
     pricing = None
     if "pricing" in doc:
-        if doc["pricing"] == doc["actual"] and _bool_free(doc["pricing"]):
+        # a box family is read from its bound lists only: the twin's must be free of bools
+        if doc["pricing"] == doc["actual"] and _bool_free(
+                list(itertools.chain.from_iterable(map(dict.values, doc["pricing"]["transitions"].values())))
+                if isinstance(getattr(actual, "transitions", None), BoxSets) else doc["pricing"]):
             actual.charged_mask  # every command reads it: computed once for the twin as well
             pricing = actual.with_role("pricing")
         else:
@@ -445,8 +428,7 @@ def _process_table(spec: MarketSpec, s_star, w_star, beta) -> dict[str, Mapping[
     """The market's processes and ``bubble_processes``' three, as the reports print them:
     ``NodeValues`` over the level-order arrays (a price map with ids off the tree, copied)."""
     tree, p = spec.tree, spec.processes
-    price = (dict(spec.price) if len(spec.price) > len(tree) else NodeValues(
-        tree, np.fromiter(map(spec.price.__getitem__, tree.level_order), float, len(tree))))
+    price = dict(spec.price) if len(spec.price) > len(tree) else NodeValues(tree, spec.arrays.price)
     return {"S": price, "W": NodeValues(tree, p.W), "B": NodeValues(tree, p.B),
             "Sstar": s_star.values, "Wstar": w_star.values, "beta": beta.values}
 

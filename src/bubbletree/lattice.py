@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import operator
 from collections.abc import ItemsView, ValuesView
 from dataclasses import dataclass
@@ -49,15 +50,21 @@ class EventTree:
     behind the accessors are built from them on first use.
     """
 
-    def __init__(self, parents: Mapping[str, str | None]):
-        self._parent = parents = dict(parents)
-        if not parents:
+    def __init__(self, parents: Mapping[str, str | None] | list[str | None],
+                 place: dict[str, int] | None = None):
+        """``parents`` maps each id to its parent's (the root's: None); or, with ``place``
+        (each id's index in a listing of the nodes), it lists the parents in that order."""
+        if place is None:
+            place, parents = dict(zip(parents, itertools.count())), list(parents.values())
+        if not place:
             raise ValueError("empty tree")
-        ids, pars, n = list(parents), list(parents.values()), len(parents)
-        up = list(map(dict(zip(ids, range(n))).get, pars, itertools.repeat(-1)))  # parents' places
-        if up.count(-1) > (roots := pars.count(None)):
-            nid = next(i for i, u, p in zip(ids, up, pars) if u < 0 and p is not None)
-            raise ValueError(f"node {nid!r} has unknown parent {parents[nid]!r}")
+        ids, n, pars = list(place), len(place), parents
+        up = list(map(place.get, pars, itertools.repeat(-1)))  # parents' places
+        # the nodes with no listed parent: the root, else the unknown parents come first
+        roots = pars.count(None) if (tops := up.count(-1)) > 1 else tops and int(pars[up.index(-1)] is None)
+        if tops > roots:
+            i = next(i for i, (u, p) in enumerate(zip(up, pars)) if u < 0 and p is not None)
+            raise ValueError(f"node {ids[i]!r} has unknown parent {pars[i]!r}")
         if roots != 1:
             raise ValueError(f"expected exactly one root, found {roots}")
         from .ambiguity import _KERNEL_MIN_WIDTH  # imported here: ambiguity imports this module
@@ -70,35 +77,44 @@ class EventTree:
             kids: list[list[int]] = [[] for _ in range(n + 1)]  # the root's: kids[-1]
             for i, p in enumerate(up):
                 kids[p].append(i)
-            levels = [kids[-1]]
-            while nxt := list(itertools.chain.from_iterable(map(kids.__getitem__, levels[-1]))):
-                levels.append(nxt)
-            by_level = list(itertools.chain.from_iterable(levels))
+            by_level = kids[-1][:]
+            for i in by_level:  # the list grows as it is read: breadth first
+                by_level += kids[i]
             counts = list(map(len, map(kids.__getitem__, by_level)))
             par = [-1, *itertools.chain.from_iterable(map(itertools.repeat, range(n), counts))]
+            off = list(itertools.accumulate(counts, initial=1))
+            starts = [0, 1]  # a level's children end where its last node's do
+            while starts[-1] < len(by_level):
+                starts.append(off[starts[-1]])
+            rank = np.empty(n, np.intp)
+            rank[by_level] = np.arange(len(by_level))
         else:
             up = np.array(up)
-            order = np.argsort(up, kind="stable")  # children by parent, in listing order
+            order = up.argsort(kind="stable")  # children by parent, in listing order
             counts = np.bincount(up + 1, minlength=n + 1)[1:]
-            first = np.cumsum(counts) + 1 - counts  # node i's children: order[first[i]:][:counts[i]]
+            first = counts.cumsum() + 1 - counts  # node i's children: order[first[i]:][:counts[i]]
             levels = [order[:1]]
             while (c := counts[levels[-1]]).any():
-                end = np.cumsum(c)
-                levels.append(order[np.repeat(first[levels[-1]] - end + c, c) + np.arange(end[-1])])
+                end = c.cumsum()
+                levels.append(order[(first[levels[-1]] - end + c).repeat(c) + np.arange(end[-1])])
+            starts = list(itertools.accumulate(map(len, levels), initial=0))
             rank, by_level = np.empty(n, np.intp), np.concatenate(levels)
             rank[by_level] = np.arange(len(by_level))
-            par, counts, by_level = rank[up[by_level]], counts[by_level], by_level.tolist()
+            par, by_level = rank[up[by_level]], by_level.tolist()
+            off = np.concatenate(([1], counts[by_level].cumsum() + 1))
             par[0] = -1
         if len(by_level) != n:
             missing = sorted(set(ids) - set(map(ids.__getitem__, by_level)))
             raise ValueError(f"nodes unreachable from root: {missing}")
+        self._place = place  # each id's index in the listing the tree was built from
+        self.listing_index = rank  # node i of that listing: node ``rank[i]`` of ``level_order``
         self.level_order: tuple[str, ...] = tuple(map(ids.__getitem__, by_level))
-        self.root, self.horizon = self.level_order[0], len(levels) - 1  # the deepest level: leaves only
+        self.root, self.horizon = self.level_order[0], len(starts) - 2  # the deepest level: leaves only
         # node g of ``level_order``: parent ``parent_index[g]`` (root: -1), children
         # ``child_offsets[g]:[g + 1]``, ``subtree_size[g]`` nodes in its subtree, preorder
         # position ``preorder_index.argsort()[g]``; level t: ``level_starts[t]:[t + 1]``
-        self.level_starts = starts = tuple(itertools.accumulate(map(len, levels), initial=0))
-        self.child_offsets = off = np.concatenate(([1], np.cumsum(counts) + 1))
+        self.level_starts = starts = tuple(starts)
+        self.child_offsets = off = np.asarray(off, np.intp)
         self.parent_index = np.asarray(par, np.intp)
         # from the leaves up, each subtree's size; from the root down, each node's preorder
         # position: its parent's, plus one, plus the sizes of its earlier siblings
@@ -113,7 +129,7 @@ class EventTree:
             for s, a, b in zip(starts[-3::-1], starts[-2:0:-1], starts[:0:-1]):
                 size[s:a] += np.bincount(par[a:b] - s, size[a:b], a - s).astype(np.intp)
             for a, b in zip(starts[1:], starts[2:]):
-                before = np.cumsum(size[a:b]) - size[a:b]
+                before = size[a:b].cumsum() - size[a:b]
                 pos[a:b] = pos[par[a:b]] + 1 + before - before[off[par[a:b]] - a]
         self.subtree_size, self._position = np.asarray(size, np.intp), np.asarray(pos, np.intp)
         self.preorder_index = np.empty(n, np.intp)
@@ -135,6 +151,8 @@ class EventTree:
         return cls(parents)
 
     # -- per-node maps, built from the arrays on first use -------------------
+    _parent = cached_property(lambda self: dict(zip(self.level_order, (None, *map(
+        self.level_order.__getitem__, self.parent_index[1:].tolist())))))
     _index = cached_property(lambda self: dict(zip(self.level_order, itertools.count())))
     _preorder = cached_property(
         lambda self: tuple(map(self.level_order.__getitem__, self.preorder_index.tolist())))
@@ -143,11 +161,9 @@ class EventTree:
         map(operator.sub, self.level_starts[1:], self.level_starts))))))
     _children = cached_property(lambda self: dict(zip(self.level_order, map(self.level_order.__getitem__,
         itertools.starmap(slice, itertools.pairwise(self.child_offsets.tolist()))))))
-    _kids = cached_property(  # child counts, in preorder
-        lambda self: (self.child_offsets[1:] - self.child_offsets[:-1])[self.preorder_index].tolist())
-    leaves = cached_property(
-        lambda self: tuple(itertools.compress(self._preorder, map(operator.not_, self._kids))))
-    _non_leaves = cached_property(lambda self: tuple(itertools.compress(self._preorder, self._kids)))
+    _inner = cached_property(lambda self: self.child_offsets[1:] > self.child_offsets[:-1])
+    leaves = cached_property(lambda self: _named(self, ~self._inner))  # in preorder
+    _non_leaves = cached_property(lambda self: _named(self, self._inner))
 
     # -- accessors ---------------------------------------------------------
     def node(self, nid: str) -> Node:
@@ -216,12 +232,12 @@ class EventTree:
         return len(self.level_order)
 
     def __contains__(self, nid: str) -> bool:
-        return nid in self._parent
+        return nid in self._place
 
     def structure_problems(self) -> list[str]:
         """Invariant violations deferred from construction (uniform depth)."""
         problems = []
-        if np.count_nonzero(self.child_offsets[1:] - self.child_offsets[:-1]) < self.level_starts[-2]:
+        if np.count_nonzero(self._inner) < self.level_starts[-2]:
             depths = sorted(set(map(self._time.__getitem__, self.leaves)))
             problems.append("non-uniform depth: leaves at times " + ", ".join(map(str, depths)))
         if self.horizon < 1:
@@ -239,12 +255,6 @@ class StoppingTime:
 
     tau_nodes: frozenset[str]
 
-    def infinite_on(self, tree: EventTree) -> frozenset[str]:
-        dead = set()  # below a tau node: its preorder run; unknown nodes are reported by ``problems``
-        for a in filter(tree.__contains__, self.tau_nodes):
-            dead.update(tree.subtree(a))
-        return frozenset(tree.leaves).difference(dead)
-
     def problems(self, tree: EventTree) -> list[str]:
         out = []
         for a in sorted(self.tau_nodes):  # messages in one order, whatever the string hashing
@@ -257,6 +267,19 @@ class StoppingTime:
                 if anc in self.tau_nodes:
                     out.append(f"tau nodes {anc!r} and {a!r} violate the antichain")
         return out
+
+
+def _narrow(tree: EventTree) -> bool:
+    """Whether every level of the tree is narrower than ``_KERNEL_MIN_WIDTH``."""
+    from .ambiguity import _KERNEL_MIN_WIDTH  # imported here: ambiguity imports this module
+
+    return max(map(operator.sub, tree.level_starts[1:], tree.level_starts)) < _KERNEL_MIN_WIDTH
+
+
+def _named(tree: EventTree, mask: np.ndarray) -> tuple[str, ...]:
+    """The ids of the nodes where the level-order ``mask`` is set, in preorder."""
+    pre = tree.preorder_index
+    return tuple(map(tree.level_order.__getitem__, pre[mask[pre]].tolist()))
 
 
 @dataclass(frozen=True)
@@ -279,9 +302,6 @@ class AdaptedProcess:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def at_time(self, tree: EventTree, t: int) -> dict[str, float]:
-        return {n: self.values[n] for n in tree.level(t) if n in self.values}
 
 
 class NodeValues(Mapping):
@@ -368,6 +388,16 @@ class ValidationReport:
         return [f.message for f in self.failures]
 
 
+class MarketArrays(NamedTuple):
+    """A spec's numbers in ``tree.level_order``, NaN where its map has none."""
+
+    price: np.ndarray
+    dividend: np.ndarray
+    rate: np.ndarray  # gathered at the inner nodes only
+    payoff: np.ndarray  # gathered at the tau nodes only
+    tau: np.ndarray  # the indices of the tau nodes on the tree
+
+
 class Derived(NamedTuple):
     """Per-node processes of a valid market: the tau node on each path, the
     account value B, collected discounted dividends and discounted wealth."""
@@ -399,13 +429,13 @@ class MarketSpec:
     ``dividend`` the dividend paid at the node (known there), ``payoff`` the
     liquidation value, defined exactly on the tau nodes.
 
-    ``validation``, ``processes`` (read-only level-order arrays) and the
-    ``derived``, ``stopped_price``, ``alive_horizon``, ``level_prices`` and
-    ``cash_events`` read off them are computed on first use and cached on
-    the instance, and so is ``memo``, where ``noarb`` keeps its one-step
-    test per ``actual`` family. Treat a spec, its tree and its dicts as
-    immutable: editing them afterwards leaves them stale. Build a new spec
-    instead.
+    ``arrays`` (the maps as read-only level-order arrays), the ``validation``
+    and ``processes`` (read-only level-order arrays) read off them, and the
+    ``derived``, ``alive_horizon``, ``level_prices`` and ``cash_events`` read
+    off those are computed on first use and cached on the instance, and so is
+    ``memo``, where ``noarb`` keeps its one-step test per ``actual`` family.
+    Treat a spec, its tree and its dicts as immutable: editing them
+    afterwards leaves them stale. Build a new spec instead.
     """
 
     tree: EventTree
@@ -427,6 +457,32 @@ class MarketSpec:
         return {}
 
     @cached_property
+    def arrays(self) -> MarketArrays:
+        """The maps' values gathered once, whatever built the spec: on narrow trees (see
+        ``processes``) by id in level order, in one conversion; else each map in its own
+        order when it lists its nodes as the tree's listing does (as files do), or by id."""
+        tree, nan, place = self.tree, itertools.repeat(math.nan), self.tree._place
+        at = tree.listing_index[[place[a] for a in self.tau.tau_nodes if a in place]]  # on the tree
+        if _narrow(tree):
+            order, taus = tree.level_order, self.tau.tau_nodes
+            x = np.array([list(map(self.price.get, order, nan)), list(map(self.dividend.get, order, nan)),
+                          [self.rates.get(k, math.nan) if i else math.nan for k, i in zip(order, tree._inner.tolist())],
+                          [self.payoff.get(k, math.nan) if k in taus else math.nan for k in order]], float)
+        else:
+            ids, rank = list(tree._place), tree.listing_index
+            inner = tree._inner[rank]  # in listing order
+
+            def read(data: Mapping[str, float], keys: list[str]) -> list[float]:
+                return list(data.values()) if list(data) == keys else list(map(data.get, keys, nan))
+
+            x = np.full((4, len(tree)), math.nan)
+            x[:2, rank] = read(self.price, ids), read(self.dividend, ids)
+            x[2, rank[inner]] = read(self.rates, list(itertools.compress(ids, inner.tolist())))
+            x[3, at] = read(self.payoff, list(map(tree.level_order.__getitem__, at.tolist())))
+        x.flags.writeable = at.flags.writeable = False
+        return MarketArrays(*x, at)
+
+    @cached_property
     def processes(self) -> Processes:
         """The tau node, B, collected dividends, wealth, discounted and stopped
         price, from the root down (numpy one level at a time, or node by node
@@ -434,39 +490,33 @@ class MarketSpec:
         value with the float operations of a per-node recursion down the tree.
         Raises ``InvalidMarketError`` when the market fails validation."""
         require_valid(self)
-        tree = self.tree
-        order, par, starts = tree.level_order, tree.parent_index, tree.level_starts
-        n, inner = len(order), starts[-2]  # uniform depth: the last level holds the leaves
-        from .ambiguity import _KERNEL_MIN_WIDTH  # imported here: ambiguity imports this module
-
-        if max(map(operator.sub, starts[1:], starts)) < _KERNEL_MIN_WIDTH:
-            # narrow levels: per node on lists, which costs less than numpy's calls per level
+        tree, data = self.tree, self.arrays
+        par, starts, n = tree.parent_index, tree.level_starts, len(tree)
+        if _narrow(tree):  # per node on lists, which costs less than numpy's calls per level
+            price, div, rate, pay = (x.tolist() for x in data[:4])
             tau, B = [-1] * n, [1.0] * n
             cum, W, S, stopped = ([0.0] * n for _ in range(4))
-            for a in map(tree.index, self.tau.tau_nodes):
+            for a in data.tau.tolist():
                 tau[a] = a
-            for g, (nid, p) in enumerate(zip(order, par.tolist())):
+            for g, p in enumerate(par.tolist()):
                 if g:
-                    B[g] = B[p] * (1.0 + self.rates[order[p]])
+                    B[g] = B[p] * (1.0 + rate[p])
                 if g and tau[p] >= 0:  # strictly after liquidation
                     tau[g], cum[g] = tau[p], cum[p]
                 else:
-                    cum[g] = (cum[p] if g else 0.0) + self.dividend[nid] / B[g]
-                S[g] = self.price[nid] / B[g]
+                    cum[g] = (cum[p] if g else 0.0) + div[g] / B[g]
+                S[g] = price[g] / B[g]
                 if (a := tau[g]) < 0:
                     W[g], stopped[g] = S[g] + cum[g], S[g]
                 else:
-                    stopped[g] = self.payoff[order[a]] / B[a]
+                    stopped[g] = pay[a] / B[a]
                     W[g] = cum[g] + stopped[g]
             out = Processes(np.array(tau, np.intp), *map(np.array, (B, cum, W, S, stopped)))
         else:
-            price = np.fromiter(map(self.price.__getitem__, order), float, n)
-            div = np.fromiter(map(self.dividend.__getitem__, order), float, n)
-            grow = 1.0 + np.fromiter(map(self.rates.__getitem__, order[:inner]), float, inner)
-            tau, pay = np.full(n, -1, np.intp), np.full(n, np.nan)
-            at = np.fromiter(map(tree.index, self.tau.tau_nodes), np.intp, len(self.tau.tau_nodes))
+            price, div, pay, at = data.price, data.dividend, data.payoff, data.tau
+            grow = 1.0 + data.rate[: starts[-2]]  # uniform depth: the last level holds the leaves
+            tau = np.full(n, -1, np.intp)
             tau[at] = at
-            pay[at] = np.fromiter(map(self.payoff.__getitem__, self.tau.tau_nodes), float, len(at))
             B, cum = np.ones(n), np.zeros(n)
             cum[0] += div[0] / B[0]
             for a, b in zip(starts[1:], starts[2:]):
@@ -494,14 +544,6 @@ class MarketSpec:
         return Derived(taumap, *(dict(zip(nodes, x[pre].tolist())) for x in (p.B, p.cum, p.W)))
 
     @cached_property
-    def stopped_price(self) -> dict[str, float]:
-        """In preorder: the discounted price price / B while the asset
-        lives, and from the maturity node on the discounted liquidation
-        value payoff / B there."""
-        tree = self.tree
-        return dict(zip(tree.preorder(), self.processes.stopped[tree.preorder_index].tolist()))
-
-    @cached_property
     def alive_horizon(self) -> int:
         """The last time at which some node comes before maturity (0 when
         the root itself matures)."""
@@ -521,8 +563,7 @@ class MarketSpec:
         """In preorder, the nodes where the asset has matured (with the tau
         node on their path) or, after time 0, pays a dividend (with None)."""
         p, tree = self.processes, self.tree
-        div = np.fromiter(map(self.dividend.__getitem__, tree.level_order), float, len(tree))
-        hit = (p.tau >= 0) | (np.abs(div) > 1e-12)
+        hit = (p.tau >= 0) | (np.abs(self.arrays.dividend) > 1e-12)
         hit[0] = p.tau[0] >= 0
         at, ids = tree.preorder_index[hit[tree.preorder_index]], [*tree.level_order, None]
         return tuple(zip(map(ids.__getitem__, at.tolist()), map(ids.__getitem__, p.tau[at].tolist())))
@@ -534,81 +575,50 @@ def tau_node_map(spec: MarketSpec) -> dict[str, str | None]:
 
 
 def validate_market(spec: MarketSpec) -> ValidationReport:
-    """Check every market invariant; failures carry offending node ids."""
-    failures: list[ValidationFailure] = []
-    tree = spec.tree
+    """Check every market invariant; failures carry offending node ids. The checks run on the
+    spec's ``arrays`` and the tree's preorder runs; a failing one names its nodes as before."""
+    tree, x, taus = spec.tree, spec.arrays, spec.tau.tau_nodes
+    failures = [ValidationFailure("tree", msg) for msg in tree.structure_problems()]
 
-    for msg in tree.structure_problems():
-        failures.append(ValidationFailure("tree", msg))
-    for msg in spec.tau.problems(tree):
-        failures.append(ValidationFailure("tau", msg))
+    def named(code: str, message: str, nodes) -> None:  # a failure naming ``nodes``, if any
+        if nodes:
+            failures.append(ValidationFailure(code, message, tuple(nodes)))
 
-    def check_nonneg(data: Mapping[str, float], label: str, nodes, covered: bool):
-        # one C-level pass when ``covered`` (data at every domain node) and
-        # nothing is negative; a NaN minimum takes the per-node path over the
-        # domain ``nodes()``, which lets NaN pass as before
-        if covered and min(data.values(), default=0.0) >= 0:
-            return
-        domain = nodes()
-        missing = [n for n in domain if n not in data]
-        if missing:
-            failures.append(
-                ValidationFailure(
-                    f"missing {label}", f"missing {label} at nodes", tuple(missing)
-                )
-            )
-        bad = [n for n in domain if n in data and data[n] < 0]
-        if bad:
-            failures.append(
-                ValidationFailure(
-                    f"negative {label}", f"negative {label} at nodes", tuple(bad)
-                )
-            )
-
-    nodes, off = tree._parent.keys(), tree.child_offsets
-    inner = itertools.compress(tree.level_order, (off[1:] - off[:-1]).tolist())  # in level order
-    check_nonneg(spec.price, "price", tree.preorder, spec.price.keys() >= nodes)
-    check_nonneg(spec.dividend, "dividend", tree.preorder, spec.dividend.keys() >= nodes)
-    check_nonneg(spec.rates, "rate", tree.non_leaves, all(map(spec.rates.__contains__, inner)))
-
-    extra = sorted(set(spec.payoff) - spec.tau.tau_nodes)
-    missing = sorted(spec.tau.tau_nodes - set(spec.payoff))
-    if extra:
-        failures.append(
-            ValidationFailure("payoff domain", "payoff defined off tau nodes", tuple(extra))
-        )
-    if missing:
-        failures.append(
-            ValidationFailure("payoff domain", "tau nodes without payoff", tuple(missing))
-        )
-    bad = [n for n, x in spec.payoff.items() if x < 0]
-    if bad:
-        failures.append(
-            ValidationFailure("negative payoff", "negative payoff at nodes", tuple(bad))
-        )
+    under = 0  # per node, how many tau nodes' subtrees (preorder runs) hold it: a running count
+    if len(x.tau):
+        ends = np.bincount(tree._position[x.tau] + tree.subtree_size[x.tau], minlength=len(tree) + 1)
+        under = (np.bincount(tree._position[x.tau], minlength=len(tree) + 1) - ends).cumsum()[tree._position]
+    if len(x.tau) < len(taus) or len(x.tau) and (0 in x.tau or (under > 1).any()):
+        # a tau node off the tree, at the root, or under another one
+        failures += (ValidationFailure("tau", msg) for msg in spec.tau.problems(tree))
+    for data, label, values, domain in ((spec.price, "price", x.price, None),
+                                        (spec.dividend, "dividend", x.dividend, None),
+                                        (spec.rates, "rate", x.rate, tree._inner)):
+        # NaN where ``data`` has no value at a node of the ``domain`` mask (None: every node),
+        # or where it holds NaN, which passes as before
+        if not ((values if domain is None else values[domain]) >= 0).all():
+            nan = np.isnan(values) if domain is None else np.isnan(values) & domain
+            named(f"missing {label}", f"missing {label} at nodes",
+                  [n for n in _named(tree, nan) if n not in data])
+            named(f"negative {label}", f"negative {label} at nodes", _named(tree, values < 0))
+    # a payoff at each tau node, none elsewhere, none negative: by the counts and the arrays
+    if not (len(spec.payoff) == len(x.tau) == len(taus)
+            and (not len(x.tau) or (x.payoff[x.tau] >= 0).all())):
+        named("payoff domain", "payoff defined off tau nodes", sorted(set(spec.payoff) - taus))
+        named("payoff domain", "tau nodes without payoff", sorted(taus - set(spec.payoff)))
+        named("negative payoff", "negative payoff at nodes",
+              [n for n, v in spec.payoff.items() if v < 0])
 
     if spec.tau_kind not in TAU_KINDS:
-        failures.append(
-            ValidationFailure("tau kind", f"unknown tau_kind {spec.tau_kind!r}")
-        )
-    else:
-        inf_on = spec.tau.infinite_on(tree)
-        if spec.tau_kind == "bounded" and inf_on:
-            failures.append(
-                ValidationFailure(
-                    "tau kind",
-                    "tau_kind 'bounded' but some paths never mature",
-                    tuple(sorted(inf_on)),
-                )
-            )
-        if spec.tau_kind == "possibly_infinite" and not inf_on:
-            failures.append(
-                ValidationFailure(
-                    "tau kind",
-                    "tau_kind 'possibly_infinite' requires at least one path without a tau node",
-                )
-            )
-
+        failures.append(ValidationFailure("tau kind", f"unknown tau_kind {spec.tau_kind!r}"))
+    elif spec.tau_kind != "unbounded_finite":
+        open_leaves = ~tree._inner & (under == 0)
+        if spec.tau_kind == "bounded" and open_leaves.any():
+            named("tau kind", "tau_kind 'bounded' but some paths never mature",
+                  sorted(_named(tree, open_leaves)))
+        if spec.tau_kind == "possibly_infinite" and not open_leaves.any():
+            failures.append(ValidationFailure(
+                "tau kind", "tau_kind 'possibly_infinite' requires at least one path without a tau node"))
     return ValidationReport(ok=not failures, failures=tuple(failures))
 
 
@@ -621,19 +631,19 @@ def require_valid(spec: MarketSpec) -> None:
 def discount_factors(spec: MarketSpec) -> AdaptedProcess:
     """Money-market account value per node: B(root) = 1, accruing the spot
     rate of each step along the path."""
-    return AdaptedProcess(spec.derived.B)
+    return AdaptedProcess(NodeValues(spec.tree, spec.processes.B))
 
 
 def cumulative_dividends(spec: MarketSpec) -> AdaptedProcess:
     """Discounted dividends accumulated along the path, frozen from the tau
     node on (the asset pays nothing after liquidation)."""
-    return AdaptedProcess(spec.derived.cum)
+    return AdaptedProcess(NodeValues(spec.tree, spec.processes.cum))
 
 
 def wealth_process(spec: MarketSpec) -> AdaptedProcess:
     """Discounted wealth: price while alive plus dividends collected so far,
     or collected dividends plus the discounted liquidation payoff after tau."""
-    return AdaptedProcess(spec.derived.W)
+    return AdaptedProcess(NodeValues(spec.tree, spec.processes.W))
 
 
 class GainsResult(NamedTuple):

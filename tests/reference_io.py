@@ -4,7 +4,7 @@
 order, and parses the ``pricing`` block even when it equals ``actual``: it
 is what ``bubbletree.cli.parse_market_file`` computed before its checks ran
 one pass per number list, per map and per box family. ``validate_market``
-checks prices, dividends and rates node by node. ``ReferenceTree`` keeps
+checks prices, dividends, rates and the tau kind node by node. ``ReferenceTree`` keeps
 one ``Node`` record per node. The tests hold the library to all three:
 same results, same ``MarketFileError`` texts, same validation failures,
 same accessors.
@@ -125,6 +125,11 @@ class ReferenceTree:
         return len(self._nodes)
 
 
+def _infinite_on(tau: StoppingTime, tree) -> frozenset[str]:
+    """The leaves whose paths hold no tau node."""
+    return frozenset(leaf for leaf in tree.leaves if tau.tau_nodes.isdisjoint(tree.path(leaf)))
+
+
 def validate_market(spec: MarketSpec) -> ValidationReport:
     failures = []
     tree = spec.tree
@@ -166,7 +171,7 @@ def validate_market(spec: MarketSpec) -> ValidationReport:
     if spec.tau_kind not in TAU_KINDS:
         failures.append(ValidationFailure("tau kind", f"unknown tau_kind {spec.tau_kind!r}"))
     else:
-        inf_on = spec.tau.infinite_on(tree)
+        inf_on = _infinite_on(spec.tau, tree)
         if spec.tau_kind == "bounded" and inf_on:
             failures.append(ValidationFailure(
                 "tau kind", "tau_kind 'bounded' but some paths never mature", tuple(sorted(inf_on))

@@ -15,6 +15,7 @@ from bubbletree.cli import (
     report_from_dict,
     run_analysis,
 )
+from bubbletree.lattice import NodeValues
 
 
 # -- parsing ------------------------------------------------------------------
@@ -176,7 +177,7 @@ def test_classify_s_reports_the_stopped_price_it_classifies(capsys):
     # the stopped price (payoff / B) is 1.0
     parsed = parse_market_file(data_file("ex1.market"))
     report = run_analysis("classify", parsed, {"process": "S"})
-    assert report.processes["S_stopped"] == parsed.spec.stopped_price
+    assert report.processes["S_stopped"] == NodeValues(parsed.spec.tree, parsed.spec.processes.stopped)
     assert report.processes["S_stopped"]["r00"] == 1.0 and report.processes["S"]["r00"] == 0.0
     for which in ("W", "Wstar", "beta"):
         assert "S_stopped" not in run_analysis("classify", parsed, {"process": which}).processes

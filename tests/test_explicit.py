@@ -38,6 +38,7 @@ from bubbletree.claims import (
     american_fundamental_price,
     fundamental_claim_price,
 )
+from bubbletree.lattice import NodeValues
 
 
 def explicit_families(n_trees: int = 100):
@@ -122,7 +123,8 @@ def test_explicit_passes_equal_the_per_node_oracle():
         d = spec.derived
         _same(s_star.values,
               {n: w_star[n] - d.cum[n] for n in tree.preorder() if d.taumap[n] is None})
-        for proc in (beta.values, got_w.values, spec.stopped_price, dict(spec.price)):
+        stopped = NodeValues(tree, spec.processes.stopped)
+        for proc in (beta.values, got_w.values, stopped, dict(spec.price)):
             for T in {None, spec.alive_horizon, tree.horizon + 1}:
                 _same(classify_process(fam, proc, T), explicit_classify(fam, proc, T))
         partial = dict(itertools.islice(beta.values.items(), len(beta.values) // 2))

@@ -12,8 +12,10 @@
 Hypothesis runs derandomized with a fixed number of examples, so the suite
 is deterministic.
 """
+import functools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -24,7 +26,13 @@ import reference_io
 from test_cli import _market_doc as market_doc
 
 from bubbletree import ambiguity, fixtures
-from bubbletree.ambiguity import BoxSets, ExplicitFamily, RectangularFamily, classify_process
+from bubbletree.ambiguity import (
+    BoxSets,
+    ExplicitFamily,
+    RectangularFamily,
+    TransitionSet,
+    classify_process,
+)
 from bubbletree.cli import MarketFileError, Report, emit_report, parse_market_file
 from bubbletree.lattice import EventTree, NodeValues
 
@@ -226,7 +234,24 @@ REPLACEMENTS = (True, False, "0.5", None, math.nan, math.inf, -math.inf, 10**400
 def corrupt(doc, data) -> str:
     """Apply one drawn corruption to ``doc`` in place and describe it."""
     kind = data.draw(st.sampled_from(
-        ("value", "value", "value", "box", "box", "delete", "pricing", "node", "horizon")), "kind")
+        ("value", "value", "value", "box", "box", "delete", "pricing", "node", "horizon", "tau")), "kind")
+    if kind == "tau":
+        tau, payoffs = doc["tau"], doc["payoffs"]
+        how = data.draw(st.sampled_from(("nested", "root", "unknown", "kind", "payoff")), "how")
+        if how == "nested":  # a node and its parent
+            entry = data.draw(st.sampled_from([e for e in doc["nodes"] if e["parent"] is not None]), "entry")
+            tau["nodes"] += [entry["id"], entry["parent"]]
+        elif how == "root":
+            tau["nodes"].append(next(e["id"] for e in doc["nodes"] if e["parent"] is None))
+        elif how == "unknown":
+            tau["nodes"].append("nowhere")
+        elif how == "kind":
+            tau["kind"] = "possibly_infinite" if tau["kind"] == "bounded" else "bounded"
+        else:  # one payoff, or a new one, at a node that is no tau node
+            off = data.draw(st.sampled_from([e["id"] for e in doc["nodes"] if e["id"] not in tau["nodes"]]),
+                            "node")
+            payoffs[off] = payoffs.pop(data.draw(st.sampled_from(sorted(payoffs)), "payoff")) if payoffs else 1.0
+        return f"tau {how}"
     if kind == "horizon":
         h = doc["horizon"]
         doc["horizon"] = data.draw(st.sampled_from(
@@ -263,7 +288,8 @@ def corrupt(doc, data) -> str:
     if kind == "node":
         entries = doc["nodes"]
         i = data.draw(st.integers(0, len(entries) - 1), "entry")
-        how = data.draw(st.sampled_from(("dup", "time", "float-time", "no-time", "int-id", "parent")), "how")
+        how = data.draw(st.sampled_from(
+            ("dup", "time", "float-time", "no-time", "int-id", "list-id", "parent")), "how")
         if how == "dup":
             entries[i]["id"] = entries[(i + 1) % len(entries)]["id"]
         elif how == "time":
@@ -274,6 +300,8 @@ def corrupt(doc, data) -> str:
             del entries[i]["time"]
         elif how == "int-id":
             entries[i]["id"] = 7
+        elif how == "list-id":  # unhashable
+            entries[i]["id"] = [entries[i]["id"]]
         else:
             entries[i]["parent"] = "nowhere"
         return f"node {how} {i}"
@@ -309,6 +337,21 @@ def _fixture(seed: int):
 @settings(PROPERTY, max_examples=400)
 @given(st.data())
 def test_parser_matches_per_value_reference_on_corruptions(tmp_path_factory, data):
+    _parse_corruption(tmp_path_factory, data)
+
+
+@pytest.mark.parametrize("width", [0, math.inf], ids=["numpy", "lists"])
+@settings(PROPERTY, max_examples=250)
+@given(data=st.data())
+def test_parser_matches_per_value_reference_on_corruptions_at_both_widths(
+        tmp_path_factory, monkeypatch, width, data):
+    """The same property with the tree, the market arrays and the processes built on numpy
+    (width 0) or on lists (width infinite) whatever the trees' widths, which are all narrow."""
+    monkeypatch.setattr(ambiguity, "_KERNEL_MIN_WIDTH", width)
+    _parse_corruption(tmp_path_factory, data)
+
+
+def _parse_corruption(tmp_path_factory, data) -> None:
     seed = data.draw(st.integers(0, 40), "seed")
     shape = data.draw(st.sampled_from(
         ("same", "same", "reordered", "absent", "vertices", "explicit", "quotes")), "shape")
@@ -323,6 +366,24 @@ def test_parser_matches_per_value_reference_on_corruptions(tmp_path_factory, dat
     _write(path, doc)
     expected = summary(reference_io.parse_market_file, str(path))
     assert summary(parse_market_file, str(path)) == expected, what
+
+
+@pytest.mark.parametrize("make", [lambda: fixtures.fiat(8), lambda: fixtures.rand_market(1, depth=4, branching=3)],
+                         ids=["fiat8", "rand38"])
+def test_parse_builds_no_per_node_map_and_the_fixture_processes(tmp_path, make):
+    """A parse and the processes run on the tree's level-order arrays: neither builds a per-node
+    map of the tree, and the processes equal those of the fixture's dict-built spec bit for bit
+    (-0.0 included), on a wide tree (fiat(8), 511 nodes) and a narrow one (38 nodes)."""
+    fx = make()
+    path = tmp_path / "m.market"
+    _write(path, market_doc(fx.spec, fx.family))
+    spec = parse_market_file(str(path)).spec
+    per_node = {"_time", "_preorder", "_kids", "leaves"}
+    assert not per_node & set(vars(spec.tree))
+    assert spec.tree.level_order == fx.spec.tree.level_order
+    for got, want in zip(spec.processes, fx.spec.processes, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert not per_node & set(vars(spec.tree))
 
 
 @pytest.mark.parametrize("gen", ["rand_market", "rand_claim_market"])
@@ -415,6 +476,23 @@ def test_explicit_pricing_twin_computes_the_node_masses_once(tmp_path, monkeypat
     assert parsed.pricing.charged_mask is parsed.actual.charged_mask
     run_analysis("analyze", parsed, {"tolerance": 1e-9})
     assert calls == ["actual"]
+
+
+def test_box_checks_add_each_row_left_to_right_in_batch_and_per_node():
+    """The parser's batch box check and ``TransitionSet.problems`` share one summation, left to
+    right from 0.0: this lower row adds to over 1 + 1e-12 so, though its exact sum (that of the
+    compensated builtin ``sum`` from Python 3.12 on) does not, and both refuse the box."""
+    from bubbletree.cli import _box_transitions
+
+    lower = [0.15202121058356766, 0.3008587160937433, 0.20720393998174147, 0.19279421660953863,
+             0.14712191673240907]
+    assert math.fsum(lower) <= 1.0 + 1e-12 < functools.reduce(operator.add, lower, 0.0)
+    tree = EventTree.uniform([5])
+    assert TransitionSet.box(lower, [1.0] * 5).problems(5) == [
+        "box does not intersect the probability simplex"]
+    assert _box_transitions({"r": {"lower": lower, "upper": [1.0] * 5}}, tree) is None
+    assert _box_transitions({"r": {"lower": [0.2] * 5, "upper": [1.0] * 5}}, tree) is not None
+    assert TransitionSet.box([0.2] * 5, [1.0] * 5).problems(5) == []
 
 
 def test_bool_in_equal_pricing_block_is_still_rejected(tmp_path):

@@ -8,6 +8,7 @@ from bubbletree.lattice import (
     EventTree,
     InvalidMarketError,
     MarketSpec,
+    NodeValues,
     ShortSaleViolationError,
     StoppingTime,
     Strategy,
@@ -149,14 +150,14 @@ def test_validation_and_derived_processes_are_computed_once(monkeypatch):
     monkeypatch.setattr(
         lattice, "validate_market", lambda spec: calls.append(spec) or original(spec)
     )
-    derived = spec.derived
-    for _ in range(3):
-        assert discount_factors(spec).values is derived.B
-        assert cumulative_dividends(spec).values is derived.cum
-        assert wealth_process(spec).values is derived.W
+    derived, processes = spec.derived, spec.processes
+    for _ in range(3):  # views of the cached arrays
+        assert discount_factors(spec).values.array.base is processes.B
+        assert cumulative_dividends(spec).values.array.base is processes.cum
+        assert wealth_process(spec).values.array.base is processes.W
         assert tau_node_map(spec) is derived.taumap
         cash_flow_payoff(spec)
-    assert spec.derived is derived
+    assert spec.derived is derived and spec.processes is processes
     assert len(calls) == 1 and calls[0] is spec
 
     bad = MarketSpec(
@@ -401,7 +402,7 @@ def test_level_processes_and_their_readers_equal_the_preorder_loops(monkeypatch,
         for a, b in zip(ref, got):
             assert list(a) == list(b)  # key order
             assert repr(a) == repr(b)  # values bitwise, signed zeros and NaN included
-        assert repr(per_node.stopped_price(spec)) == repr(spec.stopped_price)
+        assert repr(per_node.stopped_price(spec)) == repr(NodeValues(spec.tree, spec.processes.stopped))
         assert per_node.alive_horizon(spec) == spec.alive_horizon
         assert per_node.cash_events(spec) == spec.cash_events
         for (s0, b0), (s1, b1) in zip(per_node.level_prices(spec), spec.level_prices, strict=True):
@@ -453,7 +454,6 @@ def test_gains_process_reads_node_values_holdings_as_their_array(monkeypatch):
     """A superhedge's holdings on fiat(10) (a ``NodeValues`` over the tree's
     inner nodes) give the gains and value of the same holdings in a dict,
     bitwise and in the same key order, with no per-node read of the holdings."""
-    from bubbletree.lattice import NodeValues
     from bubbletree.noarb import superhedge
 
     fx = fixtures.fiat(10)
