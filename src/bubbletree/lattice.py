@@ -469,7 +469,7 @@ class MarketSpec:
                           [self.rates.get(k, math.nan) if i else math.nan for k, i in zip(order, tree._inner.tolist())],
                           [self.payoff.get(k, math.nan) if k in taus else math.nan for k in order]], float)
         else:
-            ids, rank = list(tree._place), tree.listing_index
+            ids, rank = list(place), tree.listing_index
             inner = tree._inner[rank]  # in listing order
 
             def read(data: Mapping[str, float], keys: list[str]) -> list[float]:
