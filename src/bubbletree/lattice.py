@@ -153,7 +153,6 @@ class EventTree:
     # -- per-node maps, built from the arrays on first use -------------------
     _parent = cached_property(lambda self: dict(zip(self.level_order, (None, *map(
         self.level_order.__getitem__, self.parent_index[1:].tolist())))))
-    _index = cached_property(lambda self: dict(zip(self.level_order, itertools.count())))
     _preorder = cached_property(
         lambda self: tuple(map(self.level_order.__getitem__, self.preorder_index.tolist())))
     _time = cached_property(lambda self: dict(zip(self.level_order, itertools.chain.from_iterable(map(
@@ -196,12 +195,12 @@ class EventTree:
         return self.level_order[s[t] : s[t + 1]] if 0 <= t <= self.horizon else ()
 
     def index(self, nid: str) -> int:
-        """The node's index in ``level_order`` (the root's needs no map)."""
-        return 0 if nid == self.root else self._index[nid]
+        """The node's index in ``level_order``, through the listing's id map."""
+        return self.listing_index.item(self._place[nid])
 
     def position(self, nid: str) -> int:
         """The node's index in ``level(time(nid))``."""
-        return self._index[nid] - self.level_starts[self._time[nid]]
+        return self.index(nid) - self.level_starts[self._time[nid]]
 
     def path(self, nid: str) -> tuple[str, ...]:
         out = []
@@ -316,7 +315,7 @@ class NodeValues(Mapping):
 
     def __getitem__(self, nid: str) -> float:
         tree = self.tree  # ``tree.index`` inlined, ``item``: one Python call, no numpy scalar
-        if self.mask.item(g := 0 if nid == tree.root else tree._index[nid]):  # KeyError off the tree
+        if self.mask.item(g := tree.listing_index.item(tree._place[nid])):  # KeyError off the tree
             return self.array.item(g)
         raise KeyError(nid)
 
