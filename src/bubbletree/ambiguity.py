@@ -53,10 +53,9 @@ class CapExceededError(RuntimeError):
 
 
 def _simplex_misses(lower, upper, rows: np.ndarray, n: int) -> np.ndarray:
-    """Per row of ``n``, whether the box of the bounds ``rows`` assigns to it misses the
-    simplex: lower bounds adding to over 1 + 1e-12 or upper ones to under 1 - 1e-12, each
-    sum left to right from 0.0 for a family and a ``TransitionSet`` alike (``np.bincount``;
-    from Python 3.12 the builtin ``sum`` of floats is compensated)."""
+    """Per row of ``n``, whether the box of the bounds ``rows`` assigns to it misses the simplex
+    (lower bounds add to over 1 + 1e-12, or upper ones to under 1 - 1e-12). Each row adds left to
+    right from 0.0, for a family and a ``TransitionSet`` alike: from Python 3.12 ``sum`` does not."""
     return (np.bincount(rows, lower, n) > 1.0 + 1e-12) | (np.bincount(rows, upper, n) < 1.0 - 1e-12)
 
 

@@ -171,8 +171,7 @@ def _box_transitions(raw: dict, tree: EventTree) -> BoxSets | None:
         return None
     if not set(map(type, los)) | set(map(type, his)) <= {list}:
         return None
-    off = tree.child_offsets
-    arity = (off[1 : inner + 1] - off[:inner]).tolist()
+    arity = (tree.child_offsets[1 : inner + 1] - tree.child_offsets[:inner]).tolist()
     if list(map(len, los)) != arity or list(map(len, his)) != arity:
         return None
     lower, upper = (list(itertools.chain.from_iterable(b)) for b in (los, his))
@@ -260,7 +259,7 @@ def _node_entries(nodes: list, path: str) -> tuple[dict[str, int], list, list]:
             if t != int(t):
                 raise MarketFileError(f"{at}['time'] is not an integer")
             stated_times[nid] = int(t)
-    return dict(zip(parents, itertools.count())), list(parents.values()), list(map(stated_times.get, parents))
+    return {n: i for i, n in enumerate(parents)}, [*parents.values()], [*map(stated_times.get, parents)]
 
 
 def _bool_free(value) -> bool:
@@ -358,14 +357,15 @@ def parse_market_file(path: str) -> ParsedMarket:
     actual = _parse_family(_need(doc, "actual", path), tree, f"{path}.actual", "actual")
     pricing = None
     if "pricing" in doc:
+        block = doc["pricing"]
         # a box family is read from its bound lists only: the twin's must be free of bools
-        if doc["pricing"] == doc["actual"] and _bool_free(
-                list(itertools.chain.from_iterable(map(dict.values, doc["pricing"]["transitions"].values())))
-                if isinstance(getattr(actual, "transitions", None), BoxSets) else doc["pricing"]):
+        if block == doc["actual"] and _bool_free(
+                list(itertools.chain.from_iterable(map(dict.values, block["transitions"].values())))
+                if isinstance(getattr(actual, "transitions", None), BoxSets) else block):
             actual.charged_mask  # every command reads it: computed once for the twin as well
             pricing = actual.with_role("pricing")
         else:
-            pricing = _parse_family(doc["pricing"], tree, f"{path}.pricing", "pricing")
+            pricing = _parse_family(block, tree, f"{path}.pricing", "pricing")
     raw = _typed(doc.get("market_prices", {}), dict, f"{path}.market_prices", "an object")
     market_prices = {str(key): _num_map(raw, key, f"{path}.market_prices") for key in raw}
     return ParsedMarket(spec, actual, pricing, market_prices, path)

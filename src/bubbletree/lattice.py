@@ -60,8 +60,8 @@ class EventTree:
             raise ValueError("empty tree")
         ids, n, pars = list(place), len(place), parents
         up = list(map(place.get, pars, itertools.repeat(-1)))  # parents' places
-        # the nodes with no listed parent: the root, else the unknown parents come first
-        roots = pars.count(None) if (tops := up.count(-1)) > 1 else tops and int(pars[up.index(-1)] is None)
+        tops = up.count(-1)  # the nodes with no listed parent: the root, else unknown parents first
+        roots = pars.count(None) if tops > 1 else tops and int(pars[up.index(-1)] is None)
         if tops > roots:
             i = next(i for i, (u, p) in enumerate(zip(up, pars)) if u < 0 and p is not None)
             raise ValueError(f"node {ids[i]!r} has unknown parent {pars[i]!r}")
@@ -463,10 +463,11 @@ class MarketSpec:
         tree, nan, place = self.tree, itertools.repeat(math.nan), self.tree._place
         at = tree.listing_index[[place[a] for a in self.tau.tau_nodes if a in place]]  # on the tree
         if _narrow(tree):
-            order, taus = tree.level_order, self.tau.tau_nodes
-            x = np.array([list(map(self.price.get, order, nan)), list(map(self.dividend.get, order, nan)),
-                          [self.rates.get(k, math.nan) if i else math.nan for k, i in zip(order, tree._inner.tolist())],
-                          [self.payoff.get(k, math.nan) if k in taus else math.nan for k in order]], float)
+            order, taus, inner, na = tree.level_order, self.tau.tau_nodes, tree._inner.tolist(), math.nan
+            x = np.array([list(map(self.price.get, order, nan)),
+                          list(map(self.dividend.get, order, nan)),
+                          [self.rates.get(k, na) if i else na for k, i in zip(order, inner)],
+                          [self.payoff.get(k, na) if k in taus else na for k in order]], float)
         else:
             ids, rank = list(place), tree.listing_index
             inner = tree._inner[rank]  # in listing order
@@ -512,10 +513,9 @@ class MarketSpec:
                     W[g] = cum[g] + stopped[g]
             out = Processes(np.array(tau, np.intp), *map(np.array, (B, cum, W, S, stopped)))
         else:
-            price, div, pay, at = data.price, data.dividend, data.payoff, data.tau
             grow = 1.0 + data.rate[: starts[-2]]  # uniform depth: the last level holds the leaves
-            tau = np.full(n, -1, np.intp)
-            tau[at] = at
+            tau, div = np.full(n, -1, np.intp), data.dividend
+            tau[data.tau] = data.tau
             B, cum = np.ones(n), np.zeros(n)
             cum[0] += div[0] / B[0]
             for a, b in zip(starts[1:], starts[2:]):
@@ -524,9 +524,9 @@ class MarketSpec:
                 after = tau[p] >= 0  # the parent has matured: strictly after liquidation
                 tau[a:b] = np.where(after, tau[p], tau[a:b])
                 cum[a:b] = np.where(after, cum[p], cum[p] + div[a:b] / B[a:b])
-            S = price / B
+            S = data.price / B
             matured = tau >= 0
-            paid = (pay / B)[tau]  # the discounted payoff at the tau node (garbage where none)
+            paid = (data.payoff / B)[tau]  # the discounted payoff at the tau node (garbage where none)
             out = Processes(tau, B, cum, np.where(matured, cum + paid, S + cum), S,
                             np.where(matured, paid, S))
         for x in out:
@@ -585,8 +585,9 @@ def validate_market(spec: MarketSpec) -> ValidationReport:
 
     under = 0  # per node, how many tau nodes' subtrees (preorder runs) hold it: a running count
     if len(x.tau):
-        ends = np.bincount(tree._position[x.tau] + tree.subtree_size[x.tau], minlength=len(tree) + 1)
-        under = (np.bincount(tree._position[x.tau], minlength=len(tree) + 1) - ends).cumsum()[tree._position]
+        pos, n = tree._position[x.tau], len(tree) + 1
+        runs = np.bincount(pos, minlength=n) - np.bincount(pos + tree.subtree_size[x.tau], minlength=n)
+        under = runs.cumsum()[tree._position]
     if len(x.tau) < len(taus) or len(x.tau) and (0 in x.tau or (under > 1).any()):
         # a tau node off the tree, at the root, or under another one
         failures += (ValidationFailure("tau", msg) for msg in spec.tau.problems(tree))
@@ -617,7 +618,8 @@ def validate_market(spec: MarketSpec) -> ValidationReport:
                   sorted(_named(tree, open_leaves)))
         if spec.tau_kind == "possibly_infinite" and not open_leaves.any():
             failures.append(ValidationFailure(
-                "tau kind", "tau_kind 'possibly_infinite' requires at least one path without a tau node"))
+                "tau kind",
+                "tau_kind 'possibly_infinite' requires at least one path without a tau node"))
     return ValidationReport(ok=not failures, failures=tuple(failures))
 
 
