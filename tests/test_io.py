@@ -346,7 +346,8 @@ def test_parser_matches_per_value_reference_on_corruptions(tmp_path_factory, dat
 def test_parser_matches_per_value_reference_on_corruptions_at_both_widths(
         tmp_path_factory, monkeypatch, width, data):
     """The same property with the tree, the market arrays and the processes built on numpy
-    (width 0) or on lists (width infinite) whatever the trees' widths, which are all narrow."""
+    (width 0) or on lists (width infinite): the fixtures' trees are all narrow, so by default
+    only the list paths run."""
     monkeypatch.setattr(ambiguity, "_KERNEL_MIN_WIDTH", width)
     _parse_corruption(tmp_path_factory, data)
 
@@ -480,8 +481,8 @@ def test_explicit_pricing_twin_computes_the_node_masses_once(tmp_path, monkeypat
 
 def test_box_checks_add_each_row_left_to_right_in_batch_and_per_node():
     """The parser's batch box check and ``TransitionSet.problems`` share one summation, left to
-    right from 0.0: this lower row adds to over 1 + 1e-12 so, though its exact sum (that of the
-    compensated builtin ``sum`` from Python 3.12 on) does not, and both refuse the box."""
+    right from 0.0: this lower row, added so, exceeds 1 + 1e-12 while its exact sum (what the
+    compensated builtin ``sum`` of Python 3.12 on returns) does not, and both refuse the box."""
     from bubbletree.cli import _box_transitions
 
     lower = [0.15202121058356766, 0.3008587160937433, 0.20720393998174147, 0.19279421660953863,
