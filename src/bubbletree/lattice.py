@@ -469,14 +469,14 @@ class MarketSpec:
                           [self.rates.get(k, na) if i else na for k, i in zip(order, inner)],
                           [self.payoff.get(k, na) if k in taus else na for k in order]], float)
         else:
-            ids, rank = list(place), tree.listing_index
-            inner = tree._inner[rank]  # in listing order
+            ids, rank, inner = list(place), tree.listing_index, tree._inner[tree.listing_index]
 
-            def read(data: Mapping[str, float], keys: list[str]) -> list[float]:
-                return list(data.values()) if list(data) == keys else list(map(data.get, keys, nan))
+            def read(data: Mapping[str, float], keys: list[str]) -> np.ndarray:
+                values = data.values() if list(data) == keys else map(data.get, keys, nan)
+                return np.fromiter(values, float, len(keys))
 
             x = np.full((4, len(tree)), math.nan)
-            x[:2, rank] = read(self.price, ids), read(self.dividend, ids)
+            x[0, rank], x[1, rank] = read(self.price, ids), read(self.dividend, ids)
             x[2, rank[inner]] = read(self.rates, list(itertools.compress(ids, inner.tolist())))
             x[3, at] = read(self.payoff, list(map(tree.level_order.__getitem__, at.tolist())))
         x.flags.writeable = at.flags.writeable = False
