@@ -158,18 +158,14 @@ def _box_transitions(raw: dict, tree: EventTree) -> BoxSets | None:
     finite numbers that ``TransitionSet.problems`` accepts, with its sums (a leaf block,
     which it never checks, fails too); the per-node path then names the first problem."""
     inner = tree.level_starts[-2]  # the tree is valid: its nodes before the last level
-    at = list(map(tree._place.get, raw, itertools.repeat(-1)))  # the blocks' listing places
-    if len(raw) != inner or -1 in at or (g := tree.listing_index[at]).max() >= inner:
+    if len(raw) != inner or (g := tree.indices(raw)).min() < 0 or g.max() >= inner:
         return None
     blocks = list(map(list(raw.values()).__getitem__, g.argsort().tolist()))  # in level order
-    try:
-        if set(map(len, blocks)) != {2}:  # lower and upper only: no vertices
-            return None
-        los = list(map(operator.itemgetter("lower"), blocks))
-        his = list(map(operator.itemgetter("upper"), blocks))
-    except (KeyError, TypeError):  # a block that is no object with both bounds
+    vertices = map(operator.contains, blocks, itertools.repeat("vertices"))  # read if all are dicts
+    if not set(map(type, blocks)) <= {dict} or any(vertices):
         return None
-    if not set(map(type, los)) | set(map(type, his)) <= {list}:
+    los, his = (list(map(dict.get, blocks, itertools.repeat(key))) for key in ("lower", "upper"))
+    if not set(map(type, los)) | set(map(type, his)) <= {list}:  # a missing bound: None
         return None
     arity = (tree.child_offsets[1 : inner + 1] - tree.child_offsets[:inner]).tolist()
     if list(map(len, los)) != arity or list(map(len, his)) != arity:

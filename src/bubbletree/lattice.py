@@ -86,8 +86,8 @@ class EventTree:
             starts = [0, 1]  # a level's children end where its last node's do
             while starts[-1] < len(by_level):
                 starts.append(off[starts[-1]])
-            rank = np.empty(n, np.intp)
-            rank[by_level] = np.arange(len(by_level))
+            rank = np.empty(n + 1, np.intp)  # rank[n]: -1, for an id off the listing
+            rank[by_level], rank[n] = np.arange(len(by_level)), -1
         else:
             up = np.array(up)
             order = up.argsort(kind="stable")  # children by parent, in listing order
@@ -98,16 +98,16 @@ class EventTree:
                 end = c.cumsum()
                 levels.append(order[(first[levels[-1]] - end + c).repeat(c) + np.arange(end[-1])])
             starts = list(itertools.accumulate(map(len, levels), initial=0))
-            rank, by_level = np.empty(n, np.intp), np.concatenate(levels)
-            rank[by_level] = np.arange(len(by_level))
+            rank, by_level = np.empty(n + 1, np.intp), np.concatenate(levels)
+            rank[by_level], rank[n] = np.arange(len(by_level)), -1
             par, by_level = rank[up[by_level]], by_level.tolist()
             off = np.concatenate(([1], counts[by_level].cumsum() + 1))
             par[0] = -1
         if len(by_level) != n:
             missing = sorted(set(ids) - set(map(ids.__getitem__, by_level)))
             raise ValueError(f"nodes unreachable from root: {missing}")
-        self._place = place  # each id's index in the listing the tree was built from
-        self.listing_index = rank  # node i of that listing: node ``rank[i]`` of ``level_order``
+        self._place, self._rank = place, rank  # each id's place in the listing the tree was built from
+        self.listing_index = rank[:n]  # node i of that listing: node ``rank[i]`` of ``level_order``
         self.level_order: tuple[str, ...] = tuple(map(ids.__getitem__, by_level))
         self.root, self.horizon = self.level_order[0], len(starts) - 2  # the deepest level: leaves only
         # node g of ``level_order``: parent ``parent_index[g]`` (root: -1), children
@@ -196,7 +196,11 @@ class EventTree:
 
     def index(self, nid: str) -> int:
         """The node's index in ``level_order``, through the listing's id map."""
-        return self.listing_index.item(self._place[nid])
+        return self._rank.item(self._place[nid])
+
+    def indices(self, ids: Iterable[str]) -> np.ndarray:
+        """The indices of ``ids`` in ``level_order`` (-1 for an id off the tree)."""
+        return self._rank[list(map(self._place.get, ids, itertools.repeat(-1)))]
 
     def position(self, nid: str) -> int:
         """The node's index in ``level(time(nid))``."""
@@ -315,7 +319,7 @@ class NodeValues(Mapping):
 
     def __getitem__(self, nid: str) -> float:
         tree = self.tree  # ``tree.index`` inlined, ``item``: one Python call, no numpy scalar
-        if self.mask.item(g := tree.listing_index.item(tree._place[nid])):  # KeyError off the tree
+        if self.mask.item(g := tree._rank.item(tree._place[nid])):  # KeyError off the tree
             return self.array.item(g)
         raise KeyError(nid)
 
@@ -460,8 +464,8 @@ class MarketSpec:
         """The maps' values gathered once, whatever built the spec: on narrow trees (see
         ``processes``) by id in level order, in one conversion; else each map in its own
         order when it lists its nodes as the tree's listing does (as files do), or by id."""
-        tree, nan, place = self.tree, itertools.repeat(math.nan), self.tree._place
-        at = tree.listing_index[[place[a] for a in self.tau.tau_nodes if a in place]]  # on the tree
+        tree, nan = self.tree, itertools.repeat(math.nan)
+        at = (g := tree.indices(self.tau.tau_nodes))[g >= 0]  # the tau nodes on the tree
         if _narrow(tree):
             order, taus, inner, na = tree.level_order, self.tau.tau_nodes, tree._inner.tolist(), math.nan
             x = np.array([list(map(self.price.get, order, nan)),
@@ -469,7 +473,7 @@ class MarketSpec:
                           [self.rates.get(k, na) if i else na for k, i in zip(order, inner)],
                           [self.payoff.get(k, na) if k in taus else na for k in order]], float)
         else:
-            ids, rank, inner = list(place), tree.listing_index, tree._inner[tree.listing_index]
+            ids, rank, inner = list(tree._place), tree.listing_index, tree._inner[tree.listing_index]
 
             def read(data: Mapping[str, float], keys: list[str]) -> np.ndarray:
                 values = data.values() if list(data) == keys else map(data.get, keys, nan)

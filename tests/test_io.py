@@ -379,7 +379,7 @@ def test_parse_builds_no_per_node_map_and_the_fixture_processes(tmp_path, make):
     path = tmp_path / "m.market"
     _write(path, market_doc(fx.spec, fx.family))
     spec = parse_market_file(str(path)).spec
-    per_node = {"_time", "_preorder", "_kids", "leaves"}
+    per_node = {"_parent", "_time", "_preorder", "_children", "leaves", "_non_leaves"}
     assert not per_node & set(vars(spec.tree))
     assert spec.tree.level_order == fx.spec.tree.level_order
     for got, want in zip(spec.processes, fx.spec.processes, strict=True):

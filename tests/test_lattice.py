@@ -63,6 +63,21 @@ def test_uniform_tree_structure():
     assert tree.level(1) == ("r0", "r1")
 
 
+@pytest.mark.parametrize("wide", [False, True], ids=["lists", "numpy"])
+def test_indices_read_the_listing_id_map_with_minus_one_off_the_tree(wide):
+    """``indices`` gives each id's level-order index, as ``index`` does, and -1 for an id
+    off the tree, on a tree built from a listing that is not in level order."""
+    tree = EventTree.uniform([40, 2] if wide else [2, 2])
+    pre = tree.preorder()  # the listing: preorder, as in files
+    listed = EventTree([tree.parent(n) for n in pre], dict(zip(pre, range(len(pre)))))
+    ids = [*reversed(pre), "nope", pre[0]]
+    got = listed.indices(ids)
+    assert got.dtype == np.intp
+    assert got.tolist() == [*(tree.level_order.index(n) for n in reversed(pre)), -1, 0]
+    assert [listed.index(n) for n in pre] == [tree.level_order.index(n) for n in pre]
+    assert listed.indices([]).tolist() == []
+
+
 # -- validation -------------------------------------------------------------
 
 def test_ex1_validates():
