@@ -34,7 +34,6 @@ from .claims import (
     Claim,
     american_bounds,
     american_fundamental_price,
-    american_oracle,
     claim_bubbles,
     fundamental_claim_price,
     market_parity,

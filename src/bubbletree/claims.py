@@ -10,18 +10,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
 from typing import Mapping
 
 import numpy as np
 
 from .ambiguity import (
-    CapExceededError,
     MeasureFamily,
     _backward,
     _runs,
     _valued,
-    enumerate_extreme_measures,
     node_charged,
 )
 from .lattice import AdaptedProcess, MarketSpec, NodeValues, discount_factors, require_valid
@@ -333,80 +330,6 @@ def _american_values(
     lo, hi = runs[-1]
     x[lo:hi], stop[lo:hi] = floor[lo:hi], True
     return _backward(pricing, x, runs, floor=floor, stop=stop), _valued(pricing, runs), stop
-
-
-def _stopping_rule_count(tree, node: str, T: int, memo: dict) -> int:
-    if node in memo:
-        return memo[node]
-    if tree.time(node) == T:
-        memo[node] = 1
-        return 1
-    total = 1 + prod(_stopping_rule_count(tree, c, T, memo) for c in tree.children(node))
-    memo[node] = total
-    return total
-
-
-def _stopping_rules(tree, node: str, T: int):
-    if tree.time(node) == T:
-        yield (node,)
-        return
-    yield (node,)
-    child_rules = [list(_stopping_rules(tree, c, T)) for c in tree.children(node)]
-    idx = [0] * len(child_rules)
-    while True:
-        combined: tuple[str, ...] = ()
-        for rules, i in zip(child_rules, idx):
-            combined = combined + rules[i]
-        yield combined
-        j = 0
-        while j < len(idx):
-            idx[j] += 1
-            if idx[j] < len(child_rules[j]):
-                break
-            idx[j] = 0
-            j += 1
-        if j == len(idx):
-            return
-
-
-def american_oracle(
-    spec: MarketSpec,
-    pricing: MeasureFamily,
-    claim: Claim,
-    rule_cap: int = 50_000,
-    measure_cap: int = 50_000,
-) -> float:
-    """Independent check of the dynamic program: enumerate every stopping
-    rule (antichains covering all paths by maturity), evaluate the stopped
-    payoff's expectation under every extreme measure, and take the largest."""
-    if claim.kind not in ("amer_call", "amer_put"):
-        raise ValueError("american_oracle prices amer_call / amer_put")
-    validate_claim(spec, claim)
-    tree = spec.tree
-    T = claim.maturity
-    n_rules = _stopping_rule_count(tree, tree.root, T, {})
-    if n_rules > rule_cap:
-        raise CapExceededError(f"{n_rules} stopping rules exceed cap {rule_cap}")
-    measures = enumerate_extreme_measures(pricing, cap=measure_cap)
-    intrinsic = {}
-    for t in range(T + 1):
-        intrinsic.update(zip(tree.level(t), _intrinsic(spec, claim, t).tolist()))
-    best = None
-    for rule in _stopping_rules(tree, tree.root, T):
-        rule_set = set(rule)
-        stop_at = {}
-        for leaf in tree.leaves:
-            for n in tree.path(leaf):
-                if n in rule_set:
-                    stop_at[leaf] = n
-                    break
-        for q in measures:
-            val = sum(
-                q.get(leaf, 0.0) * intrinsic[stop_at[leaf]] for leaf in tree.leaves
-            )
-            if best is None or val > best:
-                best = val
-    return float(best)
 
 
 @dataclass(frozen=True)

@@ -259,35 +259,59 @@ def _node_entries(nodes: list, path: str) -> tuple[dict[str, int], list, list]:
 
 
 def _bool_free(value) -> bool:
-    """Whether no ``true`` or ``false`` sits anywhere in a parsed JSON value,
-    one C-level pass per nesting level. Equal parsed values hold equal
-    numbers at equal places, but ``==`` takes ``true`` for 1 and ``false``
-    for 0, and a market file must not."""
+    """Whether no ``true`` or ``false`` sits anywhere in a parsed JSON value, one nesting
+    level at a time. Equal parsed values hold equal numbers at equal places, but ``==``
+    takes ``true`` for 1 and ``false`` for 0, and a market file must not."""
     level = [value]
-    while level:
-        kinds = set(map(type, level))
-        if bool in kinds:
-            return False
-        if kinds == {dict}:
-            dicts, lists = level, []
-        elif kinds == {list}:
-            dicts, lists = [], level
-        elif kinds & {dict, list}:
-            dicts = [v for v in level if type(v) is dict]
-            lists = [v for v in level if type(v) is list]
-        else:  # scalars only
-            return True
-        level = [
-            *itertools.chain.from_iterable(map(dict.values, dicts)),
-            *itertools.chain.from_iterable(lists),
-        ]
-    return True
+    while level and bool not in set(map(type, level)):
+        level = [*itertools.chain.from_iterable(
+            v.values() if type(v) is dict else v for v in level if type(v) in (dict, list))]
+    return not level
 
 
-def _load_json(path: str, where: str):
+_WS, _SCAN = json.decoder.WHITESPACE.match, json.JSONDecoder().scan_once
+
+
+def _value_after(text: str, key: str) -> int:
+    """Where the value after the last ``key`` in ``text`` starts; -1 unless a colon follows
+    that key (spaces apart). Whether the key is a top-level member's is the caller's check."""
+    at = text.rfind(key)
+    colon = _WS(text, at + len(key)).end()
+    return _WS(text, colon + 1).end() if at >= 0 and text.startswith(":", colon) else -1
+
+
+def _market_json(text: str):
+    """``json.loads(text)``, with a ``pricing`` object whose text repeats ``actual``'s decoded
+    once. The value after the last ``"actual"`` key is decoded; when the value after the last
+    ``"pricing"`` key spells the same object, the text with both values cut out for a ``NaN``
+    each is decoded in one pass (one key memo, as for the whole text), and both members get
+    the one object. ``NaN`` goes to the decoder's ``parse_constant``, which counts it: the cut
+    stands only when exactly those two constants were decoded and they are the top-level
+    ``actual`` and ``pricing`` (last keys that sit elsewhere or repeat, or an escaped key,
+    leave it). Else ``json.loads`` decodes the text and decides what it is."""
+    p = _value_after(text, '"pricing"')
+    a = _value_after(text, '"actual"') if p >= 0 else -1
+    if a < 0:
+        return json.loads(text)
+    try:
+        value, end = _SCAN(text, a)
+        n, (i, j) = end - a, sorted((a, p))
+        if type(value) is dict and text.startswith(text[a:end], p):  # spans that overlap do not decode
+            marks = []  # what each NaN, Infinity and -Infinity decodes to: this list
+            rest = json.JSONDecoder(parse_constant=lambda c: marks.append(c) or marks).decode(
+                text[:i] + "NaN" + text[i + n : j] + "NaN" + text[j + n :])
+            if len(marks) == 2 and type(rest) is dict and rest.get("actual") is rest.get("pricing") is marks:
+                rest["actual"] = rest["pricing"] = value
+                return rest
+    except (ValueError, RecursionError, StopIteration):  # json.loads decides
+        pass
+    return json.loads(text)
+
+
+def _load_json(path: str, where: str, decode=json.loads):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return decode(fh.read())
     except OSError as exc:
         raise MarketFileError(f"cannot read {where}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
@@ -307,9 +331,10 @@ def parse_market_file(path: str) -> ParsedMarket:
     Number lists and maps and whole box families are checked in one pass
     each; only when that pass fails are the values checked one by one, so
     the first bad one is named exactly as a per-value check names it. A
-    ``pricing`` block equal to ``actual`` is parsed once.
+    ``pricing`` block equal to ``actual`` is parsed once, and one whose
+    text repeats ``actual``'s is decoded once too (``_market_json``).
     """
-    doc = _load_json(path, path)
+    doc = _load_json(path, path, _market_json)
     _typed(doc, dict, path, "a JSON object")
     nodes = _typed(_need(doc, "nodes", path), list, f"{path}: field 'nodes'", "a list")
     place, parents, stated_times = _node_entries(nodes, path)
@@ -354,10 +379,7 @@ def parse_market_file(path: str) -> ParsedMarket:
     pricing = None
     if "pricing" in doc:
         block = doc["pricing"]
-        # a box family is read from its bound lists only: the twin's must be free of bools
-        if block == doc["actual"] and _bool_free(
-                list(itertools.chain.from_iterable(map(dict.values, block["transitions"].values())))
-                if isinstance(getattr(actual, "transitions", None), BoxSets) else block):
+        if block is doc["actual"] or block == doc["actual"] and _bool_free(block):
             actual.charged_mask  # every command reads it: computed once for the twin as well
             pricing = actual.with_role("pricing")
         else:
@@ -397,16 +419,7 @@ class Report:
     exit_status: int = 0
 
     def as_dict(self) -> dict:
-        return _rounded(
-            {
-                "command": self.command,
-                "inputs": self.inputs,
-                "verdicts": self.verdicts,
-                "processes": self.processes,
-                "diagnostics": self.diagnostics,
-                "exit_status": self.exit_status,
-            }
-        )
+        return _rounded(vars(self))  # the fields, in their order
 
 
 def report_from_dict(doc: Mapping) -> Report:
@@ -732,28 +745,25 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("analyze", help="full bubble analysis of a market file")
-    sp.add_argument("market")
+    sub.add_parser("analyze", help="full bubble analysis of a market file")
 
     sp = sub.add_parser("price", help="fundamental price of a standard claim")
     sp.add_argument("--claim", required=True, choices=sorted(CLAIM_ALIASES))
     sp.add_argument("--strike", type=float, default=0.0)
     sp.add_argument("--maturity", type=int, help="defaults to the horizon")
-    sp.add_argument("market")
 
     sp = sub.add_parser("hedge", help="superhedge a payoff and report the duality gap")
     sp.add_argument("--claim", choices=sorted(CLAIM_ALIASES))
     sp.add_argument("--strike", type=float, default=0.0)
     sp.add_argument("--maturity", type=int)
     sp.add_argument("--payoff-file", dest="payoff_file", help="JSON {leaf: value}")
-    sp.add_argument("market")
 
     sp = sub.add_parser("classify", help="martingale-type classification of a process")
     sp.add_argument("--process", required=True, choices=("S", "W", "Wstar", "beta"))
-    sp.add_argument("market")
 
-    sp = sub.add_parser("dominance", help="search for a dominating strategy")
-    sp.add_argument("market")
+    sub.add_parser("dominance", help="search for a dominating strategy")
+    for sp in sub.choices.values():  # every command reads one market file
+        sp.add_argument("market")
     return p
 
 

@@ -7,6 +7,8 @@ import time
 import numpy as np
 import pytest
 
+from per_node import american_oracle
+
 from bubbletree import fixtures
 from bubbletree.ambiguity import (
     cond_expectation,
@@ -19,7 +21,6 @@ from bubbletree.claims import (
     Claim,
     american_bounds,
     american_fundamental_price,
-    american_oracle,
     parity_bounds,
 )
 from bubbletree.noarb import (

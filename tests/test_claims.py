@@ -3,6 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from per_node import american_oracle
+
 from bubbletree import fixtures
 from bubbletree.ambiguity import ExplicitFamily, RectangularFamily, TransitionSet, node_charged
 from bubbletree.claims import (
@@ -10,7 +12,6 @@ from bubbletree.claims import (
     Claim,
     american_bounds,
     american_fundamental_price,
-    american_oracle,
     asset_bubble,
     asset_fundamental,
     claim_bubbles,

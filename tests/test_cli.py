@@ -113,7 +113,9 @@ def test_horizon_must_be_an_integral_json_number(tmp_path, capsys, horizon, cont
 
 
 @pytest.mark.parametrize(
-    "content", [b"\xff\xfe not text", b"[" * 100_000 + b"]" * 100_000], ids=["binary", "deep"]
+    "content", [b"\xff\xfe not text", b"[" * 100_000 + b"]" * 100_000,
+                b'{"actual": {}, "pricing": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"],
+    ids=["binary", "deep", "deep-pricing"],
 )
 def test_undecodable_market_file_exits_1(tmp_path, capsys, content):
     path = tmp_path / "bad.market"
@@ -291,9 +293,9 @@ def test_exit_code_arbitrage_blocks_family(tmp_path, capsys):
 def test_explicit_american_price_exits_0_past_the_enumeration_cap(tmp_path, capsys):
     # a depth-5 binary tree has 458,330 stopping rules, past american_oracle's
     # cap; an explicit family prices the call by its measures' Snell envelopes
-    from per_node import explicit_american
+    from per_node import _stopping_rule_count, explicit_american
 
-    from bubbletree.claims import Claim, _stopping_rule_count
+    from bubbletree.claims import Claim
     from bubbletree.lattice import EventTree
 
     tree = EventTree.uniform([2] * 5)
@@ -330,7 +332,9 @@ def test_explicit_american_price_exits_0_past_the_enumeration_cap(tmp_path, caps
 
 
 def test_explicit_american_root_equals_the_enumeration_oracle():
-    from bubbletree.claims import Claim, american_fundamental_price, american_oracle
+    from per_node import american_oracle
+
+    from bubbletree.claims import Claim, american_fundamental_price
 
     parsed = parse_market_file(data_file("explicit4.market"))
     for claim in (Claim("amer_put", 4, 1.0), Claim("amer_call", 4, 0.9)):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from per_node import (
+    _stopping_rules,
     explicit_charged,
     explicit_claim_values,
     explicit_classify,
@@ -34,7 +35,6 @@ from bubbletree.bubble import bubble_processes
 from bubbletree.claims import (
     Claim,
     _intrinsic,
-    _stopping_rules,
     american_fundamental_price,
     fundamental_claim_price,
 )

@@ -6,20 +6,25 @@
 * ``parse_market_file`` is compared with the per-value parser in
   ``reference_io`` on valid market documents and on random corruptions of
   them: the same result, or a ``MarketFileError`` with the same text.
+* The parser's decode of a market file's text, which decodes a ``pricing``
+  block that repeats ``actual``'s once, is compared with ``json.loads`` on
+  generated texts, broken ones included.
 * ``EventTree`` is compared with ``reference_io.ReferenceTree`` accessor by
   accessor on random parent maps, broken ones included.
 
 Hypothesis runs derandomized with a fixed number of examples, so the suite
 is deterministic.
 """
+import decimal
 import functools
 import json
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference_io
@@ -416,22 +421,31 @@ def test_valid_docs_parse_to_equal_specs_and_families(tmp_path, gen):
 
 
 def test_equal_pricing_block_is_parsed_once(tmp_path, monkeypatch):
+    """A ``pricing`` block equal to ``actual`` is parsed once. One whose text repeats
+    ``actual``'s, after it or before it (``"first"``), is decoded to the same object and
+    taken as the twin without the bool scan; an equal one spelled otherwise (its nodes in
+    reverse) is compared and scanned."""
     import bubbletree.cli as cli
 
     fx = fixtures.rand_claim_market(3, depth=3, branching=3, style="bumped")
-    calls = []
-    original = cli._parse_family
+    calls, scans = [], []
+    original, bool_free = cli._parse_family, cli._bool_free
     monkeypatch.setattr(cli, "_parse_family", lambda doc, *a: calls.append(a[1]) or original(doc, *a))
+    monkeypatch.setattr(cli, "_bool_free", lambda value: scans.append(value) or bool_free(value))
     root = fx.spec.tree.root
-    for shape in ("same", "reordered", "other"):  # node order is no part of a family
+    for shape in ("same", "first", "reordered", "other"):  # node order is no part of a family
         calls.clear()
+        scans.clear()
         doc = market_doc(fx.spec, fx.family, pricing="reordered" if shape == "reordered" else "same")
+        if shape == "first":
+            doc = {"pricing": doc.pop("pricing"), **doc}
         if shape == "other":
             doc["pricing"]["transitions"][root]["lower"] = [0.0] * len(fx.spec.tree.children(root))
         path = tmp_path / f"{shape}.market"
         _write(path, doc)
         parsed = cli.parse_market_file(str(path))
         assert len(calls) == (2 if shape == "other" else 1), shape
+        assert len(scans) == (shape == "reordered"), shape
         assert (parsed.pricing == parsed.actual.with_role("pricing")) == (shape != "other")
         assert (parsed.actual.role, parsed.pricing.role) == ("actual", "pricing")
 
@@ -505,6 +519,100 @@ def test_bool_in_equal_pricing_block_is_still_rejected(tmp_path):
     _write(path, doc)
     with pytest.raises(MarketFileError, match=r"pricing\.transitions\['r'\]\.upper\[0\] is not a number"):
         parse_market_file(str(path))
+
+
+@functools.cache
+def _doc_without_pricing(seed: int) -> dict:
+    fx = _fixture(seed)
+    return market_doc(fx.spec, fx.family, pricing="absent")
+
+
+def _respelled(text: str) -> str:
+    """``text`` with its first float spelled in exponent form (``0.5``: ``5e-1``), the same
+    number."""
+    match = re.search(r"-?\d+\.\d+(?:[eE][-+]?\d+)?", text)
+    return text if match is None else (
+        text[:match.start()] + format(decimal.Decimal(match.group()), "e") + text[match.end():])
+
+
+@st.composite
+def market_texts(draw):
+    """A market file's text built member by member, whether ``pricing`` should be decoded as
+    ``actual``'s object, and whether the text is valid JSON. Separators and indentation vary;
+    ``pricing`` repeats ``actual``'s text, or is equal to it spelled otherwise (nodes in
+    reverse, one float respelled), or differs, or is absent; it may come first or be spelled
+    with an escape, an ``actual`` or ``pricing`` member may repeat, both blocks may hold a
+    ``true`` and another member a ``NaN``. A broken text is truncated, has trailing data or a
+    BOM, or nests ``[`` deeply in ``pricing``."""
+    doc = dict(_doc_without_pricing(draw(st.integers(0, 40), "seed")))
+    indent = draw(st.sampled_from((None, 0, 2)), "indent")
+    item, colon = draw(st.sampled_from(((",", ":"), (", ", ": "), (",\n ", " : "))), "separators")
+    dump = functools.partial(json.dumps, indent=indent, separators=(item, colon))
+    actual = doc.pop("actual")
+    if draw(st.booleans(), "true"):
+        actual = {**actual, "note": True}
+    text_a = dump(actual)
+    reordered = {**actual, "transitions": dict(reversed(actual["transitions"].items()))}
+    others = (text_a, dump(reordered), _respelled(text_a), dump({**actual, "note": 1}),
+              dump({**actual, "type": "none"}), "{}", "[]")
+    members = [(json.dumps(k), dump(v)) for k, v in doc.items()] + [('"actual"', text_a)]
+    how = draw(st.sampled_from(("same", "same", "same", "other", "absent")), "pricing")
+    if how != "absent":
+        key = draw(st.sampled_from(('"pricing"', '"pricing"', '"pr\\u0069cing"')), "key")
+        text_p = text_a if how == "same" else draw(st.sampled_from(others[1:]), "value")
+        members.insert(draw(st.integers(0, len(members)), "at"), (key, text_p))
+    if draw(st.integers(0, 3), "duplicate") == 0:
+        key = draw(st.sampled_from(('"actual"', '"pricing"')), "duplicate key")
+        members.insert(draw(st.integers(0, len(members)), "at"), (key, draw(st.sampled_from(others))))
+    if draw(st.integers(0, 5), "constant") == 0:
+        members.insert(draw(st.integers(0, len(members)), "at"), ('"note"', "NaN"))
+    last = {json.loads(k): (k, v) for k, v in members}  # the final key spelling and value text
+    key_p, text_p = last.get("pricing", (None, None))
+    twin = key_p == '"pricing"' and text_p == last["actual"][1] and text_p[0] == "{" and "note" not in last
+    pad = draw(st.sampled_from(("", " ", "\n")), "pad")
+    text = "{" + pad + item.join(k + colon + v for k, v in members) + pad + "}"
+    broken = draw(st.sampled_from((None,) * 6 + ("truncated", "trailing", "bom", "deep")), "broken")
+    if broken == "truncated":
+        text = text[:draw(st.integers(0, len(text) - 1), "at")]
+    elif broken == "trailing":
+        text += draw(st.sampled_from((" x", "{}", ",", " 1", "\n}")), "tail")
+    elif broken == "bom":
+        text = "\ufeff" + text
+    elif broken == "deep":
+        text = text[:-1] + item + '"pricing"' + colon + "[" * 100_000 + "]" * 100_000 + "}"
+    return text, twin, broken is None
+
+
+@settings(PROPERTY, max_examples=150)
+@given(market_texts())
+@example(('{"actual": [1], "pricing": [1]}', False, True))
+def test_market_text_decodes_as_json_loads_does(tmp_path_factory, case):
+    """The parser's decode (``cli._market_json``) equals ``json.loads``, down to key order and
+    the text of what it raises. ``pricing`` is ``actual``'s very object exactly when the final
+    members' texts spell one object, the final ``pricing`` key is the last ``"pricing"`` in the
+    text (no escape) and no other ``NaN`` or ``Infinity`` is in it; else ``json.loads``
+    decodes. The parse result or ``MarketFileError`` text is what the per-value reference
+    parser gives, or for text that is no JSON, ``json.loads``' error."""
+    import bubbletree.cli as cli
+
+    text, twin, valid = case
+    try:
+        want = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        want = (type(exc), str(exc))
+    try:
+        got = cli._market_json(text)
+    except (ValueError, RecursionError) as exc:
+        got = (type(exc), str(exc))
+    assert got == want and list(got) == list(want)
+    assert isinstance(got, dict) == valid
+    if valid:
+        assert (got.get("pricing") is got["actual"]) == twin
+    path = tmp_path_factory.mktemp("decode") / "m.market"
+    path.write_text(text)
+    expected = (summary(reference_io.parse_market_file, str(path)) if valid else
+                ("raised", "MarketFileError", f"{path}: not valid JSON: {want[1]}"))
+    assert summary(parse_market_file, str(path)) == expected
 
 
 # -- the event tree ----------------------------------------------------------------

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import per_node
+from per_node import american_oracle
 
 from bubbletree import ambiguity, fixtures
 from bubbletree.ambiguity import (
@@ -35,7 +36,6 @@ from bubbletree.ambiguity import (
 from bubbletree.claims import (
     Claim,
     american_fundamental_price,
-    american_oracle,
     fundamental_claim_price,
     terminal_payoff,
 )
