@@ -32,9 +32,9 @@ CHARGE_TOL = 1e-12
 _STEP_TOL = 1e-12
 
 # Runs of at least this many level-order nodes step their box nodes in numpy;
-# shorter ones call ``TransitionSet.maximize`` node by node. The two paths
-# break even near 20 nodes (numpy's fixed cost is ~70 us a step, per node
-# costs ~3.5 us; measured on a 2-vCPU machine), so 32 leaves a margin.
+# shorter ones call ``TransitionSet.maximize`` node by node. A box step costs
+# 27-47 us, ``maximize`` 2.5-3.5 us a node (2-5 children; 2-vCPU machine): they
+# break even at 11-14 nodes, and 32 also spares short-run trees the box rows.
 _KERNEL_MIN_WIDTH = 32
 # Box arrays pad every node to the widest one; a tree where that would take
 # more than this many cells per child steps node by node instead, so the

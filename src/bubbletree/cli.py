@@ -258,17 +258,6 @@ def _node_entries(nodes: list, path: str) -> tuple[dict[str, int], list, list]:
     return {n: i for i, n in enumerate(parents)}, [*parents.values()], [*map(stated_times.get, parents)]
 
 
-def _bool_free(value) -> bool:
-    """Whether no ``true`` or ``false`` sits anywhere in a parsed JSON value, one nesting
-    level at a time. Equal parsed values hold equal numbers at equal places, but ``==``
-    takes ``true`` for 1 and ``false`` for 0, and a market file must not."""
-    level = [value]
-    while level and bool not in set(map(type, level)):
-        level = [*itertools.chain.from_iterable(
-            v.values() if type(v) is dict else v for v in level if type(v) in (dict, list))]
-    return not level
-
-
 _WS, _SCAN = json.decoder.WHITESPACE.match, json.JSONDecoder().scan_once
 
 
@@ -331,8 +320,8 @@ def parse_market_file(path: str) -> ParsedMarket:
     Number lists and maps and whole box families are checked in one pass
     each; only when that pass fails are the values checked one by one, so
     the first bad one is named exactly as a per-value check names it. A
-    ``pricing`` block equal to ``actual`` is parsed once, and one whose
-    text repeats ``actual``'s is decoded once too (``_market_json``).
+    ``pricing`` block whose text repeats ``actual``'s is decoded and parsed
+    once (``_market_json``); any other is parsed on its own.
     """
     doc = _load_json(path, path, _market_json)
     _typed(doc, dict, path, "a JSON object")
@@ -379,7 +368,7 @@ def parse_market_file(path: str) -> ParsedMarket:
     pricing = None
     if "pricing" in doc:
         block = doc["pricing"]
-        if block is doc["actual"] or block == doc["actual"] and _bool_free(block):
+        if block is doc["actual"]:  # its text repeats actual's: decoded once (_market_json)
             actual.charged_mask  # every command reads it: computed once for the twin as well
             pricing = actual.with_role("pricing")
         else:

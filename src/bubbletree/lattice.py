@@ -72,7 +72,9 @@ class EventTree:
         while up[g] >= 0 and depth < n:
             g, depth = up[g], depth + 1
         # levels breadth first, each node's children in turn (every level in preorder): per node
-        # on lists where levels average under ``_KERNEL_MIN_WIDTH`` nodes, else numpy per level
+        # on lists where levels average under ``_KERNEL_MIN_WIDTH`` nodes, else numpy per level.
+        # They break even at 31-35 nodes a level; lists take 25-40 us against 60-160 us at 6-38
+        # nodes, numpy 12 ms against 30 ms on fiat(14) (2-vCPU machine)
         if n < _KERNEL_MIN_WIDTH * (depth + 1):
             kids: list[list[int]] = [[] for _ in range(n + 1)]  # the root's: kids[-1]
             for i, p in enumerate(up):
@@ -272,13 +274,6 @@ class StoppingTime:
         return out
 
 
-def _narrow(tree: EventTree) -> bool:
-    """Whether every level of the tree is narrower than ``_KERNEL_MIN_WIDTH``."""
-    from .ambiguity import _KERNEL_MIN_WIDTH  # imported here: ambiguity imports this module
-
-    return max(map(operator.sub, tree.level_starts[1:], tree.level_starts)) < _KERNEL_MIN_WIDTH
-
-
 def _named(tree: EventTree, mask: np.ndarray) -> tuple[str, ...]:
     """The ids of the nodes where the level-order ``mask`` is set, in preorder."""
     pre = tree.preorder_index
@@ -433,12 +428,12 @@ class MarketSpec:
     liquidation value, defined exactly on the tau nodes.
 
     ``arrays`` (the maps as read-only level-order arrays), the ``validation``
-    and ``processes`` (read-only level-order arrays) read off them, and the
-    ``derived``, ``alive_horizon``, ``level_prices`` and ``cash_events`` read
-    off those are computed on first use and cached on the instance, and so is
-    ``memo``, where ``noarb`` keeps its one-step test per ``actual`` family.
-    Treat a spec, its tree and its dicts as immutable: editing them
-    afterwards leaves them stale. Build a new spec instead.
+    and ``processes`` (read-only level-order arrays) read off them and off each
+    node's tau node, and the ``derived``, ``alive_horizon``, ``level_prices``
+    and ``cash_events`` read off those are computed on first use and cached on
+    the instance, and so is ``memo``, where ``noarb`` keeps its one-step test
+    per ``actual`` family. Treat a spec, its tree and its dicts as immutable:
+    editing them afterwards leaves them stale. Build a new spec instead.
     """
 
     tree: EventTree
@@ -461,78 +456,61 @@ class MarketSpec:
 
     @cached_property
     def arrays(self) -> MarketArrays:
-        """The maps' values gathered once, whatever built the spec: on narrow trees (see
-        ``processes``) by id in level order, in one conversion; else each map in its own
-        order when it lists its nodes as the tree's listing does (as files do), or by id."""
+        """The maps' values gathered once, whatever built the spec: each map in its own order
+        when it lists its nodes as the tree's listing does (as files do), else by id."""
         tree, nan = self.tree, itertools.repeat(math.nan)
         at = (g := tree.indices(self.tau.tau_nodes))[g >= 0]  # the tau nodes on the tree
-        if _narrow(tree):
-            order, taus, inner, na = tree.level_order, self.tau.tau_nodes, tree._inner.tolist(), math.nan
-            x = np.array([list(map(self.price.get, order, nan)),
-                          list(map(self.dividend.get, order, nan)),
-                          [self.rates.get(k, na) if i else na for k, i in zip(order, inner)],
-                          [self.payoff.get(k, na) if k in taus else na for k in order]], float)
-        else:
-            ids, rank, inner = list(tree._place), tree.listing_index, tree._inner[tree.listing_index]
+        ids, rank, inner = list(tree._place), tree.listing_index, tree._inner[tree.listing_index]
 
-            def read(data: Mapping[str, float], keys: list[str]) -> np.ndarray:
-                values = data.values() if list(data) == keys else map(data.get, keys, nan)
-                return np.fromiter(values, float, len(keys))
+        def read(data: Mapping[str, float], keys: list[str]) -> np.ndarray:
+            values = data.values() if list(data) == keys else map(data.get, keys, nan)
+            return np.fromiter(values, float, len(keys))
 
-            x = np.full((4, len(tree)), math.nan)
-            x[0, rank], x[1, rank] = read(self.price, ids), read(self.dividend, ids)
-            x[2, rank[inner]] = read(self.rates, list(itertools.compress(ids, inner.tolist())))
-            x[3, at] = read(self.payoff, list(map(tree.level_order.__getitem__, at.tolist())))
+        x = np.full((4, len(tree)), math.nan)
+        x[0, rank], x[1, rank] = read(self.price, ids), read(self.dividend, ids)
+        x[2, rank[inner]] = read(self.rates, list(itertools.compress(ids, inner.tolist())))
+        x[3, at] = read(self.payoff, list(map(tree.level_order.__getitem__, at.tolist())))
         x.flags.writeable = at.flags.writeable = False
         return MarketArrays(*x, at)
 
     @cached_property
+    def _tau_cover(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per node in level order: how many tau nodes' subtrees (runs of the preorder) hold it,
+        and the tau node on its path (itself included; -1: none), valid where that count is at
+        most 1. Both are running sums over the runs' ends: of ones, and of each index plus one."""
+        tree, at = self.tree, self.arrays.tau
+        if not len(at):
+            none = np.zeros(len(tree), np.intp)
+            return none, none - 1
+        start, pos, n, w = tree._position[at], tree._position, len(tree) + 1, at + 1.0
+        end = start + tree.subtree_size[at]
+        count = np.bincount(start, None, n) - np.bincount(end, None, n)
+        label = np.bincount(start, w, n) - np.bincount(end, w, n)
+        return count.cumsum()[pos], label.cumsum()[pos].astype(np.intp) - 1
+
+    @cached_property
     def processes(self) -> Processes:
-        """The tau node, B, collected dividends, wealth, discounted and stopped
-        price, from the root down (numpy one level at a time, or node by node
-        on lists when every level is narrower than ``_KERNEL_MIN_WIDTH``), each
-        value with the float operations of a per-node recursion down the tree.
-        Raises ``InvalidMarketError`` when the market fails validation."""
+        """The tau node, B, collected dividends, wealth, discounted and stopped price; B and
+        the dividends from the root down, one level at a time, each value with the float
+        operations of a per-node recursion down the tree. Raises ``InvalidMarketError`` when
+        the market fails validation."""
         require_valid(self)
-        tree, data = self.tree, self.arrays
-        par, starts, n = tree.parent_index, tree.level_starts, len(tree)
-        if _narrow(tree):  # per node on lists, which costs less than numpy's calls per level
-            price, div, rate, pay = (x.tolist() for x in data[:4])
-            tau, B = [-1] * n, [1.0] * n
-            cum, W, S, stopped = ([0.0] * n for _ in range(4))
-            for a in data.tau.tolist():
-                tau[a] = a
-            for g, p in enumerate(par.tolist()):
-                if g:
-                    B[g] = B[p] * (1.0 + rate[p])
-                if g and tau[p] >= 0:  # strictly after liquidation
-                    tau[g], cum[g] = tau[p], cum[p]
-                else:
-                    cum[g] = (cum[p] if g else 0.0) + div[g] / B[g]
-                S[g] = price[g] / B[g]
-                if (a := tau[g]) < 0:
-                    W[g], stopped[g] = S[g] + cum[g], S[g]
-                else:
-                    stopped[g] = pay[a] / B[a]
-                    W[g] = cum[g] + stopped[g]
-            out = Processes(np.array(tau, np.intp), *map(np.array, (B, cum, W, S, stopped)))
-        else:
-            grow = 1.0 + data.rate[: starts[-2]]  # uniform depth: the last level holds the leaves
-            tau, div = np.full(n, -1, np.intp), data.dividend
-            tau[data.tau] = data.tau
-            B, cum = np.ones(n), np.zeros(n)
-            cum[0] += div[0] / B[0]
-            for a, b in zip(starts[1:], starts[2:]):
-                p = par[a:b]
-                B[a:b] = B[p] * grow[p]
-                after = tau[p] >= 0  # the parent has matured: strictly after liquidation
-                tau[a:b] = np.where(after, tau[p], tau[a:b])
-                cum[a:b] = np.where(after, cum[p], cum[p] + div[a:b] / B[a:b])
-            S = data.price / B
-            matured = tau >= 0
-            paid = (data.payoff / B)[tau]  # the discounted payoff at the tau node (garbage where none)
-            out = Processes(tau, B, cum, np.where(matured, cum + paid, S + cum), S,
-                            np.where(matured, paid, S))
+        tree, data, tau, n = self.tree, self.arrays, self._tau_cover[1], len(self.tree)
+        par, levels = tree.parent_index, list(zip(tree.level_starts[1:], tree.level_starts[2:]))
+        grow, B = (1.0 + data.rate)[par], np.ones(n)  # grow[g]: the step into g (none at the root)
+        for a, b in levels:
+            np.multiply(B[par[a:b]], grow[a:b], out=B[a:b])
+        matured, cum, d = tau >= 0, np.zeros(n), data.dividend / B  # d: discounted dividends
+        after = matured[par]  # the parent has matured: strictly after liquidation (not the root)
+        cum[0] += d[0]
+        for a, b in levels:
+            c = cum[par[a:b]]
+            np.add(c, d[a:b], out=cum[a:b])
+            np.copyto(cum[a:b], c, where=after[a:b])
+        S = data.price / B
+        paid = (data.payoff / B)[tau]  # the discounted payoff at the tau node (garbage where none)
+        out = Processes(tau, B, cum, np.where(matured, cum + paid, S + cum), S,
+                        np.where(matured, paid, S))
         for x in out:
             x.flags.writeable = False
         return out
@@ -587,11 +565,7 @@ def validate_market(spec: MarketSpec) -> ValidationReport:
         if nodes:
             failures.append(ValidationFailure(code, message, tuple(nodes)))
 
-    under = 0  # per node, how many tau nodes' subtrees (preorder runs) hold it: a running count
-    if len(x.tau):
-        pos, n = tree._position[x.tau], len(tree) + 1
-        runs = np.bincount(pos, minlength=n) - np.bincount(pos + tree.subtree_size[x.tau], minlength=n)
-        under = runs.cumsum()[tree._position]
+    under = spec._tau_cover[0]  # per node, how many tau nodes' subtrees hold it
     if len(x.tau) < len(taus) or len(x.tau) and (0 in x.tau or (under > 1).any()):
         # a tau node off the tree, at the root, or under another one
         failures += (ValidationFailure("tau", msg) for msg in spec.tau.problems(tree))

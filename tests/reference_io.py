@@ -266,7 +266,7 @@ def parse_market_file(path: str) -> ParsedMarket:
             doc = json.load(fh)
     except OSError as exc:
         raise MarketFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
         raise MarketFileError(f"{path}: not valid JSON: {exc}") from exc
 
     _typed(doc, dict, path, "a JSON object")

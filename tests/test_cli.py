@@ -118,12 +118,18 @@ def test_horizon_must_be_an_integral_json_number(tmp_path, capsys, horizon, cont
     ids=["binary", "deep", "deep-pricing"],
 )
 def test_undecodable_market_file_exits_1(tmp_path, capsys, content):
+    """Exit 1 with the error the per-value reference parser raises."""
+    import reference_io
+
     path = tmp_path / "bad.market"
     path.write_bytes(content)
     rc = main(["analyze", str(path)])
     captured = capsys.readouterr()
     assert rc == 1
     assert f"{path}: not valid JSON" in captured.err
+    with pytest.raises(MarketFileError) as want:
+        reference_io.parse_market_file(str(path))
+    assert captured.err == f"error: {want.value}\n"
 
 
 def test_unreadable_file_is_schema_error():
@@ -288,6 +294,33 @@ def test_exit_code_arbitrage_blocks_family(tmp_path, capsys):
     rc = main(["analyze", str(path)])
     capsys.readouterr()
     assert rc == 2
+
+
+def test_hedge_without_a_pricing_family_reports_the_primal_price_and_exits_2(tmp_path, capsys):
+    """A weak arbitrage (the price rises or stays flat, both children charged) leaves no
+    pricing family: ``hedge`` reports the primal superhedge price of the call, 0.1 (hold
+    one unit: 1 + 0.5 - 0.9 and 1 - 0.9 cover the payoffs 0.6 and 0.1), with the note and
+    no process table, and exits 2."""
+    doc = {
+        "horizon": 1,
+        "nodes": [{"id": "r", "parent": None, "time": 0}, {"id": "r0", "parent": "r", "time": 1},
+                  {"id": "r1", "parent": "r", "time": 1}],
+        "rates": {"r": 0.0},
+        "prices": {"r": 1.0, "r0": 1.5, "r1": 1.0},
+        "dividends": {"r": 0.0, "r0": 0.0, "r1": 0.0},
+        "tau": {"nodes": [], "kind": "possibly_infinite"},
+        "payoffs": {},
+        "actual": {"type": "rectangular", "transitions": {"r": {"lower": [0, 0], "upper": [1, 1]}}},
+    }
+    path = tmp_path / "weak.market"
+    path.write_text(json.dumps(doc))
+    rc = main(["--format", "machine", "hedge", "--claim", "ecall", "--strike", "0.9", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["verdicts"] == {"price": pytest.approx(0.1, abs=1e-12),
+                                  "note": "no pricing family (arbitrage); primal hedge only"}
+    assert report["processes"] == {} and report["exit_status"] == 2
 
 
 def test_explicit_american_price_exits_0_past_the_enumeration_cap(tmp_path, capsys):

@@ -402,9 +402,10 @@ def _spec_markets():
 
 @pytest.mark.parametrize("width", [0, math.inf])
 def test_level_processes_and_their_readers_equal_the_preorder_loops(monkeypatch, width):
-    """Both paths of ``MarketSpec.processes``: numpy per level (width 0) and
-    per node on lists (width infinite; by default, trees whose levels are all
-    narrower than ``ambiguity._KERNEL_MIN_WIDTH``)."""
+    """``MarketSpec.processes`` and the readers off it, on trees built by both
+    paths of ``EventTree``: numpy per level (width 0) and per node on lists
+    (width infinite; by default, trees whose levels average under
+    ``ambiguity._KERNEL_MIN_WIDTH`` nodes)."""
     import per_node
 
     from bubbletree import ambiguity

@@ -105,6 +105,19 @@ def test_rise_or_stay_flat_is_an_arbitrage_with_a_bounded_hedge():
     assert _superhedge_lp(fx.spec, payoff).price == pytest.approx(0.0, abs=1e-9)
 
 
+def test_certificate_revalidation_fails_on_a_short_holding_or_a_charged_loss():
+    """``revalidate`` refuses a certificate whose strategy holds a negative position, and one
+    whose gain is negative at a charged leaf; a leaf outside the charged ones does not count."""
+    fx = fixtures.ex1_one_period(s0=1.0, s1=(1.5, 1.0))
+    leaves = fx.spec.tree.leaves
+    cert = find_arbitrage(fx.spec)
+    assert cert.strategy.pi == {"r": 1.0} and cert.revalidate(fx.spec, leaves)
+    assert not dataclasses.replace(cert, strategy=Strategy({"r": -1.0})).revalidate(fx.spec, leaves)
+    falls = fixtures.ex1_one_period(s0=1.0, s1=(1.5, 0.5)).spec  # one unit loses 0.5 at r1
+    assert not cert.revalidate(falls, leaves)
+    assert cert.revalidate(falls, ["r0"])
+
+
 def small_gain_spec() -> MarketSpec:
     """One branch rises by 5e-7, the other stays flat: one unit of the asset
     gains less than ``_GAIN_TOL``."""
