@@ -13,7 +13,6 @@ from .ambiguity import (
     check_full_support,
     classify_process,
     cond_expectation,
-    enumerate_extreme_measures,
     expectation_sweep,
     validate_family,
 )

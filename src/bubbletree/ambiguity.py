@@ -33,9 +33,10 @@ _STEP_TOL = 1e-12
 
 # Runs of at least this many level-order nodes step their box nodes in numpy;
 # shorter ones call ``TransitionSet.maximize`` node by node. A box step costs
-# 27-47 us, ``maximize`` 2.5-3.5 us a node (2-5 children; 2-vCPU machine): they
-# break even at 11-14 nodes, and 32 also spares short-run trees the box rows.
-_KERNEL_MIN_WIDTH = 32
+# 15-20 us on runs of 1-64 nodes, ``maximize`` 2.1-3 us a node (2-4 children;
+# 2-vCPU machine): they break even at 6-8 nodes. 16 also spares trees whose
+# runs are all short the box rows, which cost more to build than they save.
+_KERNEL_MIN_WIDTH = 16
 # Box arrays pad every node to the widest one; a tree where that would take
 # more than this many cells per child steps node by node instead, so the
 # arrays stay linear in the child count.
@@ -179,17 +180,17 @@ class TransitionSet:
         return tuple(out)
 
 
-_PAD = 1 << 40  # child index of a padding column: past any tree's end
-
-
 class _BoxArrays(NamedTuple):
     """Every inner node's box as arrays, one row per node in level order and one
     column per child, padded to the widest node with zero-capacity columns."""
 
-    kids: np.ndarray  # each child's level-order index - 1, or _PAD
+    kids: np.ndarray  # each child's level-order index (padding: 0, the root)
+    pad: np.ndarray | None  # the padding cells; None where every row is full
     lower: np.ndarray  # box lower bounds
     cap: np.ndarray  # upper - lower
     rem: np.ndarray  # 1 - sum(lower), per row
+    steps: np.ndarray  # 0, k, 2k, ...: each row's first cell in the raveled rows
+    boxed: bool  # every node before the last level has a box row
 
 
 def _pad(boxes: BoxSets) -> _BoxArrays | None:
@@ -202,12 +203,16 @@ def _pad(boxes: BoxSets) -> _BoxArrays | None:
     row, col = par[kid], kid - off[par[kid]]
     if not len(kid) or h * (k := col.max() + 1) > _MAX_PAD_RATIO * len(kid):
         return None
-    kids, lower, cap = np.full((h, k), _PAD, np.intp), np.zeros((h, k)), np.zeros((h, k))
-    kids[row, col] = kid - 1
+    kids, lower, cap = np.zeros((h, k), np.intp), np.zeros((h, k)), np.zeros((h, k))
+    kids[row, col] = kid
     lower[row, col] = boxes.lower[kid]
     cap[row, col] = boxes.upper[kid] - boxes.lower[kid]
+    pad = None
+    if len(kid) < h * k:
+        pad = np.ones((h, k), bool)
+        pad[row, col] = False
     rem = 1.0 - np.array(list(map(sum, lower.tolist())))  # the builtin sum, as in ``maximize``
-    return _BoxArrays(kids, lower, cap, rem)
+    return _BoxArrays(kids, pad, lower, cap, rem, np.arange(0, h * k, k), bool(boxes.rows[:h].all()))
 
 
 class BoxSets(Mapping):
@@ -467,36 +472,37 @@ def check_full_support(family: MeasureFamily) -> bool:
     return family.charged.issuperset(family.tree.leaves)
 
 
-def _box_step(box: _BoxArrays, lo: int, hi: int, base: int, vals) -> tuple[np.ndarray, np.ndarray]:
-    """``TransitionSet.maximize`` for box rows ``lo:hi`` at once,
-    with its float operations: a stable descending sort (ties in child
-    order), the greedy fill one column at a time while mass remains, and the
-    dot product from 0.0 in child order. Results are bitwise those of
-    ``maximize``; padding columns have zero capacity and read a 0.0 value,
-    so they change nothing. ``vals`` starts at the child numbered ``base``
-    in ``box.kids``. Returns the values and the maximizers, one row per node."""
-    m = len(vals)
-    v = np.empty(m + 1)
-    v[:m] = vals
-    v[m] = 0.0
-    x = v[np.minimum(box.kids[lo:hi] - base, m)]
-    n, k = x.shape
-    order = np.argsort(-x, axis=1, kind="stable")
-    flat = (order + np.arange(0, n * k, k)[:, None]).T  # row r: each node's r-th best
-    p = box.lower[lo:hi].ravel()[flat]
-    cap = box.cap[lo:hi].ravel()[flat]
-    rem = box.rem[lo:hi].copy()
-    for r in range(k):
-        live = rem > 0.0
-        if not live.any():
-            break
-        add = np.minimum(cap[r], rem)
-        np.add(p[r], add, out=p[r], where=live)
-        np.subtract(rem, add, out=rem, where=live)
+def _box_step(box: _BoxArrays, lo: int, hi: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``TransitionSet.maximize`` for box rows ``lo:hi`` at once, on the whole-tree
+    level-order values ``x``, with its float operations: a stable descending sort (ties
+    in child order), the greedy fill, and the dot product from 0.0 in child order.
+    Padding reads 0.0 and has zero capacity, so it changes nothing. Returns the values
+    and the maximizers, one row per node.
+
+    The fill runs over the ranks at once. The mass left before rank r is ``rem`` less
+    the capacities of the better ranks, subtracted in rank order (one accumulate), and
+    each rank gains the smaller of its capacity and that mass where the mass is above
+    0.0. That is bitwise the loop's fill: while each capacity is below the mass left,
+    both subtract the same numbers in the same order; at the first capacity that
+    reaches it, the loop adds exactly the mass left and stops, while the accumulate
+    goes to 0.0 or below and stays there (capacities are not negative), so no later
+    rank gains. ``np.where`` keeps the lower bound where nothing is added, so a -0.0
+    keeps its sign, and adds 0.0 where the loop adds 0.0."""
+    v = x[box.kids[lo:hi]]
+    if box.pad is not None:
+        np.copyto(v, 0.0, where=box.pad[lo:hi])
+    n, k = v.shape
+    order = np.argsort(-v, axis=1, kind="stable")
+    flat = np.add(order.T, box.steps[:n], order="C")  # row r: each node's r-th best, as a cell
+    low = box.lower[lo:hi].take(flat)
+    left = np.empty((k + 1, n))  # the mass left, then each rank's capacity
+    left[0] = box.rem[lo:hi]
+    cap = box.cap[lo:hi].take(flat, out=left[1:])
+    left = np.subtract.accumulate(left, axis=0)[:k]  # before each rank
     w = np.empty(n * k)
-    w[flat] = p
+    w[flat] = np.where(left > 0.0, low + np.minimum(cap, left), low)
     w = w.reshape(n, k)
-    terms = w * x
+    terms = w * v
     total = 0.0 + terms[:, 0]
     for j in range(1, k):
         total += terms[:, j]
@@ -531,12 +537,11 @@ def _upper_step(family: RectangularFamily, lo: int, hi: int, x: np.ndarray, pick
         out, at = _cut_step(cuts, lo, hi, x, pick=True)
         return out, _vertices(cuts, at, off[lo:hi].tolist(), off[lo + 1 : hi + 1].tolist())
     w = [None] * (hi - lo)
-    if hi - lo >= _KERNEL_MIN_WIDTH and (pad := family.boxes.pad) is not None:
-        i, j = off[lo].item(), off[hi].item()
-        out, rows = _box_step(pad, lo, hi, i - 1, x[i:j])
+    if hi - lo >= _KERNEL_MIN_WIDTH and (box := family.boxes.pad) is not None:
+        out, rows = _box_step(box, lo, hi, x)
         if pick:
             w = [tuple(r[:k]) for k, r in zip(np.diff(off[lo : hi + 1]).tolist(), rows.tolist())]
-        rest = np.flatnonzero(~family.boxes.rows[lo:hi]).tolist()
+        rest = () if box.boxed else np.flatnonzero(~family.boxes.rows[lo:hi]).tolist()
     else:
         out, rest = np.empty(hi - lo), range(hi - lo)
     if rest:  # maximize per node, on lists
@@ -727,27 +732,6 @@ def expectation_sweep(
         raise TypeError("expectation_sweep needs a rectangular family")
     x, runs = _swept(family, values, family.tree.root, bound)
     return NodeValues(family.tree, x, _valued(family, runs))
-
-
-def enumerate_extreme_measures(
-    family: MeasureFamily, cap: int = 4096
-) -> tuple[dict[str, float], ...]:
-    """All products of per-node transition-set vertices, as leaf measures.
-
-    The convex hull of the result equals the induced set of path measures;
-    used as an independent oracle against the backward recursion.
-    """
-    if isinstance(family, ExplicitFamily):
-        return family.measures
-    tree = family.tree
-    nodes = tree.non_leaves()
-    vlists = [family.transitions[n].vertex_list(cap) for n in nodes]
-    count = prod(len(v) for v in vlists)
-    if count > cap:
-        raise CapExceededError(f"{count} product measures exceed cap {cap}")
-    return tuple(
-        _push_mass(tree, dict(zip(nodes, combo))) for combo in itertools.product(*vlists)
-    )
 
 
 def argmax_measure(

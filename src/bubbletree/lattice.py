@@ -20,6 +20,11 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 TAU_KINDS = ("bounded", "unbounded_finite", "possibly_infinite")
+# ``EventTree`` builds its levels per node on lists where they average under this many
+# nodes, else on numpy per level. The two break even at 31-35 nodes a level (fiat(7), 255
+# nodes: 178 us on lists, 168 us on numpy); lists take 25-40 us against 60-160 us on trees of
+# 6-38 nodes, numpy 12 ms against 30 ms on fiat(14) (2-vCPU machine).
+_TREE_NUMPY_MIN_WIDTH = 32
 
 
 class InvalidMarketError(ValueError):
@@ -67,15 +72,12 @@ class EventTree:
             raise ValueError(f"node {ids[i]!r} has unknown parent {pars[i]!r}")
         if roots != 1:
             raise ValueError(f"expected exactly one root, found {roots}")
-        from .ambiguity import _KERNEL_MIN_WIDTH  # imported here: ambiguity imports this module
         g, depth = n - 1, 0  # the last listed node's depth (the horizon when it is a leaf)
         while up[g] >= 0 and depth < n:
             g, depth = up[g], depth + 1
         # levels breadth first, each node's children in turn (every level in preorder): per node
-        # on lists where levels average under ``_KERNEL_MIN_WIDTH`` nodes, else numpy per level.
-        # They break even at 31-35 nodes a level; lists take 25-40 us against 60-160 us at 6-38
-        # nodes, numpy 12 ms against 30 ms on fiat(14) (2-vCPU machine)
-        if n < _KERNEL_MIN_WIDTH * (depth + 1):
+        # on lists where levels average under ``_TREE_NUMPY_MIN_WIDTH`` nodes, else numpy per level
+        if n < _TREE_NUMPY_MIN_WIDTH * (depth + 1):
             kids: list[list[int]] = [[] for _ in range(n + 1)]  # the root's: kids[-1]
             for i, p in enumerate(up):
                 kids[p].append(i)
@@ -139,14 +141,18 @@ class EventTree:
 
     @classmethod
     def uniform(cls, branching: Iterable[int], root: str = "r") -> "EventTree":
-        """Build a uniform-depth tree; ``branching[t]`` children at depth t."""
+        """Build a uniform-depth tree; ``branching[t]`` children at depth t. Child j of
+        node n is ``f"{n}{j}"``, or ``f"{n}.{j}"`` throughout when some node has more than
+        10 children (``r1`` + ``0`` and ``r`` + ``10`` would be one id)."""
+        branching = list(branching)
+        sep = "." if any(k > 10 for k in branching) else ""
         parents: dict[str, str | None] = {root: None}
         frontier = [root]
         for k in branching:
             nxt = []
             for nid in frontier:
                 for j in range(k):
-                    cid = f"{nid}{j}"
+                    cid = f"{nid}{sep}{j}"
                     parents[cid] = nid
                     nxt.append(cid)
             frontier = nxt

@@ -39,6 +39,8 @@ node's descendants at the target time, the claim values, W* and the
 classification node by node (and horizon by horizon), and the American
 price as each measure's Snell envelope on unnormalized masses, node by node.
 
+``enumerate_extreme_measures`` lists the products of every node's vertices
+as leaf measures, whose hull is a rectangular family's set of path measures.
 ``american_oracle`` prices an American claim by brute force: every stopping
 rule (``_stopping_rules``, counted by ``_stopping_rule_count``) under every
 extreme measure of the family (``enumerate_extreme_measures``).
@@ -64,7 +66,6 @@ from bubbletree.ambiguity import (
     TransitionSet,
     _push_mass,
     charged_leaves,
-    enumerate_extreme_measures,
 )
 from bubbletree.bubble import BubblePropertyReport, _no_dividends
 from bubbletree.claims import Claim, _intrinsic, terminal_payoff, validate_claim
@@ -676,6 +677,27 @@ def explicit_american(
                 if Z[n] >= best:
                     exercise.add(n)
     return {n: value[n] for n in tree.preorder() if n in value}, frozenset(exercise)
+
+
+def enumerate_extreme_measures(
+    family: MeasureFamily, cap: int = 4096
+) -> tuple[dict[str, float], ...]:
+    """All products of per-node transition-set vertices, as leaf measures.
+
+    The convex hull of the result equals the induced set of path measures;
+    used as an independent oracle against the backward recursion.
+    """
+    if isinstance(family, ExplicitFamily):
+        return family.measures
+    tree = family.tree
+    nodes = tree.non_leaves()
+    vlists = [family.transitions[n].vertex_list(cap) for n in nodes]
+    count = math.prod(len(v) for v in vlists)
+    if count > cap:
+        raise CapExceededError(f"{count} product measures exceed cap {cap}")
+    return tuple(
+        _push_mass(tree, dict(zip(nodes, combo))) for combo in itertools.product(*vlists)
+    )
 
 
 def _stopping_rule_count(tree, node: str, T: int, memo: dict) -> int:

@@ -7,13 +7,12 @@ import time
 import numpy as np
 import pytest
 
-from per_node import american_oracle
+from per_node import american_oracle, enumerate_extreme_measures
 
 from bubbletree import fixtures
 from bubbletree.ambiguity import (
     cond_expectation,
     classify_process,
-    enumerate_extreme_measures,
     node_charged,
 )
 from bubbletree.bubble import bubble_process, check_bubble_properties, fundamental_wealth

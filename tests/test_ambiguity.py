@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from per_node import enumerate_extreme_measures
+
 from bubbletree import fixtures
 from bubbletree.ambiguity import (
     CHARGE_TOL,
@@ -14,7 +16,6 @@ from bubbletree.ambiguity import (
     check_full_support,
     classify_process,
     cond_expectation,
-    enumerate_extreme_measures,
     expectation_sweep,
     node_charged,
     validate_family,

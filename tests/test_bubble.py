@@ -10,7 +10,6 @@ from bubbletree.ambiguity import (
     ExplicitFamily,
     RectangularFamily,
     TransitionSet,
-    enumerate_extreme_measures,
 )
 from bubbletree.bubble import (
     analyze_bubble,
@@ -56,7 +55,7 @@ def test_fundamental_recursion_matches_extreme_measure_oracle():
     cf = cash_flow_payoff(fx.spec)
     oracle = max(
         sum(q.get(l, 0.0) * cf[l] for l in cf)
-        for q in enumerate_extreme_measures(fx.family)
+        for q in per_node.enumerate_extreme_measures(fx.family)
     )
     root_value = star[fx.spec.tree.root] if fx.spec.tree.root in star else None
     if root_value is not None:

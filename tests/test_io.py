@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 import reference_io
 from test_cli import _market_doc as market_doc
 
-from bubbletree import ambiguity, fixtures
+from bubbletree import ambiguity, fixtures, lattice
 from bubbletree.ambiguity import (
     BoxSets,
     ExplicitFamily,
@@ -41,7 +41,7 @@ from bubbletree.ambiguity import (
 from bubbletree.cli import MarketFileError, Report, emit_report, parse_market_file
 from bubbletree.lattice import EventTree, NodeValues
 
-KERNEL_MIN_WIDTH = ambiguity._KERNEL_MIN_WIDTH
+TREE_NUMPY_MIN_WIDTH = lattice._TREE_NUMPY_MIN_WIDTH
 PROPERTY = settings(
     derandomize=True,
     database=None,
@@ -365,7 +365,7 @@ def test_parser_matches_per_value_reference_on_corruptions_at_both_widths(
         tmp_path_factory, monkeypatch, width, data):
     """The same property with the tree built on numpy (width 0) or on lists (width
     infinite): the fixtures' trees are all narrow, so by default only the list build runs."""
-    monkeypatch.setattr(ambiguity, "_KERNEL_MIN_WIDTH", width)
+    monkeypatch.setattr(lattice, "_TREE_NUMPY_MIN_WIDTH", width)
     _parse_corruption(tmp_path_factory, data)
 
 
@@ -626,10 +626,10 @@ def test_market_text_decodes_as_json_loads_does(tmp_path_factory, case):
 @st.composite
 def parent_maps(draw):
     """Parent maps of up to 40 nodes, or of wide trees: a root with at least
-    ``_KERNEL_MIN_WIDTH`` children and up to 160 nodes, whose levels average
-    over that width or under it, so that ``EventTree`` builds either one on
-    numpy arrays or on lists. Listed in a random order; some have a flaw."""
-    width = KERNEL_MIN_WIDTH
+    ``lattice._TREE_NUMPY_MIN_WIDTH`` children and up to 160 nodes, whose levels
+    average over that width or under it, so that ``EventTree`` builds either one
+    on numpy arrays or on lists. Listed in a random order; some have a flaw."""
+    width = TREE_NUMPY_MIN_WIDTH
     wide = draw(st.booleans())
     n = draw(st.integers(width + 1, 160) if wide else st.integers(1, 40))
     ids = draw(st.lists(st.text(alphabet="abcxyz01", min_size=1, max_size=4),
@@ -677,7 +677,7 @@ def test_event_tree_matches_node_record_reference(parents):
 @given(parents=parent_maps())
 def test_event_tree_builds_equal_on_numpy_and_on_lists(monkeypatch, width, parents):
     """Each build path on every parent map, whatever the width switch picks."""
-    monkeypatch.setattr(ambiguity, "_KERNEL_MIN_WIDTH", width)
+    monkeypatch.setattr(lattice, "_TREE_NUMPY_MIN_WIDTH", width)
     view = _tree_view(EventTree, parents)
     assert view == _tree_view(reference_io.ReferenceTree, parents)
     if view[0] != "raised":  # node ids are never that word

@@ -63,6 +63,18 @@ def test_uniform_tree_structure():
     assert tree.level(1) == ("r0", "r1")
 
 
+def test_uniform_tree_with_more_than_ten_children_keeps_every_node():
+    """From 11 children on the ids get a separator: ``r1`` + ``0`` and ``r`` + ``10``
+    would be one id, and the tree would lose nodes."""
+    tree = EventTree.uniform([12, 2])
+    assert len(tree) == 37
+    assert {tree.time(n) for n in tree.leaves} == {2}
+    assert tree.children("r")[10:] == ("r.10", "r.11") and tree.children("r.1") == ("r.1.0", "r.1.1")
+    wide = EventTree.uniform([512, 3])
+    assert [len(wide.level(t)) for t in range(wide.horizon + 1)] == [1, 512, 1536]
+    assert EventTree.uniform([10, 3]).level_order[:3] == ("r", "r0", "r1")  # up to 10: no separator
+
+
 @pytest.mark.parametrize("wide", [False, True], ids=["lists", "numpy"])
 def test_indices_read_the_listing_id_map_with_minus_one_off_the_tree(wide):
     """``indices`` gives each id's level-order index, as ``index`` does, and -1 for an id
@@ -405,12 +417,12 @@ def test_level_processes_and_their_readers_equal_the_preorder_loops(monkeypatch,
     """``MarketSpec.processes`` and the readers off it, on trees built by both
     paths of ``EventTree``: numpy per level (width 0) and per node on lists
     (width infinite; by default, trees whose levels average under
-    ``ambiguity._KERNEL_MIN_WIDTH`` nodes)."""
+    ``lattice._TREE_NUMPY_MIN_WIDTH`` nodes)."""
     import per_node
 
-    from bubbletree import ambiguity
+    from bubbletree import lattice
 
-    monkeypatch.setattr(ambiguity, "_KERNEL_MIN_WIDTH", width)
+    monkeypatch.setattr(lattice, "_TREE_NUMPY_MIN_WIDTH", width)
     count = 0
     for spec in _spec_markets():
         count += 1

@@ -18,7 +18,6 @@ from bubbletree.ambiguity import (
     charged_leaves,
     classify_process,
     cond_expectation,
-    enumerate_extreme_measures,
     node_charged,
 )
 from bubbletree.lattice import (
@@ -636,6 +635,6 @@ def test_supermartingale_family_recursion_matches_enumeration():
     direct = cond_expectation(fam, payoff, fx.spec.tree.root, "upper")
     oracle = max(
         sum(q.get(l, 0.0) * payoff[l] for l in payoff)
-        for q in enumerate_extreme_measures(fam)
+        for q in per_node.enumerate_extreme_measures(fam)
     )
     assert direct == pytest.approx(oracle, abs=1e-9)
