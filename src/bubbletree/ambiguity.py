@@ -20,7 +20,7 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
+from math import isfinite, prod
 from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -33,9 +33,10 @@ _STEP_TOL = 1e-12
 
 # Runs of at least this many level-order nodes step their box nodes in numpy;
 # shorter ones call ``TransitionSet.maximize`` node by node. A box step costs
-# 15-20 us on runs of 1-64 nodes, ``maximize`` 2.1-3 us a node (2-4 children;
-# 2-vCPU machine): they break even at 6-8 nodes. 16 also spares trees whose
-# runs are all short the box rows, which cost more to build than they save.
+# 17-22 us on runs of 1-64 nodes, ``maximize`` 2.3-3.6 us a node (2-4 children;
+# 2-vCPU machine): they break even at 7-8 nodes. 16 also spares trees whose
+# runs are all short the box rows, which cost more to build than they save: at
+# 8, passes over the small ``rand-cli`` benchmark files ran 1.4% slower.
 _KERNEL_MIN_WIDTH = 16
 # Box arrays pad every node to the widest one; a tree where that would take
 # more than this many cells per child steps node by node instead, so the
@@ -185,7 +186,6 @@ class _BoxArrays(NamedTuple):
     column per child, padded to the widest node with zero-capacity columns."""
 
     kids: np.ndarray  # each child's level-order index (padding: 0, the root)
-    pad: np.ndarray | None  # the padding cells; None where every row is full
     lower: np.ndarray  # box lower bounds
     cap: np.ndarray  # upper - lower
     rem: np.ndarray  # 1 - sum(lower), per row
@@ -207,12 +207,8 @@ def _pad(boxes: BoxSets) -> _BoxArrays | None:
     kids[row, col] = kid
     lower[row, col] = boxes.lower[kid]
     cap[row, col] = boxes.upper[kid] - boxes.lower[kid]
-    pad = None
-    if len(kid) < h * k:
-        pad = np.ones((h, k), bool)
-        pad[row, col] = False
     rem = 1.0 - np.array(list(map(sum, lower.tolist())))  # the builtin sum, as in ``maximize``
-    return _BoxArrays(kids, pad, lower, cap, rem, np.arange(0, h * k, k), bool(boxes.rows[:h].all()))
+    return _BoxArrays(kids, lower, cap, rem, np.arange(0, h * k, k), bool(boxes.rows[:h].all()))
 
 
 class BoxSets(Mapping):
@@ -476,29 +472,37 @@ def _box_step(box: _BoxArrays, lo: int, hi: int, x: np.ndarray) -> tuple[np.ndar
     """``TransitionSet.maximize`` for box rows ``lo:hi`` at once, on the whole-tree
     level-order values ``x``, with its float operations: a stable descending sort (ties
     in child order), the greedy fill, and the dot product from 0.0 in child order.
-    Padding reads 0.0 and has zero capacity, so it changes nothing. Returns the values
-    and the maximizers, one row per node.
+    Returns the values and the maximizers, one row per node.
 
     The fill runs over the ranks at once. The mass left before rank r is ``rem`` less
-    the capacities of the better ranks, subtracted in rank order (one accumulate), and
-    each rank gains the smaller of its capacity and that mass where the mass is above
-    0.0. That is bitwise the loop's fill: while each capacity is below the mass left,
-    both subtract the same numbers in the same order; at the first capacity that
-    reaches it, the loop adds exactly the mass left and stops, while the accumulate
-    goes to 0.0 or below and stays there (capacities are not negative), so no later
-    rank gains. ``np.where`` keeps the lower bound where nothing is added, so a -0.0
-    keeps its sign, and adds 0.0 where the loop adds 0.0."""
-    v = x[box.kids[lo:hi]]
-    if box.pad is not None:
-        np.copyto(v, 0.0, where=box.pad[lo:hi])
+    the capacities of the better ranks, subtracted in rank order (one row at a time),
+    and each rank gains the smaller of its capacity and that mass where the mass is
+    above 0.0. That is bitwise the loop's fill: while each capacity is below the mass
+    left, both subtract the same numbers in the same order; at the first capacity that
+    reaches it, the loop adds exactly the mass left and stops, while the row goes to
+    0.0 or below and stays there (capacities are not negative), so no later rank gains.
+    ``np.where`` keeps the lower bound where nothing is added, so a -0.0 keeps its sign,
+    and adds 0.0 where the loop adds 0.0.
+
+    Padding reads the root's value ``x[0]`` and has zero lower bound and capacity, so
+    its weight is exactly 0.0, and subtracting its 0.0 capacity leaves every real rank's
+    mass bitwise unchanged, wherever the sort puts it. Its term ``0.0 * x[0]`` is +-0.0
+    for a finite ``x[0]``, and adding +-0.0 never changes a total that starts as
+    ``0.0 + terms[:, 0]`` (such a total is never -0.0). Only a root value that is not
+    finite is replaced by 0.0 at the padding, whose term would be NaN."""
+    kids = box.kids[lo:hi]
+    v = x[kids]
+    if not isfinite(x[0]):
+        np.copyto(v, 0.0, where=kids == 0)
     n, k = v.shape
     order = np.argsort(-v, axis=1, kind="stable")
     flat = np.add(order.T, box.steps[:n], order="C")  # row r: each node's r-th best, as a cell
     low = box.lower[lo:hi].take(flat)
-    left = np.empty((k + 1, n))  # the mass left, then each rank's capacity
+    cap = box.cap[lo:hi].take(flat)
+    left = np.empty((k, n))  # the mass left before each rank
     left[0] = box.rem[lo:hi]
-    cap = box.cap[lo:hi].take(flat, out=left[1:])
-    left = np.subtract.accumulate(left, axis=0)[:k]  # before each rank
+    for r in range(1, k):
+        np.subtract(left[r - 1], cap[r - 1], out=left[r])
     w = np.empty(n * k)
     w[flat] = np.where(left > 0.0, low + np.minimum(cap, left), low)
     w = w.reshape(n, k)

@@ -73,15 +73,20 @@ def validate_claim(
 
 def _intrinsic(spec: MarketSpec, claim: Claim, t: int) -> np.ndarray:
     """Discounted exercise value of the claim at the time-t nodes, in
-    ``tree.level(t)`` order, with the float operations of ``max(x, 0.0)``;
-    a custom terminal claim's payoff there."""
+    ``tree.level(t)`` order (``_exercise``); a custom terminal claim's
+    payoff there."""
     if claim.kind == "custom_terminal":
         nodes = spec.tree.level(t)
         missing = [n for n in nodes if n not in claim.payoff]
         if missing:
             raise ValueError(f"custom payoff missing at {missing}")
         return np.array([float(claim.payoff[n]) for n in nodes], dtype=float)
-    s, B = spec.level_prices[t]
+    return _exercise(claim, *spec.level_prices[t])
+
+
+def _exercise(claim: Claim, s: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Discounted exercise value at nodes with discounted prices ``s`` and
+    account values ``B``, with the float operations of ``max(x, 0.0)``."""
     k = claim.strike / B
     if claim.kind == "forward":
         return s - k
@@ -324,7 +329,8 @@ def _american_values(
         raise ValueError("american_fundamental_price prices amer_call / amer_put")
     validate_claim(spec, claim, actual)
     tree, T = spec.tree, claim.maturity
-    floor = np.concatenate([_intrinsic(spec, claim, t) for t in range(T + 1)])
+    p, end = spec.processes, tree.level_starts[T + 1]
+    floor = _exercise(claim, p.S[:end], p.B[:end])  # times 0..T, as ``_intrinsic`` per level
     runs = _runs(tree, tree.root, T)
     x, stop = np.zeros(len(tree)), np.zeros(len(tree), bool)
     lo, hi = runs[-1]

@@ -95,6 +95,9 @@ def fiat(periods: int = 10, y_low: float = 0.98, y_high: float = 1.03) -> Fixtur
 
 
 def _random_tree(rng: np.random.Generator, depth: int, branching: int) -> EventTree:
+    """Up to ``branching`` children a node (at least 2 at the root), named as
+    ``EventTree.uniform`` names them: ``f"{n}.{j}"`` when ``branching > 10``."""
+    sep = "." if branching > 10 else ""
     parents: dict[str, str | None] = {"r": None}
     frontier = ["r"]
     for t in range(depth):
@@ -104,7 +107,7 @@ def _random_tree(rng: np.random.Generator, depth: int, branching: int) -> EventT
                 rng.integers(1, branching + 1)
             )
             for j in range(k):
-                cid = f"{nid}{j}"
+                cid = f"{nid}{sep}{j}"
                 parents[cid] = nid
                 nxt.append(cid)
         frontier = nxt

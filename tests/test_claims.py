@@ -5,7 +5,7 @@ import pytest
 
 from per_node import american_oracle
 
-from bubbletree import fixtures
+from bubbletree import claims, fixtures
 from bubbletree.ambiguity import ExplicitFamily, RectangularFamily, TransitionSet, node_charged
 from bubbletree.claims import (
     AssumptionViolationError,
@@ -532,3 +532,30 @@ def test_american_market_chain_reduces_to_fundamental():
     rep = american_bounds(fx.spec, fx.family, K, T, market_prices=market)
     assert rep.fundamental_ok
     assert rep.market_ok
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_american_floor_is_the_per_node_exercise_value(monkeypatch, seed):
+    """The floor the American DP maximizes against, at every node of times
+    0..T, is Python's ``max(S/B - K/B, 0.0)`` (puts: ``K/B - S/B``) at that
+    node, bitwise: reprs tell signed zeros apart."""
+    fx = fixtures.rand_claim_market(seed, depth=3, branching=3, style=["neutral", "bumped"][seed % 2])
+    spec, tree = fx.spec, fx.spec.tree
+    assert any(spec.rates[n] != 0.0 for n in tree.non_leaves())
+    B = dict(zip(tree.level_order, spec.processes.B.tolist()))
+    floors = []
+    backward = claims._backward
+    monkeypatch.setattr(claims, "_backward",
+                        lambda *a, floor, **kw: floors.append(floor) or backward(*a, floor=floor, **kw))
+    for kind in ("amer_call", "amer_put"):
+        for K in (0.0, spec.price[tree.root]):
+            for T in range(1, tree.horizon + 1):
+                floors.clear()
+                american_fundamental_price(spec, fx.family, Claim(kind, T, K))
+                nodes = tree.level_order[: tree.level_starts[T + 1]]
+                s = [spec.price[n] / B[n] for n in nodes]
+                k = [K / B[n] for n in nodes]
+                want = [max(a - b, 0.0) if kind == "amer_call" else max(b - a, 0.0)
+                        for a, b in zip(s, k)]
+                (floor,) = floors
+                assert repr(floor.tolist()) == repr(want)

@@ -13,6 +13,7 @@ give, and the one-step checks of box families what
 ``per_node.one_step_bounds`` gives.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,7 +234,7 @@ def test_one_very_wide_node_keeps_its_level_off_the_padded_arrays(monkeypatch, s
     assert step_calls["box"] == [] and len(step_calls["maximize"]) == 501
     even = _lopsided(width=6, fan=3)
     pad = even.boxes.pad  # 7 x 6 cells for 14 children
-    assert pad.kids.size <= ambiguity._MAX_PAD_RATIO * (~pad.pad).sum()
+    assert pad.kids.size <= ambiguity._MAX_PAD_RATIO * (pad.kids != 0).sum()
     _sweep(even, step_calls)
     assert step_calls["box"] == [(pad, 1, 7), (pad, 0, 1)] and step_calls["maximize"] == []
 
@@ -317,3 +318,26 @@ def test_whole_tree_box_step_matches_per_node_one_step_bounds(data):
 def test_wide_fans_leave_the_whole_tree_unpadded():
     assert _lopsided(width=8, fan=40).boxes.pad is None
     assert _lopsided(width=2, fan=3).boxes.pad is not None
+
+
+@pytest.mark.parametrize("root", [math.inf, -math.inf, math.nan, -0.0, 1e308])
+def test_padded_rows_ignore_the_root_value(monkeypatch, root):
+    """Padding cells read the root's value: a root value that is not finite must
+    not reach a step's values or maximizers, and none may raise a warning."""
+    monkeypatch.setattr(ambiguity, "_KERNEL_MIN_WIDTH", 0)
+    for seed in range(5):
+        fx = fixtures.rand_claim_market(seed, depth=3, branching=4, style="bumped")
+        tree, fam = fx.spec.tree, fx.family
+        assert (fam.boxes.pad.kids == 0).any()  # some row is padded
+        rng = np.random.default_rng(seed)
+        n = len(tree)  # ties and signed zeros about half the time
+        x = np.where(rng.random(n) < 0.5, rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], n), rng.uniform(-1, 1, n))
+        x[0] = root
+        inner = tree.level_starts[-2]
+        maxima = [fam.transitions[node].maximize(x[tree.child_offsets[g] : tree.child_offsets[g + 1]].tolist())
+                  for g, node in enumerate(tree.level_order[:inner])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lo, hi in (*_inner_levels(tree), (0, inner)):
+                out, rows = ambiguity._upper_step(fam, lo, hi, x, pick=True)
+                assert repr(list(zip(out.tolist(), rows))) == repr(maxima[lo:hi])

@@ -75,6 +75,19 @@ def test_uniform_tree_with_more_than_ten_children_keeps_every_node():
     assert EventTree.uniform([10, 3]).level_order[:3] == ("r", "r0", "r1")  # up to 10: no separator
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_random_tree_with_more_than_ten_children_keeps_every_node(seed):
+    """``fixtures._random_tree`` names children as ``EventTree.uniform`` does: with up to
+    12 children a node, every drawn node is in the tree and every leaf is at the horizon."""
+    tree = fixtures._random_tree(np.random.default_rng(seed), 2, 12)
+    rng = np.random.default_rng(seed)  # the same draws: the root's count, then each child's
+    k = int(rng.integers(2, 13))
+    assert len(tree) == 1 + k + sum(int(rng.integers(1, 13)) for _ in range(k))
+    assert {tree.time(n) for n in tree.leaves} == {2}
+    narrow = fixtures._random_tree(np.random.default_rng(seed), 3, 4)  # up to 10: no separator
+    assert not any("." in n for n in narrow.level_order)
+
+
 @pytest.mark.parametrize("wide", [False, True], ids=["lists", "numpy"])
 def test_indices_read_the_listing_id_map_with_minus_one_off_the_tree(wide):
     """``indices`` gives each id's level-order index, as ``index`` does, and -1 for an id
