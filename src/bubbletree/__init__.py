@@ -2,7 +2,6 @@
 uncertainty with short-sale prohibitions."""
 
 from .ambiguity import (
-    CapExceededError,
     Classification,
     ExplicitFamily,
     MeasureFamily,

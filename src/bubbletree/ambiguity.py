@@ -16,11 +16,10 @@ conjugates ``lower[X] = -upper[-X]`` (exact, by construction).
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite, prod
+from math import isfinite
 from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -48,10 +47,6 @@ CLASS_ORDER = ("none", "infi_supermartingale", "G_supermartingale", "G_martingal
 
 class PolarNodeError(ValueError):
     """Conditioning on a node that no measure in the family charges."""
-
-
-class CapExceededError(RuntimeError):
-    """An enumeration grew past its configured cap."""
 
 
 def _simplex_misses(lower, upper, rows: np.ndarray, n: int) -> np.ndarray:
@@ -154,31 +149,6 @@ class TransitionSet:
             k = self.arity()
             return tuple(any(v[i] > CHARGE_TOL for v in self.vertices) for i in range(k))
         return tuple(u > CHARGE_TOL for u in self.upper)
-
-    def vertex_list(self, cap: int = 4096) -> tuple[tuple[float, ...], ...]:
-        """Extreme points. For a box these are the greedy fills over all child
-        orderings (every vertex maximizes some linear functional)."""
-        if self.vertices is not None:
-            return self.vertices
-        k = len(self.lower)
-        if prod(range(1, k + 1)) > cap:
-            raise CapExceededError(f"vertex enumeration over {k} children exceeds cap")
-        seen = set()
-        out = []
-        for order in itertools.permutations(range(k)):
-            p = list(self.lower)
-            rem = 1.0 - sum(p)
-            for i in order:
-                if rem <= 0.0:
-                    break
-                add = min(self.upper[i] - self.lower[i], rem)
-                p[i] += add
-                rem -= add
-            key = tuple(round(x, 15) for x in p)
-            if key not in seen:
-                seen.add(key)
-                out.append(tuple(p))
-        return tuple(out)
 
 
 class _BoxArrays(NamedTuple):
@@ -326,14 +296,7 @@ class CutSets(Mapping):
 
 
 class _Family:
-    """What both kinds of family share: ``with_role``, and ``charged`` from ``charged_mask``."""
-
-    def with_role(self, role: str):
-        """The family under ``role``, sharing what it has cached so far that no role changes."""
-        twin = dataclasses.replace(self, role=role)
-        shared = ("node_mass", "charged_mask", "charged", "boxes")
-        vars(twin).update((key, vars(self)[key]) for key in shared if key in vars(self))
-        return twin
+    """What both kinds of family share: ``charged`` from ``charged_mask``."""
 
     @cached_property
     def charged(self) -> frozenset[str]:
@@ -357,7 +320,6 @@ class RectangularFamily(_Family):
 
     tree: EventTree
     transitions: Mapping[str, TransitionSet]
-    role: str = "pricing"
 
     @property
     def cuts(self) -> _CutArrays | None:
@@ -398,7 +360,6 @@ class ExplicitFamily(_Family):
 
     tree: EventTree
     measures: tuple[dict[str, float], ...]
-    role: str = "pricing"
 
     @cached_property
     def node_mass(self) -> np.ndarray:
@@ -803,15 +764,6 @@ def _horizon_rows(family: ExplicitFamily, x: np.ndarray, have: np.ndarray, T: in
     g, *rows = map(np.concatenate, zip(*rows))
     order = np.argsort(np.argsort(tree.preorder_index)[g], kind="stable")  # times stay in order
     return g[order], *(r[order] for r in rows)
-
-
-def _one_step_bounds(
-    family: RectangularFamily, process: Mapping[str, float] | np.ndarray, T: int
-) -> dict[str, tuple[float, float, float]]:
-    """``_step_rows`` as a map of node to (value, upper, lower), in preorder."""
-    node, *rows = _step_rows(family, *_level_values(family.tree, process), T)
-    ids = map(family.tree.level_order.__getitem__, node.tolist())
-    return dict(zip(ids, zip(*(r.tolist() for r in rows))))
 
 
 def _first_min(a: np.ndarray, start: np.ndarray) -> np.ndarray:

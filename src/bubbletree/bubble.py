@@ -28,13 +28,15 @@ from .lattice import (
     AdaptedProcess,
     MarketSpec,
     NodeValues,
-    Strategy,
     _collected,
     _level_values,
     cash_flow_payoff,
     require_valid,
 )
 from .noarb import HedgeSolution, _pass, superhedge
+
+_IDENTITY_TOL = 1e-12  # the largest deviation of the bubble from the identity beta = W - W*
+_MARTINGALE_TOL = 1e-9  # the largest martingale gap ``fundamental_wealth`` accepts
 
 
 def _conditional_value_process(spec: MarketSpec, pricing: MeasureFamily) -> np.ndarray:
@@ -62,13 +64,11 @@ def _price_from_value(spec: MarketSpec, val: np.ndarray) -> NodeValues:
     return NodeValues(spec.tree, val - p.cum, p.tau < 0)
 
 
-def fundamental_wealth(
-    spec: MarketSpec, pricing: MeasureFamily, tol: float = 1e-9
-) -> tuple[AdaptedProcess, bool]:
+def fundamental_wealth(spec: MarketSpec, pricing: MeasureFamily) -> tuple[AdaptedProcess, bool]:
     """Fundamental wealth and whether it classifies as a G-martingale (it
     must, for rectangular families: the recursion is the tower property)."""
     val = _conditional_value_process(spec, pricing)
-    cls = classify_process(pricing, val, tol=tol)
+    cls = classify_process(pricing, val, tol=_MARTINGALE_TOL)
     return AdaptedProcess(NodeValues(spec.tree, val)), cls.strongest == "G_martingale"
 
 
@@ -79,22 +79,21 @@ def stopped_price_process(spec: MarketSpec) -> AdaptedProcess:
     return AdaptedProcess(NodeValues(spec.tree, spec.processes.stopped))
 
 
-def bubble_process(
-    spec: MarketSpec, pricing: MeasureFamily, tol: float = 1e-12
-) -> AdaptedProcess:
+def bubble_process(spec: MarketSpec, pricing: MeasureFamily) -> AdaptedProcess:
     """Bubble = discounted price minus fundamental price before maturity and
     zero afterwards. Verifies the wealth identity bubble = W - W*."""
-    beta = _bubble_from_value(spec, _conditional_value_process(spec, pricing), tol)
+    beta = _bubble_from_value(spec, _conditional_value_process(spec, pricing))
     return AdaptedProcess(NodeValues(spec.tree, beta))
 
 
-def _bubble_from_value(spec: MarketSpec, val: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _bubble_from_value(spec: MarketSpec, val: np.ndarray) -> np.ndarray:
     """The bubble from the value process W* (see ``bubble_process``), both level-order
-    arrays; an error at the first node in preorder that breaks the identity."""
+    arrays; an error at the first node in preorder that breaks the identity by more
+    than ``_IDENTITY_TOL``."""
     p, tree = spec.processes, spec.tree
     beta = np.where(p.tau < 0, p.S - (val - p.cum), 0.0)
     dev = np.abs(beta - (p.W - val))[tree.preorder_index]
-    bad = np.flatnonzero(dev > tol)
+    bad = np.flatnonzero(dev > _IDENTITY_TOL)
     if len(bad):
         raise AssertionError(
             f"bubble identity beta = W - W* violated at {tree.preorder()[bad[0]]!r}"
@@ -273,7 +272,6 @@ class DominancePair:
     charged leaf."""
 
     hedge: HedgeSolution
-    buy_and_hold: Strategy
     hedge_cost: float
     asset_cost: float
     fundamental_root: float
@@ -316,7 +314,6 @@ def find_dominating_strategy(
     gap = NodeValues(tree, hedge.slack.array + (s0_hat - hedge.price), hedge.slack.mask)
     return DominancePair(
         hedge=hedge,
-        buy_and_hold=Strategy({n: 1.0 for n in tree.non_leaves()}),
         hedge_cost=hedge.price,
         asset_cost=s0_hat,
         fundamental_root=s_star0,

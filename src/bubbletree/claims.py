@@ -24,6 +24,7 @@ from .ambiguity import (
 from .lattice import AdaptedProcess, MarketSpec, NodeValues, discount_factors, require_valid
 
 CLAIM_KINDS = ("forward", "euro_call", "euro_put", "amer_call", "amer_put", "custom_terminal")
+_CHECK_TOL = 1e-9  # the slack of every parity, claim-bubble and American-bounds check
 
 
 class AssumptionViolationError(ValueError):
@@ -81,7 +82,8 @@ def _intrinsic(spec: MarketSpec, claim: Claim, t: int) -> np.ndarray:
         if missing:
             raise ValueError(f"custom payoff missing at {missing}")
         return np.array([float(claim.payoff[n]) for n in nodes], dtype=float)
-    return _exercise(claim, *spec.level_prices[t])
+    p, (a, b) = spec.processes, spec.tree.level_starts[t : t + 2]
+    return _exercise(claim, p.S[a:b], p.B[a:b])
 
 
 def _exercise(claim: Claim, s: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -151,8 +153,8 @@ class ParityTriple:
     spread: float
     upper: float
 
-    def ok(self, tol: float = 1e-9) -> bool:
-        return self.lower - tol <= self.spread <= self.upper + tol
+    def ok(self) -> bool:
+        return self.lower - _CHECK_TOL <= self.spread <= self.upper + _CHECK_TOL
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,6 @@ def parity_bounds(
     maturity: int,
     t: int = 0,
     actual: MeasureFamily | None = None,
-    tol: float = 1e-9,
 ) -> ParityReport:
     """Sandwich of the call-put spread between the lower and upper
     expectations of the forward payoff, per node at time t."""
@@ -193,7 +194,7 @@ def parity_bounds(
         upper = _claim_values(spec, pricing, fwd, actual, t)[0][idx]
         triples = map(ParityTriple, lower.tolist(), (call[idx] - put[idx]).tolist(), upper.tolist())
         per_node = dict(zip(ids, triples))
-    all_ok = all(triple.ok(tol) for triple in per_node.values())
+    all_ok = all(triple.ok() for triple in per_node.values())
     return ParityReport(strike, maturity, t, per_node, all_ok)
 
 
@@ -207,7 +208,7 @@ class MarketParityReport:
 
 def _strike_discount(spec: MarketSpec, maturity: int) -> float | None:
     """1/B at maturity when the account value there is path-independent."""
-    B = spec.level_prices[maturity][1]
+    B = spec.processes.B[slice(*spec.tree.level_starts[maturity : maturity + 2])]
     lo, hi = B.min().item(), B.max().item()
     return None if hi - lo > 1e-12 else 1.0 / lo
 
@@ -218,7 +219,6 @@ def market_parity(
     strike: float,
     maturity: int,
     no_dominance: bool,
-    tol: float = 1e-9,
 ) -> MarketParityReport:
     """Check call minus put against asset minus (discounted) strike on the
     supplied market prices. With the no-dominance flag the identity is
@@ -245,7 +245,7 @@ def market_parity(
             asset = market_prices.get("asset", {}).get(n, spec.price[n] / B[n])
             target = asset - strike * disc
         deviations[n] = (call[n] - put[n]) - target
-    failing = tuple(n for n, d in deviations.items() if abs(d) > tol)
+    failing = tuple(n for n, d in deviations.items() if abs(d) > _CHECK_TOL)
     return MarketParityReport(
         deviations=deviations,
         enforced=no_dominance,
@@ -272,7 +272,6 @@ def claim_bubbles(
     strike: float,
     maturity: int,
     actual: MeasureFamily | None = None,
-    tol: float = 1e-9,
 ) -> ClaimBubbleReport:
     """Bubbles of the asset, forward, call, and put (market minus
     fundamental), with the relations: the forward bubble equals the asset
@@ -296,9 +295,9 @@ def claim_bubbles(
             raise ValueError(f"missing market prices for {key}")
         deltas[key] = {n: market[key][n] - star[key][n] for n in market[key] if n in star[key]}
     common = set(deltas["asset"]) & set(deltas["forward"])
-    feq = all(abs(deltas["forward"][n] - deltas["asset"][n]) <= tol for n in common)
+    feq = all(abs(deltas["forward"][n] - deltas["asset"][n]) <= _CHECK_TOL for n in common)
     common2 = set(deltas["asset"]) & set(deltas["euro_call"]) & set(deltas["euro_put"])
-    dom = all(deltas["asset"][n] <= deltas["euro_call"][n] - deltas["euro_put"][n] + tol
+    dom = all(deltas["asset"][n] <= deltas["euro_call"][n] - deltas["euro_put"][n] + _CHECK_TOL
               for n in common2)
     return ClaimBubbleReport(deltas=deltas, forward_equals_asset=feq, spread_dominates=dom)
 
@@ -354,7 +353,6 @@ def american_bounds(
     maturity: int,
     market_prices: Mapping[str, Mapping[str, float]] | None = None,
     actual: MeasureFamily | None = None,
-    tol: float = 1e-9,
 ) -> AmericanBoundsReport:
     """American call bounds: the European value from below, the European
     value plus the asset bubble from above; and the same squeeze shifted by
@@ -369,7 +367,7 @@ def american_bounds(
     lower_slack, upper_slack = ca - ce, ce + d - ca
     # the builtin min of 0.0 and every slack, as a left fold: NaN skipped, 0.0 kept over -0.0
     worst = min(0.0, np.fmin.reduce(np.concatenate((lower_slack, upper_slack))).item())
-    ok = not ((lower_slack < -tol) | (upper_slack < -tol)).any()
+    ok = not ((lower_slack < -_CHECK_TOL) | (upper_slack < -_CHECK_TOL)).any()
     per_node = dict(zip(ids, zip(ce.tolist(), ca.tolist(), d.tolist())))
 
     market_ok = market_worst = None
@@ -387,5 +385,5 @@ def american_bounds(
                 lower_slack = ca_m[n] - (ce_m[n] + d_ac - d_ec)
                 upper_slack = (ce_m[n] + d_ac - d_ep) - ca_m[n]
                 market_worst = min(market_worst, lower_slack, upper_slack)
-                market_ok = market_ok and not (lower_slack < -tol or upper_slack < -tol)
+                market_ok = market_ok and not (lower_slack < -_CHECK_TOL or upper_slack < -_CHECK_TOL)
     return AmericanBoundsReport(ok, worst, market_ok, market_worst, per_node)

@@ -181,7 +181,7 @@ def _box_transitions(raw: dict, tree: EventTree) -> BoxSets | None:
     return BoxSets(tree, *bounds)
 
 
-def _parse_family(doc, tree: EventTree, where: str, role: str) -> MeasureFamily:
+def _parse_family(doc, tree: EventTree, where: str) -> MeasureFamily:
     _typed(doc, dict, where, "an object")
     kind = _need(doc, "type", where)
     if kind == "rectangular":
@@ -191,7 +191,7 @@ def _parse_family(doc, tree: EventTree, where: str, role: str) -> MeasureFamily:
         )
         boxes = _box_transitions(raw, tree)
         if boxes is not None:  # checked: validate_family has nothing to add
-            return RectangularFamily(tree, boxes, role)
+            return RectangularFamily(tree, boxes)
         transitions: dict[str, TransitionSet] = {}
         for nid, block in raw.items():
             if nid not in tree:
@@ -207,7 +207,7 @@ def _parse_family(doc, tree: EventTree, where: str, role: str) -> MeasureFamily:
                 lo = _numbers(_need(block, "lower", at), f"{at}.lower")
                 hi = _numbers(_need(block, "upper", at), f"{at}.upper")
                 transitions[nid] = TransitionSet.box(lo, hi)
-        family: MeasureFamily = RectangularFamily(tree, transitions, role)
+        family: MeasureFamily = RectangularFamily(tree, transitions)
     elif kind == "explicit":
         raw = _typed(_need(doc, "measures", where), list, f"{where}.measures", "a list")
         measures = []
@@ -215,7 +215,7 @@ def _parse_family(doc, tree: EventTree, where: str, role: str) -> MeasureFamily:
             at = f"{where}.measures[{i}]"
             _typed(q, dict, at, "an object mapping leaves to probabilities")
             measures.append(_number_map(q, at))
-        family = ExplicitFamily(tree, tuple(measures), role)
+        family = ExplicitFamily(tree, tuple(measures))
     else:
         raise MarketFileError(f"{where}: unknown family type {kind!r}")
     problems = validate_family(family)
@@ -321,7 +321,8 @@ def parse_market_file(path: str) -> ParsedMarket:
     each; only when that pass fails are the values checked one by one, so
     the first bad one is named exactly as a per-value check names it. A
     ``pricing`` block whose text repeats ``actual``'s is decoded and parsed
-    once (``_market_json``); any other is parsed on its own.
+    once (``_market_json``), and ``pricing`` is then ``actual``, the same
+    object; any other is parsed on its own.
     """
     doc = _load_json(path, path, _market_json)
     _typed(doc, dict, path, "a JSON object")
@@ -364,15 +365,11 @@ def parse_market_file(path: str) -> ParsedMarket:
         )
         raise MarketFileError(f"{path}: invalid market: {details}")
 
-    actual = _parse_family(_need(doc, "actual", path), tree, f"{path}.actual", "actual")
+    actual = _parse_family(_need(doc, "actual", path), tree, f"{path}.actual")
     pricing = None
-    if "pricing" in doc:
+    if "pricing" in doc:  # a block whose text repeats actual's is decoded once (_market_json)
         block = doc["pricing"]
-        if block is doc["actual"]:  # its text repeats actual's: decoded once (_market_json)
-            actual.charged_mask  # every command reads it: computed once for the twin as well
-            pricing = actual.with_role("pricing")
-        else:
-            pricing = _parse_family(block, tree, f"{path}.pricing", "pricing")
+        pricing = actual if block is doc["actual"] else _parse_family(block, tree, f"{path}.pricing")
     raw = _typed(doc.get("market_prices", {}), dict, f"{path}.market_prices", "an object")
     market_prices = {str(key): _num_map(raw, key, f"{path}.market_prices") for key in raw}
     return ParsedMarket(spec, actual, pricing, market_prices, path)
@@ -409,17 +406,6 @@ class Report:
 
     def as_dict(self) -> dict:
         return _rounded(vars(self))  # the fields, in their order
-
-
-def report_from_dict(doc: Mapping) -> Report:
-    return Report(
-        command=doc["command"],
-        inputs=dict(doc["inputs"]),
-        verdicts=dict(doc["verdicts"]),
-        processes={k: dict(v) for k, v in doc["processes"].items()},
-        diagnostics=dict(doc["diagnostics"]),
-        exit_status=int(doc["exit_status"]),
-    )
 
 
 def _process_table(spec: MarketSpec, s_star, w_star, beta) -> dict[str, Mapping[str, float]]:
@@ -742,7 +728,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--maturity", type=int, help="defaults to the horizon")
 
     sp = sub.add_parser("hedge", help="superhedge a payoff and report the duality gap")
-    sp.add_argument("--claim", choices=sorted(CLAIM_ALIASES))
+    # a leaf payoff: American claims, which may settle before the horizon, have none
+    sp.add_argument("--claim", choices=("ecall", "eput", "forward"))
     sp.add_argument("--strike", type=float, default=0.0)
     sp.add_argument("--maturity", type=int)
     sp.add_argument("--payoff-file", dest="payoff_file", help="JSON {leaf: value}")

@@ -6,7 +6,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .ambiguity import MeasureFamily, RectangularFamily, TransitionSet
-from .lattice import EventTree, MarketSpec, StoppingTime
+from .lattice import (
+    EventTree,
+    MarketSpec,
+    StoppingTime,
+    cumulative_dividends,
+    discount_factors,
+    tau_node_map,
+)
 
 
 class Fixture(NamedTuple):
@@ -201,7 +208,7 @@ def rand_market(
     payoff = {a: float(rng.uniform(0.2, 2.0)) for a in tau.tau_nodes}
 
     spec = MarketSpec(tree, rates, {n: 0.0 for n in tree.preorder()}, dividend, payoff, tau, kind)
-    B, cum, taumap = spec.derived.B, spec.derived.cum, spec.derived.taumap
+    B, cum, taumap = discount_factors(spec), cumulative_dividends(spec), tau_node_map(spec)
 
     if style == "free":
         price = {

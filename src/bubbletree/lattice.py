@@ -25,6 +25,8 @@ TAU_KINDS = ("bounded", "unbounded_finite", "possibly_infinite")
 # nodes: 178 us on lists, 168 us on numpy); lists take 25-40 us against 60-160 us on trees of
 # 6-38 nodes, numpy 12 ms against 30 ms on fiat(14) (2-vCPU machine).
 _TREE_NUMPY_MIN_WIDTH = 32
+_UNIFORM_ROOT = "r"  # the root id of ``EventTree.uniform``'s trees
+_REBALANCE_TOL = 1e-9  # a holding change times wealth above this is no longer self-financing
 
 
 class InvalidMarketError(ValueError):
@@ -33,14 +35,6 @@ class InvalidMarketError(ValueError):
 
 class ShortSaleViolationError(ValueError):
     """A trading strategy holds a negative position in the risky asset."""
-
-
-@dataclass(frozen=True)
-class Node:
-    id: str
-    t: int
-    parent: str | None
-    children: tuple[str, ...]
 
 
 class EventTree:
@@ -140,14 +134,14 @@ class EventTree:
         self.preorder_index[self._position] = np.arange(n)
 
     @classmethod
-    def uniform(cls, branching: Iterable[int], root: str = "r") -> "EventTree":
-        """Build a uniform-depth tree; ``branching[t]`` children at depth t. Child j of
-        node n is ``f"{n}{j}"``, or ``f"{n}.{j}"`` throughout when some node has more than
-        10 children (``r1`` + ``0`` and ``r`` + ``10`` would be one id)."""
+    def uniform(cls, branching: Iterable[int]) -> "EventTree":
+        """Build a uniform-depth tree; ``branching[t]`` children at depth t. The root is
+        ``"r"``; child j of node n is ``f"{n}{j}"``, or ``f"{n}.{j}"`` throughout when some
+        node has more than 10 children (``r1`` + ``0`` and ``r`` + ``10`` would be one id)."""
         branching = list(branching)
         sep = "." if any(k > 10 for k in branching) else ""
-        parents: dict[str, str | None] = {root: None}
-        frontier = [root]
+        parents: dict[str, str | None] = {_UNIFORM_ROOT: None}
+        frontier = [_UNIFORM_ROOT]
         for k in branching:
             nxt = []
             for nid in frontier:
@@ -173,9 +167,6 @@ class EventTree:
     _non_leaves = cached_property(lambda self: _named(self, self._inner))
 
     # -- accessors ---------------------------------------------------------
-    def node(self, nid: str) -> Node:
-        return Node(nid, self._time[nid], self._parent[nid], self._children[nid])
-
     def time(self, nid: str) -> int:
         return self._time[nid]
 
@@ -210,10 +201,6 @@ class EventTree:
         """The indices of ``ids`` in ``level_order`` (-1 for an id off the tree)."""
         return self._rank[list(map(self._place.get, ids, itertools.repeat(-1)))]
 
-    def position(self, nid: str) -> int:
-        """The node's index in ``level(time(nid))``."""
-        return self.index(nid) - self.level_starts[self._time[nid]]
-
     def path(self, nid: str) -> tuple[str, ...]:
         out = []
         cur: str | None = nid
@@ -225,9 +212,6 @@ class EventTree:
     def subtree(self, nid: str) -> Iterator[str]:
         p = self._position[g := self.index(nid)]
         return iter(self._preorder[p : p + self.subtree_size[g]])
-
-    def subtree_leaves(self, nid: str) -> tuple[str, ...]:
-        return tuple(n for n in self.subtree(nid) if self.is_leaf(n))
 
     def descendants_at(self, nid: str, t: int) -> tuple[str, ...]:
         return tuple(n for n in self.subtree(nid) if self._time[n] == t)
@@ -402,16 +386,6 @@ class MarketArrays(NamedTuple):
     tau: np.ndarray  # the indices of the tau nodes on the tree
 
 
-class Derived(NamedTuple):
-    """Per-node processes of a valid market: the tau node on each path, the
-    account value B, collected discounted dividends and discounted wealth."""
-
-    taumap: dict[str, str | None]
-    B: dict[str, float]
-    cum: dict[str, float]
-    W: dict[str, float]
-
-
 class Processes(NamedTuple):
     """Per-node processes of a valid market, as arrays in ``tree.level_order``."""
 
@@ -435,10 +409,9 @@ class MarketSpec:
 
     ``arrays`` (the maps as read-only level-order arrays), the ``validation``
     and ``processes`` (read-only level-order arrays) read off them and off each
-    node's tau node, and the ``derived``, ``alive_horizon``, ``level_prices``
-    and ``cash_events`` read off those are computed on first use and cached on
-    the instance, and so is ``memo``, where ``noarb`` keeps its one-step test
-    per ``actual`` family. Treat a spec, its tree and its dicts as immutable:
+    node's tau node, and the ``alive_horizon`` and ``cash_events`` read off
+    those are computed on first use and cached on the instance, and so is
+    ``memo``, where ``noarb`` keeps its one-step test per ``actual`` family. Treat a spec, its tree and its dicts as immutable:
     editing them afterwards leaves them stale. Build a new spec instead.
     """
 
@@ -522,28 +495,11 @@ class MarketSpec:
         return out
 
     @cached_property
-    def derived(self) -> Derived:
-        """``processes`` as preorder-keyed dicts (tau node ids, None where none)."""
-        p, tree = self.processes, self.tree
-        pre, nodes = tree.preorder_index, tree.preorder()
-        ids = [*tree.level_order, None]  # index -1: no tau node
-        taumap = dict(zip(nodes, map(ids.__getitem__, p.tau[pre].tolist())))
-        return Derived(taumap, *(dict(zip(nodes, x[pre].tolist())) for x in (p.B, p.cum, p.W)))
-
-    @cached_property
     def alive_horizon(self) -> int:
         """The last time at which some node comes before maturity (0 when
         the root itself matures)."""
         alive = np.flatnonzero(self.processes.tau < 0)
         return bisect.bisect_right(self.tree.level_starts, alive[-1]) - 1 if len(alive) else 0
-
-    @cached_property
-    def level_prices(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per time t, in ``tree.level(t)`` order: the discounted prices
-        price / B and the account values B (read-only slices of
-        ``processes``)."""
-        p, starts = self.processes, self.tree.level_starts
-        return tuple((p.S[a:b], p.B[a:b]) for a, b in zip(starts, starts[1:]))
 
     @cached_property
     def cash_events(self) -> tuple[tuple[str, str | None], ...]:
@@ -557,8 +513,10 @@ class MarketSpec:
 
 
 def tau_node_map(spec: MarketSpec) -> dict[str, str | None]:
-    """For each node, the tau node on its path (itself included), if any."""
-    return spec.derived.taumap
+    """For each node, in preorder, the tau node on its path (itself included), if any."""
+    tree, ids = spec.tree, [*spec.tree.level_order, None]  # index -1: no tau node
+    tau = spec.processes.tau[tree.preorder_index].tolist()
+    return dict(zip(tree.preorder(), map(ids.__getitem__, tau)))
 
 
 def validate_market(spec: MarketSpec) -> ValidationReport:
@@ -637,15 +595,13 @@ class GainsResult(NamedTuple):
     self_financing: bool
 
 
-def gains_process(
-    spec: MarketSpec, strategy: Strategy, tol: float = 1e-9
-) -> GainsResult:
+def gains_process(spec: MarketSpec, strategy: Strategy) -> GainsResult:
     """Cumulative trading gains and portfolio value of a strategy.
 
     The gain over each step uses the holding chosen at the step's start node.
     ``self_financing`` is the literal no-rebalancing-while-funded criterion:
-    the holding may only change at nodes where wealth is zero; under it the
-    value process equals holding times wealth.
+    the holding may only change at nodes where wealth is zero (within
+    ``_REBALANCE_TOL``); under it the value process equals holding times wealth.
     """
     require_valid(spec)
     for n, p in strategy.pi.items():
@@ -661,7 +617,7 @@ def gains_process(
     V = h[0] * W[0] + G
     # the holding may change only where wealth is zero, at the non-root inner nodes
     shift = np.abs((h[1:] - h[par[1:]]) * W[1:])[off[2:] > off[1:-1]]
-    self_financing = not (shift > tol).any()
+    self_financing = not (shift > _REBALANCE_TOL).any()
     return GainsResult(*(AdaptedProcess(NodeValues(tree, x)) for x in (G, V)), self_financing)
 
 

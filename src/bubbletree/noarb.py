@@ -18,14 +18,11 @@ That test (``_cuts``) runs once per market and ``actual`` family, kept in
 ``MarketSpec.memo``: every entry point here, and the bubble property checks,
 read that one pass.
 
-The global linear programs over the leaf-gain matrix (``_find_arbitrage_lp``,
-``_maximal_support``, ``_superhedge_lp``) are kept as reference
-implementations; the tests check the local passes against them, and the
-superhedge also against the per-node recursion of ``tests/per_node.py``:
-these two are the independent checks of the hedge. They solve with HiGHS
-through ``linprog``, which imports ``scipy.optimize`` on its first call: no
-other code path calls it, so importing bubbletree does not load scipy, and
-scipy is needed only where the reference LPs run (the tests).
+The global linear programs over the leaf-gain matrix are the tests' reference
+implementations (``tests/oracles.py``); with the per-node recursion of
+``tests/per_node.py`` they are the independent checks of the hedge. They
+solve with HiGHS through ``linprog``, the one solver binding here, which no
+library code calls: importing bubbletree or running a command loads no solver.
 """
 from __future__ import annotations
 
@@ -55,12 +52,11 @@ from .lattice import (
     Strategy,
     gains_process,
     require_valid,
-    wealth_process,
 )
 
 
-# the least witness gain of an arbitrage certificate
-_GAIN_TOL = 1e-6
+_GAIN_TOL = 1e-6  # the least witness gain of an arbitrage certificate
+_LOSS_TOL = 1e-9  # the largest loss a certificate may show at a charged leaf
 
 
 class NotRiskNeutralError(ValueError):
@@ -79,16 +75,14 @@ class ArbitrageCertificate:
     strategy: Strategy
     witness: str
     witness_gain: float
-    total_gain: float
     gains: dict[str, float]
 
-    def revalidate(self, spec: MarketSpec, leaves: Sequence[str], tol: float = 1e-9) -> bool:
+    def revalidate(self, spec: MarketSpec, leaves: Sequence[str]) -> bool:
         """Re-check the certificate by direct evaluation of its gains."""
         if any(p < 0 for p in self.strategy.pi.values()):
             return False
-        result = gains_process(spec, self.strategy)
-        g = result.gains.values
-        if any(g[leaf] < -tol for leaf in leaves):
+        g = gains_process(spec, self.strategy).gains.values
+        if any(g[leaf] < -_LOSS_TOL for leaf in leaves):
             return False
         return g[self.witness] > _GAIN_TOL
 
@@ -143,7 +137,7 @@ class FtapReport:
         missed = [leaf for leaf in leaves if q[leaf] <= CHARGE_TOL]
         measures = [q] if len(missed) < len(leaves) else []
         measures.extend(_structural_leaf_measure(family, leaf) for leaf in missed)
-        return ExplicitFamily(family.tree, tuple(measures), role="pricing"), not missed
+        return ExplicitFamily(family.tree, tuple(measures)), not missed
 
     @property
     def witness_family(self) -> ExplicitFamily | None:
@@ -203,13 +197,12 @@ def _certificate(
     gains = gains_process(spec, strategy).gains.values
     leaf_gains = {leaf: gains[leaf] for leaf in leaves}
     witness = max(leaf_gains, key=leaf_gains.__getitem__)
-    if any(g < -1e-9 for g in leaf_gains.values()) or not leaf_gains[witness] > _GAIN_TOL:
+    if any(g < -_LOSS_TOL for g in leaf_gains.values()) or not leaf_gains[witness] > _GAIN_TOL:
         raise RuntimeError("arbitrage certificate failed direct re-validation")
     return ArbitrageCertificate(
         strategy=strategy,
         witness=witness,
         witness_gain=leaf_gains[witness],
-        total_gain=sum(leaf_gains.values()),
         gains=leaf_gains,
     )
 
@@ -242,18 +235,18 @@ def supermartingale_family(
     across it). None when a charged node admits a one-step arbitrage (the test
     of ``find_arbitrage``); else each charged child has a vertex charging it."""
     _, arbitrage, _, cuts = _pass(spec, actual)
-    return None if arbitrage.any() else RectangularFamily(spec.tree, cuts, role="pricing")
+    return None if arbitrage.any() else RectangularFamily(spec.tree, cuts)
 
 
 def _structural_leaf_measure(
     family: RectangularFamily, leaf: str
 ) -> dict[str, float]:
-    """Product measure pushing maximal mass toward one leaf."""
+    """Product measure pushing maximal mass toward one leaf, over the cuts' vertices."""
     tree = family.tree
     path = set(tree.path(leaf))
     pick = {}
     for n in tree.non_leaves():
-        vertices = family.transitions[n].vertex_list()
+        vertices = family.transitions[n].vertices
         if n in path:
             (target,) = [i for i, c in enumerate(tree.children(n)) if c in path]
             pick[n] = max(vertices, key=lambda v: v[target])
@@ -358,124 +351,10 @@ def robust_price(
     )
 
 
-# -- global linear programs: reference implementations for the tests ----------
-
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on the first call: only the
-    reference LPs below solve through it, and importing scipy.optimize
+    reference LPs of the tests solve through it, and importing scipy.optimize
     costs more than most commands' own work."""
     from scipy.optimize import linprog as solve
 
     return solve(*args, **kwargs)
-
-
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-8,
-    "dual_feasibility_tolerance": 1e-8,
-}
-
-
-def _gain_rows(spec: MarketSpec, leaves: Sequence[str]):
-    """Per charged leaf, the terminal-gain coefficients of each node holding."""
-    tree = spec.tree
-    W = wealth_process(spec).values
-    cols = tree.non_leaves()
-    col_index = {n: j for j, n in enumerate(cols)}
-    rows = np.zeros((len(leaves), len(cols)))
-    for i, leaf in enumerate(leaves):
-        path = tree.path(leaf)
-        for a, b in zip(path, path[1:]):
-            rows[i, col_index[a]] += W[b] - W[a]
-    return cols, rows, W
-
-
-def _find_arbitrage_lp(
-    spec: MarketSpec, actual: MeasureFamily | None = None
-) -> ArbitrageCertificate | None:
-    """Maximize total terminal gain over nonnegative holdings boxed to
-    [0, 1], subject to nonnegative gains on every charged leaf. An optimum
-    above the LP's tolerance is an arbitrage, scaled as ``find_arbitrage`` scales."""
-    require_valid(spec)
-    leaves = charged_leaves(actual, spec.tree)
-    cols, rows, _ = _gain_rows(spec, leaves)
-    if not cols or not leaves:
-        return None
-    res = linprog(
-        -rows.sum(axis=0),
-        A_ub=-rows,
-        b_ub=np.zeros(len(leaves)),
-        bounds=[(0.0, 1.0)] * len(cols),
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    if res.status != 0:
-        raise RuntimeError(f"arbitrage LP failed: {res.message}")
-    if -res.fun <= _LP_OPTIONS["primal_feasibility_tolerance"]:
-        return None
-    x = np.maximum(res.x, 0.0)
-    top = (rows @ x).max()
-    units = 1.0 if top > _GAIN_TOL else 2.0 * _GAIN_TOL / top
-    pi = {n: float(v) for n, v in zip(cols, (x * units).tolist())}
-    return _certificate(spec, leaves, Strategy(pi))
-
-
-def _maximal_support(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One LP for a supermartingale measure of maximal support.
-
-    ``rows`` holds one leaf-gain row per charged leaf, so A = rows.T gives
-    the cone {q >= 0 : A q <= 0} of unnormalized supermartingale measures
-    over those leaves. Maximizing sum(y) subject to y <= q and 0 <= y <= 1
-    puts y = 1 on every leaf some measure of the cone charges (the cone is
-    closed under addition, so one q charges all of them at once) and y = 0
-    elsewhere. Returns q and the mask of charged leaves."""
-    n = rows.shape[0]
-    eye = np.eye(n)
-    A_ub = np.block([[rows.T, np.zeros_like(rows.T)], [-eye, eye]])
-    res = linprog(
-        np.concatenate([np.zeros(n), -np.ones(n)]),
-        A_ub=A_ub,
-        b_ub=np.zeros(A_ub.shape[0]),
-        bounds=[(0.0, None)] * n + [(0.0, 1.0)] * n,
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    if res.status != 0:
-        raise RuntimeError(f"maximal-support LP failed: {res.message}")
-    return np.maximum(res.x[:n], 0.0), res.x[n:] > 0.5
-
-
-def _superhedge_lp(
-    spec: MarketSpec,
-    payoff: Mapping[str, float],
-    actual: MeasureFamily | None = None,
-) -> HedgeSolution:
-    """``superhedge`` as one LP over the initial capital and every node's
-    holding, with one dominance constraint per charged leaf."""
-    require_valid(spec)
-    leaves = charged_leaves(actual, spec.tree)
-    cols, rows, _ = _gain_rows(spec, leaves)
-    n_pi = len(cols)
-    # variables: x, pi...; constraints -x - gains <= -payoff
-    A_ub = np.hstack([-np.ones((len(leaves), 1)), -rows]) if n_pi else -np.ones((len(leaves), 1))
-    b_ub = np.array([-float(payoff[l]) for l in leaves])
-    c = np.zeros(1 + n_pi)
-    c[0] = 1.0
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        bounds=[(None, None)] + [(0.0, None)] * n_pi,
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    if res.status == 3:
-        raise UnboundedHedgeError(
-            "superhedge cost is unbounded below; the market admits a strong arbitrage"
-        )
-    if res.status != 0:
-        raise RuntimeError(f"superhedge LP failed: {res.message}")
-    x = float(res.x[0])
-    pi = {n: float(max(v, 0.0)) for n, v in zip(cols, res.x[1:])}
-    gains = rows @ res.x[1:] if n_pi else np.zeros(len(leaves))
-    slack = {l: float(x + g - payoff[l]) for l, g in zip(leaves, gains)}
-    return HedgeSolution(price=x, strategy=Strategy(pi), slack=slack)

@@ -3,9 +3,10 @@
 Each function is what ``bubbletree`` computed one node at a time, in
 preorder, before the one-step test (``noarb._cuts``), the
 supermartingale family, ``RectangularFamily.charged``, the product witness
-and ``ambiguity._one_step_bounds`` ran on ``EventTree.level_order`` arrays.
-The supermartingale family here is the explicit vertex list of each node's
-cut. The tests hold the array passes to these results, bit for bit.
+and the one-step bounds (``ambiguity._step_rows``, as a map: ``step_bounds``)
+ran on ``EventTree.level_order`` arrays. The supermartingale family here is
+the explicit vertex list of each node's cut. The tests hold the array passes
+to these results, bit for bit.
 
 ``superhedge`` is the dict-based recursion that ``noarb.superhedge`` ran
 before it stepped through the cut arrays: per node, the minimum over pi of
@@ -16,6 +17,8 @@ within 1e-12 relative, not bit for bit.
 ``derived``, ``stopped_price``, ``alive_horizon``, ``level_prices`` and
 ``cash_events`` are the preorder loops of ``MarketSpec`` before it computed
 the market's processes as level-order arrays (``MarketSpec.processes``);
+``derived`` gives what ``lattice.tau_node_map``, ``discount_factors``,
+``cumulative_dividends`` and ``wealth_process`` give now.
 ``strategy_eta`` is the loop of ``lattice`` that read them, and
 ``gains_process`` the two preorder loops of ``lattice.gains_process``
 before it stepped one level at a time over ``MarketSpec.processes``.
@@ -39,8 +42,10 @@ node's descendants at the target time, the claim values, W* and the
 classification node by node (and horizon by horizon), and the American
 price as each measure's Snell envelope on unnormalized masses, node by node.
 
-``enumerate_extreme_measures`` lists the products of every node's vertices
-as leaf measures, whose hull is a rectangular family's set of path measures.
+``vertex_list`` lists a transition set's extreme points, for a box the
+greedy fills over every child ordering. ``enumerate_extreme_measures`` lists
+the products of every node's vertices as leaf measures, whose hull is a
+rectangular family's set of path measures.
 ``american_oracle`` prices an American claim by brute force: every stopping
 rule (``_stopping_rules``, counted by ``_stopping_rule_count``) under every
 extreme measure of the family (``enumerate_extreme_measures``).
@@ -50,28 +55,29 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from bubbletree.ambiguity import (
     _STEP_TOL,
     CHARGE_TOL,
-    CapExceededError,
     Classification,
     ExplicitFamily,
     MeasureFamily,
     PolarNodeError,
     RectangularFamily,
     TransitionSet,
+    _level_values,
     _push_mass,
+    _step_rows,
     charged_leaves,
 )
 from bubbletree.bubble import BubblePropertyReport, _no_dividends
 from bubbletree.claims import Claim, _intrinsic, terminal_payoff, validate_claim
 from bubbletree.lattice import (
     AdaptedProcess,
-    Derived,
+    EventTree,
     GainsResult,
     MarketSpec,
     ShortSaleViolationError,
@@ -88,6 +94,60 @@ from bubbletree.noarb import (
     _certificate,
     _pass,
 )
+
+
+class CapExceededError(RuntimeError):
+    """An enumeration grew past its configured cap."""
+
+
+class Derived(NamedTuple):
+    """Per-node processes of a valid market, keyed in preorder: the tau node on
+    each path, the account value B, collected discounted dividends and wealth."""
+
+    taumap: dict[str, str | None]
+    B: dict[str, float]
+    cum: dict[str, float]
+    W: dict[str, float]
+
+
+def subtree_leaves(tree: EventTree, node: str) -> tuple[str, ...]:
+    """The leaves of ``node``'s subtree, in preorder."""
+    return tuple(n for n in tree.subtree(node) if tree.is_leaf(n))
+
+
+def vertex_list(ts: TransitionSet, cap: int = 4096) -> tuple[tuple[float, ...], ...]:
+    """Extreme points. For a box these are the greedy fills over all child
+    orderings (every vertex maximizes some linear functional)."""
+    if ts.vertices is not None:
+        return ts.vertices
+    k = len(ts.lower)
+    if math.prod(range(1, k + 1)) > cap:
+        raise CapExceededError(f"vertex enumeration over {k} children exceeds cap")
+    seen = set()
+    out = []
+    for order in itertools.permutations(range(k)):
+        p = list(ts.lower)
+        rem = 1.0 - sum(p)
+        for i in order:
+            if rem <= 0.0:
+                break
+            add = min(ts.upper[i] - ts.lower[i], rem)
+            p[i] += add
+            rem -= add
+        key = tuple(round(x, 15) for x in p)
+        if key not in seen:
+            seen.add(key)
+            out.append(tuple(p))
+    return tuple(out)
+
+
+def step_bounds(
+    family: RectangularFamily, process: Mapping[str, float] | np.ndarray, T: int
+) -> dict[str, tuple[float, float, float]]:
+    """``ambiguity._step_rows`` as a map of node to (value, upper, lower), in preorder."""
+    node, *rows = _step_rows(family, *_level_values(family.tree, process), T)
+    ids = map(family.tree.level_order.__getitem__, node.tolist())
+    return dict(zip(ids, zip(*(r.tolist() for r in rows))))
 
 
 def charged(family: MeasureFamily) -> frozenset[str]:
@@ -170,7 +230,7 @@ def supermartingale_family(
         if one_step_arbitrage(W[n], [wk[i] for i in idx]):
             return None
         transitions[n] = TransitionSet.vertex_set(cut_vertices(W[n], wk, idx))
-    return RectangularFamily(tree, transitions, role="pricing")
+    return RectangularFamily(tree, transitions)
 
 
 def cut_vertices(wn: float, wk: Sequence[float], idx: Sequence[int]) -> list[list[float]]:
@@ -206,7 +266,7 @@ def product_witness(family: RectangularFamily) -> dict[str, float]:
     tree = family.tree
     pick = {}
     for n in tree.non_leaves():
-        vertices = family.transitions[n].vertex_list()
+        vertices = vertex_list(family.transitions[n])
         pick[n] = [left_sum(col) / len(vertices) for col in zip(*vertices)]
     q = _push_mass(tree, pick)
     return {leaf: q[leaf] for leaf in tree.leaves}
@@ -691,7 +751,7 @@ def enumerate_extreme_measures(
         return family.measures
     tree = family.tree
     nodes = tree.non_leaves()
-    vlists = [family.transitions[n].vertex_list(cap) for n in nodes]
+    vlists = [vertex_list(family.transitions[n], cap) for n in nodes]
     count = math.prod(len(v) for v in vlists)
     if count > cap:
         raise CapExceededError(f"{count} product measures exceed cap {cap}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from bubbletree.ambiguity import (
     ExplicitFamily,
@@ -26,11 +26,17 @@ from bubbletree.lattice import (
     TAU_KINDS,
     EventTree,
     MarketSpec,
-    Node,
     StoppingTime,
     ValidationFailure,
     ValidationReport,
 )
+
+
+class Node(NamedTuple):
+    id: str
+    t: int
+    parent: str | None
+    children: tuple[str, ...]
 
 
 class ReferenceTree:
@@ -73,10 +79,6 @@ class ReferenceTree:
         for n in order:
             levels.setdefault(nodes[n].t, []).append(n)
         self._levels = {t: tuple(ns) for t, ns in levels.items()}
-        self._position = {n: i for ns in levels.values() for i, n in enumerate(ns)}
-
-    def node(self, nid):
-        return self._nodes[nid]
 
     def time(self, nid):
         return self._nodes[nid].t
@@ -98,9 +100,6 @@ class ReferenceTree:
 
     def level(self, t):
         return self._levels.get(t, ())
-
-    def position(self, nid):
-        return self._position[nid]
 
     def path(self, nid):
         out = []
@@ -220,7 +219,7 @@ def _num_map(doc, key, where):
     return {str(nid): _number(v, at, nid) for nid, v in raw.items()}
 
 
-def _parse_family(doc, tree, where, role):
+def _parse_family(doc, tree, where):
     _typed(doc, dict, where, "an object")
     kind = _need(doc, "type", where)
     if kind == "rectangular":
@@ -243,7 +242,7 @@ def _parse_family(doc, tree, where, role):
                 lo = _numbers(_need(block, "lower", at), f"{at}.lower")
                 hi = _numbers(_need(block, "upper", at), f"{at}.upper")
                 transitions[nid] = TransitionSet.box(lo, hi)
-        family = RectangularFamily(tree, transitions, role)
+        family = RectangularFamily(tree, transitions)
     elif kind == "explicit":
         raw = _typed(_need(doc, "measures", where), list, f"{where}.measures", "a list")
         measures = []
@@ -251,7 +250,7 @@ def _parse_family(doc, tree, where, role):
             at = f"{where}.measures[{i}]"
             _typed(q, dict, at, "an object mapping leaves to probabilities")
             measures.append({str(k): _number(v, at, k) for k, v in q.items()})
-        family = ExplicitFamily(tree, tuple(measures), role)
+        family = ExplicitFamily(tree, tuple(measures))
     else:
         raise MarketFileError(f"{where}: unknown family type {kind!r}")
     problems = validate_family(family)
@@ -329,10 +328,10 @@ def parse_market_file(path: str) -> ParsedMarket:
         )
         raise MarketFileError(f"{path}: invalid market: {details}")
 
-    actual = _parse_family(_need(doc, "actual", path), tree, f"{path}.actual", "actual")
+    actual = _parse_family(_need(doc, "actual", path), tree, f"{path}.actual")
     pricing = None
     if "pricing" in doc:
-        pricing = _parse_family(doc["pricing"], tree, f"{path}.pricing", "pricing")
+        pricing = _parse_family(doc["pricing"], tree, f"{path}.pricing")
     raw = _typed(doc.get("market_prices", {}), dict, f"{path}.market_prices", "an object")
     market_prices = {str(key): _num_map(raw, key, f"{path}.market_prices") for key in raw}
     return ParsedMarket(spec, actual, pricing, market_prices, path)

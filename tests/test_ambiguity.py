@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from per_node import enumerate_extreme_measures
+from per_node import CapExceededError, enumerate_extreme_measures, subtree_leaves
 
 from bubbletree import fixtures
 from bubbletree.ambiguity import (
     CHARGE_TOL,
-    CapExceededError,
     ExplicitFamily,
     PolarNodeError,
     RectangularFamily,
@@ -349,7 +348,7 @@ def test_deep_path_tree_needs_no_recursion():
 # -- cached charged-node sets against the path-walk definition -----------------
 
 def _oracle_mass(tree, q, node):
-    return sum(q.get(leaf, 0.0) for leaf in tree.subtree_leaves(node))
+    return sum(q.get(leaf, 0.0) for leaf in subtree_leaves(tree, node))
 
 
 def _oracle_charged(family, node):

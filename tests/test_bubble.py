@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -358,7 +359,7 @@ def test_classify_bubble_matches_per_node_walks(gen):
         fx = getattr(fixtures, gen)(seed, depth=2 + seed % 3, branching=2 + seed % 2,
                                     style=("neutral", "bumped", "free")[seed % 3], **kwargs)
         beta = bubble_process(fx.spec, fx.family)
-        actual = None if seed % 4 == 0 else fx.family.with_role("actual")
+        actual = None if seed % 4 == 0 else dataclasses.replace(fx.family)
         for tol in (1e-9, 0.05):
             expected, price = _classify_bubble_walks(fx.spec, fx.family, beta, actual, tol)
             assert classify_bubble(fx.spec, fx.family, beta, actual, tol=tol) == expected

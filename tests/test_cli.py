@@ -4,15 +4,16 @@ from collections import Counter
 
 import pytest
 
+import per_node
 from conftest import data_file
 
 from bubbletree import fixtures
 from bubbletree.cli import (
     MarketFileError,
+    Report,
     emit_report,
     main,
     parse_market_file,
-    report_from_dict,
     run_analysis,
 )
 from bubbletree.lattice import NodeValues
@@ -216,7 +217,7 @@ def test_machine_report_round_trip():
     report = run_analysis("analyze", parsed, {})
     blob = emit_report(report, "machine")
     doc = json.loads(blob)
-    rebuilt = report_from_dict(doc)
+    rebuilt = Report(**doc)
     assert rebuilt.as_dict() == report.as_dict()
     assert emit_report(rebuilt, "machine") == blob
 
@@ -470,7 +471,7 @@ def _market_doc(spec, family, pricing="same", vertices=False, explicit=False, qu
         for i, n in enumerate(tree.non_leaves()):
             ts = family.transitions[n]
             if not ts.is_box or (vertices and i % 3 == 0):
-                transitions[n] = {"vertices": [list(v) for v in ts.vertex_list()]}
+                transitions[n] = {"vertices": [list(v) for v in per_node.vertex_list(ts)]}
             else:
                 transitions[n] = {"lower": list(ts.lower), "upper": list(ts.upper)}
         fam_doc = {"type": "rectangular", "transitions": transitions}
@@ -530,6 +531,29 @@ def test_hedge_claim_before_horizon(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "duality_gap" in out
+
+
+@pytest.mark.parametrize("claim", ["acall", "aput"])
+def test_hedge_refuses_an_american_claim(tmp_path, capsys, claim):
+    """``hedge`` superhedges a leaf payoff, and an American claim has none: on this market the
+    European put's hedge value (0.372186091472) is not the American put's price
+    (0.383846676748), so ``hedge --claim acall|aput`` is a usage error, not the European
+    claim's hedge. ``price`` takes both."""
+    fx = fixtures.rand_claim_market(2, depth=3, branching=2, style="bumped")
+    path = str(tmp_path / "m.market")
+    with open(path, "w") as fh:
+        json.dump(_market_doc(fx.spec, fx.family), fh)
+    argv = ["--format", "machine", "--claim", claim, "--strike", "1", path]
+    assert main(["hedge", *argv[2:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"invalid choice: '{claim}'" in captured.err
+    assert main([*argv[:2], "price", *argv[2:]]) == 0
+    assert json.loads(capsys.readouterr().out)["exit_status"] == 0
+    assert main([*argv[:2], "hedge", "--claim", "eput", *argv[4:]]) == 0
+    eput = json.loads(capsys.readouterr().out)["verdicts"]["value"]
+    assert main([*argv[:2], "price", "--claim", "aput", *argv[4:]]) == 0
+    aput = json.loads(capsys.readouterr().out)["verdicts"]["value"]
+    assert (eput, aput) == (0.372186091472, 0.383846676748)
 
 
 @pytest.mark.parametrize("command", ["price", "hedge"])
@@ -648,7 +672,7 @@ def test_each_command_solves_no_linear_program(tmp_path, capsys, monkeypatch, ar
 _COLD_IMPORT_SCRIPT = """
 import contextlib, io, json, sys
 import bubbletree, bubbletree.cli, bubbletree.fixtures
-commands, paths, hedged = json.loads(sys.argv[1])
+commands, paths, hedged, tests = json.loads(sys.argv[1])
 rcs = []
 for argv in commands:
     for path in paths:
@@ -656,11 +680,14 @@ for argv in commands:
             rcs.append(bubbletree.cli.main([*argv, path]))
 out = {"rcs": rcs, "scipy_after_cli": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
 from bubbletree.claims import Claim, terminal_payoff
-from bubbletree.noarb import _superhedge_lp, superhedge
+from bubbletree.noarb import superhedge
+sys.path.insert(0, tests)
+from oracles import superhedge_lp
+out["scipy_after_oracles_import"] = "scipy" in sys.modules
 parsed = bubbletree.cli.parse_market_file(hedged)
 payoff = terminal_payoff(parsed.spec, Claim("euro_call", parsed.spec.tree.horizon, 0.9))
 out["local"] = superhedge(parsed.spec, payoff, parsed.actual).price
-out["lp"] = _superhedge_lp(parsed.spec, payoff, parsed.actual).price
+out["lp"] = superhedge_lp(parsed.spec, payoff, parsed.actual).price
 out["optimize_after_lp"] = "scipy.optimize" in sys.modules
 print(json.dumps(out))
 """
@@ -678,13 +705,13 @@ def test_cli_never_imports_scipy_and_the_lp_oracle_loads_it_on_first_use():
     paths = [data_file("ex1.market"), data_file("branch3-discovered.market")]
     # ex1 admits a strong arbitrage, so both of its superhedges are
     # unbounded; ex1geom's call has a finite price to compare
-    args = json.dumps([COMMANDS, paths, data_file("ex1geom.market")])
+    args = json.dumps([COMMANDS, paths, data_file("ex1geom.market"), os.path.dirname(__file__)])
     run = subprocess.run([sys.executable, "-c", _COLD_IMPORT_SCRIPT, args],
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout)
     assert len(out["rcs"]) == len(COMMANDS) * len(paths)
-    assert out["scipy_after_cli"] == []
+    assert out["scipy_after_cli"] == [] and not out["scipy_after_oracles_import"]
     assert out["lp"] == pytest.approx(out["local"], abs=1e-9)
     assert out["local"] == 0.3
     assert out["optimize_after_lp"]

@@ -11,6 +11,8 @@ recursions. On random markets the array passes of ``noarb`` and
 Results are compared with ``==`` and by ``repr``, which also tells signed
 zeros and float types apart.
 """
+import dataclasses
+
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -23,14 +25,13 @@ from bubbletree.ambiguity import (
     CutSets,
     RectangularFamily,
     TransitionSet,
-    _one_step_bounds,
     _upper_step,
     argmax_measure,
     classify_process,
     cond_expectation,
     expectation_sweep,
 )
-from bubbletree.lattice import EventTree
+from bubbletree.lattice import EventTree, wealth_process
 from bubbletree.noarb import (
     _product_witness,
     find_arbitrage,
@@ -130,7 +131,7 @@ def recursions(fam: RectangularFamily, rng: np.random.Generator) -> list:
         for T in (tree.horizon, max(tree.horizon - 1, 1)):
             c = classify_process(fam, proc, T=T)
             out.append((c.strongest, c.martingale_gap, c.supermartingale_slack, c.infi_slack))
-            out.append(_one_step_bounds(fam, proc, T))
+            out.append(per_node.step_bounds(fam, proc, T))
     return out
 
 
@@ -150,7 +151,7 @@ def test_cut_family_matches_vertex_family(data):
     partial = {n: v for n, v in process.items() if rng.random() < 0.8}
     for proc in (process, partial):
         for T in range(tree.horizon + 2):
-            assert_same(_one_step_bounds(fam, proc, T), per_node.one_step_bounds(ref, proc, T))
+            assert_same(per_node.step_bounds(fam, proc, T), per_node.one_step_bounds(ref, proc, T))
 
 
 def _thinned(family, seed):
@@ -196,11 +197,11 @@ def test_array_passes_match_per_node_oracles_on_random_markets():
         assert fam.transitions.get(tree.leaves[0]) is None
         assert fam.charged == per_node.charged(ref) == per_node.charged(fam), case
         assert_same(_product_witness(fam), per_node.product_witness(ref))
-        W = spec.derived.W
+        W = dict(wealth_process(spec).values.items())
         partial = {n: w for i, (n, w) in enumerate(W.items()) if i % 7}
         for proc in (W, partial):
             for T in (tree.horizon, 1):
-                assert_same(_one_step_bounds(fam, proc, T),
+                assert_same(per_node.step_bounds(fam, proc, T),
                             per_node.one_step_bounds(ref, proc, T))
         seed = case[1]
         for a, b in zip(recursions(fam, np.random.default_rng(seed)),
@@ -232,7 +233,7 @@ def test_discovered_fiat_family_is_all_cut_levels(step_calls):
     assert [(lo, hi) for _, lo, hi in step_calls["cut"]] == levels
     assert step_calls["box"] == step_calls["maximize"] == []
     assert len(fam.transitions) == len(fx.spec.tree.non_leaves())
-    assert fam.with_role("actual").transitions is fam.transitions
+    assert dataclasses.replace(fam).transitions is fam.transitions
     assert fam.transitions.get("nowhere") is None
     assert fam.transitions.get(fx.spec.tree.leaves[0]) is None
     # the same cuts in a dict step node by node

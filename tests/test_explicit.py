@@ -13,6 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
+import per_node
 from per_node import (
     _stopping_rules,
     explicit_charged,
@@ -120,7 +121,7 @@ def test_explicit_passes_equal_the_per_node_oracle():
             continue
         s_star, got_w, beta = processes
         _same({n: got_w[n] for n in tree.preorder()}, w_star)
-        d = spec.derived
+        d = per_node.derived(spec)
         _same(s_star.values,
               {n: w_star[n] - d.cum[n] for n in tree.preorder() if d.taumap[n] is None})
         stopped = NodeValues(tree, spec.processes.stopped)
@@ -139,7 +140,7 @@ def _brute_force(spec, fam, claim, node):
     Z = {}
     for t in range(T + 1):
         Z.update(zip(tree.level(t), _intrinsic(spec, claim, t).tolist()))
-    leaves = tree.subtree_leaves(node)
+    leaves = per_node.subtree_leaves(tree, node)
     best = None
     for rule in _stopping_rules(tree, node, T):
         stops = set(rule)

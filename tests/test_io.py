@@ -39,7 +39,7 @@ from bubbletree.ambiguity import (
     classify_process,
 )
 from bubbletree.cli import MarketFileError, Report, emit_report, parse_market_file
-from bubbletree.lattice import EventTree, NodeValues
+from bubbletree.lattice import EventTree, NodeValues, wealth_process
 
 TREE_NUMPY_MIN_WIDTH = lattice._TREE_NUMPY_MIN_WIDTH
 PROPERTY = settings(
@@ -183,14 +183,13 @@ def _family_summary(family):
     if family is None:
         return None
     if isinstance(family, RectangularFamily):
-        return ("rect", family.role, {
+        return ("rect", {
             n: (ts.lower and _typed_values(ts.lower), ts.upper and _typed_values(ts.upper),
                 ts.vertices and [_typed_values(v) for v in ts.vertices])
             for n, ts in family.transitions.items()
         })
     assert isinstance(family, ExplicitFamily)
-    return ("explicit", family.role, [{k: (type(v).__name__, v) for k, v in q.items()}
-                                      for q in family.measures])
+    return ("explicit", [{k: (type(v).__name__, v) for k, v in q.items()} for q in family.measures])
 
 
 def summary(parse, path: str):
@@ -425,11 +424,12 @@ def test_valid_docs_parse_to_equal_specs_and_families(tmp_path, gen):
         assert (spec.tau, spec.tau_kind) == (fx.spec.tau, fx.spec.tau_kind)
         assert spec.validation == fx.spec.validation
         if shape != "vertices":
-            assert parsed.actual == fx.family.with_role("actual")
+            assert parsed.actual == fx.family
         if shape in ("same", "reordered"):
-            assert parsed.pricing == fx.family.with_role("pricing")
+            assert parsed.pricing == fx.family
         else:
             assert (parsed.pricing is None) == (shape == "absent")
+        assert (parsed.pricing is parsed.actual) == (shape in ("same", "vertices"))
 
 
 def test_equal_pricing_block_is_parsed_once(tmp_path, monkeypatch):
@@ -454,8 +454,8 @@ def test_equal_pricing_block_is_parsed_once(tmp_path, monkeypatch):
         _write(path, doc)
         parsed = cli.parse_market_file(str(path))
         assert len(calls) == (2 if shape in ("reordered", "other") else 1), shape
-        assert (parsed.pricing == parsed.actual.with_role("pricing")) == (shape != "other")
-        assert (parsed.actual.role, parsed.pricing.role) == ("actual", "pricing")
+        assert (parsed.pricing is parsed.actual) == (shape in ("same", "first")), shape
+        assert (parsed.pricing == parsed.actual) == (shape != "other"), shape
 
 
 def test_parsed_family_and_its_pricing_twin_build_the_box_arrays_once(tmp_path, monkeypatch,
@@ -473,7 +473,7 @@ def test_parsed_family_and_its_pricing_twin_build_the_box_arrays_once(tmp_path, 
     assert isinstance(boxes, BoxSets) and parsed.pricing.transitions is boxes
     for fam in (parsed.actual, parsed.pricing):
         assert fam.charged
-        classify_process(fam, parsed.spec.derived.W)
+        classify_process(fam, dict(wealth_process(parsed.spec).values.items()))
         assert fam.boxes is boxes
     # each classification is one box step per bound over the inner nodes, on the shared rows
     end = fx.spec.tree.level_starts[-2]
@@ -482,23 +482,23 @@ def test_parsed_family_and_its_pricing_twin_build_the_box_arrays_once(tmp_path, 
 
 
 def test_explicit_pricing_twin_computes_the_node_masses_once(tmp_path, monkeypatch):
-    """A ``pricing`` block equal to an explicit ``actual`` one is a twin that
-    shares the family's role-free cached arrays: ``node_mass`` is computed
-    once for the two, through a whole ``analyze``."""
+    """A ``pricing`` block equal to an explicit ``actual`` one is the same
+    family object, so ``node_mass`` is computed once for the two, through a
+    whole ``analyze``."""
     from bubbletree.cli import run_analysis
 
     fx = fixtures.rand_claim_market(3, depth=3, branching=3, style="bumped")
     path = tmp_path / "m.market"
     _write(path, market_doc(fx.spec, fx.family, explicit=True))
     calls, prop = [], ExplicitFamily.__dict__["node_mass"]
-    monkeypatch.setattr(prop, "func", lambda fam, f=prop.func: calls.append(fam.role) or f(fam))
+    monkeypatch.setattr(prop, "func", lambda fam, f=prop.func: calls.append(fam) or f(fam))
     parsed = parse_market_file(str(path))
     assert isinstance(parsed.pricing, ExplicitFamily)
-    assert parsed.pricing == parsed.actual.with_role("pricing")
+    assert parsed.pricing is parsed.actual
     assert parsed.pricing.node_mass is parsed.actual.node_mass
     assert parsed.pricing.charged_mask is parsed.actual.charged_mask
     run_analysis("analyze", parsed, {"tolerance": 1e-9})
-    assert calls == ["actual"]
+    assert len(calls) == 1 and calls[0] is parsed.actual
 
 
 def test_box_checks_add_each_row_left_to_right_in_batch_and_per_node():
@@ -661,8 +661,8 @@ def _tree_view(make, parents):
     return (
         tree.root, tree.leaves, tree.horizon, nodes, tree.non_leaves(), len(tree),
         tree.parent_map, [tree.level(t) for t in range(tree.horizon + 2)],
-        [(tree.node(n), tree.time(n), tree.parent(n), tree.children(n), tree.is_leaf(n),
-          tree.position(n), tree.path(n), tuple(tree.subtree(n))) for n in nodes],
+        [(tree.time(n), tree.parent(n), tree.children(n), tree.is_leaf(n),
+          tree.level(tree.time(n)).index(n), tree.path(n), tuple(tree.subtree(n))) for n in nodes],
     )
 
 

@@ -28,7 +28,6 @@ from bubbletree.ambiguity import (
     BoxSets,
     RectangularFamily,
     TransitionSet,
-    _one_step_bounds,
     argmax_measure,
     classify_process,
     cond_expectation,
@@ -40,7 +39,7 @@ from bubbletree.claims import (
     fundamental_claim_price,
     terminal_payoff,
 )
-from bubbletree.lattice import EventTree
+from bubbletree.lattice import EventTree, wealth_process
 
 DESK_SEEDS = (0, 32)  # rand_claim_market(s, depth=8, branching=4): ~4.6k nodes
 KERNEL_MIN_WIDTH = ambiguity._KERNEL_MIN_WIDTH
@@ -53,7 +52,7 @@ def _mixed(family, seed):
     transitions = dict(family.transitions)
     for n, ts in family.transitions.items():
         if ts.is_box and ts.arity() <= 4 and rng.random() < 0.35:
-            transitions[n] = TransitionSet.vertex_set(ts.vertex_list())
+            transitions[n] = TransitionSet.vertex_set(per_node.vertex_list(ts))
     return RectangularFamily(family.tree, transitions)
 
 
@@ -89,7 +88,7 @@ def _outputs(spec, family, seed, claims: bool) -> list:
     out.append(argmax_measure(fam, payoff))
     process = {n: float(rng.uniform(0, 2)) for n in tree.preorder()}
     partial = {n: v for n, v in process.items() if rng.random() < 0.9}
-    W = spec.derived.W
+    W = dict(wealth_process(spec).values.items())
     for proc, horizon in ((process, None), (process, max(T - 1, 1)), (partial, None), (W, None)):
         c = classify_process(fam, proc, T=horizon)
         out.append((c.strongest, c.martingale_gap, c.supermartingale_slack, c.infi_slack,
@@ -290,7 +289,8 @@ def test_whole_tree_box_step_matches_per_node_one_step_bounds(data):
     fams.append(_box_sets(fams[0]))
     if data.draw(st.booleans(), "mixed"):  # vertex lists at some nodes: a dict only
         fams = [RectangularFamily(tree, {
-            n: TransitionSet.vertex_set(ts.vertex_list()) if ts.arity() <= 3 and i % 3 == 0 else ts
+            n: TransitionSet.vertex_set(per_node.vertex_list(ts))
+            if ts.arity() <= 3 and i % 3 == 0 else ts
             for i, (n, ts) in enumerate(transitions.items())})]
     ref = fams[0]
     process = {n: data.draw(values_of) for n in tree.preorder()}
@@ -308,7 +308,7 @@ def test_whole_tree_box_step_matches_per_node_one_step_bounds(data):
                 for proc in (process, partial):
                     for T in range(tree.horizon + 2):
                         expected = per_node.one_step_bounds(ref, proc, T)
-                        got = _one_step_bounds(fam, proc, T)
+                        got = per_node.step_bounds(fam, proc, T)
                         assert got == expected
                         assert repr(got) == repr(expected)
     finally:

@@ -190,14 +190,14 @@ def test_validation_and_derived_processes_are_computed_once(monkeypatch):
     monkeypatch.setattr(
         lattice, "validate_market", lambda spec: calls.append(spec) or original(spec)
     )
-    derived, processes = spec.derived, spec.processes
+    taumap, processes = tau_node_map(spec), spec.processes
     for _ in range(3):  # views of the cached arrays
         assert discount_factors(spec).values.array.base is processes.B
         assert cumulative_dividends(spec).values.array.base is processes.cum
         assert wealth_process(spec).values.array.base is processes.W
-        assert tau_node_map(spec) is derived.taumap
+        assert tau_node_map(spec) == taumap  # read off the cached ``processes.tau``
         cash_flow_payoff(spec)
-    assert spec.derived is derived and spec.processes is processes
+    assert spec.processes is processes
     assert len(calls) == 1 and calls[0] is spec
 
     bad = MarketSpec(
@@ -439,14 +439,18 @@ def test_level_processes_and_their_readers_equal_the_preorder_loops(monkeypatch,
     count = 0
     for spec in _spec_markets():
         count += 1
-        ref, got = per_node.derived(spec), spec.derived
-        for a, b in zip(ref, got):
+        ref = per_node.derived(spec)
+        readers = (discount_factors, cumulative_dividends, wealth_process)
+        got = (tau_node_map(spec), *(f(spec).values for f in readers))
+        for a, b in zip(ref, got, strict=True):
             assert list(a) == list(b)  # key order
             assert repr(a) == repr(b)  # values bitwise, signed zeros and NaN included
         assert repr(per_node.stopped_price(spec)) == repr(NodeValues(spec.tree, spec.processes.stopped))
         assert per_node.alive_horizon(spec) == spec.alive_horizon
         assert per_node.cash_events(spec) == spec.cash_events
-        for (s0, b0), (s1, b1) in zip(per_node.level_prices(spec), spec.level_prices, strict=True):
+        p, starts = spec.processes, spec.tree.level_starts  # each time's discounted prices and B
+        levels = [(p.S[a:b], p.B[a:b]) for a, b in zip(starts, starts[1:])]
+        for (s0, b0), (s1, b1) in zip(per_node.level_prices(spec), levels, strict=True):
             assert s0.dtype == s1.dtype == b0.dtype == b1.dtype == float
             assert repr(s0.tolist()) == repr(s1.tolist()) and repr(b0.tolist()) == repr(b1.tolist())
         p, order = spec.processes, spec.tree.level_order

@@ -9,6 +9,7 @@ code they replaced: every value comes from ``expectation_sweep`` of a
 dicts. Results must match in values, signed zeros and key order (``repr``),
 on box, ``BoxSets``, vertex-list, mixed, ``CutSets`` and explicit families.
 """
+import dataclasses
 import re
 
 import numpy as np
@@ -85,7 +86,7 @@ def ref_american(spec, pricing, claim) -> tuple[dict, frozenset]:
 
 
 def ref_asset_bubble(spec, pricing, T) -> dict:
-    B = spec.derived.B
+    B = per_node.derived(spec).B
     star = ref_claim(spec, pricing, Claim("forward", T, 0.0))
     return {n: spec.price[n] / B[n] - v for n, v in star.items()}
 
@@ -115,7 +116,7 @@ def ref_american_bounds(spec, pricing, K, T, tol=1e-9):
 
 
 def ref_bubble_processes(spec, pricing) -> tuple[dict, dict, dict]:
-    tree, d = spec.tree, spec.derived
+    tree, d = spec.tree, per_node.derived(spec)
     cf = cash_flow_payoff(spec)
     if isinstance(pricing, RectangularFamily):
         val = expectation_sweep(pricing, cf)
@@ -136,7 +137,8 @@ def families(fx, seed, full_support: bool):
     tree, transitions = fx.family.tree, fx.family.transitions
     rng = np.random.default_rng(seed + 70_000)
     out = [("box", fx.family), ("boxsets", RectangularFamily(tree, BoxSets.read(tree, transitions)))]
-    vertex = {n: TransitionSet.vertex_set(ts.vertex_list()) for n, ts in transitions.items()}
+    vertex = {n: TransitionSet.vertex_set(per_node.vertex_list(ts))
+              for n, ts in transitions.items()}
     mixed = {n: vertex[n] if rng.random() < 0.35 else ts for n, ts in transitions.items()}
     out += [("vertex", RectangularFamily(tree, vertex)), ("mixed", RectangularFamily(tree, mixed))]
     cuts = supermartingale_family(fx.spec)
@@ -230,7 +232,8 @@ def test_bubble_identity_check_names_the_first_node_in_preorder():
     for seed in range(200):
         fx = fixtures.rand_market(seed, depth=4, branching=3, tau_mode="bounded")
         spec, tree = fx.spec, fx.spec.tree
-        matured = [n for n in tree.preorder() if spec.derived.taumap[n] is not None]
+        taumap = per_node.derived(spec).taumap
+        matured = [n for n in tree.preorder() if taumap[n] is not None]
         pairs = [(a, b) for i, a in enumerate(matured) for b in matured[i + 1:]
                  if tree.index(b) < tree.index(a)]
         if pairs:
@@ -286,7 +289,7 @@ def test_per_node_results_are_node_values_equal_to_the_per_node_oracle():
         fx = gen(seed, depth=1 + seed % 4, branching=2 + seed % 2,
                  style=("neutral", "bumped", "free")[seed // 2 % 3])
         spec, tree = fx.spec, fx.spec.tree
-        d, H, rng = spec.derived, tree.horizon, np.random.default_rng(seed)
+        d, H, rng = per_node.derived(spec), tree.horizon, np.random.default_rng(seed)
         s0 = spec.price[tree.root]
         markets += 1
         _node_values(stopped_price_process(spec).values, per_node.stopped_price(spec), tree)
@@ -325,7 +328,7 @@ def test_per_node_results_are_node_values_equal_to_the_per_node_oracle():
                 _node_values(fundamental_wealth(spec, fam)[0].values, w_star, tree)
                 _node_values(bubble_process(spec, fam).values, beta, tree)
 
-            actual = fam.with_role("actual")
+            actual = dataclasses.replace(fam)
             payoff = {leaf: float(rng.uniform(0, 2)) for leaf in tree.leaves}
             try:
                 hedge = superhedge(spec, payoff, actual)

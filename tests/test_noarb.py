@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 import per_node
+from oracles import find_arbitrage_lp, gain_rows, maximal_support, superhedge_lp
 
 from bubbletree import fixtures
 from bubbletree.ambiguity import (
@@ -34,11 +35,7 @@ from bubbletree.noarb import (
     NotRiskNeutralError,
     UnboundedHedgeError,
     _certificate,
-    _find_arbitrage_lp,
-    _gain_rows,
-    _maximal_support,
     _product_witness,
-    _superhedge_lp,
     find_arbitrage,
     robust_price,
     superhedge,
@@ -94,14 +91,14 @@ def test_rise_or_stay_flat_is_an_arbitrage_with_a_bounded_hedge():
     # arbitrage at the root, but the flat branch keeps the hedge cost finite
     fx = fixtures.ex1_one_period(s0=1.0, s1=(1.5, 1.0))
     cert = find_arbitrage(fx.spec)
-    assert cert is not None and _find_arbitrage_lp(fx.spec) is not None
+    assert cert is not None and find_arbitrage_lp(fx.spec) is not None
     assert cert.witness == "r0" and cert.gains["r1"] == 0.0
     assert cert.revalidate(fx.spec, fx.spec.tree.leaves)
     rep = verify_ftap(fx.spec)
     assert rep.pricing_family is None and rep.consistent
     payoff = {"r0": 0.0, "r1": 0.0}
     assert superhedge(fx.spec, payoff).price == 0.0
-    assert _superhedge_lp(fx.spec, payoff).price == pytest.approx(0.0, abs=1e-9)
+    assert superhedge_lp(fx.spec, payoff).price == pytest.approx(0.0, abs=1e-9)
 
 
 def test_certificate_revalidation_fails_on_a_short_holding_or_a_charged_loss():
@@ -185,7 +182,7 @@ def test_one_step_pass_runs_once_per_spec_and_family(monkeypatch):
             if k >= 2 and rng.random() < 0.5:  # one child uncharged
                 drop = rng.integers(k)
                 boxes[n] = TransitionSet.box([0.0] * k, [float(i != drop) for i in range(k)])
-        vertex = {n: TransitionSet.vertex_set(ts.vertex_list())
+        vertex = {n: TransitionSet.vertex_set(per_node.vertex_list(ts))
                   for n, ts in fx.family.transitions.items()}
         measures = []
         for _ in range(2):
@@ -193,7 +190,7 @@ def test_one_step_pass_runs_once_per_spec_and_family(monkeypatch):
             q[0] += 0.1
             measures.append(dict(zip(tree.leaves, (q / q.sum()).tolist())))
         families = (None, RectangularFamily(tree, boxes), RectangularFamily(tree, vertex),
-                    ExplicitFamily(tree, tuple(measures), role="actual"))
+                    ExplicitFamily(tree, tuple(measures)))
         payoff = {leaf: float(rng.uniform(0, 2)) for leaf in tree.leaves}
         shared = [[] for _ in families]
         for _ in range(2):
@@ -214,9 +211,9 @@ def test_one_step_pass_goes_with_its_family():
     spec = fx.spec
     verify_ftap(spec)
     for _ in range(1000):
-        verify_ftap(spec, fx.family.with_role("actual"))
+        verify_ftap(spec, dataclasses.replace(fx.family))
     assert len(spec.memo) <= 2 and ("noarb._cuts", id(None)) in spec.memo
-    kept = fx.family.with_role("actual")
+    kept = dataclasses.replace(fx.family)
     rep = verify_ftap(spec, kept)
     assert verify_ftap(spec, kept).pricing_family.transitions is rep.pricing_family.transitions
     assert len(spec.memo) <= 3
@@ -277,7 +274,7 @@ def _per_leaf_charged(spec, leaves):
     A = []
     for n in tree.non_leaves():
         row = np.zeros(len(leaves))
-        for leaf in tree.subtree_leaves(n):
+        for leaf in per_node.subtree_leaves(tree, n):
             if leaf in index:
                 path = tree.path(leaf)
                 row[index[leaf]] = W[path[path.index(n) + 1]] - W[n]
@@ -315,8 +312,8 @@ def test_maximal_support_lp_matches_per_leaf_oracle():
         for actual in (None, fx.family):
             tree = fx.spec.tree
             leaves = charged_leaves(actual, tree)
-            _, rows, _ = _gain_rows(fx.spec, leaves)
-            _, hit = _maximal_support(rows)
+            _, rows, _ = gain_rows(fx.spec, leaves)
+            _, hit = maximal_support(rows)
             fast = {leaf for leaf, h in zip(leaves, hit) if h}
             assert fast == _per_leaf_charged(fx.spec, leaves), (seed, actual is None)
 
@@ -356,12 +353,12 @@ def test_local_passes_match_lp_oracles():
                     leaves = charged_leaves(actual, tree)
 
                     cert = find_arbitrage(spec, actual)
-                    assert (cert is None) == (_find_arbitrage_lp(spec, actual) is None), case
+                    assert (cert is None) == (find_arbitrage_lp(spec, actual) is None), case
                     if cert is not None:
                         assert cert.revalidate(spec, leaves), case
 
-                    _, rows, _ = _gain_rows(spec, leaves)
-                    _, hit = _maximal_support(rows)
+                    _, rows, _ = gain_rows(spec, leaves)
+                    _, hit = maximal_support(rows)
                     lp_support = {leaf for leaf, h in zip(leaves, hit) if h}
                     rep = verify_ftap(spec, actual)
                     assert rep.consistent and rep.search_agreement, case
@@ -378,7 +375,7 @@ def test_local_passes_match_lp_oracles():
                         {l: W[l] for l in tree.leaves},
                     ):
                         fast = _hedge_or_none(superhedge, spec, payoff, actual)
-                        lp = _hedge_or_none(_superhedge_lp, spec, payoff, actual)
+                        lp = _hedge_or_none(superhedge_lp, spec, payoff, actual)
                         assert (fast is None) == (lp is None), case
                         if fast is None:
                             continue
@@ -392,7 +389,7 @@ def test_local_passes_match_lp_oracles():
     assert n_markets >= 200
     # a gain too small for one unit: the LP scales its holding as the search does
     spec = small_gain_spec()
-    cert, lp = find_arbitrage(spec), _find_arbitrage_lp(spec)
+    cert, lp = find_arbitrage(spec), find_arbitrage_lp(spec)
     assert cert is not None and lp is not None
     assert lp.witness == cert.witness == "r0" and lp.witness_gain > _GAIN_TOL
     assert lp.revalidate(spec, spec.tree.leaves)
@@ -410,7 +407,7 @@ def test_charged_node_without_a_charged_leaf_admits_no_false_arbitrage():
     full = TransitionSet.box([0.0, 0.0], [1.0, 1.0])
     family = RectangularFamily(tree, {"r": full, "a": TransitionSet.box([0.0], [0.0]), "b": full})
     assert "a" in family.charged and "a0" not in family.charged
-    assert find_arbitrage(spec, family) is None and _find_arbitrage_lp(spec, family) is None
+    assert find_arbitrage(spec, family) is None and find_arbitrage_lp(spec, family) is None
     assert verify_ftap(spec, family).consistent
 
     exercised = arbitrages = 0
@@ -423,13 +420,13 @@ def test_charged_node_without_a_charged_leaf_admits_no_false_arbitrage():
         for n in tree.non_leaves():
             if len(tree.children(n)) == 1 and rng.random() < 0.5:
                 boxes[n] = TransitionSet.box([0.0], [0.0])
-        family = RectangularFamily(tree, boxes, role="actual")
+        family = RectangularFamily(tree, boxes)
         mask = family.charged_mask
         inner = tree.child_offsets[1:] > tree.child_offsets[:-1]
         kids = np.bincount(tree.parent_index[1:], mask[1:], len(tree))
         exercised += bool((mask & inner & (kids == 0)).any())
         cert = find_arbitrage(fx.spec, family)
-        assert (cert is None) == (_find_arbitrage_lp(fx.spec, family) is None), seed
+        assert (cert is None) == (find_arbitrage_lp(fx.spec, family) is None), seed
         if cert is not None:
             arbitrages += 1
             assert cert.revalidate(fx.spec, charged_leaves(family, tree)), seed
@@ -513,7 +510,7 @@ def _hedge_actuals(family, rng):
         if k >= 2 and rng.random() < 0.5:
             drop = int(rng.integers(k))
             transitions[n] = TransitionSet.box([0.0] * k, [float(i != drop) for i in range(k)])
-    vertices = {n: ts.vertex_list() for n, ts in transitions.items()}
+    vertices = {n: per_node.vertex_list(ts) for n, ts in transitions.items()}
     measures = tuple(
         _push_mass(tree, {n: vs[int(rng.integers(len(vs)))] for n, vs in vertices.items()})
         for _ in range(2)
@@ -521,10 +518,9 @@ def _hedge_actuals(family, rng):
     return (
         None,
         family,
-        RectangularFamily(tree, transitions, role="actual"),
-        RectangularFamily(tree, {n: TransitionSet.vertex_set(vs) for n, vs in vertices.items()},
-                          role="actual"),
-        ExplicitFamily(tree, measures, role="actual"),
+        RectangularFamily(tree, transitions),
+        RectangularFamily(tree, {n: TransitionSet.vertex_set(vs) for n, vs in vertices.items()}),
+        ExplicitFamily(tree, measures),
     )
 
 
@@ -608,9 +604,7 @@ def test_polar_leaves_excluded_quasi_surely():
 
     fx = fixtures.ex1_one_period(s0=1.0, s1=(0.8, 0.5))
     tree = fx.spec.tree
-    polar_down = RectangularFamily(
-        tree, {"r": TransitionSet.box([1.0, 0.0], [1.0, 0.0])}, role="actual"
-    )
+    polar_down = RectangularFamily(tree, {"r": TransitionSet.box([1.0, 0.0], [1.0, 0.0])})
     payoff = {"r0": 0.8, "r1": 5.0}
     assert superhedge(fx.spec, payoff).price == pytest.approx(5.0, abs=1e-9)
     assert superhedge(fx.spec, payoff, polar_down).price == pytest.approx(0.8, abs=1e-9)
