@@ -27,6 +27,8 @@ import numpy as np
 from .lattice import AdaptedProcess, EventTree, NodeValues, _level_values
 
 CHARGE_TOL = 1e-12
+# the default classification tolerance: ``classify_process`` and every check ``--tolerance`` sets
+CLASSIFY_TOL = 1e-9
 # a one-step wealth change at most this large counts as zero
 _STEP_TOL = 1e-12
 
@@ -722,16 +724,14 @@ def argmax_measure(
 class Classification:
     """Strongest martingale-type property a process satisfies, with slacks.
 
-    ``per_node`` maps each checked node to (value, upper, lower) at the worst
-    horizon. The classes are nested: every G-martingale is a G-supermartingale
-    and every G-supermartingale is an infi-supermartingale.
+    The classes are nested: every G-martingale is a G-supermartingale and
+    every G-supermartingale is an infi-supermartingale.
     """
 
     strongest: str
     martingale_gap: float
     supermartingale_slack: float
     infi_slack: float
-    per_node: dict[str, tuple[float, float, float]]
 
     def satisfies(self, cls: str) -> bool:
         return CLASS_ORDER.index(self.strongest) >= CLASS_ORDER.index(cls)
@@ -766,19 +766,18 @@ def _horizon_rows(family: ExplicitFamily, x: np.ndarray, have: np.ndarray, T: in
     return g[order], *(r[order] for r in rows)
 
 
-def _first_min(a: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Per group of ``a`` (from each ``start``), the index of what the builtin ``min``
-    keeps: the first minimum, NaN skipped unless the group starts with it."""
-    best = np.fmin.reduceat(a, start).repeat(np.diff(np.append(start, len(a))))
-    at = np.minimum.reduceat(np.where(a == best, np.arange(len(a)), len(a)), start)
-    return np.where(np.isnan(a[start]), start, at)
+def _first_min(rows: np.ndarray) -> np.ndarray:
+    """Per row of ``rows``, the index of what the builtin ``min`` keeps: the first least
+    value, NaN skipped unless the row starts with it."""
+    at = (rows == np.fmin.reduce(rows, 1)[:, None]).argmax(1)
+    return np.where(np.isnan(rows[:, 0]), 0, at)
 
 
 def classify_process(
     family: MeasureFamily,
     process: Mapping[str, float] | AdaptedProcess | np.ndarray,
     T: int | None = None,
-    tol: float = 1e-9,
+    tol: float = CLASSIFY_TOL,
 ) -> Classification:
     """Classify a process (a mapping, or values at every node in
     ``tree.level_order``) as G-martingale / G-supermartingale /
@@ -786,27 +785,22 @@ def classify_process(
 
     Rectangular families are checked one step at a time (dynamic consistency
     makes that equivalent to all horizons); explicit families are checked
-    against every horizon directly, and ``per_node`` keeps each node's first
-    row of least value minus upper. Nodes the family does not charge are
+    against every horizon directly. Nodes the family does not charge are
     skipped — the statements are quasi-sure.
     """
     if isinstance(process, AdaptedProcess):
         process = process.values
     tree = family.tree
     rows = _horizon_rows if isinstance(family, ExplicitFamily) else _step_rows
-    node, v, up, low = rows(family, *_level_values(tree, process), tree.horizon if T is None else T)
-    if not len(node):
-        return Classification("G_martingale", 0.0, 0.0, 0.0, {})
-    # the builtin min, in row order, of -|v - up|, v - up, v - low and each node's v - up
-    d, first = v - up, np.concatenate(([True], node[1:] != node[:-1]))  # each node's first row
-    n, folds = len(node), np.concatenate((-np.abs(d), d, v - low, d))
-    at = _first_min(folds, np.concatenate(([0, n, 2 * n], 3 * n + np.flatnonzero(first))))
-    (mart_gap, sup_slack, infi_slack), worst = folds[at[:3]] * [-1.0, 1.0, 1.0], at[3:] - 3 * n
-    per_node = dict(zip(map(tree.level_order.__getitem__, node[worst].tolist()),
-                        zip(v[worst].tolist(), up[worst].tolist(), low[worst].tolist())))
+    _, v, up, low = rows(family, *_level_values(tree, process), tree.horizon if T is None else T)
+    if not len(v):
+        return Classification("G_martingale", 0.0, 0.0, 0.0)
+    # the builtin min, in row order, of -|v - up|, v - up and v - low
+    folds = np.stack((-np.abs(v - up), v - up, v - low))
+    mart_gap, sup_slack, infi_slack = folds[(0, 1, 2), _first_min(folds)] * [-1.0, 1.0, 1.0]
     strongest = ("G_martingale" if mart_gap <= tol else "G_supermartingale" if sup_slack >= -tol
                  else "infi_supermartingale" if infi_slack >= -tol else "none")
-    return Classification(strongest, mart_gap.item(), sup_slack.item(), infi_slack.item(), per_node)
+    return Classification(strongest, mart_gap.item(), sup_slack.item(), infi_slack.item())
 
 
 def check_absolute_continuity(

@@ -10,13 +10,13 @@ is zero from the maturity node on.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .ambiguity import (
+    CLASSIFY_TOL,
     Classification,
     MeasureFamily,
     _backward,
@@ -25,6 +25,7 @@ from .ambiguity import (
     classify_process,
 )
 from .lattice import (
+    _DIVIDEND_TOL,
     AdaptedProcess,
     MarketSpec,
     NodeValues,
@@ -105,7 +106,7 @@ def _bubble_from_value(spec: MarketSpec, val: np.ndarray) -> np.ndarray:
 def bubble_exists(
     beta: AdaptedProcess | Mapping[str, float],
     actual: MeasureFamily,
-    tol: float = 1e-9,
+    tol: float = CLASSIFY_TOL,
 ) -> bool:
     """A bubble exists when some node the actual family charges carries a
     positive bubble."""
@@ -114,7 +115,8 @@ def bubble_exists(
 
 
 def _no_dividends(spec: MarketSpec) -> bool:
-    return all(map(operator.le, map(abs, spec.dividend.values()), itertools.repeat(1e-12)))
+    """No node of the tree pays a dividend (NaN counts as one), as ``cash_events`` reads them."""
+    return bool((np.abs(spec.arrays.dividend) <= _DIVIDEND_TOL).all())
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ def classify_bubble(
     pricing: MeasureFamily,
     beta: AdaptedProcess | None = None,
     actual: MeasureFamily | None = None,
-    tol: float = 1e-9,
+    tol: float = CLASSIFY_TOL,
 ) -> BubbleClassification:
     """Classify the bubble and the (stopped) price process, and evaluate the
     consistency of the outcome with the maturity structure:
@@ -198,7 +200,7 @@ def check_bubble_properties(
     pricing: MeasureFamily,
     actual: MeasureFamily | None = None,
     beta: AdaptedProcess | None = None,
-    tol: float = 1e-9,
+    tol: float = CLASSIFY_TOL,
 ) -> BubblePropertyReport:
     """Structural bubble properties:
 
@@ -286,7 +288,7 @@ def find_dominating_strategy(
     spec: MarketSpec,
     pricing: MeasureFamily,
     actual: MeasureFamily | None = None,
-    tol: float = 1e-9,
+    tol: float = CLASSIFY_TOL,
     *,
     fundamental_root: float | None = None,
 ) -> DominancePair | None:
@@ -347,7 +349,7 @@ def analyze_bubble(
     spec: MarketSpec,
     pricing: MeasureFamily,
     actual: MeasureFamily | None = None,
-    tol: float = 1e-9,
+    tol: float = CLASSIFY_TOL,
 ) -> BubbleReport:
     """``bubble_processes``, classified and checked."""
     s_star, w_star, beta = bubble_processes(spec, pricing)

@@ -48,6 +48,12 @@ class Claim:
             raise ValueError("custom_terminal claims need a payoff map")
 
 
+def _check_maturity(claim: Claim, horizon: int) -> None:
+    """Raise ``AssumptionViolationError`` unless the claim matures in [1, horizon]."""
+    if not 1 <= claim.maturity <= horizon:
+        raise AssumptionViolationError(f"maturity {claim.maturity} outside [1, {horizon}]")
+
+
 def validate_claim(
     spec: MarketSpec, claim: Claim, actual: MeasureFamily | None = None
 ) -> None:
@@ -56,10 +62,8 @@ def validate_claim(
     the asset has matured or pays a dividend. Those nodes are the spec's
     cached ``cash_events``, so a call costs one scan of them."""
     require_valid(spec)
-    tree = spec.tree
-    T = claim.maturity
-    if not 1 <= T <= tree.horizon:
-        raise AssumptionViolationError(f"maturity {T} outside [1, {tree.horizon}]")
+    tree, T = spec.tree, claim.maturity
+    _check_maturity(claim, tree.horizon)
     for n, tau_at in spec.cash_events:
         if tree.time(n) > T:
             continue
@@ -98,6 +102,7 @@ def _exercise(claim: Claim, s: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def terminal_payoff(spec: MarketSpec, claim: Claim) -> dict[str, float]:
     """Discounted payoff of the claim at its maturity nodes."""
+    _check_maturity(claim, spec.tree.horizon)
     T = claim.maturity
     return dict(zip(spec.tree.level(T), _intrinsic(spec, claim, T).tolist()))
 

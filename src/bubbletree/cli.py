@@ -26,6 +26,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .ambiguity import (
+    CLASSIFY_TOL,
     BoxSets,
     ExplicitFamily,
     MeasureFamily,
@@ -41,6 +42,7 @@ from .bubble import analyze_bubble, bubble_processes, find_dominating_strategy
 from .claims import (
     AssumptionViolationError,
     Claim,
+    _check_maturity,
     _intrinsic,
     american_fundamental_price,
     fundamental_claim_price,
@@ -314,8 +316,8 @@ def parse_market_file(path: str) -> ParsedMarket:
     order fixes child order), rates, prices, dividends, tau
     ({nodes, kind}), payoffs, actual (a measure family). Optional: pricing,
     market_prices ({claim-kind: {node: price}}). A field of the wrong JSON
-    type, a non-finite number or an unknown tau node raises
-    ``MarketFileError`` naming the field.
+    type, a non-finite number, or a tau node or a number-map id that is not
+    on the tree raises ``MarketFileError`` naming the field.
 
     Number lists and maps and whole box families are checked in one pass
     each; only when that pass fails are the values checked one by one, so
@@ -372,6 +374,16 @@ def parse_market_file(path: str) -> ParsedMarket:
         pricing = actual if block is doc["actual"] else _parse_family(block, tree, f"{path}.pricing")
     raw = _typed(doc.get("market_prices", {}), dict, f"{path}.market_prices", "an object")
     market_prices = {str(key): _num_map(raw, key, f"{path}.market_prices") for key in raw}
+    # last, so that an input rejected before keeps its message; a valid market's prices and
+    # dividends hold every node and its rates every inner one, so only a longer map has more
+    inner = tree.level_starts[-2]
+    for where, key, data, known in (
+        (path, "rates", spec.rates, inner), (path, "prices", spec.price, len(tree)),
+        (path, "dividends", spec.dividend, len(tree)),
+        *((f"{path}.market_prices", key, quotes, 0) for key, quotes in market_prices.items()),
+    ):
+        if len(data) > known and (unknown := sorted(n for n in data if n not in tree)):
+            raise MarketFileError(f"{where}: {key}: unknown nodes {unknown}")
     return ParsedMarket(spec, actual, pricing, market_prices, path)
 
 
@@ -410,10 +422,10 @@ class Report:
 
 def _process_table(spec: MarketSpec, s_star, w_star, beta) -> dict[str, Mapping[str, float]]:
     """The market's processes and ``bubble_processes``' three, as the reports print them:
-    ``NodeValues`` over the level-order arrays (a price map with ids off the tree, copied)."""
+    ``NodeValues`` over the level-order arrays."""
     tree, p = spec.tree, spec.processes
-    price = dict(spec.price) if len(spec.price) > len(tree) else NodeValues(tree, spec.arrays.price)
-    return {"S": price, "W": NodeValues(tree, p.W), "B": NodeValues(tree, p.B),
+    return {"S": NodeValues(tree, spec.arrays.price), "W": NodeValues(tree, p.W),
+            "B": NodeValues(tree, p.B),
             "Sstar": s_star.values, "Wstar": w_star.values, "beta": beta.values}
 
 
@@ -435,9 +447,8 @@ def _payoff(spec: MarketSpec, options: Mapping[str, Any]) -> dict[str, float]:
     if options.get("payoff_file"):
         return parse_payoff_file(options["payoff_file"], tree)
     claim = _claim(options, tree, "hedge needs --claim or --payoff-file")
+    _check_maturity(claim, tree.horizon)
     maturity = claim.maturity
-    if not 1 <= maturity <= tree.horizon:
-        raise ValueError(f"maturity {maturity} outside [1, {tree.horizon}]")
     target = _intrinsic(spec, claim, maturity)
     anc = np.arange(tree.level_starts[-2], len(tree))  # the leaves, in preorder
     for _ in range(tree.horizon - maturity):
@@ -445,27 +456,11 @@ def _payoff(spec: MarketSpec, options: Mapping[str, Any]) -> dict[str, float]:
     return dict(zip(tree.leaves, target[anc - tree.level_starts[maturity]].tolist()))
 
 
-# Each command is a function that reports it with a pricing family and returns
-# ``bubble_processes``' three for the process table, and one that reports it
-# without a family. All take (report, parsed, pricing, ftap, tol, options),
-# where ``ftap()`` is the market's ``verify_ftap`` report, run on first call.
+# Each command is one function (report, parsed, pricing, tol, options) that reports it
+# with a pricing family and returns ``bubble_processes``' three for the process table.
 
-def _market(report, parsed, pricing, ftap, tol, options):
-    """``analyze`` without a pricing family; with one, its first verdicts."""
-    rep = ftap()
-    report.verdicts["validation"] = "pass"
-    report.verdicts["arbitrage"] = "FOUND" if rep.arbitrage else "none"
-    report.verdicts["ftap_consistent"] = rep.consistent
-    if rep.arbitrage:
-        report.diagnostics["arbitrage_witness"] = rep.arbitrage.witness
-        report.diagnostics["arbitrage_gain"] = rep.arbitrage.witness_gain
-    if pricing is None:
-        report.verdicts["bubble"] = "unavailable (no pricing family)"
-
-
-def _analyze(report, parsed, pricing, ftap, tol, options):
+def _analyze(report, parsed, pricing, tol, options):
     spec, tree = parsed.spec, parsed.spec.tree
-    _market(report, parsed, pricing, ftap, tol, options)
     rep = analyze_bubble(spec, pricing, parsed.actual, tol=tol)
     beta1 = dict(zip(tree.level(1), rep.beta.values.array[slice(*tree.level_starts[1:3])].tolist()))
     if beta1:
@@ -486,7 +481,7 @@ def _analyze(report, parsed, pricing, ftap, tol, options):
     return rep.S_star, rep.W_star, rep.beta
 
 
-def _price(report, parsed, pricing, ftap, tol, options):
+def _price(report, parsed, pricing, tol, options):
     spec, tree = parsed.spec, parsed.spec.tree
     claim = _claim(options, tree, "price needs --claim")
     if claim.kind in ("amer_call", "amer_put"):
@@ -502,7 +497,7 @@ def _price(report, parsed, pricing, ftap, tol, options):
     return bubble_processes(spec, pricing)
 
 
-def _hedge(report, parsed, pricing, ftap, tol, options):
+def _hedge(report, parsed, pricing, tol, options):
     spec = parsed.spec
     result = robust_price(spec, pricing, _payoff(spec, options), parsed.actual, tol=tol)
     report.verdicts["price"] = result.hedge.price
@@ -513,13 +508,7 @@ def _hedge(report, parsed, pricing, ftap, tol, options):
     return bubble_processes(spec, pricing)
 
 
-def _primal_hedge(report, parsed, pricing, ftap, tol, options):
-    report.verdicts["price"] = superhedge(parsed.spec, _payoff(parsed.spec, options),
-                                          parsed.actual).price
-    report.verdicts["note"] = "no pricing family (arbitrage); primal hedge only"
-
-
-def _classify(report, parsed, pricing, ftap, tol, options):
+def _classify(report, parsed, pricing, tol, options):
     spec, which = parsed.spec, options["process"]
     s_star, w_star, beta = bubble_processes(spec, pricing)
     named = {"S": spec.processes.stopped, "W": spec.processes.W, "Wstar": w_star, "beta": beta}
@@ -534,7 +523,7 @@ def _classify(report, parsed, pricing, ftap, tol, options):
     return s_star, w_star, beta
 
 
-def _dominance(report, parsed, pricing, ftap, tol, options):
+def _dominance(report, parsed, pricing, tol, options):
     spec = parsed.spec
     s_star, w_star, beta = bubble_processes(spec, pricing)
     pair = find_dominating_strategy(spec, pricing, parsed.actual, tol=tol,
@@ -551,41 +540,48 @@ def _dominance(report, parsed, pricing, ftap, tol, options):
     return s_star, w_star, beta
 
 
-def _no_family(report, parsed, pricing, ftap, tol, options):
-    report.verdicts["error"] = "no pricing family available (arbitrage)"
-
-
-_COMMANDS = {
-    "analyze": (_analyze, _market),
-    "price": (_price, _no_family),
-    "hedge": (_hedge, _primal_hedge),
-    "classify": (_classify, _no_family),
-    "dominance": (_dominance, _no_family),
-}
+_COMMANDS = {"analyze": _analyze, "price": _price, "hedge": _hedge, "classify": _classify,
+             "dominance": _dominance}
 
 
 def run_analysis(command: str, parsed: ParsedMarket, options: Mapping[str, Any]) -> Report:
     """Run a subcommand over parsed inputs and assemble its report. The pricing
-    family is the file's, else the one ``verify_ftap`` discovers. Without one
-    the command reports what it can and exits 2; with one its report ends in
-    the process table."""
+    family is the file's, else the one ``verify_ftap`` discovers; ``analyze``
+    first reports the ``verify_ftap`` verdicts. With a family the report ends
+    in the process table. Without one ``analyze`` reports the verdicts alone,
+    ``hedge`` the primal superhedge price and the other commands an error
+    verdict, and each exits 2."""
     if command not in _COMMANDS:
         raise MarketFileError(f"unknown command {command!r}")
-    with_family, without_family = _COMMANDS[command]
     spec = parsed.spec
     report = Report(
         command=command,
         inputs={"file": parsed.path, **{k: v for k, v in options.items() if v is not None}},
     )
-    tol = float(options.get("tolerance", 1e-9))
-    ftap = functools.cache(functools.partial(verify_ftap, spec, parsed.actual))
-    pricing = parsed.pricing if parsed.pricing is not None else ftap().pricing_family
-    args = report, parsed, pricing, ftap, tol, options
-    if pricing is None:
-        without_family(*args)
-        report.exit_status = 2
+    tol = float(options.get("tolerance", CLASSIFY_TOL))
+    pricing = parsed.pricing
+    if command == "analyze" or pricing is None:
+        rep = verify_ftap(spec, parsed.actual)
+        pricing = rep.pricing_family if pricing is None else pricing
+    if command == "analyze":
+        report.verdicts["validation"] = "pass"
+        report.verdicts["arbitrage"] = "FOUND" if rep.arbitrage else "none"
+        report.verdicts["ftap_consistent"] = rep.consistent
+        if rep.arbitrage:
+            report.diagnostics["arbitrage_witness"] = rep.arbitrage.witness
+            report.diagnostics["arbitrage_gain"] = rep.arbitrage.witness_gain
+    if pricing is not None:
+        fn = _COMMANDS[command]
+        report.processes.update(_process_table(spec, *fn(report, parsed, pricing, tol, options)))
+        return report
+    if command == "analyze":
+        report.verdicts["bubble"] = "unavailable (no pricing family)"
+    elif command == "hedge":
+        report.verdicts["price"] = superhedge(spec, _payoff(spec, options), parsed.actual).price
+        report.verdicts["note"] = "no pricing family (arbitrage); primal hedge only"
     else:
-        report.processes.update(_process_table(spec, *with_family(*args)))
+        report.verdicts["error"] = "no pricing family available (arbitrage)"
+    report.exit_status = 2
     return report
 
 
@@ -612,22 +608,17 @@ def _spellings(values: np.ndarray) -> np.ndarray:
 
 def _column(proc, trees: dict) -> tuple[np.ndarray, np.ndarray] | None:
     """Each node id's line up to its value and the values, in sorted-id order, as arrays; None
-    unless ``proc`` is a non-empty map of str keys to floats. A ``NodeValues`` takes its tree's
-    sorted-id permutation and lines, made once per tree in ``trees``; a dict, ``sorted``."""
-    if isinstance(proc, NodeValues):
-        if id(proc.tree) not in trees:
-            ids = proc.tree.level_order
-            perm = sorted(range(len(ids)), key=ids.__getitem__)
-            lines = map("      %s: ".__mod__, map(_json_key, map(ids.__getitem__, perm)))
-            trees[id(proc.tree)] = np.array(perm, np.intp), np.array(list(lines), object)
-        perm, lines = trees[id(proc.tree)]
-        return (lines[keep], proc.array[perm[keep]]) if (keep := proc.mask[perm]).any() else None
-    if (type(proc) is not dict or not proc or not set(map(type, proc)) <= {str}
-            or not set(map(type, proc.values())) <= {float}):
+    unless ``proc`` is a non-empty ``NodeValues``. Its tree's sorted-id permutation and lines
+    are made once per tree in ``trees``."""
+    if not isinstance(proc, NodeValues):
         return None
-    keys = sorted(proc)
-    lines = list(map("      %s: ".__mod__, map(_json_key, keys)))
-    return np.array(lines, object), np.array(list(map(proc.__getitem__, keys)))
+    if id(proc.tree) not in trees:
+        ids = proc.tree.level_order
+        perm = sorted(range(len(ids)), key=ids.__getitem__)
+        lines = map("      %s: ".__mod__, map(_json_key, map(ids.__getitem__, perm)))
+        trees[id(proc.tree)] = np.array(perm, np.intp), np.array(list(lines), object)
+    perm, lines = trees[id(proc.tree)]
+    return (lines[keep], proc.array[perm[keep]]) if (keep := proc.mask[perm]).any() else None
 
 
 def _machine(report: Report) -> str:
@@ -714,7 +705,7 @@ def _parser() -> argparse.ArgumentParser:
         prog="bubbletree",
         description="Price assets and claims on finite event trees under model uncertainty.",
     )
-    p.add_argument("--tolerance", type=float, default=1e-9, help="classification tolerance")
+    p.add_argument("--tolerance", type=float, default=CLASSIFY_TOL, help="classification tolerance")
     p.add_argument(
         "--format", choices=("text", "machine", "csv"), default="text", help="output format"
     )

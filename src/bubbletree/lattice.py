@@ -27,6 +27,7 @@ TAU_KINDS = ("bounded", "unbounded_finite", "possibly_infinite")
 _TREE_NUMPY_MIN_WIDTH = 32
 _UNIFORM_ROOT = "r"  # the root id of ``EventTree.uniform``'s trees
 _REBALANCE_TOL = 1e-9  # a holding change times wealth above this is no longer self-financing
+_DIVIDEND_TOL = 1e-12  # a dividend of at most this size counts as none
 
 
 class InvalidMarketError(ValueError):
@@ -506,7 +507,7 @@ class MarketSpec:
         """In preorder, the nodes where the asset has matured (with the tau
         node on their path) or, after time 0, pays a dividend (with None)."""
         p, tree = self.processes, self.tree
-        hit = (p.tau >= 0) | (np.abs(self.arrays.dividend) > 1e-12)
+        hit = (p.tau >= 0) | (np.abs(self.arrays.dividend) > _DIVIDEND_TOL)
         hit[0] = p.tau[0] >= 0
         at, ids = tree.preorder_index[hit[tree.preorder_index]], [*tree.level_order, None]
         return tuple(zip(map(ids.__getitem__, at.tolist()), map(ids.__getitem__, p.tau[at].tolist())))

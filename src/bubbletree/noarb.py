@@ -36,6 +36,7 @@ import numpy as np
 from .ambiguity import (
     _STEP_TOL,
     CHARGE_TOL,
+    CLASSIFY_TOL,
     CutSets,
     ExplicitFamily,
     MeasureFamily,
@@ -330,7 +331,7 @@ def robust_price(
     pricing: MeasureFamily,
     payoff: Mapping[str, float],
     actual: MeasureFamily | None = None,
-    tol: float = 1e-9,
+    tol: float = CLASSIFY_TOL,
 ) -> RobustPriceResult:
     """Upper expectation of the payoff under the pricing family, plus the gap
     to the superhedge cost. The family must price the market: wealth has to

@@ -672,7 +672,6 @@ def explicit_classify(
     tree, masses, on = family.tree, explicit_masses(family), explicit_charged(family)
     if T is None:
         T = tree.horizon
-    per_node = {}
     rows = []
     for n in tree.preorder():
         t = tree.time(n)
@@ -688,10 +687,8 @@ def explicit_classify(
             low = -explicit_cond_upper(family, neg, n, t2, masses)
             v = process[n]
             rows.append((v, up, low))
-            if n not in per_node or (v - up) < (per_node[n][0] - per_node[n][1]):
-                per_node[n] = (v, up, low)
     if not rows:
-        return Classification("G_martingale", 0.0, 0.0, 0.0, {})
+        return Classification("G_martingale", 0.0, 0.0, 0.0)
     mart_gap = max(abs(v - up) for v, up, _ in rows)
     sup_slack = min(v - up for v, up, _ in rows)
     infi_slack = min(v - low for v, _, low in rows)
@@ -703,7 +700,7 @@ def explicit_classify(
         strongest = "infi_supermartingale"
     else:
         strongest = "none"
-    return Classification(strongest, mart_gap, sup_slack, infi_slack, per_node)
+    return Classification(strongest, mart_gap, sup_slack, infi_slack)
 
 
 def explicit_american(

@@ -1,7 +1,8 @@
 """Reference implementations for the market-file parser and the event tree.
 
 ``parse_market_file`` here checks every value on its own, in document
-order, and parses the ``pricing`` block even when it equals ``actual``: it
+order, scans every number map's ids for one that is not on the tree, and
+parses the ``pricing`` block even when it equals ``actual``: it
 is what ``bubbletree.cli.parse_market_file`` computed before its checks ran
 one pass per number list, per map and per box family. ``validate_market``
 checks prices, dividends, rates and the tau kind node by node. ``ReferenceTree`` keeps
@@ -334,4 +335,10 @@ def parse_market_file(path: str) -> ParsedMarket:
         pricing = _parse_family(doc["pricing"], tree, f"{path}.pricing")
     raw = _typed(doc.get("market_prices", {}), dict, f"{path}.market_prices", "an object")
     market_prices = {str(key): _num_map(raw, key, f"{path}.market_prices") for key in raw}
+    for where, key, data in ((path, "rates", spec.rates), (path, "prices", spec.price),
+                             (path, "dividends", spec.dividend),
+                             *((f"{path}.market_prices", k, q) for k, q in market_prices.items())):
+        unknown = sorted(n for n in data if n not in tree)
+        if unknown:
+            raise MarketFileError(f"{where}: {key}: unknown nodes {unknown}")
     return ParsedMarket(spec, actual, pricing, market_prices, path)

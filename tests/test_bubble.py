@@ -205,6 +205,9 @@ def test_persistence_counterexample_at_exact_price_tie():
     rep = check_bubble_properties(spec, ftap.pricing_family)
     assert rep.persistence["status"] == "violated"
     assert rep.persistence["counterexamples"]
+    # a dividend at an id that is not on the tree is paid nowhere: the check still runs
+    off_tree = dataclasses.replace(spec, dividend={**spec.dividend, "zz": 3.0})
+    assert check_bubble_properties(off_tree, ftap.pricing_family) == rep
 
 
 def test_dividend_market_skips_persistence():

@@ -107,6 +107,19 @@ def test_first_violation_matches_preorder_walk():
     assert min(kinds["none"], kinds["asset"], kinds["dividend"]) >= 20, kinds
 
 
+@pytest.mark.parametrize("maturity", [-1, 0, 3])
+def test_maturity_outside_the_horizon_is_refused_alike(maturity):
+    """``terminal_payoff`` refuses a maturity outside [1, horizon] as ``validate_claim`` and
+    the pricing functions do, with the same text the CLI prints."""
+    fx = fixtures.rand_claim_market(1, depth=2)
+    claim = Claim("euro_call", maturity, 1.0)
+    assert fx.spec.tree.horizon == 2
+    for call in (lambda: terminal_payoff(fx.spec, claim), lambda: validate_claim(fx.spec, claim),
+                 lambda: fundamental_claim_price(fx.spec, fx.family, claim)):
+        with pytest.raises(AssumptionViolationError, match=rf"^maturity {maturity} outside \[1, 2\]$"):
+            call()
+
+
 def test_ex1_claims_valid_inside_tau():
     fx = fixtures.ex1()  # tau at 2 > T = 1: fine
     proc = fundamental_claim_price(fx.spec, fx.family, Claim("euro_call", 1, 1.0))

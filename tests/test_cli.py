@@ -1,4 +1,5 @@
 import functools
+import glob
 import json
 from collections import Counter
 
@@ -79,9 +80,16 @@ def _set(doc, keys, value):
         (("actual",), {"type": "explicit", "measures": [{"r00": "half", "r10": 0.5}]},
          "actual.measures[0]['r00'] is not a number"),
         (("tau", "nodes"), ["r00", "r2"], "tau.nodes: unknown nodes ['r2']"),
+        (("prices", "zz"), 0.5, ".market: prices: unknown nodes ['zz']"),
+        (("rates", "zz"), 0.0, ".market: rates: unknown nodes ['zz']"),
+        (("dividends", "zz"), 0.0, ".market: dividends: unknown nodes ['zz']"),
+        (("market_prices",), {"euro_call": {"r": 0.3, "zz": 0.1}},
+         ".market.market_prices: euro_call: unknown nodes ['zz']"),
     ],
     ids=["nan-price", "inf-rate", "transitions-list", "node-entry-not-object",
-         "market-price-not-number", "measure-probability-not-number", "unknown-tau-node"],
+         "market-price-not-number", "measure-probability-not-number", "unknown-tau-node",
+         "unknown-price-node", "unknown-rate-node", "unknown-dividend-node",
+         "unknown-market-price-node"],
 )
 def test_malformed_field_exits_1_with_context(tmp_path, capsys, keys, value, context):
     doc = json.loads(open(data_file("ex1.market")).read())
@@ -292,9 +300,12 @@ def test_exit_code_arbitrage_blocks_family(tmp_path, capsys):
     del doc["pricing"]  # force the analysis to derive a family, which fails
     path = tmp_path / "arb.market"
     path.write_text(json.dumps(doc))
-    rc = main(["analyze", str(path)])
-    capsys.readouterr()
+    rc = main(["--format", "machine", "analyze", str(path)])
+    report = json.loads(capsys.readouterr().out)
     assert rc == 2
+    # the certificate: hold the asset at the cheap branch r1, which rises to 1 at r10
+    assert report["diagnostics"]["arbitrage_witness"] == "r10"
+    assert report["diagnostics"]["arbitrage_gain"] == 0.5
 
 
 def test_hedge_without_a_pricing_family_reports_the_primal_price_and_exits_2(tmp_path, capsys):
@@ -399,9 +410,9 @@ def test_exit_code_3_unbounded_hedge_and_polar_node(tmp_path, capsys):
     assert captured.err == "error: no measure in the family charges node 'r1'\n"
 
 
-def test_failing_verdict_text_names_nodes(tmp_path):
-    # exact-tie market: the persistence check records a violation and the
-    # text report must carry the FAIL and the offending node
+def _tie_doc() -> dict:
+    """An exact-tie market: the bubble is 0 at r and 0.2 at its child r0, so the persistence
+    check records a violation at r."""
     from bubbletree.lattice import EventTree
 
     tree = EventTree.uniform([2, 1])
@@ -409,7 +420,7 @@ def test_failing_verdict_text_names_nodes(tmp_path):
         {"id": n, "parent": tree.parent(n), "time": tree.time(n)}
         for n in tree.preorder()
     ]
-    doc = {
+    return {
         "horizon": 2,
         "nodes": nodes,
         "rates": {n: 0.0 for n in tree.non_leaves()},
@@ -426,8 +437,12 @@ def test_failing_verdict_text_names_nodes(tmp_path):
             },
         },
     }
+
+
+def test_failing_verdict_text_names_nodes(tmp_path):
+    # the text report must carry the FAIL and the offending node
     path = tmp_path / "tie.market"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_tie_doc()))
     parsed = parse_market_file(str(path))
     report = run_analysis("analyze", parsed, {})
     text = emit_report(report, "text", parsed.spec.tree)
@@ -498,28 +513,90 @@ def _market_doc(spec, family, pricing="same", vertices=False, explicit=False, qu
     return json.loads(json.dumps(doc))
 
 
-def test_tolerance_flag_propagates(tmp_path):
-    # a huge tolerance collapses every classification to the strongest class
+def _rising_pricing_doc() -> dict:
+    """A one-step market free of arbitrage (the price rises to 1.5 or falls to 0.5) whose
+    pricing block, all mass on the rise, makes wealth rise in expectation by 0.5."""
+    return {
+        "horizon": 1,
+        "nodes": [{"id": "r", "parent": None, "time": 0}, {"id": "r0", "parent": "r", "time": 1},
+                  {"id": "r1", "parent": "r", "time": 1}],
+        "rates": {"r": 0.0},
+        "prices": {"r": 1.0, "r0": 1.5, "r1": 0.5},
+        "dividends": {"r": 0.0, "r0": 0.0, "r1": 0.0},
+        "tau": {"nodes": [], "kind": "possibly_infinite"},
+        "payoffs": {},
+        "actual": {"type": "rectangular", "transitions": {"r": {"lower": [0, 0], "upper": [1, 1]}}},
+        "pricing": {"type": "rectangular", "transitions": {"r": {"lower": [1, 0], "upper": [1, 0]}}},
+    }
+
+
+def _classify_doc() -> dict:
     fx = fixtures.rand_claim_market(3, depth=2, branching=2, style="bumped")
+    return _market_doc(fx.spec, fx.family)
+
+
+# Each stage the README's Tolerances note names: its command, its market file, and the exit
+# code and verdicts at --tolerance 1e-9 and at 1e9 (None: no report).
+TOLERANCE_STAGES = {
+    # bubble existence and the property checks: at 1e9 r0's bubble of 0.2 counts as none, so
+    # no bubble exists and none comes back below r
+    "analyze": (["analyze"], _tie_doc, (0, {"bubble_exists": True, "checks": "FAIL"}),
+                (0, {"bubble_exists": False, "checks": "pass"})),
+    # robust_price's G-supermartingale check: wealth misses it by 0.5
+    "hedge": (["hedge", "--claim", "ecall", "--strike", "0.9"], _rising_pricing_doc, (2, None),
+              (0, {"price": 0.3, "value": 0.6})),
+    # the root-bubble test: all of ex1geom's root price is bubble
+    "dominance": (["dominance"], lambda: json.loads(open(data_file("ex1geom.market")).read()),
+                  (0, {"dominance": "FOUND"}), (0, {"dominance": "none"})),
+    # classify_process: a huge tolerance collapses every class to the strongest one
+    "classify": (["classify", "--process", "S"], _classify_doc, (0, {"class": "G_supermartingale"}),
+                 (0, {"class": "G_martingale"})),
+}
+
+
+@pytest.mark.parametrize("stage", list(TOLERANCE_STAGES))
+def test_tolerance_flag_propagates(tmp_path, capsys, stage):
+    argv, make, *cases = TOLERANCE_STAGES[stage]
     path = tmp_path / "m.market"
-    path.write_text(json.dumps(_market_doc(fx.spec, fx.family)))
-    parsed = parse_market_file(str(path))
-    strict = run_analysis("classify", parsed, {"process": "S", "tolerance": 1e-9})
-    loose = run_analysis("classify", parsed, {"process": "S", "tolerance": 1e9})
-    assert loose.verdicts["class"] == "G_martingale"
-    assert strict.verdicts["class"] in ("G_supermartingale", "G_martingale")
+    path.write_text(json.dumps(make()))
+    for tol, (rc, verdicts) in zip(("1e-9", "1e9"), cases):
+        assert main(["--format", "machine", "--tolerance", tol, *argv, str(path)]) == rc, tol
+        out = capsys.readouterr().out
+        if verdicts is None:
+            assert out == "", tol
+        else:
+            got = json.loads(out)["verdicts"]
+            assert {k: got.get(k) for k in verdicts} == verdicts, tol
 
 
 def test_analyze_fiat_market_file(tmp_path, capsys):
-    fx = fixtures.fiat(5)
-    path = tmp_path / "fiat.market"
-    path.write_text(json.dumps(_market_doc(fx.spec, fx.family)))
-    rc = main(["analyze", str(path)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "bubble_exists: yes" in out
-    assert "bubble_class: infi_supermartingale" in out
-    assert "arbitrage: none" in out
+    # fiat(10) has 2,047 nodes and levels up to 1,024 wide: its tree, processes and reports
+    # are built on numpy arrays, and each printed map holds one entry per node it is on
+    for periods in (5, 10):
+        fx = fixtures.fiat(periods)
+        doc = _market_doc(fx.spec, fx.family)
+        path = tmp_path / "fiat.market"
+        path.write_text(json.dumps(doc))
+        rc = main(["analyze", str(path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "bubble_exists: yes" in out
+        assert "bubble_class: infi_supermartingale" in out
+        assert "arbitrage: none" in out
+        nodes, leaves = len(fx.spec.tree), len(fx.spec.tree.leaves)
+        del doc["pricing"]  # hedge on the discovered family
+        discovered = tmp_path / "fiat-discovered.market"
+        discovered.write_text(json.dumps(doc))
+        for argv, counts in (
+            (["analyze", path], {"S": nodes}),
+            (["price", "--claim", "ecall", "--strike", "0.9", path], {"claim_value": nodes}),
+            (["dominance", path], {"gain_gap": leaves, "hedge_pi": nodes - leaves}),
+            (["hedge", "--claim", "ecall", "--strike", "0.9", discovered],
+             {"hedge_pi": nodes - leaves, "hedge_slack": leaves}),
+        ):
+            assert main(["--format", "machine", *map(str, argv)]) == 0, argv
+            processes = json.loads(capsys.readouterr().out)["processes"]
+            assert {k: len(processes[k]) for k in counts} == counts, argv
 
 
 def test_hedge_claim_before_horizon(tmp_path, capsys):
@@ -702,7 +779,7 @@ def test_cli_never_imports_scipy_and_the_lp_oracle_loads_it_on_first_use():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
-    paths = [data_file("ex1.market"), data_file("branch3-discovered.market")]
+    paths = sorted(glob.glob(data_file("*.market")))
     # ex1 admits a strong arbitrage, so both of its superhedges are
     # unbounded; ex1geom's call has a finite price to compare
     args = json.dumps([COMMANDS, paths, data_file("ex1geom.market"), os.path.dirname(__file__)])

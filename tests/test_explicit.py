@@ -185,10 +185,10 @@ def test_explicit_american_values_equal_brute_force_over_stopping_rules():
     [5.0],
 ])
 def test_array_folds_keep_what_the_builtins_keep(row):
-    a, start = np.array(row), np.zeros(1, np.intp)
-    _same(a[_first_min(a, start)].item(), min(x for x in row))
-    _same(a[_first_min(-a, start)].item(), max(x for x in row))  # the max as the min of -a
-    # in groups, each one folded on its own
-    groups = np.array(row + row[::-1] + row)
-    picked = groups[_first_min(groups, np.array([0, len(row), 2 * len(row)]))].tolist()
+    a = np.array(row)
+    _same(a[_first_min(a[None])].item(), min(x for x in row))
+    _same(a[_first_min(-a[None])].item(), max(x for x in row))  # the max as the min of -a
+    # in rows, each one folded on its own
+    rows = np.array([row, row[::-1], row])
+    picked = rows[(0, 1, 2), _first_min(rows)].tolist()
     _same(picked, [min(x for x in g) for g in (row, row[::-1], row)])

@@ -259,11 +259,12 @@ def corrupt(doc, data) -> str:
                             "node")
             payoffs[off] = payoffs.pop(data.draw(st.sampled_from(sorted(payoffs)), "payoff")) if payoffs else 1.0
         return f"tau {how}"
-    if kind == "map":  # a number map that is no object
+    if kind == "map":  # a number map that is no object, or holds an id that is not on the tree
         maps = [(doc, key) for key in ("rates", "prices", "dividends", "payoffs")]
         maps += [(doc["market_prices"], key) for key in doc.get("market_prices", ())]
         where, key = data.draw(st.sampled_from(maps), "map")
-        where[key] = data.draw(st.sampled_from(([], [1.0], "0", None, 1.0)), "replacement")
+        new = data.draw(st.sampled_from(([], [1.0], "0", None, 1.0, "extra id")), "replacement")
+        where[key] = {**where[key], "nowhere": 0.5} if new == "extra id" else new
         return f"map {key} -> {where[key]!r}"
     if kind == "horizon":
         h = doc["horizon"]
@@ -432,17 +433,18 @@ def test_valid_docs_parse_to_equal_specs_and_families(tmp_path, gen):
         assert (parsed.pricing is parsed.actual) == (shape in ("same", "vertices"))
 
 
-def test_equal_pricing_block_is_parsed_once(tmp_path, monkeypatch):
+def test_equal_pricing_block_is_parsed_once(tmp_path, monkeypatch, capsys):
     """A ``pricing`` block whose text repeats ``actual``'s, after it or before it
     (``"first"``), is decoded to the same object and parsed once, as the twin. An equal one
-    spelled otherwise (its nodes in reverse) is parsed on its own, to an equal family."""
+    spelled otherwise (its nodes in reverse) is parsed on its own, to an equal family, and
+    all three print the same reports."""
     import bubbletree.cli as cli
 
     fx = fixtures.rand_claim_market(3, depth=3, branching=3, style="bumped")
     calls = []
     original = cli._parse_family
     monkeypatch.setattr(cli, "_parse_family", lambda doc, *a: calls.append(a[1]) or original(doc, *a))
-    root = fx.spec.tree.root
+    root, reports = fx.spec.tree.root, {}
     for shape in ("same", "first", "reordered", "other"):  # node order is no part of a family
         calls.clear()
         doc = market_doc(fx.spec, fx.family, pricing="reordered" if shape == "reordered" else "same")
@@ -450,12 +452,16 @@ def test_equal_pricing_block_is_parsed_once(tmp_path, monkeypatch):
             doc = {"pricing": doc.pop("pricing"), **doc}
         if shape == "other":
             doc["pricing"]["transitions"][root]["lower"] = [0.0] * len(fx.spec.tree.children(root))
-        path = tmp_path / f"{shape}.market"
+        path = tmp_path / "m.market"  # one path: the reports name the same file
         _write(path, doc)
         parsed = cli.parse_market_file(str(path))
         assert len(calls) == (2 if shape in ("reordered", "other") else 1), shape
         assert (parsed.pricing is parsed.actual) == (shape in ("same", "first")), shape
         assert (parsed.pricing == parsed.actual) == (shape != "other"), shape
+        for argv in (["analyze"], ["classify", "--process", "beta"]):
+            rc = cli.main(["--format", "machine", *argv, str(path)])
+            reports.setdefault(shape, []).append((rc, *capsys.readouterr()))
+    assert reports["same"] == reports["first"] == reports["reordered"]
 
 
 def test_parsed_family_and_its_pricing_twin_build_the_box_arrays_once(tmp_path, monkeypatch,

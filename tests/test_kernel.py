@@ -91,8 +91,7 @@ def _outputs(spec, family, seed, claims: bool) -> list:
     W = dict(wealth_process(spec).values.items())
     for proc, horizon in ((process, None), (process, max(T - 1, 1)), (partial, None), (W, None)):
         c = classify_process(fam, proc, T=horizon)
-        out.append((c.strongest, c.martingale_gap, c.supermartingale_slack, c.infi_slack,
-                    c.per_node))
+        out.append((c.strongest, c.martingale_gap, c.supermartingale_slack, c.infi_slack))
     if claims:
         K = spec.price[tree.root]
         for maturity in sorted({max(T - 1, 1), T}):
