@@ -17,8 +17,9 @@ conjugates ``lower[X] = -upper[-X]`` (exact, by construction).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import isfinite
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -109,7 +110,7 @@ class TransitionSet:
             for v in self.vertices:
                 if len(v) != k:
                     out.append(f"vertex arity {len(v)} != {k}")
-                elif min(v) < -CHARGE_TOL or abs(sum(v) - 1.0) > 1e-9:
+                elif min(v) < -CHARGE_TOL or abs(reduce(operator.add, v, 0.0) - 1.0) > 1e-9:
                     out.append(f"vertex {v} not a probability vector")
             return out
         if self.lower is None or self.upper is None:
@@ -136,7 +137,7 @@ class TransitionSet:
             return best_val, best_w
         k = len(values)
         p = list(self.lower)
-        rem = 1.0 - sum(p)
+        rem = 1.0 - reduce(operator.add, p, 0.0)  # left to right: from Python 3.12 ``sum`` is not
         for i in sorted(range(k), key=lambda j: -values[j]):
             if rem <= 0.0:
                 break
@@ -154,55 +155,57 @@ class TransitionSet:
 
 
 class _BoxArrays(NamedTuple):
-    """Every inner node's box as arrays, one row per node in level order and one
-    column per child, padded to the widest node with zero-capacity columns."""
+    """Every box of a ``BoxSets`` map as arrays, one row per node before the last level in
+    level order and one column per child, padded to the widest node with zero-capacity columns."""
 
     kids: np.ndarray  # each child's level-order index (padding: 0, the root)
     lower: np.ndarray  # box lower bounds
     cap: np.ndarray  # upper - lower
     rem: np.ndarray  # 1 - sum(lower), per row
     steps: np.ndarray  # 0, k, 2k, ...: each row's first cell in the raveled rows
-    boxed: bool  # every node before the last level has a box row
 
 
 def _pad(boxes: BoxSets) -> _BoxArrays | None:
-    """Every node before the last level of ``boxes`` as padded rows (no box: padding only). None
-    without a box child, or where padding takes over ``_MAX_PAD_RATIO`` cells per box child (memory
-    stays linear)."""
+    """Every node before the last level of ``boxes`` as padded rows. None where one of them is a
+    leaf, or where padding takes over ``_MAX_PAD_RATIO`` cells per child (memory stays linear)."""
     tree = boxes.tree
-    off, par, h = tree.child_offsets, tree.parent_index, tree.level_starts[-2]
-    kid = 1 + np.flatnonzero(boxes.rows[par[1 : off[h]]])
-    row, col = par[kid], kid - off[par[kid]]
-    if not len(kid) or h * (k := col.max() + 1) > _MAX_PAD_RATIO * len(kid):
+    off, h = tree.child_offsets, tree.level_starts[-2]
+    kid = np.arange(1, off[h])
+    row = tree.parent_index[kid]
+    col = kid - off[row]
+    if not h or (off[1 : h + 1] == off[:h]).any():  # none, or a leaf before the last level
+        return None
+    if h * (k := col.max() + 1) > _MAX_PAD_RATIO * len(kid):
         return None
     kids, lower, cap = np.zeros((h, k), np.intp), np.zeros((h, k)), np.zeros((h, k))
     kids[row, col] = kid
     lower[row, col] = boxes.lower[kid]
     cap[row, col] = boxes.upper[kid] - boxes.lower[kid]
-    rem = 1.0 - np.array(list(map(sum, lower.tolist())))  # the builtin sum, as in ``maximize``
-    return _BoxArrays(kids, lower, cap, rem, np.arange(0, h * k, k), bool(boxes.rows[:h].all()))
+    rem = 1.0 - lower.cumsum(axis=1)[:, -1]  # left to right, as in ``maximize``
+    return _BoxArrays(kids, lower, cap, rem, np.arange(0, h * k, k))
 
 
 class BoxSets(Mapping):
-    """Boxes as each node's ``lower`` and ``upper`` bound in its parent's box, in
-    ``tree.level_order``: NaN (always at the root) where the parent has no box and
-    no entry (``rows[g]`` False). A box is made from the arrays on first access; ``pad``,
-    the rows the steps read, is built once and shared by every family over the map."""
+    """A box at every inner node, as each node's ``lower`` and ``upper`` bound in its parent's
+    box, in ``tree.level_order`` (the root's: NaN). A box is made from the arrays on first access;
+    ``pad``, the rows the steps read, is built once and shared by every family over the map."""
 
     def __init__(self, tree: EventTree, lower: Sequence[float], upper: Sequence[float]):
         self.tree, self.lower, self.upper = tree, np.asarray(lower, float), np.asarray(upper, float)
-        self.rows, self.made = np.zeros(len(tree), bool), {}  # made: the boxes made so far
-        self.rows[tree.parent_index[1:][~np.isnan(self.lower[1:])]] = True
+        self.made = {}  # the boxes made so far
 
     @classmethod
-    def read(cls, tree: EventTree, transitions: Mapping[str, TransitionSet]) -> BoxSets:
-        """A transition map's boxes, in one pass; a missing set, vertex list or misfit box: no entry."""
+    def read(cls, tree: EventTree, transitions: Mapping[str, TransitionSet]) -> BoxSets | None:
+        """A transition map's boxes, in one pass; None unless every inner node holds a box of
+        its own arity."""
         off, lower, upper = tree.child_offsets.tolist(), [np.nan], [np.nan]
         for n, i, j in zip(tree.level_order, off, off[1:]):
-            ts = transitions.get(n) if i < j else None
-            box = ts is not None and ts.is_box and len(ts.lower) == len(ts.upper) == j - i
-            lower += ts.lower if box else [np.nan] * (j - i)
-            upper += ts.upper if box else [np.nan] * (j - i)
+            if i < j:
+                ts = transitions.get(n)
+                if ts is None or not ts.is_box or not len(ts.lower) == len(ts.upper) == j - i:
+                    return None
+                lower += ts.lower
+                upper += ts.upper
         return cls(tree, lower, upper)
 
     @cached_property
@@ -213,17 +216,18 @@ class BoxSets(Mapping):
     def __getitem__(self, n: str) -> TransitionSet:
         if n not in self.made:
             g = self.tree.index(n)  # KeyError off the tree
-            if not self.rows[g]:
-                raise KeyError(n)
             i, j = self.tree.child_offsets[g : g + 2].tolist()
-            self.made[n] = TransitionSet(tuple(self.lower[i:j].tolist()), tuple(self.upper[i:j].tolist()))
+            if i == j:
+                raise KeyError(n)
+            lo, hi = self.lower[i:j].tolist(), self.upper[i:j].tolist()
+            self.made[n] = TransitionSet(tuple(lo), tuple(hi))
         return self.made[n]
 
     def __iter__(self):
-        return itertools.compress(self.tree.preorder(), self.rows[self.tree.preorder_index].tolist())
+        return iter(self.tree.non_leaves())
 
     def __len__(self) -> int:
-        return int(self.rows.sum())
+        return len(self.tree.non_leaves())
 
 
 class _CutArrays(NamedTuple):
@@ -263,13 +267,6 @@ def _cut_arrays(parent: np.ndarray, wn: np.ndarray, wc: np.ndarray) -> _CutArray
     return _CutArrays(start, a, wa, b, wb)
 
 
-def _vertices(cuts: _CutArrays, picks, first, last) -> list[tuple[float, ...]]:
-    """Vertices ``picks`` as probability tuples; the i-th one's node has
-    the children ``first[i]:last[i]``."""
-    rows = zip(first, last, *(x[picks].tolist() for x in cuts[1:]))
-    return [tuple({b: wb, a: wa}.get(c, 0.0) for c in range(i, j)) for i, j, a, wa, b, wb in rows]
-
-
 class CutSets(Mapping):
     """A family of supermartingale cuts {p in simplex : sum p_c (W_c - W_n) <= 0}
     as each node's W_n (``wn``) and wealth in its parent's cut (``wc``, NaN: no
@@ -288,7 +285,9 @@ class CutSets(Mapping):
         if not tree.children(n):
             raise KeyError(n)
         (s, e), (i, j) = c.start[g : g + 2].tolist(), tree.child_offsets[g : g + 2].tolist()
-        return TransitionSet.vertex_set(_vertices(c, slice(s, e), [i] * (e - s), [j] * (e - s)))
+        rows = zip(*(x[s:e].tolist() for x in c[1:]))  # each vertex's a, wa, b, wb
+        return TransitionSet.vertex_set([[{b: wb, a: wa}.get(k, 0.0) for k in range(i, j)]
+                                         for a, wa, b, wb in rows])
 
     def __iter__(self):
         return iter(self.tree.non_leaves())
@@ -311,11 +310,11 @@ class RectangularFamily(_Family):
     """Per-node transition sets; the induced set of path measures.
 
     Every backward recursion over the family (sweeps, conditional
-    expectations, argmax measures, the American DP, one-step classification)
-    is ``_upper_step`` over runs of level-order nodes: one numpy step over
+    expectations, the American DP, one-step classification) is
+    ``_upper_step`` over runs of level-order nodes: one numpy step over
     ``cuts`` (a ``CutSets`` map as arrays), or over the whole-tree box rows of
     ``boxes.pad`` on runs of at least ``_KERNEL_MIN_WIDTH`` nodes, and
-    ``TransitionSet.maximize`` per node elsewhere, with bitwise equal
+    ``TransitionSet.maximize`` node by node elsewhere, with bitwise equal
     results. ``boxes`` and ``charged`` are computed on first use and cached,
     so treat a family, its tree and its transition map as immutable.
     """
@@ -330,8 +329,9 @@ class RectangularFamily(_Family):
         return t.arrays if isinstance(t, CutSets) else None
 
     @cached_property
-    def boxes(self) -> BoxSets:
-        """The boxes: the transition map itself, or read from it."""
+    def boxes(self) -> BoxSets | None:
+        """The boxes: the transition map itself, or read from it (None unless every inner node
+        holds a box)."""
         t = self.transitions
         return t if isinstance(t, BoxSets) else BoxSets.read(self.tree, t)
 
@@ -339,16 +339,17 @@ class RectangularFamily(_Family):
     def charged_mask(self) -> np.ndarray:
         """The nodes on whose path every step is in its transition set's support,
         in ``tree.level_order``, one level at a time."""
-        tree, c = self.tree, self.cuts
+        tree, c, off = self.tree, self.cuts, self.tree.child_offsets
         if c is not None:  # a vertex's weight above CHARGE_TOL
             mask = np.zeros(len(tree), bool)
             mask[c.a[c.wa > CHARGE_TOL]] = mask[c.b[c.wb > CHARGE_TOL]] = True
-        else:  # a box's support is upper > CHARGE_TOL; children follow their parents
-            b, off = self.boxes, tree.child_offsets
-            mask = b.upper > CHARGE_TOL
-            for g in np.flatnonzero((off[1:] > off[:-1]) & ~b.rows).tolist():
+        elif self.boxes is not None:  # a box's support is upper > CHARGE_TOL
+            mask = self.boxes.upper > CHARGE_TOL
+        else:  # each node's ``support()``
+            mask = np.zeros(len(tree), bool)
+            for g in np.flatnonzero(off[1:] > off[:-1]).tolist():
                 mask[off[g] : off[g + 1]] = self.transitions[tree.level_order[g]].support()
-        mask[0] = True
+        mask[0] = True  # children follow their parents
         for a, b in zip(tree.level_starts[1:], tree.level_starts[2:]):
             mask[a:b] &= mask[tree.parent_index[a:b]]
         return mask
@@ -476,52 +477,39 @@ def _box_step(box: _BoxArrays, lo: int, hi: int, x: np.ndarray) -> tuple[np.ndar
     return total, w
 
 
-def _cut_step(cuts: _CutArrays, lo: int, hi: int, x: np.ndarray, pick=False):
+def _cut_step(cuts: _CutArrays, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
     """``maximize`` at nodes ``lo:hi`` (each with a vertex) of the level-order values ``x``:
-    each vertex's terms summed from 0.0 in child order; ``pick``: the first best.
+    each vertex's terms summed from 0.0 in child order, the largest kept.
     A NaN vertex value loses to a finite one, so NaN values can stand for "none"."""
     start = cuts.start[lo : hi + 1]
     s, e = start[0], start[-1]
     val = (0.0 + cuts.wa[s:e] * x[cuts.a[s:e]]) + cuts.wb[s:e] * x[cuts.b[s:e]]
-    seg = start[:-1] - s if s else start[:-1]
-    best = np.fmax.reduceat(val, seg)
-    if not pick:
-        return best
-    hit = val == np.repeat(best, start[1:] - start[:-1])
-    return best, np.minimum.reduceat(np.where(hit, np.arange(s, e), e), seg)
+    return np.fmax.reduceat(val, start[:-1] - s if s else start[:-1])
 
 
-def _upper_step(family: RectangularFamily, lo: int, hi: int, x: np.ndarray, pick=False):
+def _transition(family: RectangularFamily, n: str) -> TransitionSet:
+    """The family's transition set at node ``n``; a KeyError that names the node."""
+    try:
+        return family.transitions[n]
+    except KeyError:
+        raise KeyError(f"no transition set at node {n!r}") from None
+
+
+def _upper_step(family: RectangularFamily, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
     """Upper one-step expectation at the level-order nodes ``lo:hi`` of the whole-tree
-    level-order values ``x``, as an array; ``pick``: and a list of each node's maximizer.
-    One ``_cut_step`` on cuts; else one ``_box_step`` over the box rows of ``boxes.pad``
-    when the run holds at least ``_KERNEL_MIN_WIDTH`` nodes, and ``maximize`` at every
-    other node (vertex lists, short runs, trees without a pad). Results are bitwise equal."""
-    off = family.tree.child_offsets
+    level-order values ``x``. One ``_cut_step`` on cuts; one ``_box_step`` over the rows of
+    ``boxes.pad`` on a family of boxes when the run holds at least ``_KERNEL_MIN_WIDTH``
+    nodes; else ``maximize`` node by node (vertex lists, short runs, trees without a pad).
+    Results are bitwise equal."""
     if (cuts := family.cuts) is not None:
-        if not pick:
-            return _cut_step(cuts, lo, hi, x)
-        out, at = _cut_step(cuts, lo, hi, x, pick=True)
-        return out, _vertices(cuts, at, off[lo:hi].tolist(), off[lo + 1 : hi + 1].tolist())
-    w = [None] * (hi - lo)
-    if hi - lo >= _KERNEL_MIN_WIDTH and (box := family.boxes.pad) is not None:
-        out, rows = _box_step(box, lo, hi, x)
-        if pick:
-            w = [tuple(r[:k]) for k, r in zip(np.diff(off[lo : hi + 1]).tolist(), rows.tolist())]
-        rest = () if box.boxed else np.flatnonzero(~family.boxes.rows[lo:hi]).tolist()
-    else:
-        out, rest = np.empty(hi - lo), range(hi - lo)
-    if rest:  # maximize per node, on lists
-        o = off[lo : hi + 1].tolist()
-        xs, base = x[o[0] : o[-1]].tolist(), o[0]
-        order, sets = family.tree.level_order, family.transitions
-        for i in rest:
-            try:
-                ts = sets[order[lo + i]]
-            except KeyError:
-                raise KeyError(f"no transition set at node {order[lo + i]!r}") from None
-            out[i], w[i] = ts.maximize(xs[o[i] - base : o[i + 1] - base])
-    return (out, w) if pick else out
+        return _cut_step(cuts, lo, hi, x)
+    if hi - lo >= _KERNEL_MIN_WIDTH and family.boxes is not None and family.boxes.pad is not None:
+        return _box_step(family.boxes.pad, lo, hi, x)[0]
+    o = family.tree.child_offsets[lo : hi + 1].tolist()
+    xs, out = x[o[0] : o[-1]].tolist(), np.empty(hi - lo)
+    for i, n in enumerate(family.tree.level_order[lo:hi]):
+        out[i] = _transition(family, n).maximize(xs[o[i] - o[0] : o[i + 1] - o[0]])[0]
+    return out
 
 
 def _runs(tree: EventTree, node: str, target_t: int) -> list[tuple[int, int]]:
@@ -636,19 +624,15 @@ def _filled(tree: EventTree, values: Mapping[str, float], node: str, target_t: i
     return x, runs
 
 
-def _push_mass(tree: EventTree, pick: Mapping[str, Sequence[float]]) -> dict[str, float]:
-    """Leaf measure of the product of one transition vector per non-leaf."""
-    q: dict[str, float] = {}
-    stack = [(tree.root, 1.0)]
-    while stack:
-        n, mass = stack.pop()
-        kids = tree.children(n)
-        if not kids:
-            q[n] = mass
-            continue
-        for w, c in zip(pick[n], kids):
-            stack.append((c, mass * w))
-    return q
+def _push_mass(tree: EventTree, weights: np.ndarray) -> dict[str, float]:
+    """The leaf measure, in preorder, of a product of one transition vector per inner node:
+    ``weights`` holds each node's weight in its parent's vector in ``tree.level_order`` (the
+    root's is not read), and each level's mass is its parents' times its weights."""
+    par, off, pre = tree.parent_index, tree.child_offsets, tree.preorder_index
+    mass = np.ones(len(par))
+    for a, b in zip(tree.level_starts[1:], tree.level_starts[2:]):
+        mass[a:b] = mass[par[a:b]] * weights[a:b]
+    return dict(zip(tree.leaves, mass[pre[(off[1:] == off[:-1])[pre]]].tolist()))
 
 
 def _swept(family: MeasureFamily, values: Mapping[str, float], node: str, bound: str):
@@ -705,19 +689,22 @@ def argmax_measure(
     family: MeasureFamily, payoff: Mapping[str, float]
 ) -> dict[str, float]:
     """A measure attaining the (unconditional) upper expectation of a leaf
-    payoff; for rectangular families assembled from per-node maximizers."""
+    payoff; for rectangular families the product of each node's maximizer,
+    bottom up (``maximize``: its values are bitwise the kernel's)."""
     tree = family.tree
     if isinstance(family, ExplicitFamily):  # the first measure of largest expectation
-        v = [sum(q.get(leaf, 0.0) * payoff[leaf] for leaf in tree.leaves) for q in family.measures]
+        v = [reduce(operator.add, (q.get(leaf, 0.0) * payoff[leaf] for leaf in tree.leaves), 0.0)
+             for q in family.measures]
         if not v:
             raise PolarNodeError("empty family")
         return dict(family.measures[v.index(max(v))])
 
-    (x, runs), weights = _filled(tree, payoff, tree.root, tree.horizon), {}
-    for lo, hi in runs[-2::-1]:  # ``_backward``, keeping each node's maximizer
-        x[lo:hi], w = _upper_step(family, lo, hi, x, pick=True)
-        weights.update(zip(tree.level_order[lo:hi], w))
-    return _push_mass(tree, weights)
+    x, runs = _filled(tree, payoff, tree.root, tree.horizon)
+    off, w = tree.child_offsets.tolist(), np.zeros(len(tree))
+    for g in range(runs[-1][0] - 1, -1, -1):  # every node before the last level, bottom up
+        i, j = off[g], off[g + 1]
+        x[g], w[i:j] = _transition(family, tree.level_order[g]).maximize(x[i:j].tolist())
+    return _push_mass(tree, w)
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,9 @@ CLAIM_ALIASES = {
     "acall": "amer_call",
     "aput": "amer_put",
 }
+# the ``market_prices`` kinds: those that ``claims.market_parity``, ``claim_bubbles`` and
+# ``american_bounds`` read
+MARKET_PRICE_KINDS = ("asset", "forward", "euro_call", "euro_put", "amer_call")
 
 
 class MarketFileError(ValueError):
@@ -121,7 +124,9 @@ def _finite_kinds(values) -> set | None:
     kinds = set(map(type, values))
     if not kinds <= {int, float}:
         return None
-    try:  # inf and NaN propagate through the sum; an overflowing one is refused too
+    # inf and NaN propagate through the sum; an overflowing one is refused too. Only finiteness
+    # is read, so the builtin ``sum``, which compensates from Python 3.12, serves here
+    try:
         if math.isfinite(sum(values)):
             return kinds
     except OverflowError:  # an integer beyond float range
@@ -315,9 +320,10 @@ def parse_market_file(path: str) -> ParsedMarket:
     Required fields: horizon, nodes (list of {id, parent, time}; listing
     order fixes child order), rates, prices, dividends, tau
     ({nodes, kind}), payoffs, actual (a measure family). Optional: pricing,
-    market_prices ({claim-kind: {node: price}}). A field of the wrong JSON
-    type, a non-finite number, or a tau node or a number-map id that is not
-    on the tree raises ``MarketFileError`` naming the field.
+    market_prices ({kind: {node: price}}, each kind one of
+    ``MARKET_PRICE_KINDS``). A field of the wrong JSON type, a non-finite
+    number, a tau node or a number-map id that is not on the tree, or another
+    ``market_prices`` kind raises ``MarketFileError`` naming the field.
 
     Number lists and maps and whole box families are checked in one pass
     each; only when that pass fails are the values checked one by one, so
@@ -384,6 +390,8 @@ def parse_market_file(path: str) -> ParsedMarket:
     ):
         if len(data) > known and (unknown := sorted(n for n in data if n not in tree)):
             raise MarketFileError(f"{where}: {key}: unknown nodes {unknown}")
+    if unknown := sorted(set(market_prices) - set(MARKET_PRICE_KINDS)):
+        raise MarketFileError(f"{path}.market_prices: unknown kinds {unknown}")
     return ParsedMarket(spec, actual, pricing, market_prices, path)
 
 

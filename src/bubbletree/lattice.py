@@ -363,7 +363,6 @@ class Strategy:
 
 @dataclass(frozen=True)
 class ValidationFailure:
-    code: str
     message: str
     nodes: tuple[str, ...] = ()
 
@@ -524,16 +523,16 @@ def validate_market(spec: MarketSpec) -> ValidationReport:
     """Check every market invariant; failures carry offending node ids. The checks run on the
     spec's ``arrays`` and the tree's preorder runs; a failing one names its nodes as before."""
     tree, x, taus = spec.tree, spec.arrays, spec.tau.tau_nodes
-    failures = [ValidationFailure("tree", msg) for msg in tree.structure_problems()]
+    failures = list(map(ValidationFailure, tree.structure_problems()))
 
-    def named(code: str, message: str, nodes) -> None:  # a failure naming ``nodes``, if any
+    def named(message: str, nodes) -> None:  # a failure naming ``nodes``, if any
         if nodes:
-            failures.append(ValidationFailure(code, message, tuple(nodes)))
+            failures.append(ValidationFailure(message, tuple(nodes)))
 
     under = spec._tau_cover[0]  # per node, how many tau nodes' subtrees hold it
     if len(x.tau) < len(taus) or len(x.tau) and (0 in x.tau or (under > 1).any()):
         # a tau node off the tree, at the root, or under another one
-        failures += (ValidationFailure("tau", msg) for msg in spec.tau.problems(tree))
+        failures += map(ValidationFailure, spec.tau.problems(tree))
     for data, label, values, domain in ((spec.price, "price", x.price, None),
                                         (spec.dividend, "dividend", x.dividend, None),
                                         (spec.rates, "rate", x.rate, tree._inner)):
@@ -541,27 +540,23 @@ def validate_market(spec: MarketSpec) -> ValidationReport:
         # or where it holds NaN, which passes as before
         if not ((values if domain is None else values[domain]) >= 0).all():
             nan = np.isnan(values) if domain is None else np.isnan(values) & domain
-            named(f"missing {label}", f"missing {label} at nodes",
-                  [n for n in _named(tree, nan) if n not in data])
-            named(f"negative {label}", f"negative {label} at nodes", _named(tree, values < 0))
+            named(f"missing {label} at nodes", [n for n in _named(tree, nan) if n not in data])
+            named(f"negative {label} at nodes", _named(tree, values < 0))
     # a payoff at each tau node, none elsewhere, none negative: by the counts and the arrays
     if not (len(spec.payoff) == len(x.tau) == len(taus)
             and (not len(x.tau) or (x.payoff[x.tau] >= 0).all())):
-        named("payoff domain", "payoff defined off tau nodes", sorted(set(spec.payoff) - taus))
-        named("payoff domain", "tau nodes without payoff", sorted(taus - set(spec.payoff)))
-        named("negative payoff", "negative payoff at nodes",
-              [n for n, v in spec.payoff.items() if v < 0])
+        named("payoff defined off tau nodes", sorted(set(spec.payoff) - taus))
+        named("tau nodes without payoff", sorted(taus - set(spec.payoff)))
+        named("negative payoff at nodes", [n for n, v in spec.payoff.items() if v < 0])
 
     if spec.tau_kind not in TAU_KINDS:
-        failures.append(ValidationFailure("tau kind", f"unknown tau_kind {spec.tau_kind!r}"))
+        failures.append(ValidationFailure(f"unknown tau_kind {spec.tau_kind!r}"))
     elif spec.tau_kind != "unbounded_finite":
         open_leaves = ~tree._inner & (under == 0)
         if spec.tau_kind == "bounded" and open_leaves.any():
-            named("tau kind", "tau_kind 'bounded' but some paths never mature",
-                  sorted(_named(tree, open_leaves)))
+            named("tau_kind 'bounded' but some paths never mature", sorted(_named(tree, open_leaves)))
         if spec.tau_kind == "possibly_infinite" and not open_leaves.any():
             failures.append(ValidationFailure(
-                "tau kind",
                 "tau_kind 'possibly_infinite' requires at least one path without a tau node"))
     return ValidationReport(ok=not failures, failures=tuple(failures))
 

@@ -26,6 +26,7 @@ library code calls: importing bubbletree or running a command loads no solver.
 """
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -242,32 +243,26 @@ def supermartingale_family(
 def _structural_leaf_measure(
     family: RectangularFamily, leaf: str
 ) -> dict[str, float]:
-    """Product measure pushing maximal mass toward one leaf, over the cuts' vertices."""
-    tree = family.tree
-    path = set(tree.path(leaf))
-    pick = {}
-    for n in tree.non_leaves():
-        vertices = family.transitions[n].vertices
-        if n in path:
-            (target,) = [i for i, c in enumerate(tree.children(n)) if c in path]
-            pick[n] = max(vertices, key=lambda v: v[target])
-        else:
-            pick[n] = vertices[0]
-    return _push_mass(tree, pick)
+    """Product measure pushing maximal mass toward one leaf, over the cuts' vertices: on the
+    leaf's path each node's first vertex of most weight on the next node, elsewhere its first."""
+    tree, w = family.tree, np.zeros(len(family.tree))
+    path = tree.indices(tree.path(leaf)).tolist()
+    on = dict(zip(path, path[1:]))  # each node on the path: the next one
+    for g, (i, j) in enumerate(itertools.pairwise(tree.child_offsets.tolist())):
+        if i < j:
+            vertices = family.transitions[tree.level_order[g]].vertices
+            w[i:j] = max(vertices, key=lambda v: v[on[g] - i]) if g in on else vertices[0]
+    return _push_mass(tree, w)
 
 
 def _product_witness(family: RectangularFamily) -> dict[str, float]:
     """Product measure of each node's average vertex (summed in vertex order) of a
     ``supermartingale_family``, per leaf: it charges every leaf the family does."""
-    tree, cuts = family.tree, family.cuts
-    par, off, pre = tree.parent_index, tree.child_offsets, tree.preorder_index
+    tree, cuts, par = family.tree, family.cuts, family.tree.parent_index
     weights = np.bincount(
         np.stack((cuts.a, cuts.b), 1).ravel(), np.stack((cuts.wa, cuts.wb), 1).ravel(), len(par)
     ) / np.concatenate(([1], (cuts.start[1:] - cuts.start[:-1])[par[1:]]))
-    mass = np.ones(len(par))
-    for a, b in zip(tree.level_starts[1:], tree.level_starts[2:]):
-        mass[a:b] = mass[par[a:b]] * weights[a:b]
-    return dict(zip(tree.leaves, mass[pre[(off[1:] == off[:-1])[pre]]].tolist()))
+    return _push_mass(tree, weights)
 
 
 def verify_ftap(spec: MarketSpec, actual: MeasureFamily | None = None) -> FtapReport:

@@ -43,9 +43,14 @@ classification node by node (and horizon by horizon), and the American
 price as each measure's Snell envelope on unnormalized masses, node by node.
 
 ``vertex_list`` lists a transition set's extreme points, for a box the
-greedy fills over every child ordering. ``enumerate_extreme_measures`` lists
-the products of every node's vertices as leaf measures, whose hull is a
-rectangular family's set of path measures.
+greedy fills over every child ordering. ``push_mass`` is the depth-first
+walk that pushed a product of per-node transition vectors down to the
+leaves before ``ambiguity._push_mass`` took one level at a time; the
+measures built on it are ``product_witness``, ``argmax_measure`` (each
+node's maximizer, node by node) and ``structural_leaf_measure`` (the
+vertices ``noarb._structural_leaf_measure`` picks, picked per node).
+``enumerate_extreme_measures`` lists the products of every node's vertices
+as leaf measures, whose hull is a rectangular family's set of path measures.
 ``american_oracle`` prices an American claim by brute force: every stopping
 rule (``_stopping_rules``, counted by ``_stopping_rule_count``) under every
 extreme measure of the family (``enumerate_extreme_measures``).
@@ -69,7 +74,6 @@ from bubbletree.ambiguity import (
     RectangularFamily,
     TransitionSet,
     _level_values,
-    _push_mass,
     _step_rows,
     charged_leaves,
 )
@@ -268,8 +272,50 @@ def product_witness(family: RectangularFamily) -> dict[str, float]:
     for n in tree.non_leaves():
         vertices = vertex_list(family.transitions[n])
         pick[n] = [left_sum(col) / len(vertices) for col in zip(*vertices)]
-    q = _push_mass(tree, pick)
+    q = push_mass(tree, pick)
     return {leaf: q[leaf] for leaf in tree.leaves}
+
+
+def push_mass(tree: EventTree, pick: Mapping[str, Sequence[float]]) -> dict[str, float]:
+    """Leaf measure of the product of one transition vector per non-leaf, depth
+    first from the root: a child's mass is its parent's times its weight."""
+    q: dict[str, float] = {}
+    stack = [(tree.root, 1.0)]
+    while stack:
+        n, mass = stack.pop()
+        kids = tree.children(n)
+        if not kids:
+            q[n] = mass
+            continue
+        for w, c in zip(pick[n], kids):
+            stack.append((c, mass * w))
+    return q
+
+
+def argmax_measure(family: RectangularFamily, payoff: Mapping[str, float]) -> dict[str, float]:
+    """A measure attaining the upper expectation of a leaf payoff: each node's
+    ``maximize`` of its children's values, from the leaves up, pushed down."""
+    tree, value, pick = family.tree, dict(payoff), {}
+    for n in reversed(tree.preorder()):
+        if not tree.is_leaf(n):
+            value[n], pick[n] = family.transitions[n].maximize([value[c] for c in tree.children(n)])
+    return push_mass(tree, pick)
+
+
+def structural_leaf_measure(family: RectangularFamily, leaf: str) -> dict[str, float]:
+    """Product measure of each node's first vertex, or on ``leaf``'s path its
+    first vertex of most weight on the path's next node."""
+    tree = family.tree
+    path = set(tree.path(leaf))
+    pick = {}
+    for n in tree.non_leaves():
+        vertices = family.transitions[n].vertices
+        if n in path:
+            (target,) = [i for i, c in enumerate(tree.children(n)) if c in path]
+            pick[n] = max(vertices, key=lambda v: v[target])
+        else:
+            pick[n] = vertices[0]
+    return push_mass(tree, pick)
 
 
 def left_sum(xs: Sequence[float]) -> float:
@@ -753,7 +799,7 @@ def enumerate_extreme_measures(
     if count > cap:
         raise CapExceededError(f"{count} product measures exceed cap {cap}")
     return tuple(
-        _push_mass(tree, dict(zip(nodes, combo))) for combo in itertools.product(*vlists)
+        push_mass(tree, dict(zip(nodes, combo))) for combo in itertools.product(*vlists)
     )
 
 

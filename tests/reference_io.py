@@ -134,21 +134,17 @@ def validate_market(spec: MarketSpec) -> ValidationReport:
     failures = []
     tree = spec.tree
     for msg in tree.structure_problems():
-        failures.append(ValidationFailure("tree", msg))
+        failures.append(ValidationFailure(msg))
     for msg in spec.tau.problems(tree):
-        failures.append(ValidationFailure("tau", msg))
+        failures.append(ValidationFailure(msg))
 
     def check_nonneg(data, label, domain):
         missing = [n for n in domain if n not in data]
         if missing:
-            failures.append(
-                ValidationFailure(f"missing {label}", f"missing {label} at nodes", tuple(missing))
-            )
+            failures.append(ValidationFailure(f"missing {label} at nodes", tuple(missing)))
         bad = [n for n in domain if n in data and data[n] < 0]
         if bad:
-            failures.append(
-                ValidationFailure(f"negative {label}", f"negative {label} at nodes", tuple(bad))
-            )
+            failures.append(ValidationFailure(f"negative {label} at nodes", tuple(bad)))
 
     check_nonneg(spec.price, "price", tree.preorder())
     check_nonneg(spec.dividend, "dividend", tree.preorder())
@@ -156,29 +152,22 @@ def validate_market(spec: MarketSpec) -> ValidationReport:
     extra = sorted(set(spec.payoff) - spec.tau.tau_nodes)
     missing = sorted(spec.tau.tau_nodes - set(spec.payoff))
     if extra:
-        failures.append(
-            ValidationFailure("payoff domain", "payoff defined off tau nodes", tuple(extra))
-        )
+        failures.append(ValidationFailure("payoff defined off tau nodes", tuple(extra)))
     if missing:
-        failures.append(
-            ValidationFailure("payoff domain", "tau nodes without payoff", tuple(missing))
-        )
+        failures.append(ValidationFailure("tau nodes without payoff", tuple(missing)))
     bad = [n for n, x in spec.payoff.items() if x < 0]
     if bad:
-        failures.append(
-            ValidationFailure("negative payoff", "negative payoff at nodes", tuple(bad))
-        )
+        failures.append(ValidationFailure("negative payoff at nodes", tuple(bad)))
     if spec.tau_kind not in TAU_KINDS:
-        failures.append(ValidationFailure("tau kind", f"unknown tau_kind {spec.tau_kind!r}"))
+        failures.append(ValidationFailure(f"unknown tau_kind {spec.tau_kind!r}"))
     else:
         inf_on = _infinite_on(spec.tau, tree)
         if spec.tau_kind == "bounded" and inf_on:
             failures.append(ValidationFailure(
-                "tau kind", "tau_kind 'bounded' but some paths never mature", tuple(sorted(inf_on))
+                "tau_kind 'bounded' but some paths never mature", tuple(sorted(inf_on))
             ))
         if spec.tau_kind == "possibly_infinite" and not inf_on:
             failures.append(ValidationFailure(
-                "tau kind",
                 "tau_kind 'possibly_infinite' requires at least one path without a tau node",
             ))
     return ValidationReport(ok=not failures, failures=tuple(failures))
@@ -341,4 +330,8 @@ def parse_market_file(path: str) -> ParsedMarket:
         unknown = sorted(n for n in data if n not in tree)
         if unknown:
             raise MarketFileError(f"{where}: {key}: unknown nodes {unknown}")
+    unknown = sorted(k for k in market_prices
+                     if k not in ("asset", "forward", "euro_call", "euro_put", "amer_call"))
+    if unknown:
+        raise MarketFileError(f"{path}.market_prices: unknown kinds {unknown}")
     return ParsedMarket(spec, actual, pricing, market_prices, path)

@@ -85,11 +85,15 @@ def _set(doc, keys, value):
         (("dividends", "zz"), 0.0, ".market: dividends: unknown nodes ['zz']"),
         (("market_prices",), {"euro_call": {"r": 0.3, "zz": 0.1}},
          ".market.market_prices: euro_call: unknown nodes ['zz']"),
+        (("market_prices",), {"euro_call": {"r": 0.3}, "ecall": {"r": 0.3}},
+         ".market.market_prices: unknown kinds ['ecall']"),
+        (("market_prices",), {"ecall": {"r": 0.3, "zz": 0.1}},  # the unknown id is named first
+         ".market.market_prices: ecall: unknown nodes ['zz']"),
     ],
     ids=["nan-price", "inf-rate", "transitions-list", "node-entry-not-object",
          "market-price-not-number", "measure-probability-not-number", "unknown-tau-node",
          "unknown-price-node", "unknown-rate-node", "unknown-dividend-node",
-         "unknown-market-price-node"],
+         "unknown-market-price-node", "unknown-market-price-kind", "unknown-kind-and-node"],
 )
 def test_malformed_field_exits_1_with_context(tmp_path, capsys, keys, value, context):
     doc = json.loads(open(data_file("ex1.market")).read())

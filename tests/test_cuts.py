@@ -110,8 +110,9 @@ def test_cut_matches_its_vertex_set(data):
     }
     for _ in range(3):
         values = data.draw(st.lists(values_of, min_size=k, max_size=k))
-        (best,), weights = _upper_step(fam, 0, 1, np.array([0.0, *values]), pick=True)
-        assert_same((best.item(), *weights), ts.maximize(values))
+        (best,) = _upper_step(fam, 0, 1, np.array([0.0, *values]))
+        q = argmax_measure(fam, dict(zip(tree.children(tree.root), values)))
+        assert_same((best.item(), tuple(q.values())), ts.maximize(values))
 
 
 def recursions(fam: RectangularFamily, rng: np.random.Generator) -> list:

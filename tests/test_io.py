@@ -263,7 +263,13 @@ def corrupt(doc, data) -> str:
         maps = [(doc, key) for key in ("rates", "prices", "dividends", "payoffs")]
         maps += [(doc["market_prices"], key) for key in doc.get("market_prices", ())]
         where, key = data.draw(st.sampled_from(maps), "map")
-        new = data.draw(st.sampled_from(([], [1.0], "0", None, 1.0, "extra id")), "replacement")
+        new = data.draw(st.sampled_from(([], [1.0], "0", None, 1.0, "extra id", "misspelt kind")),
+                        "replacement")
+        if new == "misspelt kind":  # a market_prices map moved to a kind no claim reads
+            quotes = doc.setdefault("market_prices", {})
+            old = data.draw(st.sampled_from(sorted(quotes)), "kind") if quotes else None
+            quotes["ecall"] = quotes.pop(old) if old else {}
+            return "market_prices kind ecall"
         where[key] = {**where[key], "nowhere": 0.5} if new == "extra id" else new
         return f"map {key} -> {where[key]!r}"
     if kind == "horizon":

@@ -10,7 +10,10 @@ computation both ways. The results must be equal, and so must their reprs,
 which also tells signed zeros, float types and dict order apart. A family of
 boxes given as a ``BoxSets`` map must give what the same boxes in a dict
 give, and the one-step checks of box families what
-``per_node.one_step_bounds`` gives.
+``per_node.one_step_bounds`` gives. The measures built from per-node
+transition vectors (``argmax_measure``, the product witness and the
+structural leaf measures of ``noarb``) must equal, item for item, those of
+the per-node pushes in ``per_node``.
 """
 import math
 import warnings
@@ -40,6 +43,7 @@ from bubbletree.claims import (
     terminal_payoff,
 )
 from bubbletree.lattice import EventTree, wealth_process
+from bubbletree.noarb import _product_witness, _structural_leaf_measure, supermartingale_family
 
 DESK_SEEDS = (0, 32)  # rand_claim_market(s, depth=8, branching=4): ~4.6k nodes
 KERNEL_MIN_WIDTH = ambiguity._KERNEL_MIN_WIDTH
@@ -58,11 +62,13 @@ def _mixed(family, seed):
 
 def _box_sets(family) -> RectangularFamily | None:
     """The family with its boxes in a ``BoxSets`` map; None when some node
-    holds a vertex list (and so has no entry in the map)."""
+    holds a vertex list (a ``BoxSets`` map holds a box at every inner node)."""
     tree = family.tree
     boxes = BoxSets.read(tree, family.transitions)
-    if list(boxes) != list(tree.non_leaves()):
+    if boxes is None:
+        assert not all(family.transitions[n].is_box for n in tree.non_leaves())
         return None
+    assert list(boxes) == list(tree.non_leaves())
     assert boxes == family.transitions
     assert all(repr(boxes[n]) == repr(family.transitions[n]) for n in tree.non_leaves())
     return RectangularFamily(tree, boxes)
@@ -193,17 +199,17 @@ def test_kernel_dp_matches_stopping_rule_oracle(monkeypatch, seed):
 
 
 def test_levels_with_a_vertex_set_node_step_node_by_node(step_calls):
-    """Wide levels step their box rows in numpy and their vertex lists node by node."""
+    """A family with a vertex list at some node steps every node, wide levels too,
+    through ``maximize``: it has no box rows."""
     fx = fixtures.rand_claim_market(DESK_SEEDS[0], depth=8, branching=4, style="bumped")
     mixed = _mixed(fx.family, DESK_SEEDS[0])
     tree, sets = mixed.tree, mixed.transitions
     levels = _inner_levels(tree)
-    wide = [hi - lo >= ambiguity._KERNEL_MIN_WIDTH for lo, hi in levels]
     _sweep(mixed, step_calls)
-    assert [(lo, hi) for _, lo, hi in step_calls["box"]] == [lv for lv, w in zip(levels, wide) if w][::-1]
-    per_node = [sets[n] for (lo, hi), w in zip(levels, wide) for n in tree.level_order[lo:hi]
-                if not (w and sets[n].is_box)]
-    assert any(not ts.is_box for ts in per_node) and any(wide)
+    assert mixed.boxes is None and step_calls["box"] == []
+    assert any(hi - lo >= ambiguity._KERNEL_MIN_WIDTH for lo, hi in levels)
+    per_node = [sets[n] for lo, hi in levels for n in tree.level_order[lo:hi]]
+    assert any(not ts.is_box for ts in per_node) and any(ts.is_box for ts in per_node)
     assert sorted(map(id, step_calls["maximize"])) == sorted(map(id, per_node))
 
 
@@ -248,6 +254,14 @@ def test_one_very_wide_node_keeps_its_level_off_the_padded_arrays(monkeypatch, s
     kernel = run(small)
     monkeypatch.setattr(ambiguity, "_KERNEL_MIN_WIDTH", math.inf)
     _assert_same(kernel, run(small))
+
+
+def _box_rows(fam: RectangularFamily, lo: int, hi: int, x: np.ndarray) -> list:
+    """``_box_step`` at the nodes ``lo:hi`` as ``maximize`` gives them: (value, maximizer) pairs,
+    each maximizer cut to its node's arity."""
+    out, rows = ambiguity._box_step(fam.boxes.pad, lo, hi, x)
+    arity = np.diff(fam.tree.child_offsets[lo : hi + 1]).tolist()
+    return [(v, tuple(r[:k])) for v, k, r in zip(out.tolist(), arity, rows.tolist())]
 
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -297,13 +311,16 @@ def test_whole_tree_box_step_matches_per_node_one_step_bounds(data):
     x, inner = np.array([process[n] for n in tree.level_order]), tree.level_starts[-2]
     maxima = [ref.transitions[n].maximize([process[c] for c in tree.children(n)])
               for n in tree.level_order[:inner]]  # values and maximizers, -0.0 bounds kept
+    for fam in fams:
+        if fam.boxes is not None and fam.boxes.pad is not None:
+            assert repr(_box_rows(fam, 0, inner, x)) == repr(maxima)
     try:
         for width in (0, math.inf):  # whole-tree box steps, or maximize per node
             ambiguity._KERNEL_MIN_WIDTH = width
             for fam in fams:
                 assert fam.charged == per_node.charged(ref)
-                out, rows = ambiguity._upper_step(fam, 0, inner, x, pick=True)
-                assert repr(list(zip(out.tolist(), rows))) == repr(maxima)
+                out = ambiguity._upper_step(fam, 0, inner, x)
+                assert repr(out.tolist()) == repr([v for v, _ in maxima])
                 for proc in (process, partial):
                     for T in range(tree.horizon + 2):
                         expected = per_node.one_step_bounds(ref, proc, T)
@@ -338,5 +355,45 @@ def test_padded_rows_ignore_the_root_value(monkeypatch, root):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for lo, hi in (*_inner_levels(tree), (0, inner)):
-                out, rows = ambiguity._upper_step(fam, lo, hi, x, pick=True)
-                assert repr(list(zip(out.tolist(), rows))) == repr(maxima[lo:hi])
+                assert repr(_box_rows(fam, lo, hi, x)) == repr(maxima[lo:hi])
+                out = ambiguity._upper_step(fam, lo, hi, x)
+                assert repr(out.tolist()) == repr([v for v, _ in maxima[lo:hi]])
+
+
+def test_box_fill_adds_left_to_right_on_every_python():
+    """A box's free mass is 1 less its lower bounds added left to right from 0.0, on every
+    Python: from 3.12 the builtin ``sum`` compensates and gives 0.4 here, and the fill then
+    gives 2.1999999999999997 with (0.5, 0.2, 0.3)."""
+    ts = TransitionSet.box([0.1, 0.2, 0.3], [0.5] * 3)
+    expected = (2.1999999999999993, (0.4999999999999999, 0.2, 0.3))
+    assert repr(ts.maximize([3.0, 2.0, 1.0])) == repr(expected)
+    tree = EventTree.uniform([3])
+    fam = RectangularFamily(tree, BoxSets.read(tree, {tree.root: ts}))
+    assert repr(_box_rows(fam, 0, 1, np.array([0.0, 3.0, 2.0, 1.0]))) == repr([expected])
+
+
+def _items(q: dict) -> str:
+    return repr(sorted(q.items()))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(2, 4),
+       st.sampled_from(["neutral", "bumped", "free"]))
+def test_measures_match_the_per_node_pushes(seed, depth, branching, style):
+    """``argmax_measure`` on box-dict, ``BoxSets``, vertex-list and mixed families and on the
+    discovered cuts, and the cuts' product witness and structural leaf measures, equal the
+    per-node oracles' measures item for item."""
+    fx = fixtures.rand_market(seed, depth=depth, branching=branching, style=style)
+    fam, tree = fx.family, fx.family.tree
+    vertex = {n: TransitionSet.vertex_set(per_node.vertex_list(ts)) for n, ts in fam.transitions.items()}
+    cuts = supermartingale_family(fx.spec)
+    fams = [fam, _box_sets(fam), RectangularFamily(tree, vertex), _mixed(fam, seed)]
+    rng = np.random.default_rng(seed)
+    payoff = {n: float(rng.choice([0.0, -0.0, 1.0, rng.uniform(-2, 2)])) for n in tree.leaves}
+    for f in fams + ([cuts] if cuts is not None else []):
+        assert _items(argmax_measure(f, payoff)) == _items(per_node.argmax_measure(f, payoff))
+    if cuts is not None:
+        assert _items(_product_witness(cuts)) == _items(per_node.product_witness(cuts))
+        for leaf in tree.leaves[:: max(1, len(tree.leaves) // 4)]:
+            assert (_items(_structural_leaf_measure(cuts, leaf))
+                    == _items(per_node.structural_leaf_measure(cuts, leaf)))

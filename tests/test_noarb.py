@@ -15,7 +15,6 @@ from bubbletree.ambiguity import (
     ExplicitFamily,
     RectangularFamily,
     TransitionSet,
-    _push_mass,
     charged_leaves,
     classify_process,
     cond_expectation,
@@ -512,7 +511,7 @@ def _hedge_actuals(family, rng):
             transitions[n] = TransitionSet.box([0.0] * k, [float(i != drop) for i in range(k)])
     vertices = {n: per_node.vertex_list(ts) for n, ts in transitions.items()}
     measures = tuple(
-        _push_mass(tree, {n: vs[int(rng.integers(len(vs)))] for n, vs in vertices.items()})
+        per_node.push_mass(tree, {n: vs[int(rng.integers(len(vs)))] for n, vs in vertices.items()})
         for _ in range(2)
     )
     return (
